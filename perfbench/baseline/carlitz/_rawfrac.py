@@ -1,0 +1,140 @@
+"""Unnormalized multivariate fractions for exact identity verification.
+
+A RawTPoly is a dict of t-monomial -> theta-polynomial numerator over one
+shared denominator, with no reduction invariant.  Identity checks build
+both sides in this representation and compare by cross multiplication,
+so no gcd is ever computed: every step is polynomial multiplication,
+which the packed kernel makes cheap even at the large degrees the deeper
+parameter grids reach.
+
+Additions prefer a shared denominator: when one denominator exactly
+divides the other (the common case here, since every denominator is a
+product of ell-sequence factors), the sum keeps the larger one.
+"""
+
+from . import _packed as kern
+from .errors import ArityMismatch, IndexOutOfRange
+
+
+class RawTPoly:
+    __slots__ = ("ctx", "s", "num", "den")
+
+    def __init__(self, ctx, s, num, den):
+        self.ctx = ctx
+        self.s = s
+        self.num = {e: c for e, c in num.items() if c}
+        self.den = den
+
+    @classmethod
+    def zero(cls, ctx, s):
+        return cls(ctx, s, {}, [1])
+
+    @classmethod
+    def one(cls, ctx, s):
+        return cls(ctx, s, {(0,) * s: [1]}, [1])
+
+    @classmethod
+    def scalar(cls, ctx, s, num, den):
+        return cls(ctx, s, {(0,) * s: list(num)}, list(den))
+
+    def is_zero(self):
+        return not self.num
+
+    def _scaled_num(self, factor):
+        return {e: kern.kmul(self.ctx, c, factor) for e, c in self.num.items()}
+
+    def __add__(self, other):
+        if other.s != self.s:
+            raise ArityMismatch("arities differ")
+        ctx = self.ctx
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        a, b = self, other
+        if a.den == b.den:
+            out = dict(a.num)
+            for e, c in b.num.items():
+                cur = out.get(e)
+                out[e] = list(c) if cur is None else kern.kadd(ctx, cur, c)
+            return RawTPoly(ctx, self.s, out, a.den)
+        if len(a.den) < len(b.den):
+            a, b = b, a
+        q, r = kern.kdivmod(ctx, a.den, b.den)
+        if not r:
+            out = dict(a.num)
+            for e, c in b.num.items():
+                cur = out.get(e)
+                cq = kern.kmul(ctx, c, q)
+                out[e] = cq if cur is None else kern.kadd(ctx, cur, cq)
+            return RawTPoly(ctx, self.s, out, a.den)
+        out = a._scaled_num(b.den)
+        for e, c in b.num.items():
+            cur = out.get(e)
+            ca = kern.kmul(ctx, c, a.den)
+            out[e] = ca if cur is None else kern.kadd(ctx, cur, ca)
+        return RawTPoly(ctx, self.s, out, kern.kmul(ctx, a.den, b.den))
+
+    def __neg__(self):
+        return RawTPoly(self.ctx, self.s,
+                        {e: kern.kneg(self.ctx, c) for e, c in self.num.items()},
+                        self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if other.s != self.s:
+            raise ArityMismatch("arities differ")
+        ctx = self.ctx
+        out = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                prod = kern.kmul(ctx, c1, c2)
+                cur = out.get(e)
+                out[e] = prod if cur is None else kern.kadd(ctx, cur, prod)
+        return RawTPoly(ctx, self.s, out, kern.kmul(ctx, self.den, other.den))
+
+    def scale_poly(self, c):
+        """Multiply by a polynomial given as a coefficient list."""
+        if not c:
+            return RawTPoly.zero(self.ctx, self.s)
+        return RawTPoly(self.ctx, self.s, self._scaled_num(c), self.den)
+
+    def __pow__(self, n):
+        result = RawTPoly.one(self.ctx, self.s)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def substitute_one(self, i):
+        """Set t_i := 1 (arity drops by one)."""
+        if not 1 <= i <= self.s:
+            raise IndexOutOfRange(f"variable index {i} outside 1..{self.s}")
+        out = {}
+        for e, c in self.num.items():
+            ne = e[:i - 1] + e[i:]
+            cur = out.get(ne)
+            out[ne] = list(c) if cur is None else kern.kadd(self.ctx, cur, c)
+        return RawTPoly(self.ctx, self.s - 1, out, self.den)
+
+    def equals(self, other):
+        """Exact equality of the represented fractions, by cross
+        multiplication against the two denominators."""
+        if other.s != self.s:
+            raise ArityMismatch("arities differ")
+        ctx = self.ctx
+        if self.den == other.den:
+            return self.num == other.num
+        for e in set(self.num) | set(other.num):
+            c1 = self.num.get(e, [])
+            c2 = other.num.get(e, [])
+            if kern.kmul(ctx, c1, other.den) != kern.kmul(ctx, c2, self.den):
+                return False
+        return True

@@ -1,0 +1,299 @@
+"""Matrix-data multiple power sums, truncated zeta values, and the
+finite zeta sums at negative integers (Bernoulli-Goss polynomials).
+
+A matrix data is an ordered list of columns (sigma_i, n_i) pairing a
+semi-character with a positive weight.  The multiple power sum of degree
+d iterates over strictly decreasing degree chains below d (or weakly
+decreasing ones, the "star" variant), and the degree-d_max partial zeta
+sum accumulates degrees 0 .. d_max-1.  Empty inner chains contribute
+zero; the empty matrix data has value 1.
+
+The Bernoulli-Goss polynomial BG_n is the finite sum over all degrees of
+the order-(-n) power sums.  The truncation bound floor(digitsum_q(n)/(q-1))
+is hardened by a runtime assertion that the next two degree terms vanish,
+so a wrong cutoff can never silently truncate.
+"""
+
+import warnings
+from typing import NamedTuple
+
+from .errors import ContextMismatch, TailNotVanishing, WeightZero
+from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
+from .powersums import SemiChar, power_sum, power_sum_bruteforce
+from .tpoly import TPoly
+
+
+class MatrixData:
+    """Columns (sigma_i, n_i) of semi-characters and weights; the empty
+    data (depth 0) is allowed and has value 1."""
+
+    __slots__ = ("ctx", "s", "columns")
+
+    def __init__(self, ctx, columns, s=None):
+        cols = []
+        max_s = 0
+        for sigma, n in columns:
+            if not isinstance(sigma, SemiChar) or sigma.ctx != ctx:
+                raise ContextMismatch("column semi-character from another context")
+            if int(n) < 1:
+                raise WeightZero(f"column weight must be >= 1, got {n}")
+            cols.append((sigma, int(n)))
+            max_s = max(max_s, sigma.s)
+        self.ctx = ctx
+        self.s = max_s if s is None else s
+        if self.s < max_s:
+            raise WeightZero(f"arity {s} too small for the columns")
+        self.columns = tuple((sigma.with_arity(self.s), n) for sigma, n in cols)
+
+    @classmethod
+    def untwisted(cls, ctx, weights, s=0):
+        """Matrix data with all-trivial semi-characters."""
+        triv = SemiChar.trivial(ctx, s)
+        return cls(ctx, [(triv, n) for n in weights], s=s)
+
+    @property
+    def weight(self):
+        return sum(n for _, n in self.columns)
+
+    @property
+    def depth(self):
+        return len(self.columns)
+
+    def __eq__(self, other):
+        return (isinstance(other, MatrixData) and self.ctx == other.ctx
+                and self.s == other.s and self.columns == other.columns)
+
+    def __hash__(self):
+        return hash((self.ctx.q, self.s, self.columns))
+
+    def __repr__(self):
+        from .textio import format_matrix_data
+        return format_matrix_data(self)
+
+
+def multi_power_sum(cache, d, data, mode="strict", budget=None):
+    """The degree-d multiple twisted power sum of the matrix data.
+
+    strict: the top column is taken at degree d and the remaining columns
+    run over chains d > i_2 > ... > i_r >= 0; star: weakly decreasing
+    chains d >= i_2 >= ... >= i_r >= 0.  Depth 0 gives 1; empty inner
+    chains give 0.
+    """
+    if mode not in ("strict", "star"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ctx = cache.ctx
+    s = data.s
+    if data.depth == 0:
+        return TPoly.one(ctx, s)
+    sigma1, n1 = data.columns[0]
+    top = power_sum(cache, d, n1, sigma1, budget)
+    if data.depth == 1:
+        return top
+    bound = d - 1 if mode == "strict" else d
+    inner = _inner_sum(cache, data.columns[1:], bound, mode, budget)
+    return top * inner
+
+
+def _inner_sum(cache, columns, m, mode, budget):
+    """Sum over chains m >= i >= 0 for the first column, recursing with
+    bound i-1 (strict) or i (star); zero when m < 0."""
+    ctx = cache.ctx
+    s = columns[0][0].s
+    if m < 0:
+        return TPoly.zero(ctx, s)
+    sigma, n = columns[0]
+    rest = columns[1:]
+    total = TPoly.zero(ctx, s)
+    for i in range(m + 1):
+        term = power_sum(cache, i, n, sigma, budget)
+        if rest:
+            bound = i - 1 if mode == "strict" else i
+            term = term * _inner_sum(cache, rest, bound, mode, budget)
+        total = total + term
+    return total
+
+
+def partial_zeta(cache, d_max, data, mode="strict", budget=None):
+    """The truncated zeta value: sum of the multiple power sums over
+    degrees 0 .. d_max - 1 (zero when d_max = 0)."""
+    ctx = cache.ctx
+    total = TPoly.zero(ctx, data.s)
+    for k in range(d_max):
+        total = total + multi_power_sum(cache, k, data, mode, budget)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli-Goss polynomials
+# ---------------------------------------------------------------------------
+
+class BGPoly(NamedTuple):
+    """A finite zeta sum at a negative integer: value = sum over k of the
+    degree-k power sums of order -n, which lies in A."""
+    n: int
+    value: APoly
+    k_stop: int
+
+
+def bernoulli_goss(cache, n, budget=None):
+    """BG_n for n >= 1, summing degrees 0 .. floor(digitsum_q(n)/(q-1)).
+
+    The cutoff comes from the base-q digit-sum bound for vanishing power
+    sums; the two degrees after it are computed and asserted to vanish
+    (TailNotVanishing otherwise), so the heuristic can never silently
+    return a wrong value.
+    """
+    ctx = cache.ctx
+    if n < 1:
+        raise ValueError("Bernoulli-Goss polynomials need n >= 1")
+    if n % (ctx.q - 1) == 0:
+        warnings.warn(f"n = {n} is divisible by q - 1 = {ctx.q - 1}; "
+                      "this zeta value vanishes trivially", stacklevel=2)
+    k_stop = digit_sum(ctx.q, n) // (ctx.q - 1)
+    triv = SemiChar.trivial(ctx, 0)
+    total = APoly.zero(ctx)
+    for k in range(k_stop + 1):
+        term = power_sum_bruteforce(cache, k, -n, triv, budget)
+        total = total + term.constant_coefficient().as_apoly()
+    for k in (k_stop + 1, k_stop + 2):
+        tail = power_sum_bruteforce(cache, k, -n, triv, budget)
+        if not tail.is_zero():
+            raise TailNotVanishing(
+                f"degree-{k} power sum of order {-n} did not vanish; "
+                f"the digit-sum cutoff {k_stop} is wrong for n = {n}")
+    return BGPoly(n, total, k_stop)
+
+
+def bg_formula_rhs(cache, d):
+    """The closed double sum for BG at n = q^d - 2:
+
+        -(sum over d >= i > j >= 0 of b_i(theta^(q^d)) / (ell(i) ell(j)))
+
+    evaluated exactly over the common denominator ell(d) ell(d-1); the
+    result must land in A."""
+    if d < 1:
+        raise ValueError("the double-sum formula needs d >= 1")
+    ctx = cache.ctx
+    tqd = cache.theta_q(d)
+    num = APoly.zero(ctx)
+    for i in range(1, d + 1):
+        bi = cache.b_eval(i, tqd)
+        ri = cache.ell_ratio(d, i)
+        for j in range(i):
+            num = num + bi * ri * cache.ell_ratio(d - 1, j)
+    den = cache.ell(d) * cache.ell(d - 1)
+    return (-RatK(num, den)).as_apoly()
+
+
+class BGDegrees(NamedTuple):
+    """Predicted theta-degrees of BG_(q^d - 2) and of the three blocks of
+    its double-sum decomposition (the single dominant product, the block
+    where the top two terms merge, and the remaining double sum)."""
+    degree: int
+    dominant_degree: int
+    merged_degree: int
+    tail_degree: int
+
+
+def bg_degree_formula(q, d):
+    """Degree predictions: (d-1) q^d - 2q(q^(d-1) - 1)/(q-1) for the value
+    itself, with the block degrees from the decomposition lemma."""
+    if d < 1:
+        raise ValueError("degree formula needs d >= 1")
+    geo = sum(q ** t for t in range(1, d))       # q + ... + q^(d-1)
+    geo2 = sum(q ** t for t in range(1, d - 1))  # q + ... + q^(d-2)
+    main = (d - 1) * q ** d - 2 * q * (q ** (d - 1) - 1) // (q - 1)
+    dominant = (d - 1) * q ** d - 2 * geo
+    merged = (d - 2) * q ** d - geo2
+    return BGDegrees(main, dominant, merged, merged)
+
+
+def bg_block_values(cache, d):
+    """The three blocks of the double-sum decomposition, exactly:
+    dominant = alpha_d beta_(d-1); merged = (alpha_d + alpha_(d-1)) *
+    sum of beta_j for j <= d-2; tail = the remaining double sum, where
+    alpha_i = b_i(theta^(q^d))/ell(i) and beta_j = 1/ell(j)."""
+    ctx = cache.ctx
+    tqd = cache.theta_q(d)
+
+    def alpha(i):
+        return RatK(cache.b_eval(i, tqd), cache.ell(i))
+
+    def beta(j):
+        return RatK(APoly.one(ctx), cache.ell(j))
+
+    dominant = alpha(d) * beta(d - 1)
+    beta_sum = RatK.zero(ctx)
+    for j in range(d - 1):
+        beta_sum = beta_sum + beta(j)
+    merged = (alpha(d) + alpha(d - 1)) * beta_sum
+    tail = RatK.zero(ctx)
+    for i in range(d - 1):
+        ai = alpha(i)
+        for j in range(i):
+            tail = tail + ai * beta(j)
+    return dominant, merged, tail
+
+
+class CongruenceRow(NamedTuple):
+    modulus: APoly
+    bg_residue: APoly
+    partial_zeta_residue: APoly
+    congruent: bool
+    bg_vanishes: bool
+
+
+class CongruenceSurvey(NamedTuple):
+    d: int
+    n: int
+    rows: tuple
+    zero_count: int
+    zero_bound: int
+    irreducible_count: int
+    necklace_value: int
+    divisor_poly: APoly
+    divisor_consistent: bool
+
+    @property
+    def all_congruent(self):
+        return all(r.congruent for r in self.rows)
+
+    @property
+    def bound_holds(self):
+        return self.zero_count <= self.zero_bound
+
+    @property
+    def count_matches_necklace(self):
+        return self.irreducible_count == self.necklace_value
+
+
+def bg_congruence_survey(cache, d, budget=None):
+    """For every monic irreducible P of degree d, compare BG_(q^d - 2) and
+    the degree-d truncated zeta sum of weight one modulo P, and report the
+    vanishing statistics against the divisor-count bound."""
+    ctx = cache.ctx
+    q = ctx.q
+    n = q ** d - 2
+    bg = bernoulli_goss(cache, n, budget).value
+    # truncated weight-one zeta sum: sum of 1/ell(i) for i < d
+    fd = RatK.zero(ctx)
+    for i in range(d):
+        fd = fd + RatK(APoly.one(ctx), cache.ell(i))
+    # the A-element whose degree-d prime divisors are exactly the vanishing P
+    divisor_poly = (fd * cache.ell(d - 1)).as_apoly()
+    rows = []
+    zero_count = 0
+    for P in irreducibles_of_degree(ctx, d):
+        bg_res = bg % P
+        fd_res = fd.reduce_mod(P)
+        vanishes = bg_res.is_zero()
+        zero_count += vanishes
+        rows.append(CongruenceRow(P, bg_res, fd_res, bg_res == fd_res, vanishes))
+    consistent = all((row.modulus.is_zero() or
+                      (divisor_poly % row.modulus).is_zero() == row.bg_vanishes)
+                     for row in rows)
+    bound = (q ** d - q) // (d * (q - 1))
+    return CongruenceSurvey(
+        d=d, n=n, rows=tuple(rows), zero_count=zero_count, zero_bound=bound,
+        irreducible_count=len(rows), necklace_value=necklace_count(q, d),
+        divisor_poly=divisor_poly, divisor_consistent=consistent)

@@ -1,0 +1,567 @@
+"""Fundamental sequences, semi-characters, and twisted power sums.
+
+The two sequences everything is built from:
+
+    ell(i)      = product over 1 <= j <= i of (theta - theta^(q^j)),  ell(0) = 1
+    b_coeffs(i) = coefficients of the monic polynomial with roots
+                  theta, theta^q, ..., theta^(q^(i-1)),  b_0 = 1
+
+A semi-character is a multiplicative map on monic polynomials built from
+three kinds of factors: evaluation at a variable (a -> a(t_i)), evaluation
+at a field constant (a -> a(c)), and the degree character (a -> t_i^deg a).
+
+Twisted power sums of degree d and order k are sums of a^(-k) sigma(a)
+over the q^d monic a of degree d.  They are computed two independent
+ways: literal enumeration (the oracle; fractions are accumulated over the
+lcm of the enumerated monics, assembled from the irreducibles of degree
+<= d), and closed forms for the families with known ones.  The closed
+forms and the enumeration must agree exactly; tests and the verification
+suite enforce that.
+"""
+
+import itertools
+import threading
+
+from . import _packed as kern
+from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch,
+                     NonMonicInput, UnsupportedCharacter)
+from .ffield import FqElem
+from .poly import APoly, RatK, enumerate_monics, irreducibles_of_degree
+from .tpoly import TPoly
+
+DEFAULT_BUDGET = 200_000
+
+
+class SemiChar:
+    """A product of variable evaluations, constant evaluations, and degree
+    characters, acting multiplicatively on monic elements of A."""
+
+    __slots__ = ("ctx", "s", "vars", "degs", "consts")
+
+    def __init__(self, ctx, s, varis=(), degs=(), consts=()):
+        self.ctx = ctx
+        self.s = s
+        varis = tuple(sorted(int(i) for i in varis))
+        degs = tuple(sorted(int(i) for i in degs))
+        if any(not 1 <= i <= s for i in varis + degs):
+            raise ArityMismatch(f"factor index outside 1..{s}")
+        codes = []
+        for c in consts:
+            if isinstance(c, FqElem):
+                if c.ctx != ctx:
+                    raise UnsupportedCharacter(
+                        "constant evaluation points must lie in this F_q")
+                codes.append(c.code)
+            else:
+                code = int(c)
+                if not 0 <= code < ctx.q:
+                    raise UnsupportedCharacter(
+                        f"constant code {code} outside F_{ctx.q}")
+                codes.append(code)
+        self.vars = varis
+        self.degs = degs
+        self.consts = tuple(sorted(codes))
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def trivial(cls, ctx, s=0):
+        return cls(ctx, s)
+
+    @classmethod
+    def chi(cls, ctx, s, i):
+        """a -> a(t_i)."""
+        return cls(ctx, s, varis=(i,))
+
+    @classmethod
+    def nu(cls, ctx, s, i):
+        """a -> t_i^(deg a); not of Dirichlet type."""
+        return cls(ctx, s, degs=(i,))
+
+    @classmethod
+    def const_eval(cls, ctx, s, c):
+        """a -> a(c) for c in F_q."""
+        return cls(ctx, s, consts=(c,))
+
+    def is_trivial(self):
+        return not (self.vars or self.degs or self.consts)
+
+    def with_arity(self, s):
+        if s < max((0,) + self.vars + self.degs):
+            raise ArityMismatch("arity too small for the factors present")
+        return SemiChar(self.ctx, s, self.vars, self.degs, self.consts)
+
+    def __mul__(self, other):
+        if not isinstance(other, SemiChar):
+            return NotImplemented
+        if other.ctx != self.ctx:
+            raise ContextMismatch("semi-characters from different contexts")
+        if other.s != self.s:
+            raise ArityMismatch("semi-characters of different arity")
+        return SemiChar(self.ctx, self.s, self.vars + other.vars,
+                        self.degs + other.degs, self.consts + other.consts)
+
+    def __eq__(self, other):
+        return (isinstance(other, SemiChar) and self.ctx == other.ctx
+                and (self.s, self.vars, self.degs, self.consts)
+                == (other.s, other.vars, other.degs, other.consts))
+
+    def __hash__(self):
+        return hash((self.ctx.q, self.s, self.vars, self.degs, self.consts))
+
+    def __repr__(self):
+        from .textio import format_semichar
+        return format_semichar(self)
+
+    # -- evaluation ---------------------------------------------------------
+
+    def eval_codes(self, coeffs):
+        """Evaluate at the monic polynomial with the given coefficient codes,
+        returning a dict monomial-exponents -> field element code."""
+        ctx = self.ctx
+        if not coeffs or coeffs[-1] != 1:
+            raise NonMonicInput("semi-characters act on monic polynomials")
+        s = self.s
+        deg = len(coeffs) - 1
+        terms = {(0,) * s: 1}
+        mul, add = ctx.mul, ctx.add
+        for i in self.vars:
+            new = {}
+            for exps, code in terms.items():
+                for k, ck in enumerate(coeffs):
+                    if ck:
+                        ne = exps[:i - 1] + (exps[i - 1] + k,) + exps[i:]
+                        v = mul[code][ck]
+                        cur = new.get(ne)
+                        new[ne] = v if cur is None else add[cur][v]
+            terms = {e: c for e, c in new.items() if c}
+        for i in self.degs:
+            terms = {e[:i - 1] + (e[i - 1] + deg,) + e[i:]: c
+                     for e, c in terms.items()}
+        scalar = 1
+        for c in self.consts:
+            # Horner evaluation of the polynomial at the constant
+            acc = 0
+            for ck in reversed(coeffs):
+                acc = add[mul[acc][c]][ck]
+            scalar = mul[scalar][acc]
+        if scalar != 1:
+            terms = {e: mul[c][scalar] for e, c in terms.items()}
+            terms = {e: c for e, c in terms.items() if c}
+        return terms
+
+    def eval(self, a):
+        """sigma(a) as a TPoly; multiplicative in monic a, sigma(1) = 1."""
+        if not isinstance(a, APoly) or a.ctx != self.ctx:
+            raise ContextMismatch("argument from a different context")
+        codes = self.eval_codes(list(a.coeffs))
+        return TPoly(self.ctx, self.s,
+                     {e: RatK.constant(self.ctx, FqElem(self.ctx, c))
+                      for e, c in codes.items()}, _clean=True)
+
+
+class SeqCache:
+    """Memoized fundamental data for one field context.
+
+    Holds theta^(q^i), the ell sequence, the b-polynomial coefficient
+    lists and their Frobenius twists, powers and ratios of ell, the lcm
+    of the monic polynomials of each degree, and a memo of exact twisted
+    power sums.  Append-only under a lock; every returned value is
+    immutable and safe to share.
+    """
+
+    def __init__(self, ctx, budget=DEFAULT_BUDGET):
+        self.ctx = ctx
+        self.budget = budget
+        self._lock = threading.RLock()
+        self._theta_q = [APoly.theta(ctx)]
+        self._ell = [APoly.one(ctx)]
+        self._b = [(APoly.one(ctx),)]       # coefficient tuples, ascending
+        self._tb = [(APoly.one(ctx),)]      # Frobenius-twisted b
+        self._ell_pow = {}
+        self._ell_ratio = {}
+        self._monic_lcm = {0: APoly.one(ctx)}
+        self._psums = {}
+
+    # -- sequences ----------------------------------------------------------
+
+    def theta_q(self, i):
+        """theta^(q^i) as an element of A."""
+        with self._lock:
+            while len(self._theta_q) <= i:
+                prev = self._theta_q[-1]
+                self._theta_q.append(prev.frobenius())
+            return self._theta_q[i]
+
+    def ell(self, i):
+        """ell(i); zero for negative indices."""
+        if i < 0:
+            return APoly.zero(self.ctx)
+        with self._lock:
+            while len(self._ell) <= i:
+                k = len(self._ell)
+                factor = APoly.theta(self.ctx) - self.theta_q(k)
+                self._ell.append(self._ell[-1] * factor)
+            return self._ell[i]
+
+    def b_coeffs(self, i):
+        """Coefficients (in A, ascending) of the degree-i polynomial with
+        roots theta^(q^j) for 0 <= j < i."""
+        with self._lock:
+            while len(self._b) <= i:
+                k = len(self._b)
+                root = self.theta_q(k - 1)
+                prev = self._b[-1]
+                new = []
+                for m in range(k + 1):
+                    c = prev[m - 1] if m >= 1 else APoly.zero(self.ctx)
+                    if m < len(prev):
+                        c = c - root * prev[m]
+                    new.append(c)
+                self._b.append(tuple(new))
+            return self._b[i]
+
+    def tb_coeffs(self, i):
+        """Coefficients of the Frobenius twist of b_i: the monic polynomial
+        with roots theta^(q^j) for 1 <= j <= i."""
+        with self._lock:
+            while len(self._tb) <= i:
+                k = len(self._tb)
+                self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
+            return self._tb[i]
+
+    def b_tpoly(self, i, var=1, s=1, twist=0):
+        """b_i (or its Frobenius twist) as a TPoly in variable t_var."""
+        coeffs = self.b_coeffs(i) if twist == 0 else \
+            tuple(c.frobenius(twist) for c in self.b_coeffs(i))
+        terms = {}
+        for k, c in enumerate(coeffs):
+            if not c.is_zero():
+                exps = tuple(k if j == var - 1 else 0 for j in range(s))
+                terms[exps] = RatK.from_apoly(c)
+        return TPoly(self.ctx, s, terms, _clean=True)
+
+    def b_eval(self, i, x):
+        """b_i evaluated at an element x of A."""
+        acc = APoly.zero(self.ctx)
+        for c in reversed(self.b_coeffs(i)):
+            acc = acc * x + c
+        return acc
+
+    def ell_pow(self, i, n):
+        """ell(i)^n, memoized."""
+        key = (i, n)
+        with self._lock:
+            v = self._ell_pow.get(key)
+            if v is None:
+                v = self.ell(i) ** n
+                self._ell_pow[key] = v
+            return v
+
+    def ell_ratio(self, d, i):
+        """ell(d) / ell(i) (exact), memoized."""
+        key = (d, i)
+        with self._lock:
+            v = self._ell_ratio.get(key)
+            if v is None:
+                v = self.ell(d) / self.ell(i)
+                self._ell_ratio[key] = v
+            return v
+
+    def monic_lcm(self, d):
+        """The lcm of all monic polynomials of degree d, assembled as the
+        product of P^(floor(d / deg P)) over irreducibles P of degree <= d."""
+        with self._lock:
+            v = self._monic_lcm.get(d)
+            if v is None:
+                v = APoly.one(self.ctx)
+                for j in range(1, d + 1):
+                    m = d // j
+                    for pp in irreducibles_of_degree(self.ctx, j):
+                        v = v * pp ** m
+                self._monic_lcm[d] = v
+            return v
+
+    def check_budget(self, count, budget=None):
+        limit = self.budget if budget is None else budget
+        if count > limit:
+            raise BudgetExceeded(count, limit)
+
+
+# ---------------------------------------------------------------------------
+# brute-force twisted power sums (the enumeration oracle)
+# ---------------------------------------------------------------------------
+
+def power_sum_bruteforce(cache, d, k, sigma, budget=None):
+    """Sum of a^(-k) sigma(a) over all monic a of degree d, by enumeration.
+
+    Negative k means positive powers of a (used by the finite zeta sums at
+    negative integers); the result then has coefficients in A.
+    """
+    ctx = cache.ctx
+    cache.check_budget(ctx.q ** d, budget)
+    s = sigma.s
+    if k <= 0:
+        acc = {}
+        m = -k
+        for a in enumerate_monics(ctx, d):
+            am = list(kern.kpow(ctx, list(a.coeffs), m)) if m else [1]
+            for exps, code in sigma.eval_codes(list(a.coeffs)).items():
+                cur = acc.get(exps, [])
+                acc[exps] = kern.kadd(ctx, cur, kern.kscal(ctx, code, am))
+        return TPoly(ctx, s,
+                     {e: RatK.from_apoly(APoly._make(ctx, v))
+                      for e, v in acc.items() if v}, _clean=True)
+
+    den_poly = cache.monic_lcm(d) ** k
+    den = list(den_poly.coeffs)
+    nslots = len(den)
+    acc = {}
+    e = ctx.e
+    digits = ctx.digits
+    for a in enumerate_monics(ctx, d):
+        ak = kern.kpow(ctx, list(a.coeffs), k)
+        cof = kern.kexactdiv(ctx, den, ak)
+        packed = kern.pack(ctx, cof)
+        for exps, code in sigma.eval_codes(list(a.coeffs)).items():
+            if e == 1:
+                acc[exps] = acc.get(exps, 0) + code * packed
+            else:
+                cur = acc.get(exps, 0)
+                for j, dj in enumerate(digits[code]):
+                    if dj:
+                        cur += dj * (packed << (kern._W * j))
+                acc[exps] = cur
+    terms = {}
+    for exps, packed_num in acc.items():
+        num = kern.trim(kern.unpack(ctx, packed_num, nslots))
+        if num:
+            terms[exps] = RatK(APoly._make(ctx, num), den_poly)
+    return TPoly(ctx, s, terms, _clean=True)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+def power_sum_closed(cache, d, which):
+    """Closed forms for the weight-1 and weight-2 power sums.
+
+    which: "e1" S_d(1;1)        -> 1 / ell(d)                    (0 variables)
+           "e2" S_d(1;chi_t1)   -> b_d(t1) / ell(d)              (1 variable)
+           "e3" S_d(1;chi*chi)  -> b_d(t1) b_d(t2) / ell(d)      (2 variables)
+           "f1" S_d(2;1)        -> 1 / ell(d)^2                  (0 variables)
+           "f2" S_d(2;chi_t1)   -> b_d(t1)(t1 - theta^(q^d)) / ((t1-theta) ell(d)^2)
+           "f3" S_d(2;chi*chi)  -> the two-variable analogue
+
+    The apparent (t_i - theta) denominators of f2/f3 cancel; the
+    cancellation is carried out symbolically (exact division, asserted),
+    so the returned values are honest polynomials in the t-variables.
+    """
+    ctx = cache.ctx
+    if which == "e1":
+        return TPoly.constant(ctx, 0, RatK(APoly.one(ctx), cache.ell(d)))
+    if which == "f1":
+        return TPoly.constant(ctx, 0, RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
+    if which == "e2":
+        return cache.b_tpoly(d, 1, 1).scale(RatK(APoly.one(ctx), cache.ell(d)))
+    if which == "e3":
+        prod = cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2)
+        return prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
+    theta = APoly.theta(ctx)
+    if which == "f2":
+        num = cache.b_tpoly(d, 1, 1) * (TPoly.variable(ctx, 1, 1) - cache.theta_q(d))
+        num = num.div_linear_exact(1, RatK.from_apoly(theta))
+        return num.scale(RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
+    if which == "f3":
+        t1 = TPoly.variable(ctx, 2, 1)
+        t2 = TPoly.variable(ctx, 2, 2)
+        tq = cache.theta_q(d)
+        bracket = ((t1 - theta) * (t2 - theta)
+                   + (t1 - theta).scale(RatK.from_apoly(theta - tq))
+                   + (t2 - theta).scale(RatK.from_apoly(theta - tq)))
+        num = cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2) * bracket
+        num = num.div_linear_exact(1, RatK.from_apoly(theta))
+        num = num.div_linear_exact(2, RatK.from_apoly(theta))
+        return num.scale(RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
+    raise ValueError(f"unknown closed form {which!r}")
+
+
+def partial_F_one_q(cache, d):
+    """The degree-(d+1) partial zeta sum of weight 1 in q variables:
+    b_d(t_1) ... b_d(t_q) / ell(d), equal to the sum of the order-1 power
+    sums twisted by chi_{t_1} ... chi_{t_q} over degrees 0..d."""
+    ctx = cache.ctx
+    q = ctx.q
+    prod = cache.b_tpoly(d, 1, q)
+    for i in range(2, q + 1):
+        prod = prod * cache.b_tpoly(d, i, q)
+    return prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
+
+
+# ---------------------------------------------------------------------------
+# Frobenius expansion of b_d and the q^n-order closed forms
+# ---------------------------------------------------------------------------
+
+def _descending_chains(d, n):
+    """All chains d >= i_1 >= i_2 >= ... >= i_n >= 0."""
+    for combo in itertools.combinations_with_replacement(range(d + 1), n):
+        yield tuple(reversed(combo))
+
+
+def _chain_numerator(cache, n, d):
+    """Numerator terms of the chain expansion over the common denominator
+    ell(d)^(q^(n-1)): a dict t-exponent -> APoly."""
+    ctx = cache.ctx
+    q = ctx.q
+    exps_of_m = [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)]
+    ratio_pows = {}
+
+    def rpow(i, e):
+        key = (i, e)
+        v = ratio_pows.get(key)
+        if v is None:
+            v = cache.ell_ratio(d, i) ** e
+            ratio_pows[key] = v
+        return v
+
+    total = {}
+    for chain in _descending_chains(d, n):
+        mult = APoly.one(ctx)
+        for m in range(n - 1):
+            mult = mult * rpow(chain[m], exps_of_m[m])
+        mult = mult * cache.ell_ratio(d, chain[-1])
+        for kk, c in enumerate(cache.b_coeffs(chain[-1])):
+            if not c.is_zero():
+                cur = total.get(kk)
+                v = mult * c
+                total[kk] = v if cur is None else cur + v
+    return {k: v for k, v in total.items() if not v.is_zero()}
+
+
+def tau_b_expand(cache, n, d):
+    """Both sides of the Frobenius expansion of b_d:
+
+        tau^n(b_d) = ell(d)^(q^(n-1)) * sum over chains
+                     d >= i_1 >= ... >= i_n >= 0 of
+                     ell(i_1)^(q^(n-2)-q^(n-1)) ... ell(i_(n-1))^(1-q)
+                     * ell(i_n)^(-1) * b_(i_n)
+
+    returned as (lhs, rhs) TPoly values in one variable; they must be equal.
+    """
+    ctx = cache.ctx
+    lhs = TPoly(ctx, 1,
+                {(k,): RatK.from_apoly(c.frobenius(n))
+                 for k, c in enumerate(cache.b_coeffs(d)) if not c.is_zero()},
+                _clean=True)
+    # the ell(d)^(q^(n-1)) prefactor cancels the chains' common denominator,
+    # so the right side is already integral
+    num = _chain_numerator(cache, n, d)
+    rhs = TPoly(ctx, 1,
+                {(k,): RatK.from_apoly(v) for k, v in num.items()},
+                _clean=True)
+    return lhs, rhs
+
+
+def power_sum_qn_closed(cache, n, d):
+    """S_d(q^n; chi_t) via the nested chain expansion: the twist of order
+    q^n of the weight-1 closed form.  One variable."""
+    ctx = cache.ctx
+    num = _chain_numerator(cache, n, d)
+    den = cache.ell_pow(d, ctx.q ** n)
+    return TPoly(ctx, 1, {(k,): RatK(v, den) for k, v in num.items()})
+
+
+# ---------------------------------------------------------------------------
+# general provider with closed-form routing
+# ---------------------------------------------------------------------------
+
+def _as_k_ql_form(q, n):
+    """Return True iff n = k * q^l with 1 <= k <= q - 1, l >= 0 (the orders
+    whose untwisted power sum is ell(d)^(-n))."""
+    if n < 1:
+        return False
+    while n % q == 0:
+        n //= q
+    return n <= q - 1
+
+
+def _is_q_power(q, n):
+    if n < q:
+        return False
+    while n % q == 0:
+        n //= q
+    return n == 1
+
+
+def power_sum(cache, d, n, sigma, budget=None):
+    """S_d(n; sigma), exact; closed forms where available, else enumeration.
+
+    Memoized per cache.  Degree characters factor out as t_i^d; after that,
+    closed forms cover the trivial twist with n = k q^l (k < q), one or two
+    distinct variable evaluations with n in {1, 2}, and a single variable
+    evaluation with n a power of q.
+    """
+    key = (d, n, sigma)
+    with cache._lock:
+        hit = cache._psums.get(key)
+    if hit is not None:
+        return hit
+    ctx = cache.ctx
+    s = sigma.s
+    result = None
+    if not sigma.consts:
+        v = sigma.vars
+        if sigma.degs:
+            base = power_sum(cache, d, n,
+                             SemiChar(ctx, s, varis=v), budget)
+            shift = {}
+            for exps, coef in base.terms.items():
+                ne = list(exps)
+                for i in sigma.degs:
+                    ne[i - 1] += d
+                shift[tuple(ne)] = coef
+            result = TPoly(ctx, s, shift, _clean=True)
+        elif not v:
+            if _as_k_ql_form(ctx.q, n):
+                result = TPoly.constant(ctx, s, RatK(APoly.one(ctx),
+                                                     cache.ell_pow(d, n)))
+        elif len(v) == 1:
+            i = v[0]
+            if n == 1:
+                result = cache.b_tpoly(d, i, s).scale(
+                    RatK(APoly.one(ctx), cache.ell(d)))
+            elif n == 2:
+                base = power_sum_closed(cache, d, "f2")
+                result = _remap_vars(base, {1: i}, s)
+            elif _is_q_power(ctx.q, n):
+                npow = 0
+                m = n
+                while m > 1:
+                    m //= ctx.q
+                    npow += 1
+                base = power_sum_qn_closed(cache, npow, d)
+                result = _remap_vars(base, {1: i}, s)
+        elif len(v) == 2 and v[0] != v[1]:
+            if n == 1:
+                prod = cache.b_tpoly(d, v[0], s) * cache.b_tpoly(d, v[1], s)
+                result = prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
+            elif n == 2:
+                base = power_sum_closed(cache, d, "f3")
+                result = _remap_vars(base, {1: v[0], 2: v[1]}, s)
+    if result is None:
+        result = power_sum_bruteforce(cache, d, n, sigma, budget)
+    with cache._lock:
+        cache._psums[key] = result
+    return result
+
+
+def _remap_vars(tp, mapping, s):
+    """Reinterpret a TPoly in a larger arity with variables renamed."""
+    terms = {}
+    for exps, coef in tp.terms.items():
+        ne = [0] * s
+        for old, newv in mapping.items():
+            ne[newv - 1] = exps[old - 1]
+        terms[tuple(ne)] = coef
+    return TPoly(tp.ctx, s, terms, _clean=True)

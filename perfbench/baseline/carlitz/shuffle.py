@@ -1,0 +1,296 @@
+"""Per-degree exact verification of the shuffle-product identities.
+
+Every product identity between the zeta values in scope is equivalent to
+a family of exact identities between truncated sums, one for each degree:
+both sides are polynomials in t_1, t_2 over K, and equality is exact.
+This module builds both sides of each such identity degree by degree in
+the unnormalized-fraction representation (RawTPoly), where the only
+operations are polynomial multiplication and addition; equality is
+decided by cross multiplication.
+
+The engine fixes arity 2 with the first evaluation character on t_1 and
+the second on t_2; untwisted values are constants in the t-variables.
+Semi-characters are addressed by short keys:
+
+    "one"  trivial          "s"  a -> a(t_1)      "p"   a -> a(t_2)
+    "sp"   a -> a(t_1)a(t_2)                      "nu"  a -> t_1^deg(a)
+"""
+
+from . import _packed as kern
+from ._rawfrac import RawTPoly
+from .errors import InvalidParams
+from .powersums import _as_k_ql_form
+
+
+class ShuffleEngine:
+    """Memoized per-degree power sums and multiple sums over one context."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.ctx = cache.ctx
+        self._S = {}
+        self._F = {}
+        self._multi = {}
+        self._Fmulti = {}
+        self._inner_memo = {}
+
+    # -- single power sums ------------------------------------------------
+
+    def _ell_list(self, d, n):
+        return list(self.cache.ell_pow(d, n).coeffs)
+
+    def _b_num(self, d, var, twisted=False):
+        coeffs = self.cache.tb_coeffs(d) if twisted else self.cache.b_coeffs(d)
+        out = {}
+        for k, c in enumerate(coeffs):
+            if not c.is_zero():
+                out[(k, 0) if var == 1 else (0, k)] = list(c.coeffs)
+        return out
+
+    def S(self, d, n, sig):
+        """The degree-d power sum of order n twisted by the keyed
+        semi-character, in closed form."""
+        key = (d, n, sig)
+        hit = self._S.get(key)
+        if hit is not None:
+            return hit
+        ctx = self.ctx
+        q = ctx.q
+        if sig == "one":
+            if not _as_k_ql_form(q, n):
+                raise InvalidParams(f"no closed untwisted form for order {n}")
+            val = RawTPoly(ctx, 2, {(0, 0): [1]}, self._ell_list(d, n))
+        elif sig == "nu":
+            if not _as_k_ql_form(q, n):
+                raise InvalidParams(f"no closed untwisted form for order {n}")
+            val = RawTPoly(ctx, 2, {(d, 0): [1]}, self._ell_list(d, n))
+        elif sig in ("s", "p"):
+            var = 1 if sig == "s" else 2
+            if n == 1:
+                val = RawTPoly(ctx, 2, self._b_num(d, var), self._ell_list(d, 1))
+            elif n == 2:
+                val = RawTPoly(ctx, 2, self._b_num(d, var, twisted=True),
+                               self._ell_list(d, 2))
+            else:
+                raise InvalidParams(f"no closed form for order {n} with one variable")
+        elif sig == "sp":
+            if n == 1:
+                val = (RawTPoly(ctx, 2, self._b_num(d, 1), [1])
+                       * RawTPoly(ctx, 2, self._b_num(d, 2), self._ell_list(d, 1)))
+            elif n == 2:
+                val = self._S_two_var_order_two(d)
+            else:
+                raise InvalidParams(f"no closed form for order {n} with two variables")
+        else:
+            raise InvalidParams(f"unknown semi-character key {sig!r}")
+        self._S[key] = val
+        return val
+
+    def _S_two_var_order_two(self, d):
+        """S_d(2; a -> a(t1)a(t2)) with the (t_i - theta) cancellations done:
+        [b_d x b_d + (theta - theta^(q^d)) (b_d x tb_(d-1) + tb_(d-1) x b_d)]
+        over ell(d)^2, where tb is the Frobenius twist of b."""
+        ctx = self.ctx
+        b1 = RawTPoly(ctx, 2, self._b_num(d, 1), [1])
+        b2 = RawTPoly(ctx, 2, self._b_num(d, 2), [1])
+        num = b1 * b2
+        if d >= 1:
+            gap = list((self.cache.theta_q(0) - self.cache.theta_q(d)).coeffs)
+            tb1 = RawTPoly(ctx, 2, {(k, 0): list(c.coeffs)
+                                    for k, c in enumerate(self.cache.tb_coeffs(d - 1))
+                                    if not c.is_zero()}, [1])
+            tb2 = RawTPoly(ctx, 2, {(0, k): list(c.coeffs)
+                                    for k, c in enumerate(self.cache.tb_coeffs(d - 1))
+                                    if not c.is_zero()}, [1])
+            num = num + (b1 * tb2 + tb1 * b2).scale_poly(gap)
+        return RawTPoly(ctx, 2, num.num, self._ell_list(d, 2))
+
+    def alemma_head(self, d):
+        """The head term of the depth-two decomposition of S_d(2;sp):
+        b_d(t1) b_d(t2) / ell(d)^2, i.e. S_d(1;sigma) S_d(1;psi)."""
+        ctx = self.ctx
+        b1 = RawTPoly(ctx, 2, self._b_num(d, 1), [1])
+        b2 = RawTPoly(ctx, 2, self._b_num(d, 2), [1])
+        head = b1 * b2
+        return RawTPoly(ctx, 2, head.num, self._ell_list(d, 2))
+
+    # -- truncated sums -----------------------------------------------------
+
+    def F(self, d, n, sig):
+        """Sum of S(i, n, sig) over 0 <= i < d."""
+        key = (d, n, sig)
+        hit = self._F.get(key)
+        if hit is not None:
+            return hit
+        if d == 0:
+            val = RawTPoly.zero(self.ctx, 2)
+        else:
+            val = self.F(d - 1, n, sig) + self.S(d - 1, n, sig)
+        self._F[key] = val
+        return val
+
+    # -- multiple sums ------------------------------------------------------
+
+    def Smulti(self, d, cols, mode="strict"):
+        """Multiple power sum of degree d for columns ((sig, n), ...)."""
+        key = (d, cols, mode)
+        hit = self._multi.get(key)
+        if hit is not None:
+            return hit
+        sig1, n1 = cols[0]
+        val = self.S(d, n1, sig1)
+        if len(cols) > 1:
+            bound = d - 1 if mode == "strict" else d
+            val = val * self._inner(cols[1:], bound, mode)
+        self._multi[key] = val
+        return val
+
+    def _inner(self, cols, m, mode):
+        key = (cols, m, mode)
+        hit = self._inner_memo.get(key)
+        if hit is not None:
+            return hit
+        if m < 0:
+            val = RawTPoly.zero(self.ctx, 2)
+        else:
+            sig, n = cols[0]
+            term = self.S(m, n, sig)
+            if len(cols) > 1:
+                term = term * self._inner(cols[1:], m - 1 if mode == "strict" else m,
+                                          mode)
+            val = self._inner(cols, m - 1, mode) + term
+        self._inner_memo[key] = val
+        return val
+
+    def Fmulti(self, d, cols, mode="strict"):
+        key = (d, cols, mode)
+        hit = self._Fmulti.get(key)
+        if hit is not None:
+            return hit
+        if d == 0:
+            val = RawTPoly.zero(self.ctx, 2)
+        else:
+            val = self.Fmulti(d - 1, cols, mode) + self.Smulti(d - 1, cols, mode)
+        self._Fmulti[key] = val
+        return val
+
+
+# ---------------------------------------------------------------------------
+# the identity family, per degree: each returns (lhs, rhs)
+# ---------------------------------------------------------------------------
+
+def product_weight_one_untwisted(eng, d):
+    """F_d(1)^2 = F_d(2) + 2 F_d(1,1)."""
+    lhs = eng.F(d, 1, "one") ** 2
+    two = eng.Fmulti(d, (("one", 1), ("one", 1)))
+    rhs = eng.F(d, 2, "one") + two + two
+    return lhs, rhs
+
+
+def product_weight_one_single(eng, d, sig="s"):
+    """F_d(1;sigma) F_d(1) = F_d[[sigma,1],[1,1]] + F_d(2;sigma)."""
+    lhs = eng.F(d, 1, sig) * eng.F(d, 1, "one")
+    rhs = eng.Fmulti(d, ((sig, 1), ("one", 1))) + eng.F(d, 2, sig)
+    return lhs, rhs
+
+
+def product_weight_one_split(eng, d):
+    """F_d(1;sigma) F_d(1;psi) = F_d(2;sigma psi)."""
+    lhs = eng.F(d, 1, "s") * eng.F(d, 1, "p")
+    rhs = eng.F(d, 2, "sp")
+    return lhs, rhs
+
+
+def product_weight_one_joint(eng, d):
+    """F_d(1) F_d(1;sigma psi) = F_d(2;sigma psi) + F_d[[1,sp]] + F_d[[sp,1]]
+    - F_d[[psi,sigma]] - F_d[[sigma,psi]]."""
+    lhs = eng.F(d, 1, "one") * eng.F(d, 1, "sp")
+    rhs = (eng.F(d, 2, "sp")
+           + eng.Fmulti(d, (("one", 1), ("sp", 1)))
+           + eng.Fmulti(d, (("sp", 1), ("one", 1)))
+           - eng.Fmulti(d, (("p", 1), ("s", 1)))
+           - eng.Fmulti(d, (("s", 1), ("p", 1))))
+    return lhs, rhs
+
+
+def per_degree_single(eng, d, sig="s"):
+    """S_d(1;sigma) S_d(1) = S_d(2;sigma) - S_d[[1,sigma],[1,1]]."""
+    lhs = eng.S(d, 1, sig) * eng.S(d, 1, "one")
+    rhs = eng.S(d, 2, sig) - eng.Smulti(d, (("one", 1), (sig, 1)))
+    return lhs, rhs
+
+
+def per_degree_split(eng, d):
+    """S_d(1;sigma) S_d(1;psi) = S_d(2;sp) - S_d[[p,s]] - S_d[[s,p]]."""
+    lhs = eng.S(d, 1, "s") * eng.S(d, 1, "p")
+    rhs = (eng.S(d, 2, "sp") - eng.Smulti(d, (("p", 1), ("s", 1)))
+           - eng.Smulti(d, (("s", 1), ("p", 1))))
+    return lhs, rhs
+
+
+def per_degree_joint(eng, d):
+    """S_d(1) S_d(1;sp) = S_d(2;sp) - S_d[[p,s]] - S_d[[s,p]]."""
+    lhs = eng.S(d, 1, "one") * eng.S(d, 1, "sp")
+    rhs = (eng.S(d, 2, "sp") - eng.Smulti(d, (("p", 1), ("s", 1)))
+           - eng.Smulti(d, (("s", 1), ("p", 1))))
+    return lhs, rhs
+
+
+def depth_two_decomposition(eng, d):
+    """S_d(2;sp) = S_d(1;s) S_d(1;p) + S_d[[p,s]] + S_d[[s,p]]."""
+    lhs = eng.S(d, 2, "sp")
+    rhs = (eng.alemma_head(d) + eng.Smulti(d, (("p", 1), ("s", 1)))
+           + eng.Smulti(d, (("s", 1), ("p", 1))))
+    return lhs, rhs
+
+
+def difference_identity(eng, d):
+    """F_d(1)F_d(1;sp) - F_d(1;s)F_d(1;p) = F_d[[1,sp]] + F_d[[sp,1]]
+    - F_d[[p,s]] - F_d[[s,p]]."""
+    lhs = eng.F(d, 1, "one") * eng.F(d, 1, "sp") - eng.F(d, 1, "s") * eng.F(d, 1, "p")
+    rhs = (eng.Fmulti(d, (("one", 1), ("sp", 1)))
+           + eng.Fmulti(d, (("sp", 1), ("one", 1)))
+           - eng.Fmulti(d, (("p", 1), ("s", 1)))
+           - eng.Fmulti(d, (("s", 1), ("p", 1))))
+    return lhs, rhs
+
+
+def degree_character_identity(eng, d):
+    """F_d(1;nu) F_d(1) = F_d(2;nu) + F_d[[nu,1]] + F_d[[1,nu]]."""
+    lhs = eng.F(d, 1, "nu") * eng.F(d, 1, "one")
+    rhs = (eng.F(d, 2, "nu") + eng.Fmulti(d, (("nu", 1), ("one", 1)))
+           + eng.Fmulti(d, (("one", 1), ("nu", 1))))
+    return lhs, rhs
+
+
+def weight_q_product(eng, d):
+    """F_d(1) F_d(q-1) = F_d(q) + F_d(q-1,1) + F_d(1,q-1)."""
+    q = eng.ctx.q
+    lhs = eng.F(d, 1, "one") * eng.F(d, q - 1, "one")
+    rhs = (eng.F(d, q, "one")
+           + eng.Fmulti(d, (("one", q - 1), ("one", 1)))
+           + eng.Fmulti(d, (("one", 1), ("one", q - 1))))
+    return lhs, rhs
+
+
+def per_degree_weight_q(eng, d):
+    """S_d(1) S_d(q-1) = S_d(q)."""
+    q = eng.ctx.q
+    return eng.S(d, 1, "one") * eng.S(d, q - 1, "one"), eng.S(d, q, "one")
+
+
+def star_bridge(eng, d):
+    """F*_d(q-1,1) = F_d(q-1,1) + F_d(1)^q."""
+    q = eng.ctx.q
+    cols = (("one", q - 1), ("one", 1))
+    lhs = eng.Fmulti(d, cols, mode="star")
+    rhs = eng.Fmulti(d, cols, mode="strict") + eng.F(d, 1, "one") ** q
+    return lhs, rhs
+
+
+def star_strict_depth_two(eng, d, cols):
+    """S*_d = S_d + (top column at d) * (second column at d), depth 2."""
+    (sig1, n1), (sig2, n2) = cols
+    lhs = eng.Smulti(d, cols, mode="star")
+    rhs = eng.Smulti(d, cols, mode="strict") + eng.S(d, n1, sig1) * eng.S(d, n2, sig2)
+    return lhs, rhs

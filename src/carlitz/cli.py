@@ -31,7 +31,7 @@ from .tate import zeta_series
 from .textio import format_skew, format_tpoly, parse_matrix_data
 
 
-def _add_common(p):
+def _add_common(p, csv=False):
     p.add_argument("--q", type=int, default=3, help="field size q = p^e > 2")
     p.add_argument("--modulus", help="comma-separated F_p coefficients of a "
                    "custom modulus for extension fields, ascending")
@@ -39,7 +39,9 @@ def _add_common(p):
                    help="arity of the t-variables (default: inferred)")
     p.add_argument("--budget", type=int, default=checks.DEFAULT_PARAMS["budget"],
                    help="largest allowed monic enumeration")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    # csv only for the commands whose output is a table
+    formats = ("text", "json", "csv") if csv else ("text", "json")
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -50,7 +52,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    _add_common(v)
+    _add_common(v, csv=True)
     v.set_defaults(q=None)  # bare `verify` sweeps the profile's q list
     v.add_argument("--suite", default="all", help="check id or glob (default: all)")
     v.add_argument("--d-max", type=int, default=None)
@@ -67,7 +69,7 @@ def build_parser():
             ("bg-survey", (("--d", int, True),)),
             ("skew", (("--d", int, True), ("--n", int, True)))):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, csv=name == "bg-survey")
         for flag, typ, required in extra:
             p.add_argument(flag, type=typ, required=required)
         if name in ("powsum", "partial", "zeta"):

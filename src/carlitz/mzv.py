@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import ContextMismatch, TailNotVanishing, WeightZero
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
-from .powersums import SemiChar, power_sum, power_sum_bruteforce
+from .powersums import ChainSums, SemiChar, power_sum, power_sum_bruteforce
 from .tpoly import TPoly
 
 
@@ -81,36 +81,11 @@ def multi_power_sum(cache, d, data, mode="strict", budget=None):
     """
     if mode not in ("strict", "star"):
         raise ValueError(f"unknown mode {mode!r}")
-    ctx = cache.ctx
-    s = data.s
     if data.depth == 0:
-        return TPoly.one(ctx, s)
-    sigma1, n1 = data.columns[0]
-    top = power_sum(cache, d, n1, sigma1, budget)
-    if data.depth == 1:
-        return top
-    bound = d - 1 if mode == "strict" else d
-    inner = _inner_sum(cache, data.columns[1:], bound, mode, budget)
-    return top * inner
-
-
-def _inner_sum(cache, columns, m, mode, budget):
-    """Sum over chains m >= i >= 0 for the first column, recursing with
-    bound i-1 (strict) or i (star); zero when m < 0."""
-    ctx = cache.ctx
-    s = columns[0][0].s
-    if m < 0:
-        return TPoly.zero(ctx, s)
-    sigma, n = columns[0]
-    rest = columns[1:]
-    total = TPoly.zero(ctx, s)
-    for i in range(m + 1):
-        term = power_sum(cache, i, n, sigma, budget)
-        if rest:
-            bound = i - 1 if mode == "strict" else i
-            term = term * _inner_sum(cache, rest, bound, mode, budget)
-        total = total + term
-    return total
+        return TPoly.one(cache.ctx, data.s)
+    chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma, budget),
+                       TPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
+    return chains.multi(d, data.columns, mode)
 
 
 def partial_zeta(cache, d_max, data, mode="strict", budget=None):

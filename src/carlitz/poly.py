@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import _packed as kern
 from .errors import (BothZero, ConstantInput, ContextMismatch, DivisionByZero,
                      InexactDivision, NonIntegral)
-from .ffield import FieldContext, FqElem
+from .ffield import FqElem, _is_prime
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -255,24 +255,13 @@ def is_irreducible(a):
     if kern.trim(kern.ksub(ctx, list(powers[n]), list(theta))):
         return False
     for t in range(2, n + 1):
-        if n % t == 0 and _is_prime_int(t):
+        if n % t == 0 and _is_prime(t):
             d = kern.ksub(ctx, list(powers[n // t]), list(theta))
             if not d:
                 return False
             g = kern.kgcd(ctx, d, mod)
             if len(g) != 1:
                 return False
-    return True
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
     return True
 
 

@@ -165,9 +165,10 @@ class SeqCache:
 
     Holds theta^(q^i), the ell sequence, the b-polynomial coefficient
     lists and their Frobenius twists, powers and ratios of ell, the lcm
-    of the monic polynomials of each degree, and a memo of exact twisted
-    power sums.  Append-only under a lock; every returned value is
-    immutable and safe to share.
+    of the monic polynomials of each degree, and memos of exact twisted
+    power sums and of their chain sums.  Append-only under a lock (the
+    chain sums fill their memos without it: a race only computes a value
+    twice); every returned value is immutable and safe to share.
     """
 
     def __init__(self, ctx, budget=DEFAULT_BUDGET):
@@ -182,6 +183,7 @@ class SeqCache:
         self._ell_ratio = {}
         self._monic_lcm = {0: APoly.one(ctx)}
         self._psums = {}
+        self._chains = {}
 
     # -- sequences ----------------------------------------------------------
 
@@ -281,6 +283,11 @@ class SeqCache:
                         v = v * pp ** m
                 self._monic_lcm[d] = v
             return v
+
+    def chain_memo(self, tag):
+        """The memo dict of the chain sums (ChainSums) tagged `tag`."""
+        with self._lock:
+            return self._chains.setdefault(tag, {})
 
     def check_budget(self, count, budget=None):
         limit = self.budget if budget is None else budget
@@ -409,9 +416,11 @@ def _descending_chains(d, n):
         yield tuple(reversed(combo))
 
 
-def _chain_numerator(cache, n, d):
-    """Numerator terms of the chain expansion over the common denominator
-    ell(d)^(q^(n-1)): a dict t-exponent -> APoly."""
+def chain_weights(cache, n, d):
+    """Entry i (0 <= i <= d) is the sum over chains d >= i_1 >= ... >= i_n = i
+    of (ell(d)/ell(i_1))^(q^(n-1)-q^(n-2)) ... (ell(d)/ell(i_(n-1)))^(q-1)
+    * ell(d)/ell(i): the weight of the last slot i in the chain expansions
+    of b_d and of the skew power sums."""
     ctx = cache.ctx
     q = ctx.q
     exps_of_m = [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)]
@@ -425,17 +434,25 @@ def _chain_numerator(cache, n, d):
             ratio_pows[key] = v
         return v
 
-    total = {}
+    weights = [APoly.zero(ctx)] * (d + 1)
     for chain in _descending_chains(d, n):
         mult = APoly.one(ctx)
         for m in range(n - 1):
             mult = mult * rpow(chain[m], exps_of_m[m])
         mult = mult * cache.ell_ratio(d, chain[-1])
-        for kk, c in enumerate(cache.b_coeffs(chain[-1])):
+        weights[chain[-1]] = weights[chain[-1]] + mult
+    return weights
+
+
+def _chain_numerator(cache, n, d):
+    """Numerator terms of the chain expansion over the common denominator
+    ell(d)^(q^(n-1)): a dict t-exponent -> APoly."""
+    zero = APoly.zero(cache.ctx)
+    total = {}
+    for i, weight in enumerate(chain_weights(cache, n, d)):
+        for kk, c in enumerate(cache.b_coeffs(i)):
             if not c.is_zero():
-                cur = total.get(kk)
-                v = mult * c
-                total[kk] = v if cur is None else cur + v
+                total[kk] = total.get(kk, zero) + weight * c
     return {k: v for k, v in total.items() if not v.is_zero()}
 
 
@@ -486,21 +503,45 @@ def _as_k_ql_form(q, n):
     return n <= q - 1
 
 
-def _is_q_power(q, n):
-    if n < q:
-        return False
-    while n % q == 0:
+def _q_log(q, n):
+    """The m >= 1 with n = q^m, or 0 when there is none."""
+    m = 0
+    while n > 1 and n % q == 0:
         n //= q
-    return n == 1
+        m += 1
+    return m if n == 1 else 0
+
+
+def closed_form(q, n, sigma):
+    """Which closed form gives S_d(n; sigma) at every degree d, or None
+    where only enumeration does.  This is the one table of the (order,
+    semi-character) pairs with a closed form; degree characters are not
+    looked at, since they factor out as t_i^d.
+
+        no variable evaluation         n = k q^l, 1 <= k <= q-1   "kql"
+        one variable evaluation        n = 1, n = 2               "e2", "f2"
+                                       n = q^m, m >= 1            "qn"
+        two distinct evaluations       n = 1, n = 2               "e3", "f3"
+    """
+    if sigma.consts:
+        return None
+    v = sigma.vars
+    if not v:
+        return "kql" if _as_k_ql_form(q, n) else None
+    if len(v) == 1:
+        if n in (1, 2):
+            return ("e2", "f2")[n - 1]
+        return "qn" if _q_log(q, n) else None
+    if len(v) == 2 and v[0] != v[1] and n in (1, 2):
+        return ("e3", "f3")[n - 1]
+    return None
 
 
 def power_sum(cache, d, n, sigma, budget=None):
     """S_d(n; sigma), exact; closed forms where available, else enumeration.
 
     Memoized per cache.  Degree characters factor out as t_i^d; after that,
-    closed forms cover the trivial twist with n = k q^l (k < q), one or two
-    distinct variable evaluations with n in {1, 2}, and a single variable
-    evaluation with n a power of q.
+    `closed_form` decides between a closed form and enumeration.
     """
     key = (d, n, sigma)
     with cache._lock:
@@ -509,48 +550,25 @@ def power_sum(cache, d, n, sigma, budget=None):
         return hit
     ctx = cache.ctx
     s = sigma.s
-    result = None
-    if not sigma.consts:
-        v = sigma.vars
-        if sigma.degs:
-            base = power_sum(cache, d, n,
-                             SemiChar(ctx, s, varis=v), budget)
-            shift = {}
-            for exps, coef in base.terms.items():
-                ne = list(exps)
-                for i in sigma.degs:
-                    ne[i - 1] += d
-                shift[tuple(ne)] = coef
-            result = TPoly(ctx, s, shift, _clean=True)
-        elif not v:
-            if _as_k_ql_form(ctx.q, n):
-                result = TPoly.constant(ctx, s, RatK(APoly.one(ctx),
-                                                     cache.ell_pow(d, n)))
-        elif len(v) == 1:
-            i = v[0]
-            if n == 1:
-                result = cache.b_tpoly(d, i, s).scale(
-                    RatK(APoly.one(ctx), cache.ell(d)))
-            elif n == 2:
-                base = power_sum_closed(cache, d, "f2")
-                result = _remap_vars(base, {1: i}, s)
-            elif _is_q_power(ctx.q, n):
-                npow = 0
-                m = n
-                while m > 1:
-                    m //= ctx.q
-                    npow += 1
-                base = power_sum_qn_closed(cache, npow, d)
-                result = _remap_vars(base, {1: i}, s)
-        elif len(v) == 2 and v[0] != v[1]:
-            if n == 1:
-                prod = cache.b_tpoly(d, v[0], s) * cache.b_tpoly(d, v[1], s)
-                result = prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
-            elif n == 2:
-                base = power_sum_closed(cache, d, "f3")
-                result = _remap_vars(base, {1: v[0], 2: v[1]}, s)
-    if result is None:
+    form = closed_form(ctx.q, n, sigma)
+    if sigma.degs and not sigma.consts:
+        base = power_sum(cache, d, n,
+                         SemiChar(ctx, s, varis=sigma.vars), budget)
+        shift = {}
+        for exps, coef in base.terms.items():
+            ne = list(exps)
+            for i in sigma.degs:
+                ne[i - 1] += d
+            shift[tuple(ne)] = coef
+        result = TPoly(ctx, s, shift, _clean=True)
+    elif form is None:
         result = power_sum_bruteforce(cache, d, n, sigma, budget)
+    elif form == "kql":
+        result = TPoly.constant(ctx, s, RatK(APoly.one(ctx), cache.ell_pow(d, n)))
+    else:
+        base = (power_sum_qn_closed(cache, _q_log(ctx.q, n), d) if form == "qn"
+                else power_sum_closed(cache, d, form))
+        result = _remap_vars(base, dict(enumerate(sigma.vars, 1)), s)
     with cache._lock:
         cache._psums[key] = result
     return result
@@ -565,3 +583,57 @@ def _remap_vars(tp, mapping, s):
             ne[newv - 1] = exps[old - 1]
         terms[tuple(ne)] = coef
     return TPoly(tp.ctx, s, terms, _clean=True)
+
+
+# ---------------------------------------------------------------------------
+# sums over descending degree chains
+# ---------------------------------------------------------------------------
+
+class ChainSums:
+    """The one recursion behind the multiple power sums over columns
+    ((sigma_1, n_1), (sigma_2, n_2), ...), their truncations and their
+    series forms.
+
+    `value(d, n, sigma)` gives a column's degree-d term and `zero` the
+    empty sum; values need only + and *, so each caller keeps its own
+    representation.  Results go into `memo`, a dict owned by the caller
+    (a SeqCache or a ShuffleEngine) and used with one `value` and `zero`.
+    """
+
+    __slots__ = ("value", "zero", "memo")
+
+    def __init__(self, value, zero, memo):
+        self.value = value
+        self.zero = zero
+        self.memo = memo
+
+    def multi(self, d, cols, mode="strict"):
+        """The degree-d multiple sum: the top column at degree d times the
+        inner sum of the rest over chains d > i_2 > ... > i_r >= 0
+        (strict) or d >= i_2 >= ... >= i_r >= 0 (star)."""
+        key = ("multi", d, cols, mode)
+        val = self.memo.get(key)
+        if val is None:
+            sigma, n = cols[0]
+            val = self.value(d, n, sigma)
+            if len(cols) > 1:
+                val = val * self.inner(cols[1:], d - 1 if mode == "strict" else d, mode)
+            self.memo[key] = val
+        return val
+
+    def inner(self, cols, m, mode):
+        """Sum of multi(i, cols, mode) over 0 <= i <= m, memoized by prefix:
+        inner(cols, m) = inner(cols, m - 1) + multi(m, cols, mode)."""
+        key = ("inner", m, cols, mode)
+        val = self.memo.get(key)
+        if val is None:
+            if m < 0:
+                val = self.zero
+            else:
+                val = self.inner(cols, m - 1, mode) + self.multi(m, cols, mode)
+            self.memo[key] = val
+        return val
+
+    def truncated(self, d, cols, mode="strict"):
+        """Sum of the multiple sums over degrees 0 .. d - 1."""
+        return self.inner(cols, d - 1, mode)

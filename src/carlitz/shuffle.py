@@ -16,10 +16,9 @@ Semi-characters are addressed by short keys:
     "sp"   a -> a(t_1)a(t_2)                      "nu"  a -> t_1^deg(a)
 """
 
-from . import _packed as kern
 from ._rawfrac import RawTPoly
 from .errors import InvalidParams
-from .powersums import _as_k_ql_form
+from .powersums import ChainSums, _as_k_ql_form
 
 
 class ShuffleEngine:
@@ -29,10 +28,7 @@ class ShuffleEngine:
         self.cache = cache
         self.ctx = cache.ctx
         self._S = {}
-        self._F = {}
-        self._multi = {}
-        self._Fmulti = {}
-        self._inner_memo = {}
+        self._chains = {}  # the memo of the chain sums over S
 
     # -- single power sums ------------------------------------------------
 
@@ -114,65 +110,24 @@ class ShuffleEngine:
         head = b1 * b2
         return RawTPoly(ctx, 2, head.num, self._ell_list(d, 2))
 
-    # -- truncated sums -----------------------------------------------------
+    # -- multiple and truncated sums ----------------------------------------
+
+    def _chain_sums(self):
+        # built per call: kept on self, it would refer back to self through
+        # self.S, a cycle that holds the memo until the cyclic collector runs
+        return ChainSums(self.S, RawTPoly.zero(self.ctx, 2), self._chains)
 
     def F(self, d, n, sig):
         """Sum of S(i, n, sig) over 0 <= i < d."""
-        key = (d, n, sig)
-        hit = self._F.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            val = RawTPoly.zero(self.ctx, 2)
-        else:
-            val = self.F(d - 1, n, sig) + self.S(d - 1, n, sig)
-        self._F[key] = val
-        return val
-
-    # -- multiple sums ------------------------------------------------------
+        return self.Fmulti(d, ((sig, n),))
 
     def Smulti(self, d, cols, mode="strict"):
         """Multiple power sum of degree d for columns ((sig, n), ...)."""
-        key = (d, cols, mode)
-        hit = self._multi.get(key)
-        if hit is not None:
-            return hit
-        sig1, n1 = cols[0]
-        val = self.S(d, n1, sig1)
-        if len(cols) > 1:
-            bound = d - 1 if mode == "strict" else d
-            val = val * self._inner(cols[1:], bound, mode)
-        self._multi[key] = val
-        return val
-
-    def _inner(self, cols, m, mode):
-        key = (cols, m, mode)
-        hit = self._inner_memo.get(key)
-        if hit is not None:
-            return hit
-        if m < 0:
-            val = RawTPoly.zero(self.ctx, 2)
-        else:
-            sig, n = cols[0]
-            term = self.S(m, n, sig)
-            if len(cols) > 1:
-                term = term * self._inner(cols[1:], m - 1 if mode == "strict" else m,
-                                          mode)
-            val = self._inner(cols, m - 1, mode) + term
-        self._inner_memo[key] = val
-        return val
+        return self._chain_sums().multi(d, cols, mode)
 
     def Fmulti(self, d, cols, mode="strict"):
-        key = (d, cols, mode)
-        hit = self._Fmulti.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            val = RawTPoly.zero(self.ctx, 2)
-        else:
-            val = self.Fmulti(d - 1, cols, mode) + self.Smulti(d - 1, cols, mode)
-        self._Fmulti[key] = val
-        return val
+        """Sum of Smulti(i, cols, mode) over 0 <= i < d."""
+        return self._chain_sums().truncated(d, cols, mode)
 
 
 # ---------------------------------------------------------------------------

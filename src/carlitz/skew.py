@@ -19,7 +19,7 @@ from . import _packed as kern
 from .errors import ClosedFormMismatch, ContextMismatch
 from .ffield import FqElem
 from .poly import APoly, RatK
-from .powersums import _descending_chains
+from .powersums import chain_weights
 from .tpoly import TPoly
 
 
@@ -250,28 +250,8 @@ def frak_S_closed(cache, d, n):
     """The chain closed form: ell(d)^(q^(n-1) - q^n) times the nested sum
     over chains d >= i_1 >= ... >= i_n >= 0 of the ell-power products,
     contributing to tau^(i_n)."""
-    ctx = cache.ctx
-    q = ctx.q
-    exps_of_m = [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)]
-    den = cache.ell_pow(d, q ** n)
-    ratio_pows = {}
-
-    def rpow(i, ee):
-        key = (i, ee)
-        v = ratio_pows.get(key)
-        if v is None:
-            v = cache.ell_ratio(d, i) ** ee
-            ratio_pows[key] = v
-        return v
-
-    nums = [APoly.zero(ctx) for _ in range(d + 1)]
-    for chain in _descending_chains(d, n):
-        mult = APoly.one(ctx)
-        for m in range(n - 1):
-            mult = mult * rpow(chain[m], exps_of_m[m])
-        mult = mult * cache.ell_ratio(d, chain[-1])
-        nums[chain[-1]] = nums[chain[-1]] + mult
-    return SkewPoly(ctx, [RatK(num, den) for num in nums])
+    den = cache.ell_pow(d, cache.ctx.q ** n)
+    return SkewPoly(cache.ctx, [RatK(w, den) for w in chain_weights(cache, n, d)])
 
 
 def frak_S(cache, d, n, budget=None):

@@ -25,8 +25,8 @@ import math
 
 from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
                      PrecisionInsufficient)
-from .poly import APoly, RatK
-from .powersums import SemiChar, power_sum
+from .poly import APoly, RatK, enumerate_monics
+from .powersums import ChainSums, SemiChar, closed_form, power_sum
 from .tpoly import TPoly
 
 INF = math.inf
@@ -377,27 +377,19 @@ def omega_factor(ctx, prec):
 
 def _series_power_sum(cache, d, n, sigma, prec, budget=None):
     """The degree-d order-n twisted power sum as a series to the given
-    precision: exact closed forms embedded when available, otherwise a
-    per-monic sum of inverted series."""
+    precision: exact closed forms embedded when available (degree
+    characters excepted), otherwise a per-monic sum of inverted series."""
     key = ("series", d, n, sigma, prec)
     with cache._lock:
         hit = cache._psums.get(key)
     if hit is not None:
         return hit
     ctx = cache.ctx
-    from .powersums import _as_k_ql_form
-    closed = False
-    if not sigma.consts and not sigma.degs:
-        v = sigma.vars
-        closed = ((not v and _as_k_ql_form(ctx.q, n))
-                  or (len(v) == 1 and (n in (1, 2) or _is_qpow(ctx.q, n)))
-                  or (len(v) == 2 and v[0] != v[1] and n in (1, 2)))
-    if closed:
+    if not sigma.degs and closed_form(ctx.q, n, sigma):
         val = TateSeries.embed_tpoly(power_sum(cache, d, n, sigma, budget),
                                      prec, s=sigma.s)
     else:
         cache.check_budget(ctx.q ** d, budget)
-        from .poly import enumerate_monics
         total = TateSeries.zero(ctx, sigma.s, prec)
         for a in enumerate_monics(ctx, d):
             inv_an = TateSeries.from_ratk(
@@ -409,39 +401,6 @@ def _series_power_sum(cache, d, n, sigma, prec, budget=None):
     with cache._lock:
         cache._psums[key] = val
     return val
-
-
-def _is_qpow(q, n):
-    if n < q:
-        return False
-    while n % q == 0:
-        n //= q
-    return n == 1
-
-
-def _series_multi(cache, d, data, mode, prec, budget):
-    sigma1, n1 = data.columns[0]
-    top = _series_power_sum(cache, d, n1, sigma1, prec, budget)
-    if data.depth == 1:
-        return top
-    bound = d - 1 if mode == "strict" else d
-    return top * _series_inner(cache, data.columns[1:], bound, mode, prec, budget)
-
-
-def _series_inner(cache, columns, m, mode, prec, budget):
-    ctx = cache.ctx
-    s = columns[0][0].s
-    if m < 0:
-        return TateSeries.zero(ctx, s, prec)
-    sigma, n = columns[0]
-    total = TateSeries.zero(ctx, s, prec)
-    for i in range(m + 1):
-        term = _series_power_sum(cache, i, n, sigma, prec, budget)
-        if len(columns) > 1:
-            bound = i - 1 if mode == "strict" else i
-            term = term * _series_inner(cache, columns[1:], bound, mode, prec, budget)
-        total = total + term
-    return total
 
 
 def zeta_series(cache, data, prec, mode="strict", budget=None):
@@ -456,12 +415,15 @@ def zeta_series(cache, data, prec, mode="strict", budget=None):
     ctx = cache.ctx
     if data.depth == 0:
         return TateSeries.one(ctx, data.s, prec)
+    chains = ChainSums(
+        lambda k, n, sigma: _series_power_sum(cache, k, n, sigma, prec, budget),
+        TateSeries.zero(ctx, data.s, prec), cache.chain_memo(("series", prec)))
     total = TateSeries.zero(ctx, data.s, prec)
     vals = []
     d = 0
     quiet = 0
     while True:
-        term = _series_multi(cache, d, data, mode, prec, budget)
+        term = chains.multi(d, data.columns, mode)
         total = total + term
         v = term.valuation()
         vals.append(v)

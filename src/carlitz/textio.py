@@ -134,7 +134,6 @@ def parse_apoly(ctx, text, offset=0):
             raise GrammarError("empty term", offset + pos)
         coef_code = 1
         power = 0
-        seen_theta = False
         for factor, fpos in _split_top(term, "*"):
             factor = factor.strip()
             if not factor:
@@ -147,10 +146,8 @@ def parse_apoly(ctx, text, offset=0):
                     power += 1
                 else:
                     raise GrammarError(f"bad term {factor!r}", offset + pos + fpos)
-                seen_theta = True
             else:
                 coef_code = ctx.mul[coef_code][parse_fq(ctx, factor, offset + pos + fpos)]
-        del seen_theta
         result = result + APoly(ctx, tuple([0] * power + [coef_code]), _raw=(coef_code != 0))
     return result
 

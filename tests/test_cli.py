@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from carlitz.cli import main
 
 
@@ -51,6 +53,14 @@ def test_bg_survey_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("modulus,")
     assert len(lines) == 4  # header + three irreducible quadratics
+
+
+def test_csv_only_for_tables(capsys):
+    # partial prints one value, not a table: argparse rejects csv (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["partial", "--q", "3", "--d", "2", "--data", "1:1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_skew_command(capsys):

@@ -6,12 +6,16 @@ schoolbook loops.  Large operands are packed into a single Python integer,
 one 32-bit slot per coefficient (for e = 1) or one 32-bit sub-slot per
 F_p-digit with 2e sub-slots per coefficient (for e > 1), so that
 polynomial multiplication becomes one big-integer multiplication and
-division becomes a loop of shifted big-integer additions.
+division becomes a loop of big-integer additions of shifted multiples.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
-grow, and every public entry point asserts the relevant overflow bound
-(min(len) * e * (p-1)^2 < 2^32 for products), which holds by orders of
-magnitude at the sizes this package handles.
+grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
+2e-1 residues of a slot as one index into the context's fold table, which
+maps the digits of sum d_j x^j to its element code mod the field modulus.
+kmul and kdivmod check their slot bound before packing (for products,
+min(len) * e * (p-1)^2 < 2^32) and fall back to the schoolbook loop when
+it fails, which only happens for large p; kgcd tracks the exact slot bound
+and renormalizes before it reaches 2^31.
 """
 
 from array import array
@@ -42,15 +46,8 @@ def pack(ctx, coeffs):
     """Pack a coefficient list into one integer."""
     if ctx.e == 1:
         return int.from_bytes(array("I", coeffs).tobytes(), "little")
-    digits = ctx.digits
-    sub = ctx.SUB
-    flat = [0] * (len(coeffs) * sub)
-    for i, c in enumerate(coeffs):
-        if c:
-            base = i * sub
-            for j, dj in enumerate(digits[c]):
-                flat[base + j] = dj
-    return int.from_bytes(array("I", flat).tobytes(), "little")
+    slot = ctx._slot_bytes
+    return int.from_bytes(b"".join([slot[c] for c in coeffs]), "little")
 
 
 def unpack(ctx, value, nslots):
@@ -62,22 +59,13 @@ def unpack(ctx, value, nslots):
     vals = array("I", raw)
     if ctx.e == 1:
         return [v % p for v in vals]
-    e = ctx.e
-    undigit = ctx._undigit
-    xred = ctx._xreduce
-    out = [0] * nslots
-    for i in range(nslots):
-        base = i * sub
-        ds = [vals[base + j] % p for j in range(2 * e - 1)]
-        # fold x^j for j >= e down with the modulus reduction table
-        for j in range(e, 2 * e - 1):
-            dj = ds[j]
-            if dj:
-                red = xred[j]
-                for m in range(e):
-                    ds[m] = (ds[m] + dj * red[m]) % p
-        out[i] = undigit[tuple(ds[:e])]
-    return out
+    # fold-table index sum d_j p^j of every slot, by Horner over sub-slots
+    top = 2 * ctx.e - 2
+    idx = [v % p for v in vals[top::sub]]
+    for j in range(top - 1, -1, -1):
+        idx = [i * p + v % p for i, v in zip(idx, vals[j::sub])]
+    fold = ctx._fold
+    return [fold[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +102,10 @@ def kmul(ctx, a, b):
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
-    if min(la, lb) <= _MUL_CUTOFF:
+    m = min(la, lb)
+    # a product slot sums m * e digit products of at most (p-1)^2
+    if m <= _MUL_CUTOFF or m * ctx.e * (ctx.p - 1) ** 2 >= 1 << _W:
         return kmul_naive(ctx, a, b)
-    assert min(la, lb) * ctx.e * (ctx.p - 1) ** 2 < 1 << _W, "packed overflow"
     prod = pack(ctx, a) * pack(ctx, b)
     return trim(unpack(ctx, prod, la + lb - 1))
 
@@ -241,17 +230,19 @@ def kdivmod(ctx, a, b):
         return kscal(ctx, inv, a), []
     if la <= _DIV_CUTOFF or la - lb <= 2:
         return kdivmod_naive(ctx, a, b)
+    p, e = ctx.p, ctx.e
+    nq = la - lb + 1
+    # a slot starts below p and takes at most min(nq, lb) * e additions of
+    # a digit times a divisor digit
+    if (p - 1) + min(nq, lb) * e * (p - 1) ** 2 >= 1 << _W:
+        return kdivmod_naive(ctx, a, b)
 
-    p = ctx.p
-    sub = ctx.SUB
-    slotbits = _W * sub
+    slotbits = _W * ctx.SUB
     lc = b[-1]
     bm = b if lc == 1 else kscal(ctx, ctx.inv[lc], b)
     D = pack(ctx, bm)
     R = pack(ctx, a)
-    nq = la - lb + 1
     quo = [0] * nq
-    e = ctx.e
     if e == 1:
         for k in range(nq - 1, -1, -1):
             s = ((R >> ((k + lb - 1) * slotbits)) & _MASK) % p
@@ -259,26 +250,12 @@ def kdivmod(ctx, a, b):
                 quo[k] = s
                 R += (p - s) * (D << (k * slotbits))
     else:
-        digits = ctx.digits
-        neg = ctx.neg
-        xred = ctx._xreduce
-        undigit = ctx._undigit
+        unit, neg = _units(ctx), ctx.neg
         for k in range(nq - 1, -1, -1):
-            top = R >> ((k + lb - 1) * slotbits)
-            ds = [((top >> (_W * j)) & _MASK) % p for j in range(2 * e - 1)]
-            for j in range(e, 2 * e - 1):
-                dj = ds[j]
-                if dj:
-                    red = xred[j]
-                    for m in range(e):
-                        ds[m] = (ds[m] + dj * red[m]) % p
-            s = undigit[tuple(ds[:e])]
+            s = _slot_elem(ctx, R, k + lb - 1)
             if s:
                 quo[k] = s
-                base = k * slotbits
-                for j, dj in enumerate(digits[neg[s]]):
-                    if dj:
-                        R += dj * (D << (base + _W * j))
+                R += unit[neg[s]] * (D << (k * slotbits))
     rem = trim(unpack(ctx, R & ((1 << ((lb - 1) * slotbits)) - 1), lb - 1))
     if lc != 1:
         quo = kscal(ctx, ctx.inv[lc], quo)
@@ -292,22 +269,25 @@ def kexactdiv(ctx, a, b):
     return q
 
 
+def _units(ctx):
+    """Packed value of each element code as a one-slot polynomial, so that
+    unit[c] * P is c times the packed polynomial P."""
+    if ctx.e == 1:
+        return range(ctx.q)
+    return [int.from_bytes(b, "little") for b in ctx._slot_bytes]
+
+
 def _slot_elem(ctx, value, k):
     """Element code held in coefficient slot k of a packed value whose
     sub-slots may be unreduced (only their residues mod p are meaningful)."""
     p = ctx.p
     if ctx.e == 1:
         return ((value >> (k * _W)) & _MASK) % p
-    e = ctx.e
     top = value >> (k * _W * ctx.SUB)
-    ds = [((top >> (_W * j)) & _MASK) % p for j in range(2 * e - 1)]
-    for j in range(e, 2 * e - 1):
-        dj = ds[j]
-        if dj:
-            red = ctx._xreduce[j]
-            for m in range(e):
-                ds[m] = (ds[m] + dj * red[m]) % p
-    return ctx._undigit[tuple(ds[:e])]
+    idx = 0
+    for j in range(2 * ctx.e - 2, -1, -1):
+        idx = idx * p + ((top >> (_W * j)) & _MASK) % p
+    return ctx._fold[idx]
 
 
 _GCD_CUTOFF = 48
@@ -350,19 +330,13 @@ def kgcd(ctx, a, b):
     B, db, bmax = pack(ctx, b), len(b) - 1, p - 1
     if da < db:
         A, da, amax, B, db, bmax = B, db, bmax, A, da, amax
-    mul, inv, neg, digits = ctx.mul, ctx.inv, ctx.neg, ctx.digits
+    mul, inv, neg, unit = ctx.mul, ctx.inv, ctx.neg, _units(ctx)
     lead_b = _slot_elem(ctx, B, db)
     while True:
         # one cancellation step: kill the leading slot of A
         s = mul[_slot_elem(ctx, A, da)][inv[lead_b]]
         shift = (da - db) * slotbits
-        ns = neg[s]
-        if e == 1:
-            A += ns * (B << shift)
-        else:
-            for j, dj in enumerate(digits[ns]):
-                if dj:
-                    A += dj * (B << (shift + _W * j))
+        A += unit[neg[s]] * (B << shift)
         amax += growth * bmax
         if amax >= _SLOT_LIMIT:
             # cancelled lead slots hold junk that is 0 mod p; mask it off

@@ -5,12 +5,15 @@ the code are the coordinates on the power basis 1, x, ..., x^(e-1) of
 F_p[x]/(modulus); for prime fields (e = 1) the code is just the residue.
 A FieldContext precomputes full addition/multiplication/negation/inverse
 tables (q <= a few hundred in practice), so element arithmetic in inner
-loops is plain list indexing.
+loops is plain list indexing; for e > 1 it also builds the packed kernel's
+slot layout and fold table (see `_packed`).
 
 The restriction q > 2 is enforced at construction: the identities this
 package verifies are stated for q > 2 and several of them degenerate or
 require separate arguments at q = 2.
 """
+
+from array import array
 
 from .errors import FieldConstructionError
 
@@ -136,7 +139,7 @@ class FieldContext:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "mul", "neg", "inv",
-                 "digits", "_undigit", "_xreduce", "SUB")
+                 "digits", "_undigit", "_fold", "_slot_bytes", "SUB")
 
     def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
@@ -175,16 +178,6 @@ class FieldContext:
         self.digits = tuple(digits)
         self._undigit = {ds: a for a, ds in enumerate(digits)}
 
-        # reduction of x^j for j = e .. 2e-2 as digit vectors
-        xred = {}
-        if e > 1:
-            mod = list(self.modulus)
-            for j in range(e, 2 * e - 1):
-                r = _fpx_mod([0] * j + [1], mod, p)
-                r = tuple(r + [0] * (e - len(r)))
-                xred[j] = r
-        self._xreduce = xred
-
         # element tables
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
@@ -212,6 +205,20 @@ class FieldContext:
         self.inv = inv
         # number of 32-bit sub-slots per coefficient in the packed kernel
         self.SUB = 1 if e == 1 else 2 * e
+        self._fold = self._slot_bytes = None
+        if e > 1:
+            # _fold[sum d_j p^j] is the code of sum d_j x^j mod the modulus,
+            # over the 2e-1 digits a product slot holds; codes below q are
+            # their own digits, and each higher digit adds d_j * (x^j mod m)
+            fold = list(range(q))
+            for j in range(e, 2 * e - 1):
+                r = _fpx_mod([0] * j + [1], list(self.modulus), p)
+                xj = self._undigit[tuple(r + [0] * (e - len(r)))]
+                fold = [add[c][mul[d][xj]] for d in range(p) for c in fold]
+            self._fold = fold
+            # the 2e little-endian sub-slots of each code, for pack
+            self._slot_bytes = [array("I", ds + (0,) * e).tobytes()
+                                for ds in digits]
 
     # -- identity / comparison ------------------------------------------
 

@@ -91,10 +91,6 @@ class APoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    @property
-    def lead_code(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -179,10 +175,6 @@ class APoly:
     def frobenius(self, n=1):
         """theta -> theta^(q^n); the q^n-power Frobenius on A."""
         return APoly._make(self.ctx, kern.kspread(list(self.coeffs), self.ctx.q ** n))
-
-    def subs_theta_power(self, m):
-        """Substitute theta -> theta^m (m >= 1)."""
-        return APoly._make(self.ctx, kern.kspread(list(self.coeffs), m))
 
     def evaluate(self, x):
         """Horner evaluation at x, which may be an FqElem or an APoly."""
@@ -388,9 +380,6 @@ class RatK:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_apoly(self):
-        return self.den.degree == 0
 
     def as_apoly(self):
         """The numerator, if the denominator is 1; NonIntegral otherwise."""

@@ -324,21 +324,13 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
     den = list(den_poly.coeffs)
     nslots = len(den)
     acc = {}
-    e = ctx.e
-    digits = ctx.digits
+    unit = kern._units(ctx)
     for a in enumerate_monics(ctx, d):
         ak = kern.kpow(ctx, list(a.coeffs), k)
         cof = kern.kexactdiv(ctx, den, ak)
         packed = kern.pack(ctx, cof)
         for exps, code in sigma.eval_codes(list(a.coeffs)).items():
-            if e == 1:
-                acc[exps] = acc.get(exps, 0) + code * packed
-            else:
-                cur = acc.get(exps, 0)
-                for j, dj in enumerate(digits[code]):
-                    if dj:
-                        cur += dj * (packed << (kern._W * j))
-                acc[exps] = cur
+            acc[exps] = acc.get(exps, 0) + unit[code] * packed
     terms = {}
     for exps, packed_num in acc.items():
         num = kern.trim(kern.unpack(ctx, packed_num, nslots))

@@ -241,11 +241,3 @@ def star_bridge(eng, d):
     lhs = eng.Fmulti(d, cols, mode="star")
     rhs = eng.Fmulti(d, cols, mode="strict") + eng.F(d, 1, "one") ** q
     return lhs, rhs
-
-
-def star_strict_depth_two(eng, d, cols):
-    """S*_d = S_d + (top column at d) * (second column at d), depth 2."""
-    (sig1, n1), (sig2, n2) = cols
-    lhs = eng.Smulti(d, cols, mode="star")
-    rhs = eng.Smulti(d, cols, mode="strict") + eng.S(d, n1, sig1) * eng.S(d, n2, sig2)
-    return lhs, rhs

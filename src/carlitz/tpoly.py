@@ -120,11 +120,6 @@ class TPoly:
             return NEG_INF
         return max(e[i - 1] for e in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
-
     def _check(self, other):
         if isinstance(other, TPoly):
             if other.ctx != self.ctx:

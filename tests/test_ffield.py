@@ -94,3 +94,22 @@ def test_context_equality_and_elements_order(ctx3):
     assert FieldContext(4) != ctx3
     assert [e.code for e in ctx3.elements()] == [0, 1, 2]
     assert repr(FieldContext(4).element(3)) == "[x + 1]"
+
+
+@pytest.mark.parametrize("q,modulus", [(4, None), (8, None), (9, None),
+                                       (9, (2, 1, 1)), (16, None),
+                                       (25, None), (27, None)])
+def test_fold_table_exhaustive(q, modulus):
+    # _fold[sum d_j p^j] over the 2e-1 digits of a packed product slot is
+    # sum d_j x^j, evaluated here with the element tables (code p is x)
+    ctx = FieldContext(q, modulus)
+    p, e = ctx.p, ctx.e
+    assert ctx.element((0, 1)).code == p
+    xpow = [ctx.epow(p, j) for j in range(2 * e - 1)]
+    assert len(ctx._fold) == p ** (2 * e - 1)
+    for idx, code in enumerate(ctx._fold):
+        acc, m = 0, idx
+        for xj in xpow:
+            acc = ctx.add[acc][ctx.mul[m % p][xj]]
+            m //= p
+        assert code == acc, idx

@@ -1,5 +1,10 @@
 """The packed-integer kernel against schoolbook reference loops."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +14,7 @@ from carlitz.ffield import FieldContext
 
 import naive_reference as ref
 
-FIELDS = {q: FieldContext(q) for q in (3, 4, 5, 9, 27)}
+FIELDS = {q: FieldContext(q) for q in (3, 4, 5, 8, 9, 16, 25, 27)}
 
 
 def coeff_lists(q, max_len=120):
@@ -49,7 +54,7 @@ def test_gcd_matches_reference(q, data):
     assert kern.kgcd(ctx, a, b) == ref.ngcd(ctx, a, b)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_gcd_big_structured(q):
     import random
     ctx = FIELDS.get(q, FieldContext(q))
@@ -122,3 +127,42 @@ def test_xgcd_bezout():
             lhs = ref.nadd(ctx, ref.nmul(ctx, u, a), ref.nmul(ctx, v, b))
             assert lhs == g
             assert g == ref.ngcd(ctx, a, b)
+
+
+def overflow_mismatches(ctx, n=1100):
+    """Kernel calls whose worst-case packed slots would pass 2^32, checked
+    against the reference; returns the names of those that disagree."""
+    p = ctx.p
+    bad = []
+    a = [p - 1] * n
+    if kern.kmul(ctx, a, a) != ref.nmul(ctx, a, a):
+        bad.append("kmul")
+    # a monic divisor with all lower coefficients p-1, times an all-ones
+    # quotient: every division step adds (p-1)^2 to each slot it touches
+    b = [p - 1] * (n - 1) + [1]
+    quo = [1] * n
+    if kern.kdivmod(ctx, ref.nmul(ctx, b, quo), b) != (quo, []):
+        bad.append("kdivmod")
+    return bad
+
+
+def test_slot_bound_falls_back_to_schoolbook():
+    # at q = 2003, length 1100 is just past the 32-bit slot bound of both
+    # kmul (n (p-1)^2) and kdivmod (p - 1 + n (p-1)^2); the fallback must
+    # hold under python -O too, where an assert would be stripped
+    here = Path(__file__).resolve().parent
+    src = Path(kern.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    code = ("import sys; from carlitz.ffield import FieldContext; "
+            "from test_packed import overflow_mismatches; "
+            "print(sys.flags.optimize, overflow_mismatches(FieldContext(2003)))")
+    proc = subprocess.Popen([sys.executable, "-O", "-c", code], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        in_process = overflow_mismatches(FieldContext(2003))
+        out, _ = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert in_process == []
+    assert proc.returncode == 0
+    assert out.split() == ["1", "[]"]

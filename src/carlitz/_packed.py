@@ -5,8 +5,10 @@ theta, no trailing zeros; [] is zero).  Small operands use table-driven
 schoolbook loops.  Large operands are packed into a single Python integer,
 one 32-bit slot per coefficient (for e = 1) or one 32-bit sub-slot per
 F_p-digit with 2e sub-slots per coefficient (for e > 1), so that
-polynomial multiplication becomes one big-integer multiplication and
-division becomes a loop of big-integer additions of shifted multiples.
+polynomial multiplication becomes one big-integer multiplication.
+Division is schoolbook over the divisor's nonzero terms up to a work
+budget, then Newton inversion of the reversed divisor (a few `kmul`s) for
+long quotients, else a loop of big-integer additions of shifted multiples.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
@@ -14,8 +16,8 @@ grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
 maps the digits of sum d_j x^j to its element code mod the field modulus.
 kmul and kdivmod check their slot bound before packing (for products,
 min(len) * e * (p-1)^2 < 2^32) and fall back to the schoolbook loop when
-it fails, which only happens for large p; kgcd tracks the exact slot bound
-and renormalizes before it reaches 2^31.
+it fails, which only happens for large p; the prime-field kgcd tracks the
+exact slot bound and renormalizes before it reaches 2^31.
 """
 
 from array import array
@@ -27,6 +29,9 @@ _W = 32                       # bits per sub-slot
 _MASK = (1 << _W) - 1
 _MUL_CUTOFF = 24              # below this, schoolbook beats pack/unpack
 _DIV_CUTOFF = 24
+_NAIVE_WORK = 8               # schoolbook work per quotient slot and sub-slot
+_NEWTON_QUO = 128             # Newton division from this quotient length ...
+_NEWTON_LEN = 512             # ... and this dividend length
 
 assert sys.byteorder == "little" or array("I", b"\x01\x00\x00\x00")[0] == 1
 
@@ -188,32 +193,25 @@ def kpow(ctx, a, n):
 # division
 # ---------------------------------------------------------------------------
 
-def kdivmod_naive(ctx, a, b):
-    p = ctx.p
+def kdivmod_naive(ctx, a, b, work=None):
+    """Schoolbook division, one work unit per nonzero term of b per step;
+    with `work`, it stops within that budget, r possibly still >= b."""
+    mul, add, neg = ctx.mul, ctx.add, ctx.neg
     r = list(a)
     db = len(b) - 1
     inv_lead = ctx.inv[b[-1]]
     quo = [0] * max(0, len(a) - db)
-    if ctx.e == 1:
-        while len(r) - 1 >= db and r:
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - 1 - db
-            quo[shift] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    r[shift + j] = (r[shift + j] - c * bj) % p
-            trim(r)
-        return trim(quo), r
-    mul, add, neg = ctx.mul, ctx.add, ctx.neg
-    while len(r) - 1 >= db and r:
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    steps = len(a) if work is None else work // len(terms)
+    while steps and len(r) - 1 >= db and r:
+        steps -= 1
         c = mul[r[-1]][inv_lead]
         shift = len(r) - 1 - db
         quo[shift] = c
         row = mul[neg[c]]
-        for j, bj in enumerate(b):
-            if bj:
-                k = shift + j
-                r[k] = add[r[k]][row[bj]]
+        for j, bj in terms:
+            k = shift + j
+            r[k] = add[r[k]][row[bj]]
         trim(r)
     return trim(quo), r
 
@@ -226,12 +224,26 @@ def kdivmod(ctx, a, b):
     if la < lb:
         return [], list(a)
     if lb == 1:
-        inv = ctx.inv[b[0]]
-        return kscal(ctx, inv, a), []
+        return kscal(ctx, ctx.inv[b[0]], a), []
     if la <= _DIV_CUTOFF or la - lb <= 2:
         return kdivmod_naive(ctx, a, b)
+    # schoolbook is cheap on the sparse operands most callers divide; past
+    # about what a packed division costs, the packed paths take the rest
+    quo, r = kdivmod_naive(ctx, a, b, _NAIVE_WORK * ctx.SUB * (la - lb + 1))
+    if len(r) < lb:
+        return quo, r
+    rest, rem = _kdivmod_packed(ctx, r, b)
+    return kadd(ctx, quo, rest), rem
+
+
+def _kdivmod_packed(ctx, a, b):
+    la, lb = len(a), len(b)
     p, e = ctx.p, ctx.e
     nq = la - lb + 1
+    # Newton's products have a shorter operand of at most nq coefficients
+    if (nq >= _NEWTON_QUO and la >= _NEWTON_LEN
+            and nq * e * (p - 1) ** 2 < 1 << _W):
+        return _kdivmod_newton(ctx, a, b)
     # a slot starts below p and takes at most min(nq, lb) * e additions of
     # a digit times a divisor digit
     if (p - 1) + min(nq, lb) * e * (p - 1) ** 2 >= 1 << _W:
@@ -243,23 +255,34 @@ def kdivmod(ctx, a, b):
     D = pack(ctx, bm)
     R = pack(ctx, a)
     quo = [0] * nq
-    if e == 1:
-        for k in range(nq - 1, -1, -1):
-            s = ((R >> ((k + lb - 1) * slotbits)) & _MASK) % p
-            if s:
-                quo[k] = s
-                R += (p - s) * (D << (k * slotbits))
-    else:
-        unit, neg = _units(ctx), ctx.neg
-        for k in range(nq - 1, -1, -1):
-            s = _slot_elem(ctx, R, k + lb - 1)
-            if s:
-                quo[k] = s
-                R += unit[neg[s]] * (D << (k * slotbits))
+    unit, neg = _units(ctx), ctx.neg
+    for k in range(nq - 1, -1, -1):
+        s = _slot_elem(ctx, R, k + lb - 1)
+        if s:
+            quo[k] = s
+            R += unit[neg[s]] * (D << (k * slotbits))
     rem = trim(unpack(ctx, R & ((1 << ((lb - 1) * slotbits)) - 1), lb - 1))
     if lc != 1:
         quo = kscal(ctx, ctx.inv[lc], quo)
     return trim(quo), rem
+
+
+def _kdivmod_newton(ctx, a, b):
+    """Division through the reversals: rev(quo) = rev(a) * g mod x^nq with
+    g = 1/rev(b) mod x^nq by Newton doubling (if f*g = 1 + x^k*e mod x^2k,
+    then g - x^k*(g*e) is the inverse mod x^2k), so a long quotient costs
+    a few products instead of nq steps."""
+    nq, m = len(a) - len(b) + 1, len(b) - 1
+    f, neg = b[::-1], ctx.neg
+    g, k = [ctx.inv[f[0]]], 1
+    while k < nq:
+        k2 = min(2 * k, nq)
+        e = kmul(ctx, f[:k2], g)[k:k2]
+        g += [0] * (k - len(g)) + [neg[c] for c in kmul(ctx, g, e)[:k2 - k]]
+        k = k2
+    rq = kmul(ctx, a[:-nq - 1:-1], g)[:nq]
+    quo = trim([0] * (nq - len(rq)) + rq[::-1])
+    return quo, ksub(ctx, a[:m], kmul(ctx, quo[:m], b[:m])[:m])
 
 
 def kexactdiv(ctx, a, b):
@@ -277,6 +300,18 @@ def _units(ctx):
     return [int.from_bytes(b, "little") for b in ctx._slot_bytes]
 
 
+def reduce_interval(ctx, width, count):
+    """How many packed products, each summing `width` digit products per
+    sub-slot, an accumulator of `count` of them may add between reductions
+    (unpack/pack) before a slot reaches 2^32; 0 if it never does."""
+    step = width * ctx.e * (ctx.p - 1) ** 2
+    if count * step < 1 << _W:
+        return 0
+    if step + ctx.p > 1 << _W:
+        raise OverflowError("one packed product can overflow its slots")
+    return ((1 << _W) - ctx.p) // step
+
+
 def _slot_elem(ctx, value, k):
     """Element code held in coefficient slot k of a packed value whose
     sub-slots may be unreduced (only their residues mod p are meaningful)."""
@@ -291,6 +326,7 @@ def _slot_elem(ctx, value, k):
 
 
 _GCD_CUTOFF = 48
+_GCD_UNBALANCED = 64          # length gap from which kgcd divides first
 _SLOT_LIMIT = 1 << 31
 
 
@@ -303,48 +339,40 @@ def _kgcd_naive(ctx, a, b):
 
 
 def kgcd(ctx, a, b):
-    """Monic gcd by Euclid.
-
-    Large inputs stay packed across the whole remainder sequence: a step
-    cancels one leading coefficient with a shifted scalar multiple of the
-    other operand (added via the p-complement, so slots only grow), and
-    operands are unpacked/repacked for renormalization only when the exact
-    slot-magnitude bound approaches 2^31.
+    """Monic gcd by Euclid, after one `kdivmod` when an operand is much
+    longer.  Large prime-field inputs stay packed across the remainder
+    sequence: a step cancels one leading coefficient with a shifted scalar
+    multiple of the other operand (added via the p-complement, so slots
+    only grow), renormalizing only when the exact slot bound nears 2^31.
+    Extension fields stay on schoolbook, which wins there at every size.
     """
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
-    if not a or not b:
-        c = a or b
-        lc = c[-1]
-        return list(c) if lc == 1 else kscal(ctx, ctx.inv[lc], c)
-    # the extension-field packed path renormalizes its divisor every swap,
-    # which only pays off at larger degrees than the prime-field path
-    cutoff = _GCD_CUTOFF if ctx.e == 1 else 600
-    if max(len(a), len(b)) <= cutoff:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    if b and len(a) - len(b) >= _GCD_UNBALANCED:
+        a, b = b, kdivmod(ctx, a, b)[1]
+    if not b or ctx.e > 1 or len(a) <= _GCD_CUTOFF:
         return _kgcd_naive(ctx, a, b)
 
-    p, e = ctx.p, ctx.e
-    slotbits = _W * ctx.SUB
-    growth = e * (p - 1)  # per-step slot growth factor against the divisor bound
+    p = ctx.p
     A, da, amax = pack(ctx, a), len(a) - 1, p - 1
     B, db, bmax = pack(ctx, b), len(b) - 1, p - 1
-    if da < db:
-        A, da, amax, B, db, bmax = B, db, bmax, A, da, amax
-    mul, inv, neg, unit = ctx.mul, ctx.inv, ctx.neg, _units(ctx)
-    lead_b = _slot_elem(ctx, B, db)
+    inv_b = ctx.inv[_slot_elem(ctx, B, db)]
     while True:
         # one cancellation step: kill the leading slot of A
-        s = mul[_slot_elem(ctx, A, da)][inv[lead_b]]
-        shift = (da - db) * slotbits
-        A += unit[neg[s]] * (B << shift)
-        amax += growth * bmax
+        s = _slot_elem(ctx, A, da) * inv_b % p
+        A += (p - s) * (B << ((da - db) * _W))
+        amax += (p - 1) * bmax
         if amax >= _SLOT_LIMIT:
             # cancelled lead slots hold junk that is 0 mod p; mask it off
-            A &= (1 << (da * slotbits)) - 1
+            A &= (1 << (da * _W)) - 1
             A = pack(ctx, unpack(ctx, A, da))
             amax = p - 1
             if bmax > p - 1:
-                B &= (1 << ((db + 1) * slotbits)) - 1
+                B &= (1 << ((db + 1) * _W)) - 1
                 B = pack(ctx, unpack(ctx, B, db + 1))
                 bmax = p - 1
         # locate the new degree of A
@@ -352,19 +380,13 @@ def kgcd(ctx, a, b):
         while da >= 0 and _slot_elem(ctx, A, da) == 0:
             da -= 1
         if da < 0:
-            B &= (1 << ((db + 1) * slotbits)) - 1
+            B &= (1 << ((db + 1) * _W)) - 1
             g = trim(unpack(ctx, B, db + 1))
             lc = g[-1]
             return g if lc == 1 else kscal(ctx, ctx.inv[lc], g)
         if da < db:
             A, da, amax, B, db, bmax = B, db, bmax, A, da, amax
-            if e > 1:
-                # keep divisor sub-slots x-reduced: shifted digit additions
-                # against an unreduced divisor would overrun the 2e-2 budget
-                B &= (1 << ((db + 1) * slotbits)) - 1
-                B = pack(ctx, unpack(ctx, B, db + 1))
-                bmax = p - 1
-            lead_b = _slot_elem(ctx, B, db)
+            inv_b = ctx.inv[_slot_elem(ctx, B, db)]
 
 
 def kxgcd(ctx, a, b):

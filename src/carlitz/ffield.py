@@ -178,31 +178,30 @@ class FieldContext:
         self.digits = tuple(digits)
         self._undigit = {ds: a for a, ds in enumerate(digits)}
 
-        # element tables
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                s = tuple((x + y) % p for x, y in zip(da, db))
-                add[a][b] = add[b][a] = self._undigit[s]
-                prod = _fpx_mul(list(da), list(db), p)
-                if e > 1:
-                    prod = _fpx_mod(prod, list(self.modulus), p)
-                prod = tuple(prod + [0] * (e - len(prod)))
-                mul[a][b] = mul[b][a] = self._undigit[prod]
+        # element tables; prime-field rows are built by arithmetic and share
+        # the int objects of r, which keeps them small at large p
+        if e == 1:
+            r = list(range(p))
+            add = [r[a:] + r[:a] for a in r]
+            mul = [[r[a * b % p] for b in r] for a in r]
+        else:
+            add = [[0] * q for _ in range(q)]
+            mul = [[0] * q for _ in range(q)]
+            modulus = list(self.modulus)
+            for a in range(q):
+                da = digits[a]
+                for b in range(a, q):
+                    db = digits[b]
+                    s = tuple((x + y) % p for x, y in zip(da, db))
+                    add[a][b] = add[b][a] = self._undigit[s]
+                    prod = _fpx_mod(_fpx_mul(list(da), list(db), p), modulus, p)
+                    prod = tuple(prod + [0] * (e - len(prod)))
+                    mul[a][b] = mul[b][a] = self._undigit[prod]
         self.add = add
         self.mul = mul
         self.neg = [self._undigit[tuple((-x) % p for x in digits[a])]
                     for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
+        self.inv = [0] + [mul[a].index(1) for a in range(1, q)]
         # number of 32-bit sub-slots per coefficient in the packed kernel
         self.SUB = 1 if e == 1 else 2 * e
         self._fold = self._slot_bytes = None

@@ -325,12 +325,16 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
     nslots = len(den)
     acc = {}
     unit = kern._units(ctx)
-    for a in enumerate_monics(ctx, d):
+    every = kern.reduce_interval(ctx, 1, ctx.q ** d)
+    for i, a in enumerate(enumerate_monics(ctx, d), 1):
         ak = kern.kpow(ctx, list(a.coeffs), k)
         cof = kern.kexactdiv(ctx, den, ak)
         packed = kern.pack(ctx, cof)
         for exps, code in sigma.eval_codes(list(a.coeffs)).items():
             acc[exps] = acc.get(exps, 0) + unit[code] * packed
+        if every and i % every == 0:
+            acc = {x: kern.pack(ctx, kern.unpack(ctx, v, nslots))
+                   for x, v in acc.items()}
     terms = {}
     for exps, packed_num in acc.items():
         num = kern.trim(kern.unpack(ctx, packed_num, nslots))

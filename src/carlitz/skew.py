@@ -225,7 +225,9 @@ def frak_S_bruteforce(cache, d, n, budget=None):
     den = list(den_poly.coeffs)
     acc = [0] * (d + 1)
     acc_len = [0] * (d + 1)  # the numerators need not be proper fractions
-    for a in enumerate_monics(ctx, d):
+    # a slot of one product sums at most len(cofactor) digit products
+    every = kern.reduce_interval(ctx, len(den) - d * qn, ctx.q ** d)
+    for i, a in enumerate(enumerate_monics(ctx, d), 1):
         ca = carlitz_action(cache, a)
         apow = kern.kpow(ctx, list(a.coeffs), qn)
         cof_coeffs = kern.kexactdiv(ctx, den, apow)
@@ -236,6 +238,9 @@ def frak_S_bruteforce(cache, d, n, budget=None):
                 continue
             acc[j] += kern.pack(ctx, list(num.coeffs)) * cof
             acc_len[j] = max(acc_len[j], len(num.coeffs) + len(cof_coeffs) - 1)
+        if every and i % every == 0:
+            acc = [kern.pack(ctx, kern.unpack(ctx, v, m))
+                   for v, m in zip(acc, acc_len)]
     out = []
     for j in range(d + 1):
         if acc[j]:

@@ -55,6 +55,24 @@ def test_field_axioms_exhaustive_small(q):
                         ctx.add[ctx.mul[a][b]][ctx.mul[a][c]]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_prime_field_tables_are_a_field(p):
+    ctx = FieldContext(p)
+    add, mul = ctx.add, ctx.mul
+    els = range(p)
+    for a in els:
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert add[a][ctx.neg[a]] == 0
+        if a:
+            assert mul[a][ctx.inv[a]] == 1
+        for b in els:
+            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+            for c in (els if p < 101 else (1, 2, 50, 100)):
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
 def test_f4_known_table():
     ctx = FieldContext(4)
     x = ctx.element((0, 1))

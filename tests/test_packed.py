@@ -1,9 +1,11 @@
 """The packed-integer kernel against schoolbook reference loops."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,69 @@ def test_gcd_big_structured(q):
         assert got == ref.ngcd(ctx, ag, bg)
         # the planted factor divides the gcd
         assert not ref.ndivmod(ctx, got, g)[1]
+
+
+def random_poly(rng, q, n, density=1.0):
+    """A length-n coefficient list with a nonzero leading coefficient."""
+    return [rng.randrange(q) if rng.random() < density else 0
+            for _ in range(n - 1)] + [rng.randrange(1, q)]
+
+
+# (len a, len b) pairs around the division cutoffs: the schoolbook work
+# budget, Newton's quotient (128) and dividend (512) lengths, a short
+# divisor under a long quotient, and 3n by n
+DIVISION_SHAPES = [(2185, 7), (2000, 40), (2100, 700), (512, 385), (512, 386),
+                   (511, 384), (640, 513), (640, 514), (1200, 17), (900, 300)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9, 25])
+def test_divmod_above_cutoffs(q, monkeypatch):
+    ctx = FIELDS[q]
+    rng = random.Random(q)
+    newton, real = [], kern._kdivmod_newton
+    monkeypatch.setattr(kern, "_kdivmod_newton",
+                        lambda *args: newton.append(1) or real(*args))
+    for la, lb in DIVISION_SHAPES:
+        for density in (1.0, 0.05):
+            a = random_poly(rng, q, la, density)
+            b = random_poly(rng, q, lb, density)
+            assert kern.kdivmod(ctx, a, b) == ref.ndivmod(ctx, a, b), (la, lb)
+    # exact division by a planted factor
+    f, g = random_poly(rng, q, 1500), random_poly(rng, q, 300)
+    assert kern.kdivmod(ctx, ref.nmul(ctx, f, g), g) == (f, [])
+    assert newton  # the long dense quotients went through Newton
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9, 25])
+def test_gcd_constant_unbalanced_and_dividing(q):
+    ctx = FIELDS[q]
+    rng = random.Random(q + 100)
+    a = random_poly(rng, q, 2000)
+    c = [rng.randrange(1, q)]
+    assert kern.kgcd(ctx, c, a) == kern.kgcd(ctx, a, c) == [1]
+    assert kern.kgcd(ctx, c, []) == [1]
+    # length ratios above 2, with a planted common factor, and gaps just
+    # below and at the pre-division threshold
+    g = random_poly(rng, q, 60)
+    for la, lb in ((1800, 400), (1200, 150), (700, 637), (700, 636)):
+        x = ref.nmul(ctx, random_poly(rng, q, la), g)
+        y = ref.nmul(ctx, random_poly(rng, q, lb), g)
+        assert kern.kgcd(ctx, x, y) == kern.kgcd(ctx, y, x) == ref.ngcd(ctx, x, y)
+    # one operand divides the other: the gcd is the smaller one, made monic
+    b = random_poly(rng, q, 300)
+    monic_b = kern.kscal(ctx, ctx.inv[b[-1]], b)
+    assert kern.kgcd(ctx, ref.nmul(ctx, b, a), b) == monic_b
+
+
+def test_reduce_interval():
+    # q^d e (p-1)^2 reaches 2^32 at q = 2003, d = 1, not at q = 3, d = 9
+    assert kern.reduce_interval(FIELDS[3], 1, 3 ** 9) == 0
+    p = 2003
+    wide = SimpleNamespace(p=p, e=1)
+    every = kern.reduce_interval(wide, 1, p)
+    assert (p - 1) + every * (p - 1) ** 2 < 2 ** 32 <= (p - 1) + (every + 1) * (p - 1) ** 2
+    with pytest.raises(OverflowError):
+        kern.reduce_interval(wide, 1100, 2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,8 +5,9 @@ import pytest
 from carlitz.errors import ClosedFormMismatch
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, enumerate_monics
-from carlitz.powersums import (SemiChar, SeqCache, power_sum_closed,
-                               power_sum_qn_closed)
+from carlitz import _packed as kern
+from carlitz.powersums import (SemiChar, SeqCache, power_sum_bruteforce,
+                               power_sum_closed, power_sum_qn_closed)
 from carlitz.skew import (SkewPoly, carlitz_action, eta, eta_inv, eval_at_omega,
                           frak_S, frak_S_bruteforce, frak_S_closed,
                           star_chain_check)
@@ -127,6 +128,20 @@ def test_frak_S_closed_vs_bruteforce(q):
     for (d, n) in ((0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
         assert frak_S_closed(cache, d, n) == frak_S_bruteforce(cache, d, n), (d, n)
         frak_S(cache, d, n)  # must not raise
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_oracle_accumulators_reduce_on_slot_bound(q, monkeypatch):
+    # large p makes the packed oracle accumulators reduce every few monics;
+    # force that here after every second one
+    monkeypatch.setattr(kern, "reduce_interval", lambda ctx, width, count: 2)
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    triv, sigma = SemiChar.trivial(ctx, 0), SemiChar.chi(ctx, 1, 1)
+    for d in range(3):
+        assert power_sum_closed(cache, d, "f1") == power_sum_bruteforce(cache, d, 2, triv)
+        assert power_sum_closed(cache, d, "f2") == power_sum_bruteforce(cache, d, 2, sigma)
+        assert frak_S_closed(cache, d, 1) == frak_S_bruteforce(cache, d, 1), d
 
 
 def test_frak_S_equivalence_with_commutative_form(cache3):

@@ -6,8 +6,7 @@
 # coefficients then inherit closed forms from the commutative side.
 
 from carlitz import (APoly, FieldContext, RatK, SeqCache, SkewPoly,
-                     carlitz_action, eta, eta_inv, eval_at_omega, frak_S,
-                     star_chain_check)
+                     carlitz_action, eta, eta_inv, frak_S, star_chain_check)
 from carlitz.tpoly import TPoly
 
 ctx = FieldContext(3)
@@ -25,7 +24,7 @@ print("\n== the basis isomorphism ==")
 t = TPoly.variable(ctx, 1, 1)
 print(f"t   ->  {eta(cache, t)}")
 print(f"τ   ->  {eta_inv(cache, SkewPoly.tau(ctx))}   (back)")
-print(f"τ²  ->  {eval_at_omega(cache, SkewPoly.tau(ctx, 2))}   (evaluation)")
+print(f"τ²  ->  {eta_inv(cache, SkewPoly.tau(ctx, 2))}   (evaluation)")
 a = theta**2 + theta + 1
 print(f"a(t) -> action of a: {eta(cache, t**2 + t + 1) == carlitz_action(cache, a)}")
 

@@ -30,8 +30,8 @@ from .mzv import (BGDegrees, BGPoly, CongruenceSurvey, MatrixData,
                   bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs, multi_power_sum,
                   partial_zeta)
-from .skew import (SkewPoly, carlitz_action, eta, eta_inv, eval_at_omega,
-                   frak_S, star_chain_check)
+from .skew import (SkewPoly, carlitz_action, eta, eta_inv, frak_S,
+                   star_chain_check)
 from .tate import (TateSeries, annals_check, family_qk_check, omega_factor,
                    pi_factor, strange_shuffle_check, thakur_weight_check,
                    valuation_identity_check, zeta_series)

@@ -10,10 +10,16 @@ parameter grids reach.
 Additions prefer a shared denominator: when one denominator exactly
 divides the other (the common case here, since every denominator is a
 product of ell-sequence factors), the sum keeps the larger one.
+
+The closed-form power sums are written once, in this form
+(`powersums.closed_raw`); `to_tpoly` is the one place where such a value
+is normalized into a TPoly over K.
 """
 
 from . import _packed as kern
 from .errors import ArityMismatch, IndexOutOfRange
+from .poly import APoly, RatK
+from .tpoly import TPoly
 
 
 class RawTPoly:
@@ -138,3 +144,11 @@ class RawTPoly:
             if kern.kmul(ctx, c1, other.den) != kern.kmul(ctx, c2, self.den):
                 return False
         return True
+
+    def to_tpoly(self):
+        """The same value as a TPoly, every coefficient normalized in K: the
+        one point where a closed form (`powersums.closed_raw`) is reduced."""
+        ctx = self.ctx
+        den = APoly._make(ctx, list(self.den))
+        terms = {e: RatK(APoly._make(ctx, list(c)), den) for e, c in self.num.items()}
+        return TPoly(ctx, self.s, {e: c for e, c in terms.items() if c}, _clean=True)

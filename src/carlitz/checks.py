@@ -4,7 +4,8 @@ Each check has a stable id, a kind (exact-per-degree, exact-finite, or
 valuation-threshold), and a runner that sweeps its parameter grid and
 produces a CheckReport.  Failures never abort a suite run; every check
 reports pass/fail/skipped with a witness string, and valuation-threshold
-checks also record the achieved valuation of the difference.
+checks also record the achieved valuation of the difference.  A check
+whose grid holds no case at the given parameters is skipped, not passed.
 
 Reports are deterministic: two runs with the same parameters produce the
 same records up to the timing field.
@@ -98,9 +99,14 @@ def _register(id, kind, description):
     return deco
 
 
+_NO_CASE = "no case ran at these parameters"
+
+
 def _grid_result(failures, cases, extra=""):
     if failures:
         return "fail", "; ".join(failures[:4]), None
+    if not cases:
+        return "skipped", _NO_CASE, None
     msg = f"{cases} cases exact"
     if extra:
         msg += f"; {extra}"
@@ -420,7 +426,9 @@ def _check_necklace(pool, params):
 # ---------------------------------------------------------------------------
 
 def _numeric_result(outcomes):
-    worst = min((o["achieved"] for o in outcomes), default=float("inf"))
+    if not outcomes:
+        return "skipped", _NO_CASE, None
+    worst = min(o["achieved"] for o in outcomes)
     if all(o["passed"] for o in outcomes):
         return "pass", f"{len(outcomes)} identities beyond threshold", worst
     bad = [o for o in outcomes if not o["passed"]]
@@ -536,6 +544,13 @@ def run_suite(pattern="all", **params):
 
 def all_passed(reports):
     return all(r.status == "pass" for r in reports)
+
+
+def exit_code(reports):
+    """The exit status of a verify run: 1 if a check failed or if every
+    selected check was skipped, else 0 (also when no check was selected)."""
+    statuses = {r.status for r in reports}
+    return 1 if "fail" in statuses or statuses == {"skipped"} else 0
 
 
 # ---------------------------------------------------------------------------

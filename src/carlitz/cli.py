@@ -2,8 +2,8 @@
 
 Subcommands:
 
-  verify     run identity checks (glob-filtered), emit a report, exit 0
-             iff everything passed
+  verify     run identity checks (glob-filtered), emit a report; exit 1
+             if a check failed or every selected check was skipped
   powsum     one multiple twisted power sum, exactly
   partial    a truncated zeta value, exactly
   bg         a finite zeta sum at a negative integer, with its degree and
@@ -117,7 +117,7 @@ def cmd_verify(args):
         _emit(args, checks.reports_to_csv(reports))
     else:
         _emit(args, checks.reports_to_text(reports))
-    return 0 if reports and checks.all_passed(reports) else (0 if not reports else 1)
+    return checks.exit_code(reports)
 
 
 def cmd_powsum(args):

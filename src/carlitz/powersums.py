@@ -23,6 +23,7 @@ import itertools
 import threading
 
 from . import _packed as kern
+from ._rawfrac import RawTPoly
 from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch,
                      NonMonicInput, UnsupportedCharacter)
 from .ffield import FqElem
@@ -347,8 +348,12 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
 # closed forms
 # ---------------------------------------------------------------------------
 
+_CLOSED_NAMES = {"e1": (1, 0), "f1": (2, 0), "e2": (1, 1), "f2": (2, 1),
+                 "e3": (1, 2), "f3": (2, 2)}
+
+
 def power_sum_closed(cache, d, which):
-    """Closed forms for the weight-1 and weight-2 power sums.
+    """Closed forms for the weight-1 and weight-2 power sums, normalized.
 
     which: "e1" S_d(1;1)        -> 1 / ell(d)                    (0 variables)
            "e2" S_d(1;chi_t1)   -> b_d(t1) / ell(d)              (1 variable)
@@ -357,37 +362,16 @@ def power_sum_closed(cache, d, which):
            "f2" S_d(2;chi_t1)   -> b_d(t1)(t1 - theta^(q^d)) / ((t1-theta) ell(d)^2)
            "f3" S_d(2;chi*chi)  -> the two-variable analogue
 
-    The apparent (t_i - theta) denominators of f2/f3 cancel; the
-    cancellation is carried out symbolically (exact division, asserted),
-    so the returned values are honest polynomials in the t-variables.
+    The (t_i - theta) denominators of f2/f3 cancel: f2 is tb_d(t1)/ell(d)^2
+    with tb the Frobenius twist of b.  The values come from `closed_raw`,
+    which writes every form with these cancellations done, and are
+    normalized by `RawTPoly.to_tpoly`.
     """
-    ctx = cache.ctx
-    if which == "e1":
-        return TPoly.constant(ctx, 0, RatK(APoly.one(ctx), cache.ell(d)))
-    if which == "f1":
-        return TPoly.constant(ctx, 0, RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
-    if which == "e2":
-        return cache.b_tpoly(d, 1, 1).scale(RatK(APoly.one(ctx), cache.ell(d)))
-    if which == "e3":
-        prod = cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2)
-        return prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
-    theta = APoly.theta(ctx)
-    if which == "f2":
-        num = cache.b_tpoly(d, 1, 1) * (TPoly.variable(ctx, 1, 1) - cache.theta_q(d))
-        num = num.div_linear_exact(1, RatK.from_apoly(theta))
-        return num.scale(RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
-    if which == "f3":
-        t1 = TPoly.variable(ctx, 2, 1)
-        t2 = TPoly.variable(ctx, 2, 2)
-        tq = cache.theta_q(d)
-        bracket = ((t1 - theta) * (t2 - theta)
-                   + (t1 - theta).scale(RatK.from_apoly(theta - tq))
-                   + (t2 - theta).scale(RatK.from_apoly(theta - tq)))
-        num = cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2) * bracket
-        num = num.div_linear_exact(1, RatK.from_apoly(theta))
-        num = num.div_linear_exact(2, RatK.from_apoly(theta))
-        return num.scale(RatK(APoly.one(ctx), cache.ell_pow(d, 2)))
-    raise ValueError(f"unknown closed form {which!r}")
+    if which not in _CLOSED_NAMES:
+        raise ValueError(f"unknown closed form {which!r}")
+    n, s = _CLOSED_NAMES[which]
+    sigma = SemiChar(cache.ctx, s, varis=range(1, s + 1))
+    return closed_raw(cache, d, n, sigma).to_tpoly()
 
 
 def partial_F_one_q(cache, d):
@@ -479,10 +463,8 @@ def tau_b_expand(cache, n, d):
 def power_sum_qn_closed(cache, n, d):
     """S_d(q^n; chi_t) via the nested chain expansion: the twist of order
     q^n of the weight-1 closed form.  One variable."""
-    ctx = cache.ctx
-    num = _chain_numerator(cache, n, d)
-    den = cache.ell_pow(d, ctx.q ** n)
-    return TPoly(ctx, 1, {(k,): RatK(v, den) for k, v in num.items()})
+    sigma = SemiChar.chi(cache.ctx, 1, 1)
+    return closed_raw(cache, d, cache.ctx.q ** n, sigma).to_tpoly()
 
 
 # ---------------------------------------------------------------------------
@@ -533,52 +515,67 @@ def closed_form(q, n, sigma):
     return None
 
 
-def power_sum(cache, d, n, sigma, budget=None):
-    """S_d(n; sigma), exact; closed forms where available, else enumeration.
+def closed_raw(cache, d, n, sigma):
+    """S_d(n; sigma) in closed form, or None where `closed_form` has none.
 
-    Memoized per cache.  Degree characters factor out as t_i^d; after that,
-    `closed_form` decides between a closed form and enumeration.
+    The one place the closed forms are written.  The value is a RawTPoly
+    in sigma's arity over ell(d)^n, with the (t_i - theta) cancellations
+    of f2/f3 already done (tb is the Frobenius twist of b):
+
+        kql   1                        e2   b_d(t_i)
+        f2    tb_d(t_i)                qn   the chain numerator in t_i
+        e3    b_d(t_i) b_d(t_j)
+        f3    b_d(t_i) b_d(t_j) + (theta - theta^(q^d))
+              * (b_d(t_i) tb_(d-1)(t_j) + tb_(d-1)(t_i) b_d(t_j))
+
+    Each degree character a -> t_k^deg(a) multiplies the value by t_k^d.
     """
+    ctx = cache.ctx
+    form = closed_form(ctx.q, n, sigma)
+    if form is None:
+        return None
+    s = sigma.s
+    v = sigma.vars
+
+    def in_var(i, coeffs):
+        # sum of c_k t_i^k over 1, for (k, c_k) in coeffs with c_k in A
+        return RawTPoly(ctx, s, {tuple(k if j == i - 1 else 0 for j in range(s)):
+                                 list(c.coeffs) for k, c in coeffs}, [1])
+
+    if form == "kql":
+        num = RawTPoly.one(ctx, s)
+    elif form == "qn":
+        num = in_var(v[0], _chain_numerator(cache, _q_log(ctx.q, n), d).items())
+    elif form == "f2":
+        num = in_var(v[0], enumerate(cache.tb_coeffs(d)))
+    else:  # e2, e3, f3
+        b = [in_var(i, enumerate(cache.b_coeffs(d))) for i in v]
+        num = b[0] * b[1] if form in ("e3", "f3") else b[0]
+        if form == "f3" and d >= 1:
+            tb = [in_var(i, enumerate(cache.tb_coeffs(d - 1))) for i in v]
+            gap = list((cache.theta_q(0) - cache.theta_q(d)).coeffs)
+            num = num + (b[0] * tb[1] + tb[0] * b[1]).scale_poly(gap)
+    terms = num.num
+    if sigma.degs:
+        terms = {tuple(e + d * sigma.degs.count(j) for j, e in enumerate(exps, 1)): c
+                 for exps, c in terms.items()}
+    return RawTPoly(ctx, s, terms, list(cache.ell_pow(d, n).coeffs))
+
+
+def power_sum(cache, d, n, sigma, budget=None):
+    """S_d(n; sigma), exact and memoized per cache: `closed_raw` where it
+    has a closed form, else enumeration."""
     key = (d, n, sigma)
     with cache._lock:
         hit = cache._psums.get(key)
     if hit is not None:
         return hit
-    ctx = cache.ctx
-    s = sigma.s
-    form = closed_form(ctx.q, n, sigma)
-    if sigma.degs and not sigma.consts:
-        base = power_sum(cache, d, n,
-                         SemiChar(ctx, s, varis=sigma.vars), budget)
-        shift = {}
-        for exps, coef in base.terms.items():
-            ne = list(exps)
-            for i in sigma.degs:
-                ne[i - 1] += d
-            shift[tuple(ne)] = coef
-        result = TPoly(ctx, s, shift, _clean=True)
-    elif form is None:
-        result = power_sum_bruteforce(cache, d, n, sigma, budget)
-    elif form == "kql":
-        result = TPoly.constant(ctx, s, RatK(APoly.one(ctx), cache.ell_pow(d, n)))
-    else:
-        base = (power_sum_qn_closed(cache, _q_log(ctx.q, n), d) if form == "qn"
-                else power_sum_closed(cache, d, form))
-        result = _remap_vars(base, dict(enumerate(sigma.vars, 1)), s)
+    raw = closed_raw(cache, d, n, sigma)
+    result = (power_sum_bruteforce(cache, d, n, sigma, budget) if raw is None
+              else raw.to_tpoly())
     with cache._lock:
         cache._psums[key] = result
     return result
-
-
-def _remap_vars(tp, mapping, s):
-    """Reinterpret a TPoly in a larger arity with variables renamed."""
-    terms = {}
-    for exps, coef in tp.terms.items():
-        ne = [0] * s
-        for old, newv in mapping.items():
-            ne[newv - 1] = exps[old - 1]
-        terms[tuple(ne)] = coef
-    return TPoly(tp.ctx, s, terms, _clean=True)
 
 
 # ---------------------------------------------------------------------------

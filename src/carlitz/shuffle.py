@@ -18,7 +18,7 @@ Semi-characters are addressed by short keys:
 
 from ._rawfrac import RawTPoly
 from .errors import InvalidParams
-from .powersums import ChainSums, _as_k_ql_form
+from .powersums import ChainSums, SemiChar, closed_raw
 
 
 class ShuffleEngine:
@@ -26,89 +26,34 @@ class ShuffleEngine:
 
     def __init__(self, cache):
         self.cache = cache
-        self.ctx = cache.ctx
+        self.ctx = ctx = cache.ctx
+        self._chars = {"one": SemiChar(ctx, 2), "s": SemiChar.chi(ctx, 2, 1),
+                       "p": SemiChar.chi(ctx, 2, 2), "nu": SemiChar.nu(ctx, 2, 1),
+                       "sp": SemiChar(ctx, 2, varis=(1, 2))}
         self._S = {}
         self._chains = {}  # the memo of the chain sums over S
 
     # -- single power sums ------------------------------------------------
 
-    def _ell_list(self, d, n):
-        return list(self.cache.ell_pow(d, n).coeffs)
-
-    def _b_num(self, d, var, twisted=False):
-        coeffs = self.cache.tb_coeffs(d) if twisted else self.cache.b_coeffs(d)
-        out = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                out[(k, 0) if var == 1 else (0, k)] = list(c.coeffs)
-        return out
-
     def S(self, d, n, sig):
         """The degree-d power sum of order n twisted by the keyed
-        semi-character, in closed form."""
+        semi-character, in closed form (`closed_raw`)."""
         key = (d, n, sig)
         hit = self._S.get(key)
         if hit is not None:
             return hit
-        ctx = self.ctx
-        q = ctx.q
-        if sig == "one":
-            if not _as_k_ql_form(q, n):
-                raise InvalidParams(f"no closed untwisted form for order {n}")
-            val = RawTPoly(ctx, 2, {(0, 0): [1]}, self._ell_list(d, n))
-        elif sig == "nu":
-            if not _as_k_ql_form(q, n):
-                raise InvalidParams(f"no closed untwisted form for order {n}")
-            val = RawTPoly(ctx, 2, {(d, 0): [1]}, self._ell_list(d, n))
-        elif sig in ("s", "p"):
-            var = 1 if sig == "s" else 2
-            if n == 1:
-                val = RawTPoly(ctx, 2, self._b_num(d, var), self._ell_list(d, 1))
-            elif n == 2:
-                val = RawTPoly(ctx, 2, self._b_num(d, var, twisted=True),
-                               self._ell_list(d, 2))
-            else:
-                raise InvalidParams(f"no closed form for order {n} with one variable")
-        elif sig == "sp":
-            if n == 1:
-                val = (RawTPoly(ctx, 2, self._b_num(d, 1), [1])
-                       * RawTPoly(ctx, 2, self._b_num(d, 2), self._ell_list(d, 1)))
-            elif n == 2:
-                val = self._S_two_var_order_two(d)
-            else:
-                raise InvalidParams(f"no closed form for order {n} with two variables")
-        else:
+        if sig not in self._chars:
             raise InvalidParams(f"unknown semi-character key {sig!r}")
+        val = closed_raw(self.cache, d, n, self._chars[sig])
+        if val is None:
+            raise InvalidParams(f"no closed form for order {n} twisted by {sig!r}")
         self._S[key] = val
         return val
 
-    def _S_two_var_order_two(self, d):
-        """S_d(2; a -> a(t1)a(t2)) with the (t_i - theta) cancellations done:
-        [b_d x b_d + (theta - theta^(q^d)) (b_d x tb_(d-1) + tb_(d-1) x b_d)]
-        over ell(d)^2, where tb is the Frobenius twist of b."""
-        ctx = self.ctx
-        b1 = RawTPoly(ctx, 2, self._b_num(d, 1), [1])
-        b2 = RawTPoly(ctx, 2, self._b_num(d, 2), [1])
-        num = b1 * b2
-        if d >= 1:
-            gap = list((self.cache.theta_q(0) - self.cache.theta_q(d)).coeffs)
-            tb1 = RawTPoly(ctx, 2, {(k, 0): list(c.coeffs)
-                                    for k, c in enumerate(self.cache.tb_coeffs(d - 1))
-                                    if not c.is_zero()}, [1])
-            tb2 = RawTPoly(ctx, 2, {(0, k): list(c.coeffs)
-                                    for k, c in enumerate(self.cache.tb_coeffs(d - 1))
-                                    if not c.is_zero()}, [1])
-            num = num + (b1 * tb2 + tb1 * b2).scale_poly(gap)
-        return RawTPoly(ctx, 2, num.num, self._ell_list(d, 2))
-
     def alemma_head(self, d):
         """The head term of the depth-two decomposition of S_d(2;sp):
-        b_d(t1) b_d(t2) / ell(d)^2, i.e. S_d(1;sigma) S_d(1;psi)."""
-        ctx = self.ctx
-        b1 = RawTPoly(ctx, 2, self._b_num(d, 1), [1])
-        b2 = RawTPoly(ctx, 2, self._b_num(d, 2), [1])
-        head = b1 * b2
-        return RawTPoly(ctx, 2, head.num, self._ell_list(d, 2))
+        S_d(1;sigma) S_d(1;psi) = b_d(t1) b_d(t2) / ell(d)^2."""
+        return self.S(d, 1, "s") * self.S(d, 1, "p")
 
     # -- multiple and truncated sums ----------------------------------------
 

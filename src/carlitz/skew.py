@@ -194,20 +194,15 @@ def eta(cache, tp):
 
 
 def eta_inv(cache, f):
-    """The inverse isomorphism: tau^j maps to b_j(t)."""
+    """The inverse isomorphism: tau^j maps to b_j(t).  It is also the formal
+    evaluation at the period function (f(omega) = g(t) omega for g the
+    image of f), and sends the Carlitz action of a to a(t)."""
     ctx = cache.ctx
     total = TPoly.zero(ctx, 1)
     for j, c in enumerate(f.coeffs):
         if not c.is_zero():
             total = total + cache.b_tpoly(j, 1, 1).scale(c)
     return total
-
-
-def eval_at_omega(cache, f):
-    """The formal evaluation at the period function: the one-variable
-    polynomial g with f(omega) = g(t) omega; identical to the inverse
-    isomorphism, and sends the Carlitz action of a to a(t)."""
-    return eta_inv(cache, f)
 
 
 # ---------------------------------------------------------------------------

@@ -238,46 +238,6 @@ class TPoly:
             out[(0,) * offset + exps + (0,) * (new_s - self.s - offset)] = coef
         return TPoly(self.ctx, new_s, out, _clean=True)
 
-    def div_linear_exact(self, i, value):
-        """Exact division by (t_i - value); InexactDivision if not divisible."""
-        if not 1 <= i <= self.s:
-            raise IndexOutOfRange(f"variable index {i} outside 1..{self.s}")
-        value = self._as_ratk(self.ctx, value)
-        # view as a polynomial in t_i with TPoly coefficients; synthetic division
-        by_deg = {}
-        for exps, coef in self.terms.items():
-            k = exps[i - 1]
-            rest = exps[:i - 1] + (0,) + exps[i:]
-            by_deg.setdefault(k, {})[rest] = coef
-        if not by_deg:
-            return self
-        top = max(by_deg)
-        quot = {}
-        carry = {}  # current quotient coefficient (dict exps -> RatK)
-        for k in range(top, 0, -1):
-            level = by_deg.get(k, {})
-            for exps, coef in level.items():
-                carry[exps] = carry.get(exps, RatK.zero(self.ctx)) + coef
-            carry = {e: c for e, c in carry.items() if not c.is_zero()}
-            for exps, coef in carry.items():
-                new = exps[:i - 1] + (k - 1,) + exps[i:]
-                quot[new] = coef
-            if not value.is_zero():
-                carry = {e: c * value for e, c in carry.items()}
-            else:
-                carry = {}
-        # remainder = constant level + carry must vanish
-        rem = dict(by_deg.get(0, {}))
-        for exps, coef in carry.items():
-            cur = rem.get(exps, RatK.zero(self.ctx)) + coef
-            if cur.is_zero():
-                rem.pop(exps, None)
-            else:
-                rem[exps] = cur
-        if rem:
-            raise InexactDivision(f"not divisible by (t{i} - {value!r})")
-        return TPoly(self.ctx, self.s, quot, _clean=True)
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):

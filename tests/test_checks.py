@@ -80,6 +80,18 @@ def test_suite_no_match_is_success():
     assert checks.all_passed(reports)
 
 
+def test_exit_code_policy():
+    def reps(*statuses):
+        return [checks.CheckReport(f"c{i}", {}, s) for i, s in enumerate(statuses)]
+    assert checks.exit_code(reps()) == 0
+    assert checks.exit_code(reps("pass", "pass")) == 0
+    assert checks.exit_code(reps("pass", "skipped")) == 0
+    assert checks.exit_code(reps("skipped")) == 1
+    assert checks.exit_code(reps("skipped", "skipped")) == 1
+    assert checks.exit_code(reps("pass", "fail")) == 1
+    assert checks.exit_code(reps("skipped", "fail")) == 1
+
+
 def test_failures_recorded_not_raised():
     # a registry entry whose runner explodes must yield a fail report
     boom = checks.CheckSpec("boom", "exact-finite", "always fails",

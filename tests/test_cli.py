@@ -87,6 +87,20 @@ def test_verify_json_format(capsys, tmp_path):
     assert doc["checks"][0]["id"] == "eq-e1"
 
 
+@pytest.mark.parametrize("qs,suite", [("4,5", "eq-annals"), ("5", "cor-noncommide")])
+def test_verify_with_no_case_is_skipped_and_exits_nonzero(capsys, tmp_path, qs, suite):
+    code, out, _ = run_cli(capsys, "verify", "--qs", qs, "--suite", suite)
+    assert code == 1
+    assert f"{suite}  skip  no case ran" in out and "0/1 passed" in out
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--qs", qs, "--suite", suite,
+                         "--format", "json", "--out", str(out_path))
+    assert code == 1
+    doc = json.loads(out_path.read_text())
+    assert doc["all_passed"] is False
+    assert doc["checks"][0]["status"] == "skipped"
+
+
 def test_verify_rejects_q2(capsys):
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--suite", "all")
     assert code == 2

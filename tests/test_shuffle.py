@@ -4,10 +4,11 @@ import pytest
 
 from carlitz import shuffle
 from carlitz._rawfrac import RawTPoly
+from carlitz.errors import InvalidParams
 from carlitz.ffield import FieldContext
 from carlitz.mzv import MatrixData, partial_zeta
 from carlitz.poly import APoly, RatK
-from carlitz.powersums import SemiChar, SeqCache
+from carlitz.powersums import SemiChar, SeqCache, power_sum_bruteforce
 
 from carlitz import _packed as kern
 
@@ -36,6 +37,35 @@ def test_all_identities_small_grid(q):
         for fn in ALL_IDENTITIES:
             lhs, rhs = fn(eng, d)
             assert lhs.equals(rhs), (q, d, fn)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_engine_power_sums_match_enumeration(q):
+    # every (key, order) the engine answers in closed form, normalized
+    # through to_tpoly, against the enumeration oracle
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    eng = shuffle.ShuffleEngine(cache)
+    chars = {"one": SemiChar.trivial(ctx, 2), "nu": SemiChar.nu(ctx, 2, 1),
+             "s": SemiChar.chi(ctx, 2, 1), "p": SemiChar.chi(ctx, 2, 2),
+             "sp": SemiChar(ctx, 2, varis=(1, 2))}
+    orders = {"one": {1, 2, q - 1, q}, "nu": {1, 2, q - 1, q},
+              "s": {1, 2, q}, "p": {1, 2, q}, "sp": {1, 2}}
+    for key, ns in orders.items():
+        for n in sorted(ns):
+            for d in range(4):
+                got = eng.S(d, n, key).to_tpoly()
+                assert got == power_sum_bruteforce(cache, d, n, chars[key]), \
+                    (q, key, n, d)
+
+
+def test_engine_rejects_orders_without_closed_form(cache3):
+    eng = shuffle.ShuffleEngine(cache3)
+    for key, n in (("s", 4), ("p", 4), ("sp", 3), ("one", 4)):
+        with pytest.raises(InvalidParams):
+            eng.S(2, n, key)
+    with pytest.raises(InvalidParams):
+        eng.S(1, 1, "nope")
 
 
 def test_rawfrac_add_mul_against_ratk(ctx3):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from carlitz.errors import ArityMismatch, IndexOutOfRange, InexactDivision
+from carlitz.errors import ArityMismatch, IndexOutOfRange
+from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK
+from carlitz.powersums import SemiChar, SeqCache, closed_raw
 from carlitz.tpoly import TPoly
 
 
@@ -91,15 +93,30 @@ def test_arity_mismatch(ctx3):
         TPoly.variable(ctx3, 1, 1) + TPoly.variable(ctx3, 2, 1)
 
 
-def test_div_linear_exact(ctx3):
-    th = APoly.theta(ctx3)
-    t1 = TPoly.variable(ctx3, 2, 1)
-    t2 = TPoly.variable(ctx3, 2, 2)
-    prod = (t1 - th) * (t2 - th ** 3) * (t1 - th ** 2)
-    quot = prod.div_linear_exact(1, RatK.from_apoly(th))
-    assert quot == (t2 - th ** 3) * (t1 - th ** 2)
-    with pytest.raises(InexactDivision):
-        prod.div_linear_exact(2, RatK.from_apoly(th))
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_f2_f3_closed_numerators(q):
+    # the paper states f2/f3 with (t_i - theta) denominators; closed_raw
+    # writes them with those cancelled, over ell(d)^2
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    th = APoly.theta(ctx)
+    t = TPoly.variable(ctx, 1, 1)
+    t1, t2 = TPoly.variable(ctx, 2, 1), TPoly.variable(ctx, 2, 2)
+
+    def numerator(raw):
+        assert raw.den == list(cache.ell_pow(d, 2).coeffs)
+        return TPoly(ctx, raw.s, {e: APoly(ctx, c) for e, c in raw.num.items()})
+
+    for d in range(6):
+        tq = cache.theta_q(d)
+        tb = TPoly(ctx, 1, {(k,): c for k, c in enumerate(cache.tb_coeffs(d))})
+        assert cache.b_tpoly(d, 1, 1) * (t - tq) == (t - th) * tb
+        assert numerator(closed_raw(cache, d, 2, SemiChar.chi(ctx, 1, 1))) == tb
+        bracket = ((t1 - th) * (t2 - th) + (t1 - th) * (th - tq)
+                   + (t2 - th) * (th - tq))
+        f3 = numerator(closed_raw(cache, d, 2, SemiChar(ctx, 2, varis=(1, 2))))
+        assert f3 * (t1 - th) * (t2 - th) == \
+            cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2) * bracket
 
 
 def test_frobenius_twist(ctx3):

@@ -102,15 +102,18 @@ def _register(id, kind, description):
 _NO_CASE = "no case ran at these parameters"
 
 
-def _grid_result(failures, cases, extra=""):
+def _grid_result(failures, cases, extra="", over=()):
+    """Status and witness of a grid; `over` names the grid points left out
+    because their enumeration exceeds the budget."""
+    tail = f"; over budget: {', '.join(over)}" if over else ""
     if failures:
-        return "fail", "; ".join(failures[:4]), None
+        return "fail", "; ".join(failures[:4]) + tail, None
     if not cases:
-        return "skipped", _NO_CASE, None
+        return "skipped", _NO_CASE + tail, None
     msg = f"{cases} cases exact"
     if extra:
         msg += f"; {extra}"
-    return "pass", msg, None
+    return "pass", msg + tail, None
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +153,10 @@ for _cid in _CLOSED_SPECS:
 @_register("eq-Fdq", "exact-finite",
            "q-variable weight-one partial sum equals its enumerated form")
 def _check_fdq(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q in params["qs"]:
         if q != 3 and q ** 3 > params["budget"]:
+            over.append(f"q={q}")
             continue
         ctx, cache, _ = pool.get(q)
         sigma = SemiChar(ctx, q, varis=tuple(range(1, q + 1)))
@@ -165,7 +169,7 @@ def _check_fdq(pool, params):
             cases += 1
             if closed != acc:
                 failures.append(f"q={q} d={d}: product form != enumerated sum")
-    return _grid_result(failures, cases)
+    return _grid_result(failures, cases, over=over)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def _check_tau_b(pool, params):
 @_register("prop4", "exact-finite",
            "iterated Frobenius expansion and the q^n-order closed form")
 def _check_prop4(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q in params["qs"]:
         ctx, cache, _ = pool.get(q)
         n_top = 3 if q == 3 else 2
@@ -278,13 +282,14 @@ def _check_prop4(pool, params):
         for n in range(1, 3):
             for d in range(min(params["d_max"], 4 if q == 3 else 3) + 1):
                 if q ** d > params["budget"]:
+                    over.append(f"q={q} n={n} d={d}")
                     continue
                 closed = power_sum_qn_closed(cache, n, d)
                 brute = power_sum_bruteforce(cache, d, q ** n, chi, params["budget"])
                 cases += 1
                 if closed != brute:
                     failures.append(f"q={q} n={n} d={d}: closed power sum != enumeration")
-    return _grid_result(failures, cases)
+    return _grid_result(failures, cases, over=over)
 
 
 @_register("cor-noncommide", "exact-finite",
@@ -338,28 +343,30 @@ def _bg_grid(params):
 @_register("thm-formulaBG", "exact-finite",
            "finite zeta sum at q^d - 2 equals the closed double sum")
 def _check_formula_bg(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q, d in _bg_grid(params):
         _, cache, _ = pool.get(q)
         if q ** (d + 2) > params["budget"]:
+            over.append(f"q={q} d={d}")
             continue
         bg = bernoulli_goss(cache, q ** d - 2, params["budget"])
         rhs = bg_formula_rhs(cache, d)
         cases += 1
         if bg.value != rhs:
             failures.append(f"q={q} d={d}: {bg.value!r} != {rhs!r}")
-    return _grid_result(failures, cases)
+    return _grid_result(failures, cases, over=over)
 
 
 @_register("thm-exactdegree", "exact-finite",
            "degree of the finite zeta sum matches the closed formula")
 def _check_exactdegree(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q in params["qs"]:
         top = {3: min(params["d_max"], 5), 4: 3, 5: 3}.get(q, 2)
         _, cache, _ = pool.get(q)
         for d in range(1, top + 1):
             if q ** (d + 2) > params["budget"]:
+                over.append(f"q={q} d={d}")
                 continue
             pred = bg_degree_formula(q, d)
             bg = bernoulli_goss(cache, q ** d - 2, params["budget"])
@@ -377,31 +384,32 @@ def _check_exactdegree(pool, params):
                 if not ok:
                     failures.append(f"q={q} d={d}: block degrees off")
     return _grid_result(failures, cases,
-                        "tail block empty below d=3 (excluded there)")
+                        "tail block empty below d=3 (excluded there)", over)
 
 
 @_register("cor-TAOD", "exact-finite",
            "finite zeta sum congruent to the truncated weight-one sum mod "
            "every irreducible of the matching degree")
 def _check_taod(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q, d in _bg_grid(params):
         _, cache, _ = pool.get(q)
         if q ** (d + 2) > params["budget"]:
+            over.append(f"q={q} d={d}")
             continue
         sv = bg_congruence_survey(cache, d, params["budget"])
         cases += len(sv.rows)
         if not sv.all_congruent:
             bad = [r for r in sv.rows if not r.congruent][0]
             failures.append(f"q={q} d={d}: fails at P = {bad.modulus!r}")
-    return _grid_result(failures, cases)
+    return _grid_result(failures, cases, over=over)
 
 
 @_register("necklace-bound", "exact-finite",
            "irreducible counts match the necklace polynomial and the "
            "vanishing count respects the divisor bound")
 def _check_necklace(pool, params):
-    failures, cases = [], 0
+    failures, cases, over = [], 0, []
     for q in params["qs"]:
         ctx, cache, _ = pool.get(q)
         count_top = 6 if q == 3 else 4
@@ -412,13 +420,14 @@ def _check_necklace(pool, params):
     for q, d in _bg_grid(params):
         _, cache, _ = pool.get(q)
         if q ** (d + 2) > params["budget"]:
+            over.append(f"q={q} d={d}")
             continue
         sv = bg_congruence_survey(cache, d, params["budget"])
         cases += 1
         if not (sv.bound_holds and sv.count_matches_necklace and sv.divisor_consistent):
             failures.append(f"q={q} d={d}: zero count {sv.zero_count} vs bound "
                             f"{sv.zero_bound}, divisor consistency {sv.divisor_consistent}")
-    return _grid_result(failures, cases)
+    return _grid_result(failures, cases, over=over)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ suite enforce that.
 """
 
 import itertools
-import threading
 
 from . import _packed as kern
 from ._rawfrac import RawTPoly
@@ -167,15 +166,14 @@ class SeqCache:
     Holds theta^(q^i), the ell sequence, the b-polynomial coefficient
     lists and their Frobenius twists, powers and ratios of ell, the lcm
     of the monic polynomials of each degree, and memos of exact twisted
-    power sums and of their chain sums.  Append-only under a lock (the
-    chain sums fill their memos without it: a race only computes a value
-    twice); every returned value is immutable and safe to share.
+    power sums and of their chain sums.  Single-threaded, append-only:
+    no lock guards it, so one cache must not be filled from two threads at
+    once; every returned value is immutable.
     """
 
     def __init__(self, ctx, budget=DEFAULT_BUDGET):
         self.ctx = ctx
         self.budget = budget
-        self._lock = threading.RLock()
         self._theta_q = [APoly.theta(ctx)]
         self._ell = [APoly.one(ctx)]
         self._b = [(APoly.one(ctx),)]       # coefficient tuples, ascending
@@ -190,48 +188,44 @@ class SeqCache:
 
     def theta_q(self, i):
         """theta^(q^i) as an element of A."""
-        with self._lock:
-            while len(self._theta_q) <= i:
-                prev = self._theta_q[-1]
-                self._theta_q.append(prev.frobenius())
-            return self._theta_q[i]
+        while len(self._theta_q) <= i:
+            prev = self._theta_q[-1]
+            self._theta_q.append(prev.frobenius())
+        return self._theta_q[i]
 
     def ell(self, i):
         """ell(i); zero for negative indices."""
         if i < 0:
             return APoly.zero(self.ctx)
-        with self._lock:
-            while len(self._ell) <= i:
-                k = len(self._ell)
-                factor = APoly.theta(self.ctx) - self.theta_q(k)
-                self._ell.append(self._ell[-1] * factor)
-            return self._ell[i]
+        while len(self._ell) <= i:
+            k = len(self._ell)
+            factor = APoly.theta(self.ctx) - self.theta_q(k)
+            self._ell.append(self._ell[-1] * factor)
+        return self._ell[i]
 
     def b_coeffs(self, i):
         """Coefficients (in A, ascending) of the degree-i polynomial with
         roots theta^(q^j) for 0 <= j < i."""
-        with self._lock:
-            while len(self._b) <= i:
-                k = len(self._b)
-                root = self.theta_q(k - 1)
-                prev = self._b[-1]
-                new = []
-                for m in range(k + 1):
-                    c = prev[m - 1] if m >= 1 else APoly.zero(self.ctx)
-                    if m < len(prev):
-                        c = c - root * prev[m]
-                    new.append(c)
-                self._b.append(tuple(new))
-            return self._b[i]
+        while len(self._b) <= i:
+            k = len(self._b)
+            root = self.theta_q(k - 1)
+            prev = self._b[-1]
+            new = []
+            for m in range(k + 1):
+                c = prev[m - 1] if m >= 1 else APoly.zero(self.ctx)
+                if m < len(prev):
+                    c = c - root * prev[m]
+                new.append(c)
+            self._b.append(tuple(new))
+        return self._b[i]
 
     def tb_coeffs(self, i):
         """Coefficients of the Frobenius twist of b_i: the monic polynomial
         with roots theta^(q^j) for 1 <= j <= i."""
-        with self._lock:
-            while len(self._tb) <= i:
-                k = len(self._tb)
-                self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
-            return self._tb[i]
+        while len(self._tb) <= i:
+            k = len(self._tb)
+            self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
+        return self._tb[i]
 
     def b_tpoly(self, i, var=1, s=1, twist=0):
         """b_i (or its Frobenius twist) as a TPoly in variable t_var."""
@@ -254,41 +248,37 @@ class SeqCache:
     def ell_pow(self, i, n):
         """ell(i)^n, memoized."""
         key = (i, n)
-        with self._lock:
-            v = self._ell_pow.get(key)
-            if v is None:
-                v = self.ell(i) ** n
-                self._ell_pow[key] = v
-            return v
+        v = self._ell_pow.get(key)
+        if v is None:
+            v = self.ell(i) ** n
+            self._ell_pow[key] = v
+        return v
 
     def ell_ratio(self, d, i):
         """ell(d) / ell(i) (exact), memoized."""
         key = (d, i)
-        with self._lock:
-            v = self._ell_ratio.get(key)
-            if v is None:
-                v = self.ell(d) / self.ell(i)
-                self._ell_ratio[key] = v
-            return v
+        v = self._ell_ratio.get(key)
+        if v is None:
+            v = self.ell(d) / self.ell(i)
+            self._ell_ratio[key] = v
+        return v
 
     def monic_lcm(self, d):
         """The lcm of all monic polynomials of degree d, assembled as the
         product of P^(floor(d / deg P)) over irreducibles P of degree <= d."""
-        with self._lock:
-            v = self._monic_lcm.get(d)
-            if v is None:
-                v = APoly.one(self.ctx)
-                for j in range(1, d + 1):
-                    m = d // j
-                    for pp in irreducibles_of_degree(self.ctx, j):
-                        v = v * pp ** m
-                self._monic_lcm[d] = v
-            return v
+        v = self._monic_lcm.get(d)
+        if v is None:
+            v = APoly.one(self.ctx)
+            for j in range(1, d + 1):
+                m = d // j
+                for pp in irreducibles_of_degree(self.ctx, j):
+                    v = v * pp ** m
+            self._monic_lcm[d] = v
+        return v
 
     def chain_memo(self, tag):
         """The memo dict of the chain sums (ChainSums) tagged `tag`."""
-        with self._lock:
-            return self._chains.setdefault(tag, {})
+        return self._chains.setdefault(tag, {})
 
     def check_budget(self, count, budget=None):
         limit = self.budget if budget is None else budget
@@ -566,15 +556,13 @@ def power_sum(cache, d, n, sigma, budget=None):
     """S_d(n; sigma), exact and memoized per cache: `closed_raw` where it
     has a closed form, else enumeration."""
     key = (d, n, sigma)
-    with cache._lock:
-        hit = cache._psums.get(key)
+    hit = cache._psums.get(key)
     if hit is not None:
         return hit
     raw = closed_raw(cache, d, n, sigma)
     result = (power_sum_bruteforce(cache, d, n, sigma, budget) if raw is None
               else raw.to_tpoly())
-    with cache._lock:
-        cache._psums[key] = result
+    cache._psums[key] = result
     return result
 
 

@@ -1,11 +1,21 @@
 """Truncated Laurent series in 1/theta with polynomial t-coefficients.
 
-This is the numerical completion where the zeta values live: a TateSeries
-stores a map theta-exponent -> F_q[t_1..t_s] coefficient, together with a
-precision N meaning the coefficients are exact for every exponent >= -N
-and unknown below.  Addition takes the minimum precision;
-multiplication shifts it by the operands' valuations; inversion requires
-a dominant t-free unit term.
+This is the numerical completion where the zeta values live.  A TateSeries
+is known for every theta-exponent >= -N, N its precision, and unknown
+below.  Addition takes the minimum precision; multiplication shifts it by
+the operands' valuations; inversion requires a dominant t-free unit term
+c theta^k and keeps the relative precision: N becomes N + 2k.
+
+A series is one packed code list under Kronecker substitution (von zur
+Gathen & Gerhard, Modern Computer Algebra, 8.4): theta^k t^e sits at
+(top - k) + rows * (e_1 + rad_1 * (e_2 + rad_2 * (...))), top being the
+largest exponent present, so each t-monomial owns a block of `rows`
+exponents and rad_i bounds the t_i-degrees.  The layout is kept tight
+(first and last row nonzero, each radix minimal).  A product re-lays both
+operands with rows_a + rows_b - 1 rows and radices rad_a + rad_b - 1, so
+no index sum carries into the next block: one `kmul`, then a cut at the
+precision rule.  `from_ratk` is one `kdivmod` of theta^N * num by den, and
+`invert_unit` Newton iteration g <- g (2 - f g).
 
 The transcendental period factors are handled root-free: the period and
 the weight-one generating function both carry a (q-1)-st root of -theta
@@ -21,10 +31,14 @@ annals_check verifies the root-free form of the weight-one evaluation
 identity: zeta(1; chi) * (theta - t_1) * omega_factor = theta * pi_factor.
 """
 
+import itertools
 import math
+from functools import lru_cache
 
+from . import _packed as kern
 from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
                      PrecisionInsufficient)
+from .mzv import MatrixData, partial_zeta
 from .poly import APoly, RatK, enumerate_monics
 from .powersums import ChainSums, SemiChar, closed_form, power_sum
 from .tpoly import TPoly
@@ -32,162 +46,165 @@ from .tpoly import TPoly
 INF = math.inf
 
 
-def _tadd(ctx, a, b):
+@lru_cache(maxsize=1024)
+def _exps(rad):
+    """The t-exponents of the blocks under the radices rad, in block order."""
+    return tuple(e[::-1] for e in itertools.product(*[range(b) for b in rad[::-1]]))
+
+
+def _block(e, rad):
+    return sum(x * math.prod(rad[:i]) for i, x in enumerate(e))
+
+
+@lru_cache(maxsize=1024)
+def _block_map(rad, rad2):
+    """(block under rad, block under rad2) for every block rad2 can hold."""
+    return tuple((m, _block(e, rad2)) for m, e in enumerate(_exps(rad))
+                 if all(x < b for x, b in zip(e, rad2)))
+
+
+def _reshape(c, rows, rad, rows2, rad2, shift=0, size=None):
+    """The layout c of (rows, rad) moved to (rows2, rad2), row j to row
+    j + shift, in a list of `size` codes (all of the layout by default);
+    what falls outside is dropped.  Code lists are never changed in place,
+    so an unchanged layout returns c itself."""
+    if (rows, rad, shift) == (rows2, rad2, 0):
+        return c
+    out = [0] * (rows2 * math.prod(rad2) if size is None else size)
+    lo, hi = max(0, -shift), min(rows, rows2 - shift)
+    if lo < hi:
+        for m, m2 in _block_map(rad, rad2):
+            a, b = m * rows, m2 * rows2 + shift
+            out[b + lo:b + hi] = c[a + lo:a + hi]
+    return out
+
+
+def _series(ctx, s, prec, top, rows, rad, c):
+    """The series of the layout (top, rows, rad, c), cut at the precision
+    and made tight."""
+    if rows > top + prec + 1:
+        keep = max(0, top + prec + 1)
+        c, rows = _reshape(c, rows, rad, keep, rad), keep
+    lo, hi = 0, rows
+    while lo < hi and not any(c[lo::rows]):
+        lo += 1
+    while hi > lo and not any(c[hi - 1::rows]):
+        hi -= 1
+    if lo == hi:
+        top, rad, c = 0, (1,) * s, []
+    else:
+        used = [e for m, e in enumerate(_exps(rad))
+                if any(c[m * rows + lo:m * rows + hi])]
+        tight = tuple(max(e[i] for e in used) + 1 for i in range(s))
+        c = _reshape(c, rows, rad, hi - lo, tight, -lo)
+        top, rad = top - lo, tight
+    x = object.__new__(TateSeries)
+    x.ctx, x.s, x.prec, x.top, x.rows, x.rad, x.c = ctx, s, prec, top, hi - lo, rad, c
+    return x
+
+
+def _from_pieces(ctx, s, prec, pieces):
+    """The sum of the pieces (t-exponents, top, row list), row j of a piece
+    holding its theta^(top - j) code, as a series cut at the precision."""
+    pieces = [p for p in pieces if p[2]]
+    if not pieces:
+        return _series(ctx, s, prec, 0, 0, (1,) * s, [])
+    top = max(t for _, t, _ in pieces)
+    rows = max(top - t + len(r) for _, t, r in pieces)
+    rad = tuple(max(e[i] for e, _, _ in pieces) + 1 for i in range(s))
+    c = [0] * (rows * math.prod(rad))
     add = ctx.add
-    out = dict(a)
-    for e, c in b.items():
-        cur = out.get(e, 0)
-        v = add[cur][c]
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
+    for e, t, r in pieces:
+        o = _block(e, rad) * rows + top - t
+        c[o:o + len(r)] = [add[x][y] for x, y in zip(c[o:o + len(r)], r)]
+    return _series(ctx, s, prec, top, rows, rad, c)
 
 
-def _tmul(ctx, a, b):
-    mul, add = ctx.mul, ctx.add
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = mul[c1][c2]
-            if v:
-                cur = out.get(e, 0)
-                v = add[cur][v]
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-    return out
-
-
-def _tneg(ctx, a):
-    neg = ctx.neg
-    return {e: neg[c] for e, c in a.items()}
+def _expansion(x, prec):
+    """(top, rows) of x in K expanded in 1/theta down to theta^(-prec): the
+    quotient of theta^prec * num by den, highest exponent first."""
+    num, den = list(x.num.coeffs), list(x.den.coeffs)
+    top = len(num) - len(den)
+    if not num or top + prec < 0:
+        return 0, []
+    num, den = ([0] * prec + num, den) if prec >= 0 else (num, [0] * -prec + den)
+    return top, kern.kdivmod(x.ctx, num, den)[0][::-1]
 
 
 class TateSeries:
     """A truncated element of the Tate algebra over F_q((1/theta))."""
 
-    __slots__ = ("ctx", "s", "prec", "terms")
+    __slots__ = ("ctx", "s", "prec", "top", "rows", "rad", "c")
 
     def __init__(self, ctx, s, terms, prec):
-        self.ctx = ctx
-        self.s = s
-        self.prec = prec
-        clean = {}
-        for k, poly in terms.items():
-            if poly and (prec is INF or k >= -prec):
-                clean[k] = poly
-        self.terms = clean
+        x = _from_pieces(ctx, s, prec, [(e, k, [code]) for k, poly in terms.items()
+                                        for e, code in poly.items()])
+        self.ctx, self.s, self.prec = ctx, s, prec
+        self.top, self.rows, self.rad, self.c = x.top, x.rows, x.rad, x.c
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, ctx, s=0, prec=INF):
-        return cls(ctx, s, {}, prec)
+        return _series(ctx, s, prec, 0, 0, (1,) * s, [])
 
     @classmethod
     def one(cls, ctx, s=0, prec=INF):
-        return cls(ctx, s, {0: {(0,) * s: 1}}, prec)
+        return _series(ctx, s, prec, 0, 1, (1,) * s, [1])
 
     @classmethod
     def from_apoly(cls, a, s=0, prec=INF):
-        terms = {}
-        for i, code in enumerate(a.coeffs):
-            if code:
-                terms[i] = {(0,) * s: code}
-        return cls(a.ctx, s, terms, prec)
+        return _series(a.ctx, s, prec, len(a.coeffs) - 1, len(a.coeffs), (1,) * s,
+                       list(a.coeffs[::-1]))
 
     @classmethod
     def variable(cls, ctx, s, i, prec=INF):
         exps = tuple(1 if j == i - 1 else 0 for j in range(s))
-        return cls(ctx, s, {0: {exps: 1}}, prec)
+        return _from_pieces(ctx, s, prec, [(exps, 0, [1])])
 
     @classmethod
     def from_ratk(cls, x, prec, s=0):
         """The 1/theta-expansion of an element of K, exact to the precision."""
-        ctx = x.ctx
-        if x.is_zero():
-            return cls.zero(ctx, s, prec)
-        num = x.num.coeffs
-        den = x.den.coeffs
-        D = len(den) - 1
-        lead_inv = ctx.inv[den[-1]]
-        mul, add, neg = ctx.mul, ctx.add, ctx.neg
-        top = len(num) - 1
-        m_max = prec + top - D  # lowest needed exponent is -prec
-        if m_max < 0:
-            return cls.zero(ctx, s, prec)
-        # inverse coefficients: den^(-1) = sum over m of inv_m theta^(-D-m)
-        inv_seq = [lead_inv]
-        for m in range(1, m_max + 1):
-            acc = 0
-            for j in range(1, min(m, D) + 1):
-                t = mul[den[D - j]][inv_seq[m - j]]
-                acc = add[acc][t]
-            inv_seq.append(mul[neg[acc]][lead_inv] if acc else 0)
-        terms = {}
-        zero_exps = (0,) * s
-        for i, ni in enumerate(num):
-            if not ni:
-                continue
-            row = mul[ni]
-            for m, em in enumerate(inv_seq):
-                if em:
-                    k = i - D - m
-                    if k < -prec:
-                        continue
-                    cur = terms.get(k, {}).get(zero_exps, 0)
-                    v = add[cur][row[em]]
-                    if v:
-                        terms[k] = {zero_exps: v}
-                    else:
-                        terms.pop(k, None)
-        return cls(ctx, s, terms, prec)
+        top, rows = _expansion(x, prec)
+        return _series(x.ctx, s, prec, top, len(rows), (1,) * s, rows)
 
     @classmethod
     def embed_tpoly(cls, tp, prec, s=None):
         """Embed an exact TPoly coefficient-by-coefficient."""
         s = tp.s if s is None else s
-        total = cls.zero(tp.ctx, s, prec)
-        for exps, coef in tp.terms.items():
-            base = cls.from_ratk(coef, prec, s=0)
-            shifted = {}
-            pad = exps + (0,) * (s - len(exps))
-            for k, poly in base.terms.items():
-                shifted[k] = {pad: poly[()]}
-            total = total + cls(tp.ctx, s, shifted, prec)
-        return total
+        pad = (0,) * (s - tp.s)
+        return _from_pieces(tp.ctx, s, prec, [(e + pad, *_expansion(coef, prec))
+                                              for e, coef in tp.terms.items()])
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self):
+        """{theta-exponent: {t-exponents: code}} of the nonzero codes."""
+        out = {}
+        rows = self.rows
+        for m, e in enumerate(_exps(self.rad)):
+            for j, code in enumerate(self.c[m * rows:(m + 1) * rows]):
+                if code:
+                    out.setdefault(self.top - j, {})[e] = code
+        return out
+
     def valuation(self):
-        """min over stored terms of -(theta-exponent); +inf when empty."""
-        if not self.terms:
-            return INF
-        return -max(self.terms)
+        """Minus the largest theta-exponent present; +inf when empty."""
+        return -self.top if self.c else INF
 
     def is_zero_to_precision(self):
-        return not self.terms
+        return not self.c
 
     def lift_arity(self, s):
         if s < self.s:
             raise ArityMismatch("cannot lower arity")
-        if s == self.s:
-            return self
-        pad = (0,) * (s - self.s)
-        return TateSeries(self.ctx, s,
-                          {k: {e + pad: c for e, c in poly.items()}
-                           for k, poly in self.terms.items()}, self.prec)
+        return _series(self.ctx, s, self.prec, self.top, self.rows,
+                       self.rad + (1,) * (s - self.s), self.c)
 
     def truncate(self, prec):
-        return TateSeries(self.ctx, self.s, self.terms, min(self.prec, prec))
-
-    def coefficient(self, k):
-        """The F_q[t]-coefficient of theta^k, as a dict."""
-        return dict(self.terms.get(k, {}))
+        return _series(self.ctx, self.s, min(self.prec, prec), self.top, self.rows,
+                       self.rad, self.c)
 
     def _check(self, other):
         if not isinstance(other, TateSeries):
@@ -203,20 +220,20 @@ class TateSeries:
     def __add__(self, other):
         other = self._check(other)
         prec = min(self.prec, other.prec)
-        out = {k: dict(poly) for k, poly in self.terms.items()}
-        for k, poly in other.terms.items():
-            cur = out.get(k, {})
-            merged = _tadd(self.ctx, cur, poly)
-            if merged:
-                out[k] = merged
-            else:
-                out.pop(k, None)
-        return TateSeries(self.ctx, self.s, out, prec)
+        top = max(self.top, other.top)
+        rows = top - min(self.top - self.rows, other.top - other.rows)
+        rows = max(0, min(rows, top + prec + 1))
+        rad = tuple(map(max, self.rad, other.rad))
+        a = _reshape(self.c, self.rows, self.rad, rows, rad, top - self.top)
+        b = _reshape(other.c, other.rows, other.rad, rows, rad, top - other.top)
+        add = self.ctx.add
+        return _series(self.ctx, self.s, prec, top, rows, rad,
+                       [add[x][y] for x, y in zip(a, b)])
 
     def __neg__(self):
-        return TateSeries(self.ctx, self.s,
-                          {k: _tneg(self.ctx, poly) for k, poly in self.terms.items()},
-                          self.prec)
+        neg = self.ctx.neg
+        return _series(self.ctx, self.s, self.prec, self.top, self.rows, self.rad,
+                       [neg[x] for x in self.c])
 
     def __sub__(self, other):
         return self + (-other)
@@ -225,21 +242,19 @@ class TateSeries:
         other = self._check(other)
         prec = min(self.prec + other.valuation(),
                    other.prec + self.valuation())
-        out = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                k = k1 + k2
-                if prec is not INF and k < -prec:
-                    continue
-                prod = _tmul(self.ctx, p1, p2)
-                if prod:
-                    cur = out.get(k)
-                    out[k] = prod if cur is None else _tadd(self.ctx, cur, prod)
-        return TateSeries(self.ctx, self.s, out, prec)
+        if not (self.c and other.c):
+            return TateSeries.zero(self.ctx, self.s, prec)
+        rows = self.rows + other.rows - 1
+        rad = tuple(a + b - 1 for a, b in zip(self.rad, other.rad))
+        c = kern.kmul(self.ctx, *(
+            _reshape(x.c, x.rows, x.rad, rows, rad,
+                     size=_block([r - 1 for r in x.rad], rad) * rows + x.rows)
+            for x in (self, other)))
+        c += [0] * (rows * math.prod(rad) - len(c))
+        return _series(self.ctx, self.s, prec, self.top + other.top, rows, rad, c)
 
     def __pow__(self, n):
-        result = TateSeries.one(self.ctx, self.s, INF)
-        base = self
+        result, base = TateSeries.one(self.ctx, self.s, INF), self
         while n:
             if n & 1:
                 result = result * base
@@ -249,77 +264,53 @@ class TateSeries:
         return result
 
     def invert_unit(self):
-        """Inverse of a series with a dominant t-free unit term."""
-        if not self.terms:
+        """Inverse of a series with a dominant t-free unit term.  With u the
+        series scaled to leading term 1 and g its inverse to k rows, Newton's
+        g (2 - u g) = g - g (u g - 1) is the inverse to 2k rows; the inverse
+        keeps the relative precision, top + prec."""
+        if not self.c:
             raise NotAUnit("the zero series has no inverse")
-        kmax = max(self.terms)
-        lead = self.terms[kmax]
-        zero_exps = (0,) * self.s
-        if set(lead) != {zero_exps}:
+        lead = self.c[::self.rows]
+        if any(lead[1:]):
             raise NotAUnit("leading theta-coefficient must be a constant in t")
-        c = lead[zero_exps]
-        prec = self.prec + 2 * (-kmax) if self.prec is not INF else INF
-        target = prec if prec is not INF else None
-        if target is None:
-            # exact inputs still need a truncation horizon to terminate
+        if self.prec == INF:
             raise NotAUnit("cannot invert an exact series without a precision; truncate first")
-        cinv = self.ctx.inv[c]
-        # g = 1 - f / (c theta^kmax), valuation >= 1
-        scaled = {}
-        for k, poly in self.terms.items():
-            if k == kmax:
-                rest = {e: v for e, v in poly.items() if e != zero_exps}
-                if rest:
-                    scaled[k - kmax] = {e: self.ctx.mul[cinv][v] for e, v in rest.items()}
-            else:
-                scaled[k - kmax] = {e: self.ctx.mul[cinv][v] for e, v in poly.items()}
-        g = -TateSeries(self.ctx, self.s, scaled, prec)
-        acc = TateSeries.one(self.ctx, self.s, prec)
-        power = TateSeries.one(self.ctx, self.s, prec)
-        while True:
-            power = power * g
-            power = TateSeries(self.ctx, self.s, power.terms, prec)
-            if power.is_zero_to_precision() or power.valuation() > prec:
-                break
-            acc = acc + power
-        inv_terms = {k - kmax: {e: self.ctx.mul[cinv][v] for e, v in poly.items()}
-                     for k, poly in acc.terms.items()}
-        return TateSeries(self.ctx, self.s, inv_terms, prec)
+        ctx, s = self.ctx, self.s
+        cinv = ctx.inv[lead[0]]
+        n = self.top + self.prec
+        u = _series(ctx, s, n, 0, self.rows, self.rad, kern.kscal(ctx, cinv, self.c))
+        one = TateSeries.one(ctx, s)
+        g, k = one, 1
+        while k <= n:
+            k = min(2 * k, n + 1)
+            g = g - g * (u.truncate(k - 1) * g - one)
+            g = _series(ctx, s, INF, g.top, g.rows, g.rad, g.c)
+        return _series(ctx, s, self.prec + 2 * self.top, -self.top, g.rows, g.rad,
+                       kern.kscal(ctx, cinv, g.c))
 
     def substitute_theta_power(self, i, m):
         """Exact substitution t_i := theta^m on the stored truncation;
         precision decreases by m times the largest t_i-degree present."""
-        worst = 0
-        out = {}
-        for k, poly in self.terms.items():
-            for e, c in poly.items():
-                deg_i = e[i - 1]
-                worst = max(worst, deg_i)
-                nk = k + m * deg_i
-                ne = e[:i - 1] + (0,) + e[i:]
-                cur = out.setdefault(nk, {})
-                v = self.ctx.add[cur.get(ne, 0)][c]
-                if v:
-                    cur[ne] = v
-                elif ne in cur:
-                    del cur[ne]
-        prec = self.prec - m * worst if self.prec is not INF else INF
-        return TateSeries(self.ctx, self.s,
-                          {k: poly for k, poly in out.items() if poly}, prec)
+        rows = self.rows
+        pieces = [(e[:i - 1] + (0,) + e[i:], self.top + m * e[i - 1],
+                   self.c[b * rows:(b + 1) * rows]) for b, e in enumerate(_exps(self.rad))]
+        return _from_pieces(self.ctx, self.s, self.prec - m * (self.rad[i - 1] - 1), pieces)
 
     def __eq__(self, other):
         return (isinstance(other, TateSeries) and self.ctx == other.ctx
                 and self.s == other.s and self.prec == other.prec
-                and self.terms == other.terms)
+                and (self.top, self.rows, self.rad, self.c)
+                == (other.top, other.rows, other.rad, other.c))
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.terms:
-            return f"O(θ^-{self.prec})" if self.prec is not INF else "0"
+        terms = self.terms
+        if not terms:
+            return f"O(θ^-{self.prec})" if self.prec != INF else "0"
         pieces = []
-        for k in sorted(self.terms, reverse=True):
-            poly = self.terms[k]
+        for k in sorted(terms, reverse=True):
+            poly = terms[k]
             mono = []
             for e in sorted(poly):
                 c = poly[e]
@@ -335,7 +326,7 @@ class TateSeries:
                 pieces.append(f"({coeff})*{power}" if (len(mono) > 1 or coeff != "1")
                               else power)
         body = " + ".join(pieces)
-        if self.prec is not INF:
+        if self.prec != INF:
             body += f" + O(θ^-{self.prec + 1})"
         return body
 
@@ -347,11 +338,9 @@ class TateSeries:
 def pi_factor(ctx, prec):
     """Root-free factor of the period: product of (1 - theta^(1-q^i))^(-1)
     over i >= 1 while q^i - 1 <= prec."""
-    total = TateSeries.one(ctx, 0, prec)
-    i = 1
+    total, i = TateSeries.one(ctx, 0, prec), 1
     while ctx.q ** i - 1 <= prec:
-        f = TateSeries.one(ctx, 0, prec) - TateSeries(
-            ctx, 0, {1 - ctx.q ** i: {(): 1}}, prec)
+        f = TateSeries(ctx, 0, {0: {(): 1}, 1 - ctx.q ** i: {(): ctx.neg[1]}}, prec)
         total = total * f.invert_unit()
         i += 1
     return total
@@ -359,29 +348,44 @@ def pi_factor(ctx, prec):
 
 def omega_factor(ctx, prec):
     """Root-free factor of the weight-one generating function: product of
-    (1 - t_1 theta^(-q^i))^(-1) over i >= 0 while q^i <= prec.  The t^k
-    coefficient has valuation >= k, so the truncation is self-limiting."""
-    total = TateSeries.one(ctx, 1, prec)
-    i = 0
-    while ctx.q ** i <= prec:
-        f = TateSeries.one(ctx, 1, prec) - TateSeries(
-            ctx, 1, {-ctx.q ** i: {(1,): 1}}, prec)
-        total = total * f.invert_unit()
-        i += 1
-    return total
+    (1 - t_1 theta^(-q^i))^(-1) over i >= 0 (1 to the precision once
+    q^i > prec).  With x = 1/theta, omega(t, x) (1 - t x) = omega(t, x^q):
+    the code of t^k x^j is that of t^(k-1) x^(j-1), plus that of t^k x^(j/q)
+    where q divides j.  The t^k coefficient has valuation >= k."""
+    rows, q, add = max(prec, 0) + 1, ctx.q, ctx.add
+    c = [1] + [0] * (rows * rows - 1)
+    for o in range(rows, rows * rows, rows):
+        c[o + 1:o + rows] = c[o - rows:o - 1]
+        for j in range(q, rows, q):
+            c[o + j] = add[c[o + j]][c[o + j // q]]
+    return _series(ctx, 1, prec, 0, rows, (rows,), c)
 
 
 # ---------------------------------------------------------------------------
 # zeta series
 # ---------------------------------------------------------------------------
 
+def _inverse_power(ctx, a, n, rows):
+    """The first `rows` codes of 1/a^n for monic a, from theta^(-n deg a)
+    down.  With qk = q^k > n, 1/a^n = a^(qk-n) / a^qk, and 1/a^qk is 1/a
+    spread by qk (Frobenius), so only rows/qk codes of 1/a need a division."""
+    qk = ctx.q
+    while qk <= n:
+        qk *= ctx.q
+    short = -(-rows // qk)
+    inv = kern.kdivmod(ctx, [0] * (short + len(a) - 2) + [1], a)[0][::-1]
+    num = kern.kpow(ctx, a, qk - n)[::-1][:rows]
+    return kern.kmul(ctx, kern.kspread(inv, qk), num)[:rows]
+
+
 def _series_power_sum(cache, d, n, sigma, prec, budget=None):
     """The degree-d order-n twisted power sum as a series to the given
     precision: exact closed forms embedded when available (degree
-    characters excepted), otherwise a per-monic sum of inverted series."""
+    characters excepted), otherwise the sum of sigma(a) times the expansion
+    of 1/a^n over monic a, accumulated packed per t-monomial.  Every 1/a^n
+    starts at theta^(-nd) with coefficient 1, so all expansions align."""
     key = ("series", d, n, sigma, prec)
-    with cache._lock:
-        hit = cache._psums.get(key)
+    hit = cache._psums.get(key)
     if hit is not None:
         return hit
     ctx = cache.ctx
@@ -390,16 +394,21 @@ def _series_power_sum(cache, d, n, sigma, prec, budget=None):
                                      prec, s=sigma.s)
     else:
         cache.check_budget(ctx.q ** d, budget)
-        total = TateSeries.zero(ctx, sigma.s, prec)
-        for a in enumerate_monics(ctx, d):
-            inv_an = TateSeries.from_ratk(
-                RatK(APoly.one(ctx), a ** n), prec, s=sigma.s)
-            codes = sigma.eval_codes(list(a.coeffs))
-            twist = TateSeries(ctx, sigma.s, {0: codes}, INF)
-            total = total + twist * inv_an
-        val = total
-    with cache._lock:
-        cache._psums[key] = val
+        rows = prec - n * d + 1
+        acc = {}
+        if rows > 0:
+            unit, every = kern._units(ctx), kern.reduce_interval(ctx, 1, ctx.q ** d)
+            for i, a in enumerate(enumerate_monics(ctx, d), 1):
+                coeffs = list(a.coeffs)
+                packed = kern.pack(ctx, _inverse_power(ctx, coeffs, n, rows))
+                for exps, code in sigma.eval_codes(coeffs).items():
+                    acc[exps] = acc.get(exps, 0) + unit[code] * packed
+                if every and i % every == 0:
+                    acc = {e: kern.pack(ctx, kern.unpack(ctx, v, rows))
+                           for e, v in acc.items()}
+        val = _from_pieces(ctx, sigma.s, prec, [(e, -n * d, kern.unpack(ctx, v, rows))
+                                                for e, v in acc.items()])
+    cache._psums[key] = val
     return val
 
 
@@ -472,7 +481,7 @@ def annals_check(cache, prec):
     ctx = cache.ctx
     work = prec + ctx.q + 3
     sigma = SemiChar.chi(ctx, 1, 1)
-    data_sigma = _single_data(cache, sigma, 1)
+    data_sigma = MatrixData(ctx, [(sigma, 1)])
     z = zeta_series(cache, data_sigma, work)
     theta_minus_t = (TateSeries.from_apoly(APoly.theta(ctx), s=1)
                      - TateSeries.variable(ctx, 1, 1)).truncate(work)
@@ -482,7 +491,6 @@ def annals_check(cache, prec):
     main = valuation_identity_check(lhs.truncate(prec + 1), rhs.truncate(prec + 1),
                                     prec)
     # exact specializations of the truncated weight-one zeta sum
-    from .mzv import partial_zeta
     theta = RatK.from_apoly(APoly.theta(ctx))
     depth = 4
     fd = partial_zeta(cache, depth, data_sigma)
@@ -494,14 +502,8 @@ def annals_check(cache, prec):
     return main
 
 
-def _single_data(cache, sigma, n):
-    from .mzv import MatrixData
-    return MatrixData(cache.ctx, [(sigma, n)])
-
-
 def family_qk_check(cache, k, prec, budget=None):
     """zeta(q^k) zeta(q^k - 1) = zeta(2 q^k - 1) + zeta(q^k - 1, q^k)."""
-    from .mzv import MatrixData
     ctx = cache.ctx
     q = ctx.q
     work = prec + 2
@@ -515,7 +517,6 @@ def family_qk_check(cache, k, prec, budget=None):
 
 def thakur_weight_check(cache, m, prec, budget=None):
     """zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m for 1 <= m <= q-1."""
-    from .mzv import MatrixData
     ctx = cache.ctx
     q = ctx.q
     work = prec + 2 * m * q + 2
@@ -537,7 +538,6 @@ def strange_shuffle_check(cache, h, k, prec, budget=None):
         + zeta(q^(k+h), q^(k+h) - q^h - 1) + zeta(q^(k+h) - q^h - 1, q^(k+h))
         - zeta(q^(k+h) - q^h, q^(k+h) - 1) - zeta(q^(k+h) - 1, q^(k+h) - q^h)
     """
-    from .mzv import MatrixData
     ctx = cache.ctx
     q = ctx.q
     if h < 0 or k < 0 or h + k == 0:
@@ -566,7 +566,6 @@ def strange_shuffle_check(cache, h, k, prec, budget=None):
 def log_identity_check(cache, prec):
     """The weight-one zeta value equals the logarithm series at 1:
     sum over i of ell(i)^(-1)."""
-    from .mzv import MatrixData
     ctx = cache.ctx
     z = zeta_series(cache, MatrixData.untwisted(ctx, (1,)), prec)
     log1 = TateSeries.zero(ctx, 0, prec)

@@ -128,3 +128,128 @@ def naive_power_sum(ctx, d, k, sigma_codes):
             term = NFrac(ctx, [code]) * frac
             total[exps] = total.get(exps, NFrac(ctx, [])) + term
     return {e: f for e, f in total.items() if f.num}
+
+
+# ---------------------------------------------------------------------------
+# truncated Tate series as dicts of dicts (the oracle for carlitz.tate)
+# ---------------------------------------------------------------------------
+
+INF = float("inf")
+
+
+def _tadd(ctx, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        v = ctx.add[out.get(e, 0)][c]
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _tmul(ctx, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = ctx.add[out.get(e, 0)][ctx.mul[c1][c2]]
+    return {e: c for e, c in out.items() if c}
+
+
+class NSeries:
+    """A truncated Tate series as {theta-exponent: {t-exponents: code}},
+    known for exponents >= -prec: products term by term, 1/theta-expansions
+    by schoolbook long division, inverses by the geometric series."""
+
+    def __init__(self, ctx, s, terms, prec):
+        self.ctx, self.s, self.prec = ctx, s, prec
+        terms = {k: {e: c for e, c in poly.items() if c}
+                 for k, poly in terms.items() if k >= -prec}
+        self.terms = {k: poly for k, poly in terms.items() if poly}
+
+    @classmethod
+    def one(cls, ctx, s, prec=INF):
+        return cls(ctx, s, {0: {(0,) * s: 1}}, prec)
+
+    @classmethod
+    def from_ratk(cls, x, prec, s=0):
+        ctx = x.ctx
+        num, den = list(x.num.coeffs), list(x.den.coeffs)
+        if not num:
+            return cls(ctx, s, {}, prec)
+        D = len(den) - 1
+        lead_inv = ctx.inv[den[-1]]
+        m_max = prec + len(num) - 1 - D       # the lowest exponent needed is -prec
+        inv_seq = [lead_inv]                  # 1/den = sum of inv_m theta^(-D-m)
+        for m in range(1, m_max + 1):
+            acc = 0
+            for j in range(1, min(m, D) + 1):
+                acc = ctx.add[acc][ctx.mul[den[D - j]][inv_seq[m - j]]]
+            inv_seq.append(ctx.mul[ctx.neg[acc]][lead_inv])
+        terms = {}
+        for i, ni in enumerate(num):
+            for m, em in enumerate(inv_seq):
+                k = i - D - m
+                terms[k] = _tadd(ctx, terms.get(k, {}), {(0,) * s: ctx.mul[ni][em]})
+        return cls(ctx, s, terms, prec)
+
+    def valuation(self):
+        return -max(self.terms) if self.terms else INF
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, poly in other.terms.items():
+            out[k] = _tadd(self.ctx, out.get(k, {}), poly)
+        return NSeries(self.ctx, self.s, out, min(self.prec, other.prec))
+
+    def __neg__(self):
+        return NSeries(self.ctx, self.s,
+                       {k: {e: self.ctx.neg[c] for e, c in poly.items()}
+                        for k, poly in self.terms.items()}, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        prec = min(self.prec + other.valuation(), other.prec + self.valuation())
+        out = {}
+        for k1, p1 in self.terms.items():
+            for k2, p2 in other.terms.items():
+                if k1 + k2 >= -prec:
+                    out[k1 + k2] = _tadd(self.ctx, out.get(k1 + k2, {}),
+                                         _tmul(self.ctx, p1, p2))
+        return NSeries(self.ctx, self.s, out, prec)
+
+    def __pow__(self, n):
+        out = NSeries.one(self.ctx, self.s)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def invert_unit(self):
+        """c theta^k (1 - g) with g of valuation >= 1 has the inverse
+        theta^(-k) c^(-1) (1 + g + g^2 + ...), known to the same relative
+        precision prec + k."""
+        ctx, s = self.ctx, self.s
+        k = max(self.terms)
+        cinv = ctx.inv[self.terms[k][(0,) * s]]
+        rel = self.prec + k
+        one = NSeries.one(ctx, s, rel)
+        g = one - NSeries(ctx, s, {j - k: {e: ctx.mul[cinv][c] for e, c in poly.items()}
+                                   for j, poly in self.terms.items()}, rel)
+        acc, power = one, one
+        while power.terms:
+            power = NSeries(ctx, s, (power * g).terms, rel)
+            acc = acc + power
+        return NSeries(ctx, s, {j - k: {e: ctx.mul[cinv][c] for e, c in poly.items()}
+                                for j, poly in acc.terms.items()}, self.prec + 2 * k)
+
+    def substitute_theta_power(self, i, m):
+        out, worst = {}, 0
+        for k, poly in self.terms.items():
+            for e, c in poly.items():
+                worst = max(worst, e[i - 1])
+                nk = k + m * e[i - 1]
+                out[nk] = _tadd(self.ctx, out.get(nk, {}), {e[:i - 1] + (0,) + e[i:]: c})
+        return NSeries(self.ctx, self.s, out, self.prec - m * worst)

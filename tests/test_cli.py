@@ -101,6 +101,16 @@ def test_verify_with_no_case_is_skipped_and_exits_nonzero(capsys, tmp_path, qs, 
     assert doc["checks"][0]["status"] == "skipped"
 
 
+def test_verify_names_grid_points_over_budget(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--budget", "100",
+                           "--suite", "thm-formulaBG")
+    assert code == 0
+    assert "ok    2 cases exact; over budget: q=3 d=3, q=3 d=4" in out
+    code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--suite", "thm-formulaBG")
+    assert code == 0
+    assert "4 cases exact" in out and "over budget" not in out
+
+
 def test_verify_rejects_q2(capsys):
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--suite", "all")
     assert code == 2

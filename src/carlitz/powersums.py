@@ -14,7 +14,9 @@ Twisted power sums of degree d and order k are sums of a^(-k) sigma(a)
 over the q^d monic a of degree d.  They are computed two independent
 ways: literal enumeration (the oracle; fractions are accumulated over the
 lcm of the enumerated monics, assembled from the irreducibles of degree
-<= d), and closed forms for the families with known ones.  The closed
+<= d), and closed forms for the families with known ones.  `monic_sum` is
+the one enumeration loop: every sum over monics in the package, here and
+in the skew and Tate-series oracles, goes through it.  The closed
 forms and the enumeration must agree exactly; tests and the verification
 suite enforce that.
 """
@@ -290,48 +292,57 @@ class SeqCache:
 # brute-force twisted power sums (the enumeration oracle)
 # ---------------------------------------------------------------------------
 
+def monic_sum(cache, d, sigma, value, nslots, budget=None):
+    """Sum of sigma(a) * value(a) over the q^d monic a of degree d: the one
+    enumeration loop behind every oracle.
+
+    value maps the coefficient list of a to a list of at most nslots codes;
+    it is packed once per monic and added, times each code of sigma(a), into
+    one packed accumulator per t-monomial, reduced before a slot can
+    overflow.  Returns a dict t-exponents -> list of nslots codes.
+    """
+    ctx = cache.ctx
+    count = ctx.q ** d
+    cache.check_budget(count, budget)
+    unit = kern._units(ctx)
+    every = kern.reduce_interval(ctx, 1, count)
+    acc = {}
+    for i, a in enumerate(enumerate_monics(ctx, d), 1):
+        coeffs = list(a.coeffs)
+        packed = kern.pack(ctx, value(coeffs))
+        for exps, code in sigma.eval_codes(coeffs).items():
+            acc[exps] = acc.get(exps, 0) + unit[code] * packed
+        if every and i % every == 0:
+            acc = {e: kern.pack(ctx, kern.unpack(ctx, v, nslots))
+                   for e, v in acc.items()}
+    return {e: kern.unpack(ctx, v, nslots) for e, v in acc.items()}
+
+
 def power_sum_bruteforce(cache, d, k, sigma, budget=None):
     """Sum of a^(-k) sigma(a) over all monic a of degree d, by enumeration.
 
     Negative k means positive powers of a (used by the finite zeta sums at
-    negative integers); the result then has coefficients in A.
+    negative integers); the result then has coefficients in A.  Positive k
+    sums the cofactors lcm^k / a^k over the lcm of the monics.
     """
     ctx = cache.ctx
     cache.check_budget(ctx.q ** d, budget)
-    s = sigma.s
-    if k <= 0:
-        acc = {}
-        m = -k
-        for a in enumerate_monics(ctx, d):
-            am = list(kern.kpow(ctx, list(a.coeffs), m)) if m else [1]
-            for exps, code in sigma.eval_codes(list(a.coeffs)).items():
-                cur = acc.get(exps, [])
-                acc[exps] = kern.kadd(ctx, cur, kern.kscal(ctx, code, am))
-        return TPoly(ctx, s,
-                     {e: RatK.from_apoly(APoly._make(ctx, v))
-                      for e, v in acc.items() if v}, _clean=True)
-
-    den_poly = cache.monic_lcm(d) ** k
-    den = list(den_poly.coeffs)
-    nslots = len(den)
-    acc = {}
-    unit = kern._units(ctx)
-    every = kern.reduce_interval(ctx, 1, ctx.q ** d)
-    for i, a in enumerate(enumerate_monics(ctx, d), 1):
-        ak = kern.kpow(ctx, list(a.coeffs), k)
-        cof = kern.kexactdiv(ctx, den, ak)
-        packed = kern.pack(ctx, cof)
-        for exps, code in sigma.eval_codes(list(a.coeffs)).items():
-            acc[exps] = acc.get(exps, 0) + unit[code] * packed
-        if every and i % every == 0:
-            acc = {x: kern.pack(ctx, kern.unpack(ctx, v, nslots))
-                   for x, v in acc.items()}
+    if k > 0:
+        den_poly = cache.monic_lcm(d) ** k
+        den = list(den_poly.coeffs)
+        sums = monic_sum(cache, d, sigma,
+                         lambda a: kern.kexactdiv(ctx, den, kern.kpow(ctx, a, k)),
+                         len(den), budget)
+    else:
+        den_poly = APoly.one(ctx)
+        sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),
+                         1 - k * d, budget)
     terms = {}
-    for exps, packed_num in acc.items():
-        num = kern.trim(kern.unpack(ctx, packed_num, nslots))
-        if num:
-            terms[exps] = RatK(APoly._make(ctx, num), den_poly)
-    return TPoly(ctx, s, terms, _clean=True)
+    for exps, num in sums.items():
+        num = APoly._make(ctx, num)
+        if not num.is_zero():
+            terms[exps] = RatK(num, den_poly)
+    return TPoly(ctx, sigma.s, terms, _clean=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ frak_S(d, n) is the twisted-coefficient power sum: the sum of
 a^(-q^n) C_a over monic a of degree d.  It is computed both by
 enumeration and through the chain closed form (tau^(i_n) in the last
 chain slot, matching the expansion of b); the two must agree exactly or
-ClosedFormMismatch is raised.
+ClosedFormMismatch is raised.  Since C_a is F_q-linear in a, the
+enumeration is eta of the enumerated S_d(q^n; chi_t): no Carlitz action
+is computed per monic.
 """
 
-from . import _packed as kern
 from .errors import ClosedFormMismatch, ContextMismatch
 from .ffield import FqElem
 from .poly import APoly, RatK
-from .powersums import chain_weights
+from .powersums import SemiChar, chain_weights, power_sum_bruteforce
 from .tpoly import TPoly
 
 
@@ -210,40 +211,12 @@ def eta_inv(cache, f):
 # ---------------------------------------------------------------------------
 
 def frak_S_bruteforce(cache, d, n, budget=None):
-    """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration,
-    accumulated over the lcm denominator."""
-    from .poly import enumerate_monics
+    """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration.  The
+    Carlitz action is F_q-linear in a, C_a = sum of a_i C_(theta^i), so
+    the sum is eta of the enumerated S_d(q^n; chi_t)."""
     ctx = cache.ctx
-    qn = ctx.q ** n
-    cache.check_budget(ctx.q ** d, budget)
-    den_poly = cache.monic_lcm(d) ** qn
-    den = list(den_poly.coeffs)
-    acc = [0] * (d + 1)
-    acc_len = [0] * (d + 1)  # the numerators need not be proper fractions
-    # a slot of one product sums at most len(cofactor) digit products
-    every = kern.reduce_interval(ctx, len(den) - d * qn, ctx.q ** d)
-    for i, a in enumerate(enumerate_monics(ctx, d), 1):
-        ca = carlitz_action(cache, a)
-        apow = kern.kpow(ctx, list(a.coeffs), qn)
-        cof_coeffs = kern.kexactdiv(ctx, den, apow)
-        cof = kern.pack(ctx, cof_coeffs)
-        for j, coeff in enumerate(ca.coeffs):
-            num = coeff.as_apoly()  # Carlitz coefficients lie in A
-            if num.is_zero():
-                continue
-            acc[j] += kern.pack(ctx, list(num.coeffs)) * cof
-            acc_len[j] = max(acc_len[j], len(num.coeffs) + len(cof_coeffs) - 1)
-        if every and i % every == 0:
-            acc = [kern.pack(ctx, kern.unpack(ctx, v, m))
-                   for v, m in zip(acc, acc_len)]
-    out = []
-    for j in range(d + 1):
-        if acc[j]:
-            num = kern.trim(kern.unpack(ctx, acc[j], acc_len[j]))
-            out.append(RatK(APoly._make(ctx, num), den_poly))
-        else:
-            out.append(RatK.zero(ctx))
-    return SkewPoly(ctx, out)
+    return eta(cache, power_sum_bruteforce(cache, d, ctx.q ** n,
+                                           SemiChar.chi(ctx, 1, 1), budget))
 
 
 def frak_S_closed(cache, d, n):

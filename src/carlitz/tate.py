@@ -39,8 +39,8 @@ from . import _packed as kern
 from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
                      PrecisionInsufficient)
 from .mzv import MatrixData, partial_zeta
-from .poly import APoly, RatK, enumerate_monics
-from .powersums import ChainSums, SemiChar, closed_form, power_sum
+from .poly import APoly, RatK
+from .powersums import ChainSums, SemiChar, closed_form, monic_sum, power_sum
 from .tpoly import TPoly
 
 INF = math.inf
@@ -307,7 +307,7 @@ class TateSeries:
     def __repr__(self):
         terms = self.terms
         if not terms:
-            return f"O(θ^-{self.prec})" if self.prec != INF else "0"
+            return f"O(θ^-{self.prec + 1})" if self.prec != INF else "0"
         pieces = []
         for k in sorted(terms, reverse=True):
             poly = terms[k]
@@ -382,8 +382,8 @@ def _series_power_sum(cache, d, n, sigma, prec, budget=None):
     """The degree-d order-n twisted power sum as a series to the given
     precision: exact closed forms embedded when available (degree
     characters excepted), otherwise the sum of sigma(a) times the expansion
-    of 1/a^n over monic a, accumulated packed per t-monomial.  Every 1/a^n
-    starts at theta^(-nd) with coefficient 1, so all expansions align."""
+    of 1/a^n over monic a, through `monic_sum`.  Every 1/a^n starts at
+    theta^(-nd) with coefficient 1, so all expansions align."""
     key = ("series", d, n, sigma, prec)
     hit = cache._psums.get(key)
     if hit is not None:
@@ -393,21 +393,14 @@ def _series_power_sum(cache, d, n, sigma, prec, budget=None):
         val = TateSeries.embed_tpoly(power_sum(cache, d, n, sigma, budget),
                                      prec, s=sigma.s)
     else:
-        cache.check_budget(ctx.q ** d, budget)
         rows = prec - n * d + 1
-        acc = {}
         if rows > 0:
-            unit, every = kern._units(ctx), kern.reduce_interval(ctx, 1, ctx.q ** d)
-            for i, a in enumerate(enumerate_monics(ctx, d), 1):
-                coeffs = list(a.coeffs)
-                packed = kern.pack(ctx, _inverse_power(ctx, coeffs, n, rows))
-                for exps, code in sigma.eval_codes(coeffs).items():
-                    acc[exps] = acc.get(exps, 0) + unit[code] * packed
-                if every and i % every == 0:
-                    acc = {e: kern.pack(ctx, kern.unpack(ctx, v, rows))
-                           for e, v in acc.items()}
-        val = _from_pieces(ctx, sigma.s, prec, [(e, -n * d, kern.unpack(ctx, v, rows))
-                                                for e, v in acc.items()])
+            sums = monic_sum(cache, d, sigma, lambda a: _inverse_power(ctx, a, n, rows),
+                             rows, budget)
+        else:
+            cache.check_budget(ctx.q ** d, budget)
+            sums = {}
+        val = _from_pieces(ctx, sigma.s, prec, [(e, -n * d, r) for e, r in sums.items()])
     cache._psums[key] = val
     return val
 

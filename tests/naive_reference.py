@@ -6,6 +6,10 @@ field tables, and fractions are unnormalized pairs compared by cross
 multiplication.  The field tables themselves are validated separately
 against the field axioms, so this layer is an independent route to every
 value it checks.
+
+The one exception is `frak_S_naive`, the package's former skew oracle: it
+uses the packed kernel, but computes the Carlitz action of every monic,
+so it checks the route through eta and F_q-linearity that replaced it.
 """
 
 import itertools
@@ -253,3 +257,46 @@ class NSeries:
                 nk = k + m * e[i - 1]
                 out[nk] = _tadd(self.ctx, out.get(nk, {}), {e[:i - 1] + (0,) + e[i:]: c})
         return NSeries(self.ctx, self.s, out, self.prec - m * worst)
+
+
+# ---------------------------------------------------------------------------
+# the skew power sums by the Carlitz action of each monic
+# ---------------------------------------------------------------------------
+
+def frak_S_naive(cache, d, n, budget=None):
+    """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration,
+    accumulated over the lcm denominator."""
+    from carlitz import _packed as kern
+    from carlitz.poly import APoly, RatK, enumerate_monics
+    from carlitz.skew import SkewPoly, carlitz_action
+    ctx = cache.ctx
+    qn = ctx.q ** n
+    cache.check_budget(ctx.q ** d, budget)
+    den_poly = cache.monic_lcm(d) ** qn
+    den = list(den_poly.coeffs)
+    acc = [0] * (d + 1)
+    acc_len = [0] * (d + 1)  # the numerators need not be proper fractions
+    # a slot of one product sums at most len(cofactor) digit products
+    every = kern.reduce_interval(ctx, len(den) - d * qn, ctx.q ** d)
+    for i, a in enumerate(enumerate_monics(ctx, d), 1):
+        ca = carlitz_action(cache, a)
+        apow = kern.kpow(ctx, list(a.coeffs), qn)
+        cof_coeffs = kern.kexactdiv(ctx, den, apow)
+        cof = kern.pack(ctx, cof_coeffs)
+        for j, coeff in enumerate(ca.coeffs):
+            num = coeff.as_apoly()  # Carlitz coefficients lie in A
+            if num.is_zero():
+                continue
+            acc[j] += kern.pack(ctx, list(num.coeffs)) * cof
+            acc_len[j] = max(acc_len[j], len(num.coeffs) + len(cof_coeffs) - 1)
+        if every and i % every == 0:
+            acc = [kern.pack(ctx, kern.unpack(ctx, v, m))
+                   for v, m in zip(acc, acc_len)]
+    out = []
+    for j in range(d + 1):
+        if acc[j]:
+            num = kern.trim(kern.unpack(ctx, acc[j], acc_len[j]))
+            out.append(RatK(APoly._make(ctx, num), den_poly))
+        else:
+            out.append(RatK.zero(ctx))
+    return SkewPoly(ctx, out)

@@ -11,7 +11,9 @@ from carlitz.powersums import (SemiChar, SeqCache, power_sum_bruteforce,
 from carlitz.skew import (SkewPoly, carlitz_action, eta, eta_inv,
                           frak_S, frak_S_bruteforce, frak_S_closed,
                           star_chain_check)
+from carlitz.tate import _series_power_sum
 from carlitz.tpoly import TPoly
+from naive_reference import NSeries, frak_S_naive, naive_power_sum
 
 
 def one(ctx):
@@ -130,6 +132,16 @@ def test_frak_S_closed_vs_bruteforce(q):
         frak_S(cache, d, n)  # must not raise
 
 
+@pytest.mark.parametrize("q,d_max", [(3, 3), (4, 3), (5, 3), (8, 2), (9, 2)])
+def test_frak_S_bruteforce_matches_carlitz_action_loop(q, d_max):
+    # the eta route through F_q-linearity against the per-monic Carlitz
+    # action, including e > 1 at p = 2 and p = 3
+    cache = SeqCache(FieldContext(q))
+    for n in (1, 2):
+        for d in range(d_max + 1):
+            assert frak_S_bruteforce(cache, d, n) == frak_S_naive(cache, d, n), (d, n)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_oracle_accumulators_reduce_on_slot_bound(q, monkeypatch):
     # large p makes the packed oracle accumulators reduce every few monics;
@@ -142,6 +154,20 @@ def test_oracle_accumulators_reduce_on_slot_bound(q, monkeypatch):
         assert power_sum_closed(cache, d, "f1") == power_sum_bruteforce(cache, d, 2, triv)
         assert power_sum_closed(cache, d, "f2") == power_sum_bruteforce(cache, d, 2, sigma)
         assert frak_S_closed(cache, d, 1) == frak_S_bruteforce(cache, d, 1), d
+        # k < 0: the sum of a^3 a(t)
+        got = power_sum_bruteforce(cache, d, -3, sigma)
+        want = naive_power_sum(ctx, d, -3, sigma.eval_codes)
+        assert set(got.terms) == set(want), d
+        assert all(f.matches_ratk(got.terms[e]) for e, f in want.items()), d
+    # the per-monic series, with a degree character so no closed form applies
+    prec, nu = 30, SemiChar(ctx, 2, varis=(1,), degs=(2,))
+    for d in range(3):
+        want = NSeries(ctx, 2, {}, prec)
+        for a in enumerate_monics(ctx, d):
+            twist = NSeries(ctx, 2, {0: nu.eval_codes(list(a.coeffs))}, float("inf"))
+            want = want + twist * NSeries.from_ratk(RatK(APoly.one(ctx), a ** 3), prec, s=2)
+        got = _series_power_sum(cache, d, 3, nu, prec)
+        assert (got.terms, got.prec) == (want.terms, want.prec), d
 
 
 def test_frak_S_equivalence_with_commutative_form(cache3):

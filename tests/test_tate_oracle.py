@@ -103,6 +103,7 @@ def test_exact_products_print_without_an_error_term(ctx3):
     assert repr(one * one) == "1"
     assert repr(TateSeries.zero(ctx3, 0) * one) == "0"
     assert repr(one.truncate(4) * one) == "1 + O(θ^-5)"
+    assert repr(TateSeries.zero(ctx3, 0, 10)) == "O(θ^-11)"
 
 
 def test_inverse_keeps_the_relative_precision(ctx3):

@@ -7,8 +7,9 @@ one 32-bit slot per coefficient (for e = 1) or one 32-bit sub-slot per
 F_p-digit with 2e sub-slots per coefficient (for e > 1), so that
 polynomial multiplication becomes one big-integer multiplication.
 Division is schoolbook over the divisor's nonzero terms up to a work
-budget, then Newton inversion of the reversed divisor (a few `kmul`s) for
-long quotients, else a loop of big-integer additions of shifted multiples.
+budget; what that prefix leaves goes to Newton inversion of the reversed
+divisor (a few `kmul`s), or on to schoolbook when the quotient is too long
+for a packed product's slots.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
@@ -17,7 +18,9 @@ maps the digits of sum d_j x^j to its element code mod the field modulus.
 kmul and kdivmod check their slot bound before packing (for products,
 min(len) * e * (p-1)^2 < 2^32) and fall back to the schoolbook loop when
 it fails, which only happens for large p; the prime-field kgcd tracks the
-exact slot bound and renormalizes before it reaches 2^31.
+exact slot bound and renormalizes before it reaches 2^31.  The slot codecs
+read and write native 32-bit array items as little-endian bytes, so
+importing the module fails on any other platform.
 """
 
 from array import array
@@ -30,10 +33,10 @@ _MASK = (1 << _W) - 1
 _MUL_CUTOFF = 24              # below this, schoolbook beats pack/unpack
 _DIV_CUTOFF = 24
 _NAIVE_WORK = 8               # schoolbook work per quotient slot and sub-slot
-_NEWTON_QUO = 128             # Newton division from this quotient length ...
-_NEWTON_LEN = 512             # ... and this dividend length
 
-assert sys.byteorder == "little" or array("I", b"\x01\x00\x00\x00")[0] == 1
+if sys.byteorder != "little" or array("I").itemsize != 4:
+    raise ImportError("the packed kernel needs 4-byte little-endian "
+                      "array('I') items")
 
 
 def trim(a):
@@ -228,43 +231,16 @@ def kdivmod(ctx, a, b):
     if la <= _DIV_CUTOFF or la - lb <= 2:
         return kdivmod_naive(ctx, a, b)
     # schoolbook is cheap on the sparse operands most callers divide; past
-    # about what a packed division costs, the packed paths take the rest
+    # about what a packed division costs, Newton takes the rest when its
+    # products (shorter operand at most nq coefficients) fit their slots
     quo, r = kdivmod_naive(ctx, a, b, _NAIVE_WORK * ctx.SUB * (la - lb + 1))
     if len(r) < lb:
         return quo, r
-    rest, rem = _kdivmod_packed(ctx, r, b)
+    if (len(r) - lb + 1) * ctx.e * (ctx.p - 1) ** 2 < 1 << _W:
+        rest, rem = _kdivmod_newton(ctx, r, b)
+    else:
+        rest, rem = kdivmod_naive(ctx, r, b)
     return kadd(ctx, quo, rest), rem
-
-
-def _kdivmod_packed(ctx, a, b):
-    la, lb = len(a), len(b)
-    p, e = ctx.p, ctx.e
-    nq = la - lb + 1
-    # Newton's products have a shorter operand of at most nq coefficients
-    if (nq >= _NEWTON_QUO and la >= _NEWTON_LEN
-            and nq * e * (p - 1) ** 2 < 1 << _W):
-        return _kdivmod_newton(ctx, a, b)
-    # a slot starts below p and takes at most min(nq, lb) * e additions of
-    # a digit times a divisor digit
-    if (p - 1) + min(nq, lb) * e * (p - 1) ** 2 >= 1 << _W:
-        return kdivmod_naive(ctx, a, b)
-
-    slotbits = _W * ctx.SUB
-    lc = b[-1]
-    bm = b if lc == 1 else kscal(ctx, ctx.inv[lc], b)
-    D = pack(ctx, bm)
-    R = pack(ctx, a)
-    quo = [0] * nq
-    unit, neg = _units(ctx), ctx.neg
-    for k in range(nq - 1, -1, -1):
-        s = _slot_elem(ctx, R, k + lb - 1)
-        if s:
-            quo[k] = s
-            R += unit[neg[s]] * (D << (k * slotbits))
-    rem = trim(unpack(ctx, R & ((1 << ((lb - 1) * slotbits)) - 1), lb - 1))
-    if lc != 1:
-        quo = kscal(ctx, ctx.inv[lc], quo)
-    return trim(quo), rem
 
 
 def _kdivmod_newton(ctx, a, b):
@@ -313,16 +289,9 @@ def reduce_interval(ctx, width, count):
 
 
 def _slot_elem(ctx, value, k):
-    """Element code held in coefficient slot k of a packed value whose
-    sub-slots may be unreduced (only their residues mod p are meaningful)."""
-    p = ctx.p
-    if ctx.e == 1:
-        return ((value >> (k * _W)) & _MASK) % p
-    top = value >> (k * _W * ctx.SUB)
-    idx = 0
-    for j in range(2 * ctx.e - 2, -1, -1):
-        idx = idx * p + ((top >> (_W * j)) & _MASK) % p
-    return ctx._fold[idx]
+    """Element code held in slot k of a prime-field packed value whose
+    slots may be unreduced (only their residues mod p are meaningful)."""
+    return ((value >> (k * _W)) & _MASK) % ctx.p
 
 
 _GCD_CUTOFF = 48

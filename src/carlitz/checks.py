@@ -7,6 +7,12 @@ reports pass/fail/skipped with a witness string, and valuation-threshold
 checks also record the achieved valuation of the difference.  A check
 whose grid holds no case at the given parameters is skipped, not passed.
 
+An exact check is a generator over its grid, registered by `_grid_check`:
+for each case it yields None if the case held or its failure message, and
+for each grid point it leaves out because the enumeration would exceed
+the budget, an `_Over` label naming the point.  That driver alone counts
+the cases and turns them into a status and a witness.
+
 Reports are deterministic: two runs with the same parameters produce the
 same records up to the timing field.
 """
@@ -91,29 +97,38 @@ class CheckSpec:
 
 REGISTRY = {}
 
-
-def _register(id, kind, description):
-    def deco(fn):
-        REGISTRY[id] = CheckSpec(id, kind, description, fn)
-        return fn
-    return deco
-
-
 _NO_CASE = "no case ran at these parameters"
 
 
-def _grid_result(failures, cases, extra="", over=()):
-    """Status and witness of a grid; `over` names the grid points left out
-    because their enumeration exceeds the budget."""
-    tail = f"; over budget: {', '.join(over)}" if over else ""
-    if failures:
-        return "fail", "; ".join(failures[:4]) + tail, None
-    if not cases:
-        return "skipped", _NO_CASE + tail, None
-    msg = f"{cases} cases exact"
-    if extra:
-        msg += f"; {extra}"
-    return "pass", msg + tail, None
+class _Over(str):
+    """A grid point left out because its enumeration exceeds the budget."""
+
+
+def _grid_check(id, kind, description, extra=""):
+    """Register a grid generator as a check.  Per case the generator yields
+    None if the case held or its failure message; per grid point left out
+    over budget, an _Over label.  The first four failures make a failing
+    witness, no case at all a skip, and the over-budget labels a tail."""
+    def deco(gen):
+        def run(pool, params):
+            failures, over, cases = [], [], 0
+            for item in gen(pool, params):
+                if isinstance(item, _Over):
+                    over.append(item)
+                    continue
+                cases += 1
+                if item is not None:
+                    failures.append(item)
+            tail = f"; over budget: {', '.join(over)}" if over else ""
+            if failures:
+                return "fail", "; ".join(failures[:4]) + tail, None
+            if not cases:
+                return "skipped", _NO_CASE + tail, None
+            note = f"; {extra}" if extra else ""
+            return "pass", f"{cases} cases exact{note}{tail}", None
+        REGISTRY[id] = CheckSpec(id, kind, description, run)
+        return gen
+    return deco
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +140,8 @@ _CLOSED_SPECS = {
     "eq-f2": ("f2", 2, (1,)), "eq-f3": ("f3", 2, (1, 2)),
 }
 
-def _make_closed_check(check_id):
-    which, order, varis = _CLOSED_SPECS[check_id]
-
-    def run(pool, params):
-        failures, cases = [], 0
+def _closed_cases(which, order, varis):
+    def cases(pool, params):
         for q in params["qs"]:
             ctx, cache, _ = pool.get(q)
             sigma = SemiChar(ctx, len(varis), varis=varis)
@@ -137,26 +149,21 @@ def _make_closed_check(check_id):
                 closed = power_sum_closed(cache, d, which)
                 brute = power_sum_bruteforce(cache, d, order, sigma,
                                              params["budget"])
-                cases += 1
-                if closed != brute:
-                    failures.append(f"q={q} d={d}: closed {closed!r} != "
-                                    f"enumerated {brute!r}")
-        return _grid_result(failures, cases)
-    return run
+                yield None if closed == brute else (
+                    f"q={q} d={d}: closed {closed!r} != enumerated {brute!r}")
+    return cases
 
-for _cid in _CLOSED_SPECS:
-    _register(_cid, "exact-finite",
-              f"closed form {_CLOSED_SPECS[_cid][0]} equals enumeration")(
-        _make_closed_check(_cid))
+for _cid, _spec in _CLOSED_SPECS.items():
+    _grid_check(_cid, "exact-finite",
+                f"closed form {_spec[0]} equals enumeration")(_closed_cases(*_spec))
 
 
-@_register("eq-Fdq", "exact-finite",
-           "q-variable weight-one partial sum equals its enumerated form")
+@_grid_check("eq-Fdq", "exact-finite",
+             "q-variable weight-one partial sum equals its enumerated form")
 def _check_fdq(pool, params):
-    failures, cases, over = [], 0, []
     for q in params["qs"]:
         if q != 3 and q ** 3 > params["budget"]:
-            over.append(f"q={q}")
+            yield _Over(f"q={q}")
             continue
         ctx, cache, _ = pool.get(q)
         sigma = SemiChar(ctx, q, varis=tuple(range(1, q + 1)))
@@ -166,10 +173,8 @@ def _check_fdq(pool, params):
             for k in range(d + 1):
                 term = power_sum_bruteforce(cache, k, 1, sigma, params["budget"])
                 acc = term if acc is None else acc + term
-            cases += 1
-            if closed != acc:
-                failures.append(f"q={q} d={d}: product form != enumerated sum")
-    return _grid_result(failures, cases, over=over)
+            yield None if closed == acc else (
+                f"q={q} d={d}: product form != enumerated sum")
 
 
 # ---------------------------------------------------------------------------
@@ -205,68 +210,56 @@ _PER_DEGREE = {
                     "F*(q-1,1) = F(q-1,1) + F(1)^q"),
 }
 
-def _make_per_degree_check(check_id):
-    fn, _ = _PER_DEGREE[check_id]
-
-    def run(pool, params):
-        failures, cases = [], 0
+def _per_degree_cases(fn):
+    def cases(pool, params):
         for q in params["qs"]:
             _, _, eng = pool.get(q)
             for d in range(params["d_max"] + 1):
                 lhs, rhs = fn(eng, d)
-                cases += 1
-                if not lhs.equals(rhs):
-                    failures.append(f"q={q} d={d}: sides differ")
-        return _grid_result(failures, cases)
-    return run
+                yield None if lhs.equals(rhs) else f"q={q} d={d}: sides differ"
+    return cases
 
 for _cid, (_fn, _desc) in _PER_DEGREE.items():
-    _register(_cid, "exact-per-degree", _desc)(_make_per_degree_check(_cid))
+    _grid_check(_cid, "exact-per-degree", _desc)(_per_degree_cases(_fn))
 
 
-@_register("remark-nu", "exact-per-degree",
-           "degree-character shuffle and its t := 1 specialization")
+@_grid_check("remark-nu", "exact-per-degree",
+             "degree-character shuffle and its t := 1 specialization")
 def _check_nu(pool, params):
-    failures, cases = [], 0
     for q in params["qs"]:
         _, _, eng = pool.get(q)
         for d in range(params["d_max"] + 1):
             lhs, rhs = shuffle.degree_character_identity(eng, d)
-            cases += 1
             if not lhs.equals(rhs):
-                failures.append(f"q={q} d={d}: identity fails")
+                yield f"q={q} d={d}: identity fails"
                 continue
             l1, r1 = shuffle.product_weight_one_untwisted(eng, d)
-            if not (lhs.substitute_one(1).equals(l1.substitute_one(1))
+            if (lhs.substitute_one(1).equals(l1.substitute_one(1))
                     and rhs.substitute_one(1).equals(r1.substitute_one(1))):
-                failures.append(f"q={q} d={d}: t := 1 does not reproduce the "
-                                "untwisted square identity")
-    return _grid_result(failures, cases)
+                yield None
+            else:
+                yield (f"q={q} d={d}: t := 1 does not reproduce the "
+                       "untwisted square identity")
 
 
 # ---------------------------------------------------------------------------
 # Frobenius expansions and the skew ring
 # ---------------------------------------------------------------------------
 
-@_register("lemma-tau-b", "exact-finite",
-           "Frobenius of b_d expands over the ell-weighted b-basis")
+@_grid_check("lemma-tau-b", "exact-finite",
+             "Frobenius of b_d expands over the ell-weighted b-basis")
 def _check_tau_b(pool, params):
-    failures, cases = [], 0
     for q in params["qs"]:
         _, cache, _ = pool.get(q)
         top = 8 if q == 3 else min(params["d_max"], 4)
         for d in range(top + 1):
             lhs, rhs = tau_b_expand(cache, 1, d)
-            cases += 1
-            if lhs != rhs:
-                failures.append(f"q={q} d={d}: expansion differs")
-    return _grid_result(failures, cases)
+            yield None if lhs == rhs else f"q={q} d={d}: expansion differs"
 
 
-@_register("prop4", "exact-finite",
-           "iterated Frobenius expansion and the q^n-order closed form")
+@_grid_check("prop4", "exact-finite",
+             "iterated Frobenius expansion and the q^n-order closed form")
 def _check_prop4(pool, params):
-    failures, cases, over = [], 0, []
     for q in params["qs"]:
         ctx, cache, _ = pool.get(q)
         n_top = 3 if q == 3 else 2
@@ -274,28 +267,25 @@ def _check_prop4(pool, params):
         for n in range(1, n_top + 1):
             for d in range(d_top + 1):
                 lhs, rhs = tau_b_expand(cache, n, d)
-                cases += 1
-                if lhs != rhs:
-                    failures.append(f"q={q} n={n} d={d}: chain expansion differs")
+                yield None if lhs == rhs else (
+                    f"q={q} n={n} d={d}: chain expansion differs")
         # the derived power-sum form, pinned against enumeration
         chi = SemiChar.chi(ctx, 1, 1)
         for n in range(1, 3):
             for d in range(min(params["d_max"], 4 if q == 3 else 3) + 1):
                 if q ** d > params["budget"]:
-                    over.append(f"q={q} n={n} d={d}")
+                    yield _Over(f"q={q} n={n} d={d}")
                     continue
                 closed = power_sum_qn_closed(cache, n, d)
                 brute = power_sum_bruteforce(cache, d, q ** n, chi, params["budget"])
-                cases += 1
-                if closed != brute:
-                    failures.append(f"q={q} n={n} d={d}: closed power sum != enumeration")
-    return _grid_result(failures, cases, over=over)
+                yield None if closed == brute else (
+                    f"q={q} n={n} d={d}: closed power sum != enumeration")
 
 
-@_register("cor-noncommide", "exact-finite",
-           "twisted power sums in the skew ring: chain form vs enumeration")
+@_grid_check("cor-noncommide", "exact-finite",
+             "twisted power sums in the skew ring: chain form vs enumeration",
+             "degree zero excluded by design")
 def _check_noncommide(pool, params):
-    failures, cases = [], 0
     for q in params["qs"]:
         if q > 4:
             continue  # enumeration cost grows as q^(d q^n); covered by q=3,4
@@ -305,202 +295,159 @@ def _check_noncommide(pool, params):
             for d in range(1, d_top + 1):
                 try:
                     frak_S(cache, d, n, params["budget"])
-                    cases += 1
                 except CarlitzError as exc:
-                    failures.append(f"q={q} n={n} d={d}: {exc}")
-    return _grid_result(failures, cases, "degree zero excluded by design")
+                    yield f"q={q} n={n} d={d}: {exc}"
+                else:
+                    yield None
 
 
-@_register("star-chain", "exact-finite",
-           "skew evaluation sums equal the star and strict truncations")
+@_grid_check("star-chain", "exact-finite",
+             "skew evaluation sums equal the star and strict truncations")
 def _check_star_chain(pool, params):
-    failures, cases = [], 0
     for q in params["qs"]:
         if q > 4:
             continue
         _, cache, _ = pool.get(q)
         for d in range(1, params["d_max"] + 1):
             rep = star_chain_check(cache, d, params["budget"])
-            cases += 1
             bad = [k for k in ("skew_equals_star", "star_equals_strict_plus_power",
                                "star_equals_product_minus_swap") if not rep[k]]
-            if bad:
-                failures.append(f"q={q} d={d}: broken links {bad}")
-    return _grid_result(failures, cases)
+            yield f"q={q} d={d}: broken links {bad}" if bad else None
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli-Goss checks
 # ---------------------------------------------------------------------------
 
-def _bg_grid(params):
+def _bg_grid(pool, params, case, tops=None):
+    """Yield from case(cache, q, d, budget) at each point of the
+    Bernoulli-Goss grid, or an _Over label where the q^(d+2) enumeration
+    exceeds the budget."""
     for q in params["qs"]:
-        top = {3: min(params["d_max"], 4), 4: 3, 5: 2}.get(q, 2)
-        for d in range(1, top + 1):
-            yield q, d
-
-
-@_register("thm-formulaBG", "exact-finite",
-           "finite zeta sum at q^d - 2 equals the closed double sum")
-def _check_formula_bg(pool, params):
-    failures, cases, over = [], 0, []
-    for q, d in _bg_grid(params):
-        _, cache, _ = pool.get(q)
-        if q ** (d + 2) > params["budget"]:
-            over.append(f"q={q} d={d}")
-            continue
-        bg = bernoulli_goss(cache, q ** d - 2, params["budget"])
-        rhs = bg_formula_rhs(cache, d)
-        cases += 1
-        if bg.value != rhs:
-            failures.append(f"q={q} d={d}: {bg.value!r} != {rhs!r}")
-    return _grid_result(failures, cases, over=over)
-
-
-@_register("thm-exactdegree", "exact-finite",
-           "degree of the finite zeta sum matches the closed formula")
-def _check_exactdegree(pool, params):
-    failures, cases, over = [], 0, []
-    for q in params["qs"]:
-        top = {3: min(params["d_max"], 5), 4: 3, 5: 3}.get(q, 2)
-        _, cache, _ = pool.get(q)
+        top = (tops or {3: min(params["d_max"], 4), 4: 3, 5: 2}).get(q, 2)
         for d in range(1, top + 1):
             if q ** (d + 2) > params["budget"]:
-                over.append(f"q={q} d={d}")
-                continue
-            pred = bg_degree_formula(q, d)
-            bg = bernoulli_goss(cache, q ** d - 2, params["budget"])
-            cases += 1
-            if bg.value.degree != pred.degree:
-                failures.append(f"q={q} d={d}: deg {bg.value.degree} != {pred.degree}")
-                continue
-            if d >= 2:
-                dom, merged, tail = bg_block_values(cache, d)
-                ok = (-dom.valuation == pred.dominant_degree
-                      and -merged.valuation == pred.merged_degree
-                      and pred.dominant_degree > pred.merged_degree)
-                if d >= 3:
-                    ok = ok and -tail.valuation == pred.tail_degree
-                if not ok:
-                    failures.append(f"q={q} d={d}: block degrees off")
-    return _grid_result(failures, cases,
-                        "tail block empty below d=3 (excluded there)", over)
+                yield _Over(f"q={q} d={d}")
+            else:
+                yield from case(pool.get(q)[1], q, d, params["budget"])
 
 
-@_register("cor-TAOD", "exact-finite",
-           "finite zeta sum congruent to the truncated weight-one sum mod "
-           "every irreducible of the matching degree")
-def _check_taod(pool, params):
-    failures, cases, over = [], 0, []
-    for q, d in _bg_grid(params):
-        _, cache, _ = pool.get(q)
-        if q ** (d + 2) > params["budget"]:
-            over.append(f"q={q} d={d}")
-            continue
-        sv = bg_congruence_survey(cache, d, params["budget"])
-        cases += len(sv.rows)
-        if not sv.all_congruent:
-            bad = [r for r in sv.rows if not r.congruent][0]
-            failures.append(f"q={q} d={d}: fails at P = {bad.modulus!r}")
-    return _grid_result(failures, cases, over=over)
+def _formula_bg_case(cache, q, d, budget):
+    bg = bernoulli_goss(cache, q ** d - 2, budget)
+    rhs = bg_formula_rhs(cache, d)
+    yield None if bg.value == rhs else f"q={q} d={d}: {bg.value!r} != {rhs!r}"
 
 
-@_register("necklace-bound", "exact-finite",
-           "irreducible counts match the necklace polynomial and the "
-           "vanishing count respects the divisor bound")
+def _exactdegree_case(cache, q, d, budget):
+    pred = bg_degree_formula(q, d)
+    bg = bernoulli_goss(cache, q ** d - 2, budget)
+    if bg.value.degree != pred.degree:
+        yield f"q={q} d={d}: deg {bg.value.degree} != {pred.degree}"
+        return
+    ok = True
+    if d >= 2:
+        dom, merged, tail = bg_block_values(cache, d)
+        ok = (-dom.valuation == pred.dominant_degree
+              and -merged.valuation == pred.merged_degree
+              and pred.dominant_degree > pred.merged_degree
+              and (d < 3 or -tail.valuation == pred.tail_degree))
+    yield None if ok else f"q={q} d={d}: block degrees off"
+
+
+def _taod_case(cache, q, d, budget):
+    sv = bg_congruence_survey(cache, d, budget)
+    bad = [r for r in sv.rows if not r.congruent]
+    if bad:
+        yield f"q={q} d={d}: fails at P = {bad[0].modulus!r}"
+    else:
+        yield from (None for _ in sv.rows)
+
+
+def _zero_count_case(cache, q, d, budget):
+    sv = bg_congruence_survey(cache, d, budget)
+    ok = sv.bound_holds and sv.count_matches_necklace and sv.divisor_consistent
+    yield None if ok else (f"q={q} d={d}: zero count {sv.zero_count} vs bound "
+                           f"{sv.zero_bound}, divisor consistency {sv.divisor_consistent}")
+
+
+_grid_check("thm-formulaBG", "exact-finite",
+            "finite zeta sum at q^d - 2 equals the closed double sum")(
+    lambda pool, params: _bg_grid(pool, params, _formula_bg_case))
+
+_grid_check("thm-exactdegree", "exact-finite",
+            "degree of the finite zeta sum matches the closed formula",
+            "tail block empty below d=3 (excluded there)")(
+    lambda pool, params: _bg_grid(pool, params, _exactdegree_case,
+                                  {3: min(params["d_max"], 5), 4: 3, 5: 3}))
+
+_grid_check("cor-TAOD", "exact-finite",
+            "finite zeta sum congruent to the truncated weight-one sum mod "
+            "every irreducible of the matching degree")(
+    lambda pool, params: _bg_grid(pool, params, _taod_case))
+
+
+@_grid_check("necklace-bound", "exact-finite",
+             "irreducible counts match the necklace polynomial and the "
+             "vanishing count respects the divisor bound")
 def _check_necklace(pool, params):
-    failures, cases, over = [], 0, []
     for q in params["qs"]:
-        ctx, cache, _ = pool.get(q)
-        count_top = 6 if q == 3 else 4
-        for d in range(1, count_top + 1):
-            cases += 1
-            if len(irreducibles_of_degree(ctx, d)) != necklace_count(q, d):
-                failures.append(f"q={q} d={d}: irreducible count != necklace value")
-    for q, d in _bg_grid(params):
-        _, cache, _ = pool.get(q)
-        if q ** (d + 2) > params["budget"]:
-            over.append(f"q={q} d={d}")
-            continue
-        sv = bg_congruence_survey(cache, d, params["budget"])
-        cases += 1
-        if not (sv.bound_holds and sv.count_matches_necklace and sv.divisor_consistent):
-            failures.append(f"q={q} d={d}: zero count {sv.zero_count} vs bound "
-                            f"{sv.zero_bound}, divisor consistency {sv.divisor_consistent}")
-    return _grid_result(failures, cases, over=over)
+        ctx = pool.get(q)[0]
+        for d in range(1, (6 if q == 3 else 4) + 1):
+            ok = len(irreducibles_of_degree(ctx, d)) == necklace_count(q, d)
+            yield None if ok else f"q={q} d={d}: irreducible count != necklace value"
+    yield from _bg_grid(pool, params, _zero_count_case)
 
 
 # ---------------------------------------------------------------------------
 # valuation-threshold checks
 # ---------------------------------------------------------------------------
 
-def _numeric_result(outcomes):
-    if not outcomes:
-        return "skipped", _NO_CASE, None
-    worst = min(o["achieved"] for o in outcomes)
-    if all(o["passed"] for o in outcomes):
-        return "pass", f"{len(outcomes)} identities beyond threshold", worst
-    bad = [o for o in outcomes if not o["passed"]]
-    return "fail", (f"{len(bad)} below threshold; worst achieved "
-                    f"{bad[0]['achieved']} vs {bad[0]['threshold']}"), worst
+# id -> (description, outcomes(cache, params)): the identities checked at
+# q = 3, each a dict with the achieved and the threshold valuation
+_VALUATION = {
+    "eq-annals": ("root-free weight-one evaluation identity, plus the exact "
+                  "specializations at theta and at the first trivial zero",
+                  lambda cache, p: [tate.annals_check(cache, p["prec"])]),
+    "family-qk": ("zeta(q^k) zeta(q^k - 1) = zeta(2q^k - 1) + zeta(q^k - 1, q^k)",
+                  lambda cache, p: [tate.family_qk_check(cache, k, p["prec"], p["budget"])
+                                    for k in (1, 2)]),
+    "thakur-thm5": ("zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m",
+                    lambda cache, p: [tate.thakur_weight_check(cache, m, p["prec"],
+                                                               p["budget"])
+                                      for m in (1, 2)]),
+    "strange-shuffle": ("the two-parameter untwisted specialization family",
+                        lambda cache, p: [tate.strange_shuffle_check(
+                            cache, h, k, p["prec"], p["budget"])
+                            for h, k in ((0, 1), (1, 1))]),
+}
+
+# exact sub-checks an outcome may carry besides its valuation
+_EXACT_PARTS = ("value_at_theta_is_one", "trivial_zero_vanishes")
 
 
-@_register("eq-annals", "valuation-threshold",
-           "root-free weight-one evaluation identity, plus the exact "
-           "specializations at theta and at the first trivial zero")
-def _check_annals(pool, params):
-    outcomes = []
-    for q in params["qs"]:
-        if q != 3:
-            continue
-        _, cache, _ = pool.get(q)
-        rep = tate.annals_check(cache, params["prec"])
-        if not (rep["value_at_theta_is_one"] and rep["trivial_zero_vanishes"]):
-            return "fail", "specialization sub-checks failed", rep["achieved"]
-        outcomes.append(rep)
-    return _numeric_result(outcomes)
+def _valuation_runner(outcomes_of):
+    def run(pool, params):
+        outcomes = []
+        for q in params["qs"]:
+            if q != 3:
+                continue
+            for o in outcomes_of(pool.get(q)[1], params):
+                if not all(o.get(k, True) for k in _EXACT_PARTS):
+                    return "fail", "specialization sub-checks failed", o["achieved"]
+                outcomes.append(o)
+        if not outcomes:
+            return "skipped", _NO_CASE, None
+        worst = min(o["achieved"] for o in outcomes)
+        bad = [o for o in outcomes if not o["passed"]]
+        if not bad:
+            return "pass", f"{len(outcomes)} identities beyond threshold", worst
+        return "fail", (f"{len(bad)} below threshold; worst achieved "
+                        f"{bad[0]['achieved']} vs {bad[0]['threshold']}"), worst
+    return run
 
-
-@_register("family-qk", "valuation-threshold",
-           "zeta(q^k) zeta(q^k - 1) = zeta(2q^k - 1) + zeta(q^k - 1, q^k)")
-def _check_family(pool, params):
-    outcomes = []
-    for q in params["qs"]:
-        if q != 3:
-            continue
-        _, cache, _ = pool.get(q)
-        for k in (1, 2):
-            outcomes.append(tate.family_qk_check(cache, k, params["prec"],
-                                                 params["budget"]))
-    return _numeric_result(outcomes)
-
-
-@_register("thakur-thm5", "valuation-threshold",
-           "zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m")
-def _check_thakur5(pool, params):
-    outcomes = []
-    for q in params["qs"]:
-        if q != 3:
-            continue
-        _, cache, _ = pool.get(q)
-        for m in (1, 2):
-            outcomes.append(tate.thakur_weight_check(cache, m, params["prec"],
-                                                     params["budget"]))
-    return _numeric_result(outcomes)
-
-
-@_register("strange-shuffle", "valuation-threshold",
-           "the two-parameter untwisted specialization family")
-def _check_strange(pool, params):
-    outcomes = []
-    for q in params["qs"]:
-        if q != 3:
-            continue
-        _, cache, _ = pool.get(q)
-        for h, k in ((0, 1), (1, 1)):
-            outcomes.append(tate.strange_shuffle_check(cache, h, k, params["prec"],
-                                                       params["budget"]))
-    return _numeric_result(outcomes)
+for _cid, (_desc, _outcomes) in _VALUATION.items():
+    REGISTRY[_cid] = CheckSpec(_cid, "valuation-threshold", _desc,
+                               _valuation_runner(_outcomes))
 
 
 # ---------------------------------------------------------------------------

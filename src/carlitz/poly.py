@@ -300,8 +300,10 @@ def necklace_count(q, d):
     if d < 1:
         raise ValueError("necklace counts need d >= 1")
     total = sum(moebius(l) * q ** (d // l) for l in range(1, d + 1) if d % l == 0)
-    assert total % d == 0
-    return total // d
+    count, rest = divmod(total, d)
+    if rest:
+        raise ValueError(f"q = {q!r} gives no whole necklace count at d = {d}")
+    return count
 
 
 def digit_sum(q, n):

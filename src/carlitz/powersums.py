@@ -323,16 +323,22 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
 
     Negative k means positive powers of a (used by the finite zeta sums at
     negative integers); the result then has coefficients in A.  Positive k
-    sums the cofactors lcm^k / a^k over the lcm of the monics.
+    sums the cofactors lcm^k / a^k = (lcm^j / a^j)^(k/j) over the lcm of the
+    monics, where `kpow` spreads the q-power part of k/j (Frobenius).  Over
+    F_p, j = 1.  Over F_{p^e}, j keeps all of k but its q-power part, since
+    there a packed product of two cofactors costs more than a division.
     """
     ctx = cache.ctx
     cache.check_budget(ctx.q ** d, budget)
     if k > 0:
-        den_poly = cache.monic_lcm(d) ** k
-        den = list(den_poly.coeffs)
-        sums = monic_sum(cache, d, sigma,
-                         lambda a: kern.kexactdiv(ctx, den, kern.kpow(ctx, a, k)),
-                         len(den), budget)
+        j = 1 if ctx.e == 1 else k
+        while j % ctx.q == 0:
+            j //= ctx.q
+        lcm = cache.monic_lcm(d)
+        den_poly, part = lcm ** k, list((lcm ** j).coeffs)
+        sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
+            ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
+            len(den_poly.coeffs), budget)
     else:
         den_poly = APoly.one(ctx)
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),

@@ -1,0 +1,15 @@
+"""`assert` statements vanish under `python -O`, so no check in the
+package may be one."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "carlitz"
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

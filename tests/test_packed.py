@@ -80,9 +80,10 @@ def random_poly(rng, q, n, density=1.0):
             for _ in range(n - 1)] + [rng.randrange(1, q)]
 
 
-# (len a, len b) pairs around the division cutoffs: the schoolbook work
-# budget, Newton's quotient (128) and dividend (512) lengths, a short
-# divisor under a long quotient, and 3n by n
+# (len a, len b) pairs on both sides of the schoolbook work budget, so that
+# some divisions end in the schoolbook prefix and the rest go on to Newton:
+# quotient lengths near 128, dividend lengths near 512, a short divisor
+# under a long quotient, and 3n by n
 DIVISION_SHAPES = [(2185, 7), (2000, 40), (2100, 700), (512, 385), (512, 386),
                    (511, 384), (640, 513), (640, 514), (1200, 17), (900, 300)]
 

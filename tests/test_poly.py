@@ -148,6 +148,9 @@ def test_necklace_values():
     assert necklace_count(3, 2) == 3
     assert necklace_count(3, 4) == 18
     assert [moebius(n) for n in (1, 2, 3, 4, 6, 30)] == [1, -1, -1, 0, 1, -1]
+    # the divisibility the Moebius sum rests on is checked, not assumed
+    with pytest.raises(ValueError):
+        necklace_count(2.5, 2)
 
 
 def test_digit_sum():

@@ -38,8 +38,8 @@ from .tate import (TateSeries, annals_check, family_qk_check, omega_factor,
 from .checks import (CheckReport, CheckSpec, REGISTRY, all_passed, run_check,
                      run_suite)
 from .textio import (format_apoly, format_matrix_data, format_ratk,
-                     format_semichar, format_skew, format_tpoly, parse_apoly,
-                     parse_matrix_data, parse_ratk, parse_semichar, parse_skew,
-                     parse_tpoly)
+                     format_semichar, format_series, format_skew, format_tpoly,
+                     parse_apoly, parse_matrix_data, parse_ratk, parse_semichar,
+                     parse_skew, parse_tpoly)
 
 __version__ = "0.1.0"

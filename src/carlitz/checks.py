@@ -146,6 +146,9 @@ def _closed_cases(which, order, varis):
             ctx, cache, _ = pool.get(q)
             sigma = SemiChar(ctx, len(varis), varis=varis)
             for d in range(min(params["d_max"], 4) + 1):
+                if q ** d > params["budget"]:
+                    yield _Over(f"q={q} d={d}")
+                    continue
                 closed = power_sum_closed(cache, d, which)
                 brute = power_sum_bruteforce(cache, d, order, sigma,
                                              params["budget"])
@@ -192,8 +195,7 @@ _PER_DEGREE = {
                        "F(1;s) F(1;p) = F(2;sp)"),
     "thm-formulas-5": (shuffle.product_weight_one_joint,
                        "F(1) F(1;sp) = F(2;sp) + four depth-two terms"),
-    "eq-Fsfirst": (lambda eng, d: shuffle.product_weight_one_single(eng, d, "s"),
-                   "the truncated form behind formulas-2"),
+    "eq-Fsfirst": (shuffle.per_degree_single, "S(1;s) S(1) = S(2;s) - S[[1,s]]"),
     "eq-formulabis": (shuffle.per_degree_split,
                       "S(1;s) S(1;p) = S(2;sp) - S[[p,s]] - S[[s,p]]"),
     "eq-formulater": (shuffle.per_degree_joint,
@@ -309,6 +311,9 @@ def _check_star_chain(pool, params):
             continue
         _, cache, _ = pool.get(q)
         for d in range(1, params["d_max"] + 1):
+            if q ** (d - 1) > params["budget"]:  # frak_S(k) enumerates k < d
+                yield _Over(f"q={q} d={d}")
+                continue
             rep = star_chain_check(cache, d, params["budget"])
             bad = [k for k in ("skew_equals_star", "star_equals_strict_plus_power",
                                "star_equals_product_minus_swap") if not rep[k]]
@@ -513,10 +518,10 @@ def exit_code(reports):
 # report formatting
 # ---------------------------------------------------------------------------
 
-def reports_to_json(reports, pretty=True):
+def reports_to_json(reports):
     doc = {"all_passed": all_passed(reports),
            "checks": [r.as_record() for r in reports]}
-    return json.dumps(doc, sort_keys=True, indent=2 if pretty else None)
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def reports_to_ndjson(reports):

@@ -33,10 +33,6 @@ from .textio import format_skew, format_tpoly, parse_matrix_data
 
 def _add_common(p, csv=False):
     p.add_argument("--q", type=int, default=3, help="field size q = p^e > 2")
-    p.add_argument("--modulus", help="comma-separated F_p coefficients of a "
-                   "custom modulus for extension fields, ascending")
-    p.add_argument("--vars", type=int, default=None,
-                   help="arity of the t-variables (default: inferred)")
     p.add_argument("--budget", type=int, default=checks.DEFAULT_PARAMS["budget"],
                    help="largest allowed monic enumeration")
     # csv only for the commands whose output is a table
@@ -52,7 +48,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    _add_common(v, csv=True)
+    _add_common(v, csv=True)  # its fields use the built-in moduli
     v.set_defaults(q=None)  # bare `verify` sweeps the profile's q list
     v.add_argument("--suite", default="all", help="check id or glob (default: all)")
     v.add_argument("--d-max", type=int, default=None)
@@ -70,9 +66,13 @@ def build_parser():
             ("skew", (("--d", int, True), ("--n", int, True)))):
         p = sub.add_parser(name)
         _add_common(p, csv=name == "bg-survey")
+        p.add_argument("--modulus", help="comma-separated F_p coefficients of "
+                       "a custom modulus for extension fields, ascending")
         for flag, typ, required in extra:
             p.add_argument(flag, type=typ, required=required)
         if name in ("powsum", "partial", "zeta"):
+            p.add_argument("--vars", type=int, default=None,
+                           help="arity of the t-variables (default: inferred)")
             p.add_argument("--star", action="store_true",
                            help="weakly decreasing inner chains")
     return ap

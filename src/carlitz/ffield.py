@@ -5,8 +5,10 @@ the code are the coordinates on the power basis 1, x, ..., x^(e-1) of
 F_p[x]/(modulus); for prime fields (e = 1) the code is just the residue.
 A FieldContext precomputes full addition/multiplication/negation/inverse
 tables (q <= a few hundred in practice), so element arithmetic in inner
-loops is plain list indexing; for e > 1 it also builds the packed kernel's
-slot layout and fold table (see `_packed`).
+loops is plain list indexing.  For e > 1 every product comes from
+multiplication by x, and a modulus is rejected as reducible when some
+nonzero element has no inverse; the context also builds the packed
+kernel's slot layout and fold table (see `_packed`).
 
 The restriction q > 2 is enforced at construction: the identities this
 package verifies are stated for q > 2 and several of them degenerate or
@@ -60,73 +62,16 @@ def _factor_prime_power(q):
     raise FieldConstructionError(f"{q} is not a prime power")
 
 
-# -- tiny F_p[x] helpers used only to validate and reduce moduli ------------
-
-def _fpx_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _fpx_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fpx_trim(out)
-
-def _fpx_mod(a, m, p):
-    a = list(a)
-    _fpx_trim(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for j, mj in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * mj) % p
-        _fpx_trim(a)
-    return a
-
-def _fpx_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fpx_mod(a, b, p)
-    return a
-
-def _fpx_powmod(a, n, m, p):
-    result = [1]
-    base = _fpx_mod(a, m, p)
-    while n:
-        if n & 1:
-            result = _fpx_mod(_fpx_mul(result, base, p), m, p)
-        base = _fpx_mod(_fpx_mul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-def _fpx_is_irreducible(m, p):
-    """Deterministic irreducibility over F_p: x^(p^e) = x mod m and
-    gcd(x^(p^(e/t)) - x, m) = 1 for every prime t | e."""
-    e = len(m) - 1
-    if e < 1 or m[-1] == 0:
-        return False
-    x = [0, 1]
-    xq = _fpx_powmod(x, p ** e, m, p)
-    diff = _fpx_trim([(a - b) % p for a, b in
-                      zip(xq + [0] * 2, x + [0] * max(0, len(xq) - 2))])
-    if diff:
-        return False
-    for t in range(2, e + 1):
-        if e % t == 0 and _is_prime(t):
-            xk = _fpx_powmod(x, p ** (e // t), m, p)
-            d = [(a - b) % p for a, b in
-                 zip(xk + [0] * 2, x + [0] * max(0, len(xk) - 2))]
-            g = _fpx_gcd(_fpx_trim(d), m, p)
-            if len(g) - 1 != 0:
-                return False
-    return True
+def _span(add, vectors, p):
+    """Codes of sum_j d_j v_j over F_p for the given element codes v_j,
+    listed at index sum_j d_j p^j (digits 0 <= d_j < p)."""
+    out = [0]
+    for v in vectors:
+        multiples = [0]
+        for _ in range(1, p):
+            multiples.append(add[multiples[-1]][v])
+        out = [add[c][m] for m in multiples for c in out]
+    return out
 
 
 class FieldContext:
@@ -162,9 +107,6 @@ class FieldContext:
             if len(modulus) != e + 1 or modulus[-1] == 0:
                 raise FieldConstructionError(
                     f"modulus must have degree e = {e} over F_{p}")
-            if not _fpx_is_irreducible(list(modulus), p):
-                raise FieldConstructionError(
-                    f"modulus {modulus} is not irreducible over F_{p}")
             self.modulus = modulus
 
         # digit decomposition of every element code
@@ -180,44 +122,48 @@ class FieldContext:
 
         # element tables; prime-field rows are built by arithmetic and share
         # the int objects of r, which keeps them small at large p
+        self._fold = self._slot_bytes = None
         if e == 1:
             r = list(range(p))
             add = [r[a:] + r[:a] for a in r]
             mul = [[r[a * b % p] for b in r] for a in r]
         else:
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            modulus = list(self.modulus)
-            for a in range(q):
-                da = digits[a]
-                for b in range(a, q):
-                    db = digits[b]
-                    s = tuple((x + y) % p for x, y in zip(da, db))
-                    add[a][b] = add[b][a] = self._undigit[s]
-                    prod = _fpx_mod(_fpx_mul(list(da), list(db), p), modulus, p)
-                    prod = tuple(prod + [0] * (e - len(prod)))
-                    mul[a][b] = mul[b][a] = self._undigit[prod]
+            # codes add digit-wise; multiplication by x shifts the digits up
+            # and folds the top one back by x^e = -lc^(-1) (m_0, ..., m_(e-1)),
+            # and row a of the product table spans x^j a over F_p
+            add = [[self._undigit[tuple((x + y) % p for x, y in zip(da, db))]
+                    for db in digits] for da in digits]
+            c = (-pow(modulus[-1], p - 2, p)) % p
+            xe = self._undigit[tuple(c * mj % p for mj in modulus[:-1])]
+            top = p ** (e - 1)
+            fold_top = _span(add, [xe], p)
+            times_x = [add[a % top * p][fold_top[a // top]] for a in range(q)]
+
+            def x_powers(a, n):
+                out = [a]
+                while len(out) < n:
+                    out.append(times_x[out[-1]])
+                return out
+            mul = [_span(add, x_powers(a, e), p) for a in range(q)]
+            # the packed kernel's tables: _fold[sum d_j p^j] is the code of
+            # sum d_j x^j over the 2e-1 digits a product slot holds, and
+            # _slot_bytes the 2e little-endian sub-slots of each code
+            self._fold = _span(add, x_powers(1, 2 * e - 1), p)
+            self._slot_bytes = [array("I", ds + (0,) * e).tobytes()
+                                for ds in digits]
         self.add = add
         self.mul = mul
         self.neg = [self._undigit[tuple((-x) % p for x in digits[a])]
                     for a in range(q)]
-        self.inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        # F_p[x]/(m) is a field iff m is irreducible, so a nonzero code
+        # without an inverse is a reducible modulus
+        try:
+            self.inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        except ValueError:
+            raise FieldConstructionError(
+                f"modulus {self.modulus} is not irreducible over F_{p}") from None
         # number of 32-bit sub-slots per coefficient in the packed kernel
         self.SUB = 1 if e == 1 else 2 * e
-        self._fold = self._slot_bytes = None
-        if e > 1:
-            # _fold[sum d_j p^j] is the code of sum d_j x^j mod the modulus,
-            # over the 2e-1 digits a product slot holds; codes below q are
-            # their own digits, and each higher digit adds d_j * (x^j mod m)
-            fold = list(range(q))
-            for j in range(e, 2 * e - 1):
-                r = _fpx_mod([0] * j + [1], list(self.modulus), p)
-                xj = self._undigit[tuple(r + [0] * (e - len(r)))]
-                fold = [add[c][mul[d][xj]] for d in range(p) for c in fold]
-            self._fold = fold
-            # the 2e little-endian sub-slots of each code, for pack
-            self._slot_bytes = [array("I", ds + (0,) * e).tobytes()
-                                for ds in digits]
 
     # -- identity / comparison ------------------------------------------
 
@@ -337,18 +283,5 @@ class FqElem:
         return self.code != 0
 
     def __repr__(self):
-        if self.ctx.e == 1:
-            return str(self.code)
-        ds = self.coords
-        terms = []
-        for j in range(self.ctx.e - 1, -1, -1):
-            c = ds[j]
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            elif j == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{j}" if c == 1 else f"{c}*x^{j}")
-        return "[" + (" + ".join(terms) if terms else "0") + "]"
+        from .textio import format_fq
+        return format_fq(self.ctx, self.code)

@@ -229,12 +229,10 @@ class SeqCache:
             self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
         return self._tb[i]
 
-    def b_tpoly(self, i, var=1, s=1, twist=0):
-        """b_i (or its Frobenius twist) as a TPoly in variable t_var."""
-        coeffs = self.b_coeffs(i) if twist == 0 else \
-            tuple(c.frobenius(twist) for c in self.b_coeffs(i))
+    def b_tpoly(self, i, var=1, s=1):
+        """b_i as a TPoly in variable t_var."""
         terms = {}
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(self.b_coeffs(i)):
             if not c.is_zero():
                 exps = tuple(k if j == var - 1 else 0 for j in range(s))
                 terms[exps] = RatK.from_apoly(c)

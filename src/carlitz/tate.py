@@ -305,30 +305,8 @@ class TateSeries:
     __hash__ = None
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
-            return f"O(θ^-{self.prec + 1})" if self.prec != INF else "0"
-        pieces = []
-        for k in sorted(terms, reverse=True):
-            poly = terms[k]
-            mono = []
-            for e in sorted(poly):
-                c = poly[e]
-                tpart = "*".join(f"t{i+1}" + (f"^{x}" if x > 1 else "")
-                                 for i, x in enumerate(e) if x)
-                cs = str(c) if self.ctx.e == 1 else f"[{c}]"
-                mono.append(f"{cs}*{tpart}" if tpart else cs)
-            coeff = " + ".join(mono)
-            if k == 0:
-                pieces.append(f"({coeff})" if len(mono) > 1 else coeff)
-            else:
-                power = "θ" if k == 1 else f"θ^{k}"
-                pieces.append(f"({coeff})*{power}" if (len(mono) > 1 or coeff != "1")
-                              else power)
-        body = " + ".join(pieces)
-        if self.prec != INF:
-            body += f" + O(θ^-{self.prec + 1})"
-        return body
+        from .textio import format_series
+        return format_series(self)
 
 
 # ---------------------------------------------------------------------------

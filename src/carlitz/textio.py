@@ -1,13 +1,16 @@
 """Textual grammars: printing and parsing of the package's values.
 
-Printed forms round-trip through the parsers in this module:
+Printed forms round-trip through the parsers in this module, which share
+one grammar of sums of products (`_parse_sum`):
 
+  F_q        2 | [2*x + 1]        (an integer mod p; for e > 1 a polynomial in x)
   APoly      2*θ^3 + θ + 1        (coefficients of F_{p^e} bracketed, e.g. [x+1]*θ^2)
   RatK       (θ + 1)/(θ^3 + 2*θ)  (bare numerator when the denominator is 1)
   TPoly      (1/(θ^3+2*θ))*t1^2*t2 + ...   variables t1, t2, ...
   SkewPoly   (θ + 1)*τ^2 + θ*τ + 1
   SemiChar   1 | t1*t2 | nu1 | c(2) | c(x+1)   factors joined by *
   MatrixData t1:1,1:1   columns semichar:weight joined by commas
+  TateSeries θ^-2 + (2*t1)*θ^-3 + O(θ^-7)   (printed only)
 
 The ASCII spellings "theta" and "tau" are accepted on input everywhere the
 Greek letters are printed.
@@ -22,84 +25,30 @@ TAU = "τ"
 
 
 # ---------------------------------------------------------------------------
-# field elements
+# the one grammar of sums of products
 # ---------------------------------------------------------------------------
 
-def format_fq(ctx, code):
-    if ctx.e == 1:
-        return str(code)
-    return repr(FqElem(ctx, code))
-
-
-def _parse_xpoly(ctx, text, offset=0):
-    """Parse an F_q element written as a polynomial in x over F_p."""
-    text = text.strip()
-    if not text:
-        raise GrammarError("empty field element", offset)
-    coords = [0] * ctx.e
-    for piece in text.split("+"):
-        piece = piece.strip()
-        if not piece:
-            raise GrammarError("empty term in field element", offset)
-        coef, power = 1, 0
-        if "*" in piece:
-            cs, xs = piece.split("*", 1)
-            coef = int(cs.strip())
-            piece = xs.strip()
-        if piece.startswith("x"):
-            rest = piece[1:].strip()
-            if rest.startswith("^"):
-                power = int(rest[1:])
-            elif rest == "":
-                power = 1
-            else:
-                raise GrammarError(f"bad element term {piece!r}", offset)
-        else:
-            coef, power = int(piece), 0
-        if power >= ctx.e:
-            raise GrammarError(f"x^{power} exceeds the field degree", offset)
-        coords[power] = (coords[power] + coef) % ctx.p
-    return ctx.element(coords).code
-
-
-def parse_fq(ctx, text, offset=0):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        text = text[1:-1]
-    if ctx.e == 1:
-        try:
-            return int(text) % ctx.p
-        except ValueError:
-            raise GrammarError(f"bad field element {text!r}", offset) from None
+def _parse_int(text, at, what, low=None, error=GrammarError):
+    """An integer of the grammar, at least low when low is given."""
     try:
-        return int(text) % ctx.p
+        n = int(text)
     except ValueError:
-        return _parse_xpoly(ctx, text, offset)
+        raise error(f"bad {what} {text.strip()!r}", at) from None
+    if low is not None and n < low:
+        raise error(f"{what} must be >= {low}, got {n}", at)
+    return n
 
 
-# ---------------------------------------------------------------------------
-# APoly
-# ---------------------------------------------------------------------------
-
-def format_apoly(a):
-    ctx = a.ctx
-    if a.is_zero():
-        return "0"
-    terms = []
-    for i in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[i]
-        if not c:
-            continue
-        if ctx.e == 1:
-            cs = None if c == 1 else str(c)
-        else:
-            cs = None if c == 1 else f"[{repr(FqElem(ctx, c))[1:-1]}]"
-        if i == 0:
-            terms.append(cs if cs is not None else "1")
-        else:
-            var = THETA if i == 1 else f"{THETA}^{i}"
-            terms.append(var if cs is None else f"{cs}*{var}")
-    return " + ".join(terms)
+def _power(name, factor, at, slot=0):
+    """(slot, k) for a factor `name` or `name^k`; None for any other factor."""
+    if not factor.startswith(name):
+        return None
+    rest = factor[len(name):].strip()
+    if not rest:
+        return slot, 1
+    if not rest.startswith("^"):
+        raise GrammarError(f"bad term {factor!r}", at)
+    return slot, _parse_int(rest[1:], at, "exponent", 0)
 
 
 def _split_top(text, sep, openers="([", closers=")]"):
@@ -121,42 +70,111 @@ def _split_top(text, sep, openers="([", closers=")]"):
     return parts
 
 
-def parse_apoly(ctx, text, offset=0):
-    src = text.strip()
+def _parse_sum(text, offset, what, var, coef, one, nvars=1):
+    """Parse `term ("+" term)*` with term `factor ("*" factor)*`.
+
+    var(factor, at) gives (slot, exponent) for a variable factor and None
+    for a coefficient factor, which coef(factor, at) parses.  Returns
+    {exponent tuple: coefficient}, the coefficients of equal exponents
+    summed; one is the empty product of coefficients.
+    """
+    src = text.strip().replace("theta", THETA).replace("tau", TAU)
     if not src:
-        raise GrammarError("empty polynomial", offset)
-    if src == "0":
-        return APoly.zero(ctx)
-    result = APoly.zero(ctx)
-    for term, pos in _split_top(src.replace("theta", THETA), "+"):
-        term = term.strip()
-        if not term:
+        raise GrammarError(f"empty {what}", offset)
+    out = {}
+    for term, pos in _split_top(src, "+"):
+        if not term.strip():
             raise GrammarError("empty term", offset + pos)
-        coef_code = 1
-        power = 0
+        exps, c = [0] * nvars, one
         for factor, fpos in _split_top(term, "*"):
-            factor = factor.strip()
+            factor, at = factor.strip(), offset + pos + fpos
             if not factor:
-                raise GrammarError("empty factor", offset + pos + fpos)
-            if factor.startswith(THETA):
-                rest = factor[len(THETA):].strip()
-                if rest.startswith("^"):
-                    power += int(rest[1:])
-                elif rest == "":
-                    power += 1
-                else:
-                    raise GrammarError(f"bad term {factor!r}", offset + pos + fpos)
+                raise GrammarError("empty factor", at)
+            v = var(factor, at)
+            if v is None:
+                c = c * coef(factor, at)
             else:
-                coef_code = ctx.mul[coef_code][parse_fq(ctx, factor, offset + pos + fpos)]
-        result = result + APoly(ctx, tuple([0] * power + [coef_code]), _raw=(coef_code != 0))
-    return result
+                exps[v[0]] += v[1]
+        exps = tuple(exps)
+        out[exps] = out[exps] + c if exps in out else c
+    return out
+
+
+def _format_term(coef, var):
+    """`coef*var` for a RatK coefficient: the bare coefficient when var is
+    empty, var alone when coef is 1, a compound coef in parentheses."""
+    cs = format_ratk(coef)
+    if not var:
+        return cs
+    if cs == "1":
+        return var
+    if "/" in cs or "+" in cs or "*" in cs:
+        cs = f"({cs})"
+    return f"{cs}*{var}"
 
 
 # ---------------------------------------------------------------------------
-# RatK
+# field elements
 # ---------------------------------------------------------------------------
 
-def format_ratk(x, bare_constants=True):
+def _format_dense(coeffs, var, fmt):
+    """c_n*var^n + ... + c_0 over the nonzero codes c_i, each printed by
+    fmt; a unit coefficient prints as 1, and before a power of var not at all."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        cs = "1" if c == 1 else fmt(c)
+        if i == 0:
+            terms.append(cs)
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            terms.append(power if c == 1 else f"{cs}*{power}")
+    return " + ".join(terms) if terms else "0"
+
+
+def format_fq(ctx, code):
+    if ctx.e == 1:
+        return str(code)
+    return f"[{_format_dense(ctx.digits[code], 'x', str)}]"
+
+
+def parse_fq(ctx, text, offset=0):
+    """An element of F_q: an integer mod p, or for e > 1 a polynomial in x
+    of degree below e, optionally in brackets."""
+    text = text.strip()
+    if text.startswith("[") and text.endswith("]"):
+        text = text[1:-1]
+    terms = _parse_sum(text, offset, "field element",
+                       lambda f, at: _power("x", f, at),
+                       lambda f, at: _parse_int(f, at, "coefficient"), 1)
+    coords = [0] * ctx.e
+    for (k,), c in terms.items():
+        if k >= ctx.e:
+            raise GrammarError(f"x^{k} exceeds the field degree", offset)
+        coords[k] += c
+    return ctx.element(coords).code
+
+
+# ---------------------------------------------------------------------------
+# APoly and RatK
+# ---------------------------------------------------------------------------
+
+def format_apoly(a):
+    return _format_dense(a.coeffs, THETA, lambda c: format_fq(a.ctx, c))
+
+
+def parse_apoly(ctx, text, offset=0):
+    terms = _parse_sum(text, offset, "polynomial",
+                       lambda f, at: _power(THETA, f, at),
+                       lambda f, at: FqElem(ctx, parse_fq(ctx, f, at)),
+                       FqElem(ctx, 1))
+    top = max(k for (k,) in terms)
+    return APoly(ctx, [terms.get((i,), 0) for i in range(top + 1)])
+
+
+def format_ratk(x):
     num = format_apoly(x.num)
     if x.den.degree == 0:
         return num
@@ -196,8 +214,12 @@ def _strip_parens(s):
     return s
 
 
+def _ratk_factor(ctx):
+    return lambda f, at: parse_ratk(ctx, _strip_parens(f), at)
+
+
 # ---------------------------------------------------------------------------
-# TPoly
+# TPoly, SkewPoly and TateSeries
 # ---------------------------------------------------------------------------
 
 def _format_monomial(exps):
@@ -211,110 +233,60 @@ def _format_monomial(exps):
 
 
 def format_tpoly(tp):
-    terms = []
-    for exps, coef in tp.iter_terms():
-        mono = _format_monomial(exps)
-        if not mono:
-            terms.append(format_ratk(coef))
-            continue
-        if coef == RatK.one(tp.ctx):
-            terms.append(mono)
-        else:
-            cs = format_ratk(coef)
-            if "/" in cs or "+" in cs or "*" in cs:
-                cs = f"({cs})"
-            terms.append(f"{cs}*{mono}")
+    terms = [_format_term(coef, _format_monomial(exps))
+             for exps, coef in tp.iter_terms()]
     return " + ".join(terms) if terms else "0"
 
 
 def parse_tpoly(ctx, s, text, offset=0):
     from .tpoly import TPoly
-    src = text.strip().replace("theta", THETA).replace("tau", TAU)
-    if not src:
-        raise GrammarError("empty polynomial", offset)
-    if src == "0":
-        return TPoly.zero(ctx, s)
-    total = TPoly.zero(ctx, s)
-    for term, pos in _split_top(src, "+"):
-        term = term.strip()
-        if not term:
-            raise GrammarError("empty term", offset + pos)
-        exps = [0] * s
-        coef = RatK.one(ctx)
-        for factor, fpos in _split_top(term, "*"):
-            factor = factor.strip()
-            if not factor:
-                raise GrammarError("empty factor", offset + pos + fpos)
-            if factor.startswith("t") and len(factor) > 1 and factor[1].isdigit():
-                head, _, exp = factor.partition("^")
-                idx = int(head[1:])
-                if not 1 <= idx <= s:
-                    raise BadIndex(f"variable t{idx} outside arity {s}",
-                                   offset + pos + fpos)
-                exps[idx - 1] += int(exp) if exp else 1
-            else:
-                coef = coef * parse_ratk(ctx, _strip_parens(factor),
-                                         offset + pos + fpos)
-        total = total + TPoly.monomial(ctx, s, tuple(exps), coef)
-    return total
 
+    def var(factor, at):
+        if factor[:1] != "t" or not factor[1:2].isdigit():
+            return None
+        head = factor.partition("^")[0].strip()
+        idx = _parse_int(head[1:], at, "variable index", 1, BadIndex)
+        if idx > s:
+            raise BadIndex(f"variable t{idx} outside arity {s}", at)
+        return _power(head, factor, at, idx - 1)
+    return TPoly(ctx, s, _parse_sum(text, offset, "polynomial", var,
+                                    _ratk_factor(ctx), RatK.one(ctx), s))
 
-# ---------------------------------------------------------------------------
-# SkewPoly
-# ---------------------------------------------------------------------------
 
 def format_skew(f):
-    if f.is_zero():
-        return "0"
-    terms = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
-        if c.is_zero():
-            continue
-        if i == 0:
-            terms.append(format_ratk(c))
-            continue
-        var = TAU if i == 1 else f"{TAU}^{i}"
-        if c == RatK.one(f.ctx):
-            terms.append(var)
-        else:
-            cs = format_ratk(c)
-            if "/" in cs or "+" in cs or "*" in cs:
-                cs = f"({cs})"
-            terms.append(f"{cs}*{var}")
-    return " + ".join(terms)
+    terms = [_format_term(c, "" if i == 0 else TAU if i == 1 else f"{TAU}^{i}")
+             for i, c in reversed(list(enumerate(f.coeffs))) if not c.is_zero()]
+    return " + ".join(terms) if terms else "0"
 
 
 def parse_skew(ctx, text, offset=0):
     from .skew import SkewPoly
-    src = text.strip().replace("tau", TAU).replace("theta", THETA)
-    if not src:
-        raise GrammarError("empty skew polynomial", offset)
-    if src == "0":
-        return SkewPoly.zero(ctx)
-    coeffs = {}
-    for term, pos in _split_top(src, "+"):
-        term = term.strip()
-        if not term:
-            raise GrammarError("empty term", offset + pos)
-        power = 0
-        coef = RatK.one(ctx)
-        for factor, fpos in _split_top(term, "*"):
-            factor = factor.strip()
-            if factor.startswith(TAU):
-                rest = factor[len(TAU):].strip()
-                if rest.startswith("^"):
-                    power += int(rest[1:])
-                elif rest == "":
-                    power += 1
-                else:
-                    raise GrammarError(f"bad term {factor!r}", offset + pos + fpos)
-            else:
-                coef = coef * parse_ratk(ctx, _strip_parens(factor),
-                                         offset + pos + fpos)
-        coeffs[power] = coeffs.get(power, RatK.zero(ctx)) + coef
-    top = max(coeffs)
-    return SkewPoly(ctx, [coeffs.get(i, RatK.zero(ctx)) for i in range(top + 1)])
+    terms = _parse_sum(text, offset, "skew polynomial",
+                       lambda f, at: _power(TAU, f, at),
+                       _ratk_factor(ctx), RatK.one(ctx))
+    top = max(k for (k,) in terms)
+    return SkewPoly(ctx, [terms.get((i,), RatK.zero(ctx)) for i in range(top + 1)])
+
+
+def format_series(x):
+    """A Tate series: theta-powers in decreasing order, each with its
+    polynomial in the t-variables, then the O-term of the precision."""
+    from .tate import INF
+    pieces = []
+    for k, poly in sorted(x.terms.items(), reverse=True):
+        mono = []
+        for e in sorted(poly):
+            cs, tpart = format_fq(x.ctx, poly[e]), _format_monomial(e)
+            mono.append(f"{cs}*{tpart}" if tpart else cs)
+        coeff = " + ".join(mono)
+        if k == 0:
+            pieces.append(f"({coeff})" if len(mono) > 1 else coeff)
+        else:
+            power = THETA if k == 1 else f"{THETA}^{k}"
+            pieces.append(power if coeff == "1" else f"({coeff})*{power}")
+    if x.prec != INF:
+        pieces.append(f"O({THETA}^-{x.prec + 1})")
+    return " + ".join(pieces) if pieces else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +311,26 @@ def parse_semichar(ctx, text, s=None, offset=0):
     if not src:
         raise GrammarError("empty semi-character", offset)
     varis, degs, consts = [], [], []
-    max_index = 0
     if src != "1":
         for factor, fpos in _split_top(src, "*", openers="(", closers=")"):
-            factor = factor.strip()
+            factor, at = factor.strip(), offset + fpos
             if not factor:
-                raise GrammarError("empty factor", offset + fpos)
+                raise GrammarError("empty factor", at)
             if factor == "1":
                 continue
             if factor.startswith("c(") and factor.endswith(")"):
-                consts.append(parse_fq(ctx, factor[2:-1], offset + fpos))
+                consts.append(parse_fq(ctx, factor[2:-1], at + 2))
             elif factor.startswith("nu"):
-                idx = _parse_index(factor[2:], offset + fpos)
-                degs.append(idx)
-                max_index = max(max_index, idx)
+                degs.append(_parse_int(factor[2:], at, "variable index", 1, BadIndex))
             elif factor.startswith("t"):
-                idx = _parse_index(factor[1:], offset + fpos)
-                varis.append(idx)
-                max_index = max(max_index, idx)
+                varis.append(_parse_int(factor[1:], at, "variable index", 1, BadIndex))
             else:
-                raise GrammarError(f"unknown factor {factor!r}", offset + fpos)
+                raise GrammarError(f"unknown factor {factor!r}", at)
+    max_index = max(varis + degs, default=0)
     arity = max_index if s is None else s
     if max_index > arity:
         raise BadIndex(f"variable index {max_index} exceeds arity {arity}", offset)
     return SemiChar(ctx, arity, varis=varis, degs=degs, consts=consts)
-
-
-def _parse_index(text, offset):
-    try:
-        idx = int(text)
-    except ValueError:
-        raise BadIndex(f"bad variable index {text!r}", offset) from None
-    if idx < 1:
-        raise BadIndex(f"variable index must be >= 1, got {idx}", offset)
-    return idx
 
 
 def format_matrix_data(md):
@@ -380,33 +338,22 @@ def format_matrix_data(md):
 
 
 def parse_matrix_data(ctx, text, s=None):
-    """Parse `column ("," column)*` with column `semichar ":" weight`."""
+    """Parse `column ("," column)*` with column `semichar ":" weight`; the
+    arity is s, or else the largest variable index of any column."""
     from .mzv import MatrixData
-    from .powersums import SemiChar
     src = text.strip()
     if not src:
         raise GrammarError("empty matrix data", 0)
-    raw_cols = _split_top(src, ",", openers="(", closers=")")
-    parsed = []
-    max_index = 0
-    for col, pos in raw_cols:
+    columns = []
+    for col, pos in _split_top(src, ",", openers="(", closers=")"):
         col = col.strip()
         if not col:
             raise GrammarError("empty column", pos)
         head, sep, ns = col.rpartition(":")
         if not sep:
             raise GrammarError(f"column {col!r} lacks ':weight'", pos)
-        try:
-            n = int(ns)
-        except ValueError:
-            raise GrammarError(f"bad weight {ns!r}", pos) from None
+        n = _parse_int(ns, pos, "weight")
         if n < 1:
             raise WeightZero(f"weight must be >= 1, got {n}", pos)
-        parsed.append((head.strip(), n, pos))
-        sc_probe = parse_semichar(ctx, head.strip(), s=None, offset=pos)
-        max_index = max(max_index, sc_probe.s)
-    arity = max_index if s is None else s
-    columns = []
-    for head, n, pos in parsed:
-        columns.append((parse_semichar(ctx, head, s=arity, offset=pos), n))
-    return MatrixData(ctx, columns, s=arity)
+        columns.append((parse_semichar(ctx, head, s=s, offset=pos), n))
+    return MatrixData(ctx, columns, s=s)

@@ -229,15 +229,6 @@ class TPoly:
                 out[new_exps] = new
         return TPoly(self.ctx, self.s - 1, out, _clean=True)
 
-    def embed(self, new_s, offset=0):
-        """View in a larger arity, shifting variable i to i + offset."""
-        if new_s < self.s + offset:
-            raise ArityMismatch("target arity too small")
-        out = {}
-        for exps, coef in self.terms.items():
-            out[(0,) * offset + exps + (0,) * (new_s - self.s - offset)] = coef
-        return TPoly(self.ctx, new_s, out, _clean=True)
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):

@@ -75,3 +75,13 @@ def test_annals_specialization_failure(monkeypatch):
         "value_at_theta_is_one": True, "trivial_zero_vanishes": False})
     rep = checks.run_check("eq-annals", qs=(3,))
     assert outcome(rep) == ("fail", "specialization sub-checks failed", 31)
+
+
+def test_closed_form_checks_name_grid_points_over_budget():
+    # q=4 d=4 enumerates 256 monics, over a budget of 100; the cases below
+    # it still run, and star-chain's frak_S(k < d) stops at q^(d-1)
+    for cid in ("eq-e1", "eq-e2", "eq-e3", "eq-f2", "eq-f3"):
+        rep = checks.run_check(cid, budget=100)
+        assert outcome(rep) == ("pass", "9 cases exact; over budget: q=4 d=4", None)
+    rep = checks.run_check("star-chain", budget=100)
+    assert outcome(rep) == ("pass", "9 cases exact; over budget: q=4 d=5", None)

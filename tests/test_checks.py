@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from carlitz import checks
+from carlitz import checks, shuffle
 from carlitz.errors import CarlitzError, InvalidParams, UnknownCheck
 
 GOLDEN_MANIFEST = [
@@ -123,3 +123,10 @@ def test_report_formats():
     assert csv_text.splitlines()[0].startswith("id,status")
     text = checks.reports_to_text(reports)
     assert "1/1 passed" in text
+
+
+def test_eq_fsfirst_runs_the_per_degree_form():
+    # its own computation, not thm-formulas-2's truncated product
+    assert checks._PER_DEGREE["eq-Fsfirst"][0] is shuffle.per_degree_single
+    rep = checks.run_check("eq-Fsfirst", profile="deep", d_max=5)
+    assert (rep.status, rep.witness) == ("pass", "18 cases exact")

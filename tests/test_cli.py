@@ -129,3 +129,30 @@ def test_grammar_error_position(capsys):
                            "--data", "t1:1,,")
     assert code == 2
     assert "position" in err
+
+
+def test_malformed_integer_in_data_is_a_grammar_error(capsys):
+    code, out, err = run_cli(capsys, "powsum", "--q", "9", "--d", "1",
+                             "--data", "c(a*x):1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad coefficient 'a'") and "position" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [("--modulus", "1,0,1"), ("--vars", "7")])
+def test_verify_offers_no_field_options(capsys, extra):
+    # verify builds every field from its built-in modulus; x^2 + 1 is
+    # reducible over F_2, and an unread option must not look accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--qs", "4", *extra, "--suite", "eq-e2", "--d-max", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_custom_modulus_reaches_the_value_commands(capsys):
+    code, _, err = run_cli(capsys, "powsum", "--q", "4", "--modulus", "1,0,1",
+                           "--d", "1", "--data", "1:1")
+    assert code == 2 and "is not irreducible" in err
+    code, out, _ = run_cli(capsys, "powsum", "--q", "9", "--modulus", "2,1,1",
+                           "--d", "1", "--data", "c(x):1", "--vars", "2")
+    assert code == 0 and "value: " in out

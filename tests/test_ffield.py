@@ -19,9 +19,17 @@ def test_non_prime_power_rejected():
 
 
 def test_bad_modulus_rejected():
-    # x^2 + 2 = (x + 1)(x + 2) over F_3 is reducible
-    with pytest.raises(FieldConstructionError, match="irreducible"):
-        FieldContext(9, modulus=(2, 0, 1))
+    for q, modulus in [
+            (9, (2, 0, 1)),        # x^2 + 2 = (x + 1)(x + 2) over F_3
+            (4, (1, 0, 1)),        # x^2 + 1 = (x + 1)^2 over F_2
+            (25, (4, 0, 1)),       # x^2 - 1 over F_5
+            (8, (1, 0, 0, 1)),     # x^3 + 1 = (x + 1)(x^2 + x + 1) over F_2
+            (27, (2, 0, 0, 1)),    # x^3 + 2 = (x + 2)^3 over F_3
+            (27, (0, 1, 1, 1)),    # x (x^2 + x + 1) over F_3
+            (9, (2, 2, 2)),        # 2 (x + 2)^2 over F_3, not monic
+            (16, (1, 0, 1, 0, 1))]:  # (x^2 + x + 1)^2 over F_2
+        with pytest.raises(FieldConstructionError, match="is not irreducible"):
+            FieldContext(q, modulus=modulus)
     with pytest.raises(FieldConstructionError, match="degree"):
         FieldContext(9, modulus=(1, 1))
 
@@ -31,6 +39,37 @@ def test_custom_modulus_accepted():
     ctx = FieldContext(9, modulus=(2, 1, 1))
     a = ctx.element((0, 1))  # x
     assert (a * a).coords == (1, 2)  # x^2 = -x - 2 = 2x + 1
+    # 2x^2 + x + 1 = 2 (x^2 + 2x + 2) is irreducible but not monic: it
+    # spans the same ideal as its monic multiple, so the tables agree
+    skew = FieldContext(9, modulus=(1, 1, 2))
+    monic = FieldContext(9, modulus=(2, 2, 1))
+    assert skew.modulus == (1, 1, 2)
+    assert (skew.add, skew.mul, skew.inv, skew._fold) == \
+        (monic.add, monic.mul, monic.inv, monic._fold)
+    x = skew.element((0, 1))
+    assert (x * x).coords == (1, 1)  # x^2 = -2x - 2 = x + 1
+
+
+@pytest.mark.parametrize("q,modulus", [(4, None), (8, None), (9, None),
+                                       (9, (2, 1, 1)), (9, (1, 1, 2)),
+                                       (16, None), (25, None), (27, None),
+                                       (49, (3, 1, 1))])
+def test_product_table_is_the_polynomial_product_mod_the_modulus(q, modulus):
+    # an independent route: schoolbook product and remainder in F_p[x]
+    ctx = FieldContext(q, modulus)
+    p, m = ctx.p, ctx.modulus
+    e, inv_lead = len(m) - 1, pow(m[-1], p - 2, p)
+    for a in range(q):
+        for b in range(a, q):
+            prod = [0] * (2 * e - 1)
+            for i, x in enumerate(ctx.digits[a]):
+                for j, y in enumerate(ctx.digits[b]):
+                    prod[i + j] += x * y
+            for top in range(2 * e - 2, e - 1, -1):
+                c = prod[top] * inv_lead
+                for j, mj in enumerate(m):
+                    prod[top - e + j] -= c * mj
+            assert ctx.mul[a][b] == ctx.element(prod[:e]).code
 
 
 @pytest.mark.parametrize("q", SUPPORTED)

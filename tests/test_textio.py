@@ -1,16 +1,19 @@
 import random
+import re
 
 import pytest
 
 from carlitz.errors import BadIndex, GrammarError, WeightZero
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK
-from carlitz.powersums import SemiChar
+from carlitz.powersums import SemiChar, SeqCache
 from carlitz.skew import SkewPoly
+from carlitz.tate import TateSeries, zeta_series
 from carlitz.textio import (format_apoly, format_matrix_data, format_ratk,
-                            format_semichar, format_skew, format_tpoly,
-                            parse_apoly, parse_matrix_data, parse_ratk,
-                            parse_semichar, parse_skew, parse_tpoly)
+                            format_semichar, format_series, format_skew,
+                            format_tpoly, parse_apoly, parse_fq,
+                            parse_matrix_data, parse_ratk, parse_semichar,
+                            parse_skew, parse_tpoly)
 from carlitz.tpoly import TPoly
 
 
@@ -129,3 +132,44 @@ def test_roundtrip_matrix_corpus(ctx3):
         md = parse_matrix_data(ctx3, text)
         again = parse_matrix_data(ctx3, format_matrix_data(md))
         assert again == md
+
+
+@pytest.mark.parametrize("parse,position", [
+    (lambda ctx: parse_apoly(ctx, "2*θ^a"), 2),
+    (lambda ctx: parse_apoly(ctx, "θ^-1"), 0),
+    (lambda ctx: parse_tpoly(ctx, 1, "t1^b"), 0),
+    (lambda ctx: parse_tpoly(ctx, 1, "θ + tx"), 4),
+    (lambda ctx: parse_skew(ctx, "θ*τ^c"), 2),
+    (lambda ctx: parse_fq(ctx, "a*x"), 0),
+    (lambda ctx: parse_fq(ctx, "x^q"), 0),
+])
+def test_malformed_integers_raise_grammar_errors(ctx9, parse, position):
+    with pytest.raises(GrammarError) as exc:
+        parse(ctx9)
+        assert exc.value.position == position
+
+
+def test_field_elements_share_the_sum_grammar(ctx3, ctx9):
+    assert [parse_fq(ctx3, t) for t in ("2", "[2]", "-1", "5", "2*2")] == [2, 2, 2, 2, 1]
+    x = ctx9.element((0, 1)).code
+    assert parse_fq(ctx9, "x") == x
+    assert parse_fq(ctx9, "[2*x + 1]") == ctx9.element((1, 2)).code
+    assert parse_fq(ctx9, "x + x + x") == 0
+    with pytest.raises(GrammarError, match="exceeds the field degree"):
+        parse_fq(ctx9, "x^2")
+    with pytest.raises(GrammarError, match="exceeds the field degree"):
+        parse_fq(ctx3, "x")
+
+
+def test_series_print_field_elements_like_every_printer(ctx3, ctx9):
+    # q = 3: the layout of the printer before it moved into textio
+    z = zeta_series(SeqCache(ctx3), parse_matrix_data(ctx3, "t1:1,1:1"), 6)
+    assert format_series(z) == repr(z) == (
+        "θ^-2 + (2*t1)*θ^-3 + θ^-4 + (2*t1)*θ^-5 + θ^-6 + O(θ^-7)")
+    assert format_series(TateSeries.zero(ctx3, 1, 4)) == "O(θ^-5)"
+    # q = 9: coefficients print as polynomials in x and parse back
+    u = TateSeries.from_ratk(parse_ratk(ctx9, "1/([x]*θ + 1)"), 4)
+    text = format_series(u)
+    assert text == "([2*x])*θ^-1 + ([1])*θ^-2 + ([x])*θ^-3 + ([2])*θ^-4 + O(θ^-5)"
+    codes = [parse_fq(ctx9, c) for c in re.findall(r"\[[^]]*\]", text)]
+    assert codes == [u.terms[k][()] for k in (-1, -2, -3, -4)]

@@ -146,12 +146,11 @@ def _closed_cases(which, order, varis):
             ctx, cache, _ = pool.get(q)
             sigma = SemiChar(ctx, len(varis), varis=varis)
             for d in range(min(params["d_max"], 4) + 1):
-                if q ** d > params["budget"]:
+                if q ** d > pool.budget:
                     yield _Over(f"q={q} d={d}")
                     continue
                 closed = power_sum_closed(cache, d, which)
-                brute = power_sum_bruteforce(cache, d, order, sigma,
-                                             params["budget"])
+                brute = power_sum_bruteforce(cache, d, order, sigma)
                 yield None if closed == brute else (
                     f"q={q} d={d}: closed {closed!r} != enumerated {brute!r}")
     return cases
@@ -165,16 +164,16 @@ for _cid, _spec in _CLOSED_SPECS.items():
              "q-variable weight-one partial sum equals its enumerated form")
 def _check_fdq(pool, params):
     for q in params["qs"]:
-        if q != 3 and q ** 3 > params["budget"]:
-            yield _Over(f"q={q}")
-            continue
         ctx, cache, _ = pool.get(q)
         sigma = SemiChar(ctx, q, varis=tuple(range(1, q + 1)))
         for d in range(min(params["d_max"], 3) + 1):
+            if q ** d > pool.budget:
+                yield _Over(f"q={q} d={d}")
+                continue
             closed = partial_F_one_q(cache, d)
             acc = None
             for k in range(d + 1):
-                term = power_sum_bruteforce(cache, k, 1, sigma, params["budget"])
+                term = power_sum_bruteforce(cache, k, 1, sigma)
                 acc = term if acc is None else acc + term
             yield None if closed == acc else (
                 f"q={q} d={d}: product form != enumerated sum")
@@ -275,11 +274,11 @@ def _check_prop4(pool, params):
         chi = SemiChar.chi(ctx, 1, 1)
         for n in range(1, 3):
             for d in range(min(params["d_max"], 4 if q == 3 else 3) + 1):
-                if q ** d > params["budget"]:
+                if q ** d > pool.budget:
                     yield _Over(f"q={q} n={n} d={d}")
                     continue
                 closed = power_sum_qn_closed(cache, n, d)
-                brute = power_sum_bruteforce(cache, d, q ** n, chi, params["budget"])
+                brute = power_sum_bruteforce(cache, d, q ** n, chi)
                 yield None if closed == brute else (
                     f"q={q} n={n} d={d}: closed power sum != enumeration")
 
@@ -295,8 +294,11 @@ def _check_noncommide(pool, params):
         d_top = min(params["d_max"], 4) if q == 3 else min(params["d_max"], 3)
         for n in (1, 2):
             for d in range(1, d_top + 1):
+                if q ** d > pool.budget:
+                    yield _Over(f"q={q} n={n} d={d}")
+                    continue
                 try:
-                    frak_S(cache, d, n, params["budget"])
+                    frak_S(cache, d, n)
                 except CarlitzError as exc:
                     yield f"q={q} n={n} d={d}: {exc}"
                 else:
@@ -311,10 +313,10 @@ def _check_star_chain(pool, params):
             continue
         _, cache, _ = pool.get(q)
         for d in range(1, params["d_max"] + 1):
-            if q ** (d - 1) > params["budget"]:  # frak_S(k) enumerates k < d
+            if q ** (d - 1) > pool.budget:  # frak_S(k) enumerates k < d
                 yield _Over(f"q={q} d={d}")
                 continue
-            rep = star_chain_check(cache, d, params["budget"])
+            rep = star_chain_check(cache, d)
             bad = [k for k in ("skew_equals_star", "star_equals_strict_plus_power",
                                "star_equals_product_minus_swap") if not rep[k]]
             yield f"q={q} d={d}: broken links {bad}" if bad else None
@@ -325,27 +327,27 @@ def _check_star_chain(pool, params):
 # ---------------------------------------------------------------------------
 
 def _bg_grid(pool, params, case, tops=None):
-    """Yield from case(cache, q, d, budget) at each point of the
-    Bernoulli-Goss grid, or an _Over label where the q^(d+2) enumeration
-    exceeds the budget."""
+    """Yield from case(cache, q, d) at each point of the Bernoulli-Goss
+    grid, or an _Over label where the enumeration exceeds the budget:
+    BG_(q^d - 2) sums degrees < d and checks d, d + 1 (q^(d+1) monics)."""
     for q in params["qs"]:
         top = (tops or {3: min(params["d_max"], 4), 4: 3, 5: 2}).get(q, 2)
         for d in range(1, top + 1):
-            if q ** (d + 2) > params["budget"]:
+            if q ** (d + 1) > pool.budget:
                 yield _Over(f"q={q} d={d}")
             else:
-                yield from case(pool.get(q)[1], q, d, params["budget"])
+                yield from case(pool.get(q)[1], q, d)
 
 
-def _formula_bg_case(cache, q, d, budget):
-    bg = bernoulli_goss(cache, q ** d - 2, budget)
+def _formula_bg_case(cache, q, d):
+    bg = bernoulli_goss(cache, q ** d - 2)
     rhs = bg_formula_rhs(cache, d)
     yield None if bg.value == rhs else f"q={q} d={d}: {bg.value!r} != {rhs!r}"
 
 
-def _exactdegree_case(cache, q, d, budget):
+def _exactdegree_case(cache, q, d):
     pred = bg_degree_formula(q, d)
-    bg = bernoulli_goss(cache, q ** d - 2, budget)
+    bg = bernoulli_goss(cache, q ** d - 2)
     if bg.value.degree != pred.degree:
         yield f"q={q} d={d}: deg {bg.value.degree} != {pred.degree}"
         return
@@ -359,8 +361,8 @@ def _exactdegree_case(cache, q, d, budget):
     yield None if ok else f"q={q} d={d}: block degrees off"
 
 
-def _taod_case(cache, q, d, budget):
-    sv = bg_congruence_survey(cache, d, budget)
+def _taod_case(cache, q, d):
+    sv = bg_congruence_survey(cache, d)
     bad = [r for r in sv.rows if not r.congruent]
     if bad:
         yield f"q={q} d={d}: fails at P = {bad[0].modulus!r}"
@@ -368,8 +370,8 @@ def _taod_case(cache, q, d, budget):
         yield from (None for _ in sv.rows)
 
 
-def _zero_count_case(cache, q, d, budget):
-    sv = bg_congruence_survey(cache, d, budget)
+def _zero_count_case(cache, q, d):
+    sv = bg_congruence_survey(cache, d)
     ok = sv.bound_holds and sv.count_matches_necklace and sv.divisor_consistent
     yield None if ok else (f"q={q} d={d}: zero count {sv.zero_count} vs bound "
                            f"{sv.zero_bound}, divisor consistency {sv.divisor_consistent}")
@@ -414,16 +416,14 @@ _VALUATION = {
                   "specializations at theta and at the first trivial zero",
                   lambda cache, p: [tate.annals_check(cache, p["prec"])]),
     "family-qk": ("zeta(q^k) zeta(q^k - 1) = zeta(2q^k - 1) + zeta(q^k - 1, q^k)",
-                  lambda cache, p: [tate.family_qk_check(cache, k, p["prec"], p["budget"])
+                  lambda cache, p: [tate.family_qk_check(cache, k, p["prec"])
                                     for k in (1, 2)]),
     "thakur-thm5": ("zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m",
-                    lambda cache, p: [tate.thakur_weight_check(cache, m, p["prec"],
-                                                               p["budget"])
+                    lambda cache, p: [tate.thakur_weight_check(cache, m, p["prec"])
                                       for m in (1, 2)]),
     "strange-shuffle": ("the two-parameter untwisted specialization family",
-                        lambda cache, p: [tate.strange_shuffle_check(
-                            cache, h, k, p["prec"], p["budget"])
-                            for h, k in ((0, 1), (1, 1))]),
+                        lambda cache, p: [tate.strange_shuffle_check(cache, h, k, p["prec"])
+                                          for h, k in ((0, 1), (1, 1))]),
 }
 
 # exact sub-checks an outcome may carry besides its valuation
@@ -482,12 +482,15 @@ def _validated(params):
 
 
 def run_check(check_id, pool=None, **params):
-    """Run one registered check; raises UnknownCheck for unknown ids."""
+    """Run one registered check; raises UnknownCheck for unknown ids, and
+    InvalidParams for a pool built at a budget other than the run's."""
     if check_id not in REGISTRY:
         raise UnknownCheck(check_id)
     merged = _validated(dict(params))
-    if pool is None:
-        pool = _Pool(merged["budget"])
+    pool = pool or _Pool(merged["budget"])
+    if pool.budget != merged["budget"]:
+        raise InvalidParams(f"pool budget {pool.budget} differs from the run's "
+                            f"{merged['budget']}")
     return REGISTRY[check_id].run(pool, merged)
 
 

@@ -124,8 +124,7 @@ def cmd_powsum(args):
     ctx, cache = _context(args)
     data = parse_matrix_data(ctx, args.data, s=args.vars)
     value = multi_power_sum(cache, args.d, data,
-                            mode="star" if args.star else "strict",
-                            budget=args.budget)
+                            mode="star" if args.star else "strict")
     return _wrap_value(args, {"q": ctx.q, "d": args.d, "data": repr(data),
                               "mode": "star" if args.star else "strict",
                               "value": format_tpoly(value)})
@@ -135,8 +134,7 @@ def cmd_partial(args):
     ctx, cache = _context(args)
     data = parse_matrix_data(ctx, args.data, s=args.vars)
     value = partial_zeta(cache, args.d, data,
-                         mode="star" if args.star else "strict",
-                         budget=args.budget)
+                         mode="star" if args.star else "strict")
     return _wrap_value(args, {"q": ctx.q, "d": args.d, "data": repr(data),
                               "value": format_tpoly(value)})
 
@@ -145,8 +143,7 @@ def cmd_zeta(args):
     ctx, cache = _context(args)
     data = parse_matrix_data(ctx, args.data, s=args.vars)
     value = zeta_series(cache, data, args.prec,
-                        mode="star" if args.star else "strict",
-                        budget=args.budget)
+                        mode="star" if args.star else "strict")
     return _wrap_value(args, {"q": ctx.q, "prec": args.prec, "data": repr(data),
                               "value": repr(value)})
 
@@ -158,7 +155,7 @@ def cmd_bg(args):
     payload = {"q": ctx.q}
     if args.d is not None:
         n = ctx.q ** args.d - 2
-        bg = bernoulli_goss(cache, n, args.budget)
+        bg = bernoulli_goss(cache, n)
         pred = bg_degree_formula(ctx.q, args.d)
         rhs = bg_formula_rhs(cache, args.d)
         payload.update({
@@ -168,7 +165,7 @@ def cmd_bg(args):
             "double_sum_matches": bg.value == rhs,
         })
     else:
-        bg = bernoulli_goss(cache, args.n, args.budget)
+        bg = bernoulli_goss(cache, args.n)
         payload.update({"n": args.n, "value": repr(bg.value),
                         "degree": bg.value.degree, "summed_degrees": bg.k_stop + 1})
     return _wrap_value(args, payload)
@@ -176,7 +173,7 @@ def cmd_bg(args):
 
 def cmd_bg_survey(args):
     ctx, cache = _context(args)
-    sv = bg_congruence_survey(cache, args.d, args.budget)
+    sv = bg_congruence_survey(cache, args.d)
     rows = [{"modulus": repr(r.modulus), "bg_residue": repr(r.bg_residue),
              "zeta_residue": repr(r.partial_zeta_residue),
              "congruent": r.congruent, "bg_vanishes": r.bg_vanishes}
@@ -210,7 +207,7 @@ def cmd_bg_survey(args):
 
 def cmd_skew(args):
     ctx, cache = _context(args)
-    value = frak_S(cache, args.d, args.n, args.budget)
+    value = frak_S(cache, args.d, args.n)
     return _wrap_value(args, {"q": ctx.q, "d": args.d, "n": args.n,
                               "value": format_skew(value)})
 

@@ -17,9 +17,9 @@ so a wrong cutoff can never silently truncate.
 import warnings
 from typing import NamedTuple
 
-from .errors import ContextMismatch, TailNotVanishing, WeightZero
+from .errors import ContextMismatch, InvalidParams, TailNotVanishing, WeightZero
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
-from .powersums import ChainSums, SemiChar, power_sum, power_sum_bruteforce
+from .powersums import ChainSums, SemiChar, power_sum
 from .tpoly import TPoly
 
 
@@ -71,7 +71,7 @@ class MatrixData:
         return format_matrix_data(self)
 
 
-def multi_power_sum(cache, d, data, mode="strict", budget=None):
+def multi_power_sum(cache, d, data, mode="strict"):
     """The degree-d multiple twisted power sum of the matrix data.
 
     strict: the top column is taken at degree d and the remaining columns
@@ -83,18 +83,20 @@ def multi_power_sum(cache, d, data, mode="strict", budget=None):
         raise ValueError(f"unknown mode {mode!r}")
     if data.depth == 0:
         return TPoly.one(cache.ctx, data.s)
-    chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma, budget),
+    chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma),
                        TPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
     return chains.multi(d, data.columns, mode)
 
 
 def partial_zeta(cache, d_max, data, mode="strict", budget=None):
     """The truncated zeta value: sum of the multiple power sums over
-    degrees 0 .. d_max - 1 (zero when d_max = 0)."""
-    ctx = cache.ctx
-    total = TPoly.zero(ctx, data.s)
+    degrees 0 .. d_max - 1 (zero when d_max = 0).  A budget given must
+    be the cache's, which alone bounds the enumerations."""
+    if budget is not None and budget != cache.budget:
+        raise InvalidParams(f"budget {budget} differs from the cache's {cache.budget}")
+    total = TPoly.zero(cache.ctx, data.s)
     for k in range(d_max):
-        total = total + multi_power_sum(cache, k, data, mode, budget)
+        total = total + multi_power_sum(cache, k, data, mode)
     return total
 
 
@@ -110,7 +112,7 @@ class BGPoly(NamedTuple):
     k_stop: int
 
 
-def bernoulli_goss(cache, n, budget=None):
+def bernoulli_goss(cache, n):
     """BG_n for n >= 1, summing degrees 0 .. floor(digitsum_q(n)/(q-1)).
 
     The cutoff comes from the base-q digit-sum bound for vanishing power
@@ -128,10 +130,10 @@ def bernoulli_goss(cache, n, budget=None):
     triv = SemiChar.trivial(ctx, 0)
     total = APoly.zero(ctx)
     for k in range(k_stop + 1):
-        term = power_sum_bruteforce(cache, k, -n, triv, budget)
+        term = power_sum(cache, k, -n, triv)
         total = total + term.constant_coefficient().as_apoly()
     for k in (k_stop + 1, k_stop + 2):
-        tail = power_sum_bruteforce(cache, k, -n, triv, budget)
+        tail = power_sum(cache, k, -n, triv)
         if not tail.is_zero():
             raise TailNotVanishing(
                 f"degree-{k} power sum of order {-n} did not vanish; "
@@ -242,14 +244,14 @@ class CongruenceSurvey(NamedTuple):
         return self.irreducible_count == self.necklace_value
 
 
-def bg_congruence_survey(cache, d, budget=None):
+def bg_congruence_survey(cache, d):
     """For every monic irreducible P of degree d, compare BG_(q^d - 2) and
     the degree-d truncated zeta sum of weight one modulo P, and report the
     vanishing statistics against the divisor-count bound."""
     ctx = cache.ctx
     q = ctx.q
     n = q ** d - 2
-    bg = bernoulli_goss(cache, n, budget).value
+    bg = bernoulli_goss(cache, n).value
     # truncated weight-one zeta sum: sum of 1/ell(i) for i < d
     fd = RatK.zero(ctx)
     for i in range(d):

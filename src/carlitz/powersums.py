@@ -280,17 +280,16 @@ class SeqCache:
         """The memo dict of the chain sums (ChainSums) tagged `tag`."""
         return self._chains.setdefault(tag, {})
 
-    def check_budget(self, count, budget=None):
-        limit = self.budget if budget is None else budget
-        if count > limit:
-            raise BudgetExceeded(count, limit)
+    def check_budget(self, count):
+        if count > self.budget:
+            raise BudgetExceeded(count, self.budget)
 
 
 # ---------------------------------------------------------------------------
 # brute-force twisted power sums (the enumeration oracle)
 # ---------------------------------------------------------------------------
 
-def monic_sum(cache, d, sigma, value, nslots, budget=None):
+def monic_sum(cache, d, sigma, value, nslots):
     """Sum of sigma(a) * value(a) over the q^d monic a of degree d: the one
     enumeration loop behind every oracle.
 
@@ -301,7 +300,7 @@ def monic_sum(cache, d, sigma, value, nslots, budget=None):
     """
     ctx = cache.ctx
     count = ctx.q ** d
-    cache.check_budget(count, budget)
+    cache.check_budget(count)
     unit = kern._units(ctx)
     every = kern.reduce_interval(ctx, 1, count)
     acc = {}
@@ -316,7 +315,7 @@ def monic_sum(cache, d, sigma, value, nslots, budget=None):
     return {e: kern.unpack(ctx, v, nslots) for e, v in acc.items()}
 
 
-def power_sum_bruteforce(cache, d, k, sigma, budget=None):
+def power_sum_bruteforce(cache, d, k, sigma):
     """Sum of a^(-k) sigma(a) over all monic a of degree d, by enumeration.
 
     Negative k means positive powers of a (used by the finite zeta sums at
@@ -327,7 +326,7 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
     there a packed product of two cofactors costs more than a division.
     """
     ctx = cache.ctx
-    cache.check_budget(ctx.q ** d, budget)
+    cache.check_budget(ctx.q ** d)
     if k > 0:
         j = 1 if ctx.e == 1 else k
         while j % ctx.q == 0:
@@ -336,11 +335,11 @@ def power_sum_bruteforce(cache, d, k, sigma, budget=None):
         den_poly, part = lcm ** k, list((lcm ** j).coeffs)
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
             ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
-            len(den_poly.coeffs), budget)
+            len(den_poly.coeffs))
     else:
         den_poly = APoly.one(ctx)
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),
-                         1 - k * d, budget)
+                         1 - k * d)
     terms = {}
     for exps, num in sums.items():
         num = APoly._make(ctx, num)
@@ -567,7 +566,7 @@ def closed_raw(cache, d, n, sigma):
     return RawTPoly(ctx, s, terms, list(cache.ell_pow(d, n).coeffs))
 
 
-def power_sum(cache, d, n, sigma, budget=None):
+def power_sum(cache, d, n, sigma):
     """S_d(n; sigma), exact and memoized per cache: `closed_raw` where it
     has a closed form, else enumeration."""
     key = (d, n, sigma)
@@ -575,7 +574,7 @@ def power_sum(cache, d, n, sigma, budget=None):
     if hit is not None:
         return hit
     raw = closed_raw(cache, d, n, sigma)
-    result = (power_sum_bruteforce(cache, d, n, sigma, budget) if raw is None
+    result = (power_sum_bruteforce(cache, d, n, sigma) if raw is None
               else raw.to_tpoly())
     cache._psums[key] = result
     return result

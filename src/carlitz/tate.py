@@ -356,7 +356,7 @@ def _inverse_power(ctx, a, n, rows):
     return kern.kmul(ctx, kern.kspread(inv, qk), num)[:rows]
 
 
-def _series_power_sum(cache, d, n, sigma, prec, budget=None):
+def _series_power_sum(cache, d, n, sigma, prec):
     """The degree-d order-n twisted power sum as a series to the given
     precision: exact closed forms embedded when available (degree
     characters excepted), otherwise the sum of sigma(a) times the expansion
@@ -368,22 +368,22 @@ def _series_power_sum(cache, d, n, sigma, prec, budget=None):
         return hit
     ctx = cache.ctx
     if not sigma.degs and closed_form(ctx.q, n, sigma):
-        val = TateSeries.embed_tpoly(power_sum(cache, d, n, sigma, budget),
+        val = TateSeries.embed_tpoly(power_sum(cache, d, n, sigma),
                                      prec, s=sigma.s)
     else:
         rows = prec - n * d + 1
         if rows > 0:
             sums = monic_sum(cache, d, sigma, lambda a: _inverse_power(ctx, a, n, rows),
-                             rows, budget)
+                             rows)
         else:
-            cache.check_budget(ctx.q ** d, budget)
+            cache.check_budget(ctx.q ** d)
             sums = {}
         val = _from_pieces(ctx, sigma.s, prec, [(e, -n * d, r) for e, r in sums.items()])
     cache._psums[key] = val
     return val
 
 
-def zeta_series(cache, data, prec, mode="strict", budget=None):
+def zeta_series(cache, data, prec, mode="strict"):
     """The zeta value of the matrix data, summed degree by degree until the
     tail is provably below the precision.
 
@@ -396,7 +396,7 @@ def zeta_series(cache, data, prec, mode="strict", budget=None):
     if data.depth == 0:
         return TateSeries.one(ctx, data.s, prec)
     chains = ChainSums(
-        lambda k, n, sigma: _series_power_sum(cache, k, n, sigma, prec, budget),
+        lambda k, n, sigma: _series_power_sum(cache, k, n, sigma, prec),
         TateSeries.zero(ctx, data.s, prec), cache.chain_memo(("series", prec)))
     total = TateSeries.zero(ctx, data.s, prec)
     vals = []
@@ -473,34 +473,33 @@ def annals_check(cache, prec):
     return main
 
 
-def family_qk_check(cache, k, prec, budget=None):
+def family_qk_check(cache, k, prec):
     """zeta(q^k) zeta(q^k - 1) = zeta(2 q^k - 1) + zeta(q^k - 1, q^k)."""
     ctx = cache.ctx
     q = ctx.q
     work = prec + 2
-    za = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k,)), work, budget=budget)
-    zb = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k - 1,)), work, budget=budget)
-    zc = zeta_series(cache, MatrixData.untwisted(ctx, (2 * q ** k - 1,)), work, budget=budget)
-    zd = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k - 1, q ** k)), work, budget=budget)
+    za = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k,)), work)
+    zb = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k - 1,)), work)
+    zc = zeta_series(cache, MatrixData.untwisted(ctx, (2 * q ** k - 1,)), work)
+    zd = zeta_series(cache, MatrixData.untwisted(ctx, (q ** k - 1, q ** k)), work)
     return valuation_identity_check((za * zb).truncate(prec + 1),
                                     (zc + zd).truncate(prec + 1), prec)
 
 
-def thakur_weight_check(cache, m, prec, budget=None):
+def thakur_weight_check(cache, m, prec):
     """zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m for 1 <= m <= q-1."""
     ctx = cache.ctx
     q = ctx.q
     work = prec + 2 * m * q + 2
-    lhs = zeta_series(cache, MatrixData.untwisted(ctx, (m, m * (q - 1))), work,
-                      budget=budget)
-    zmq = zeta_series(cache, MatrixData.untwisted(ctx, (m * q,)), work, budget=budget)
+    lhs = zeta_series(cache, MatrixData.untwisted(ctx, (m, m * (q - 1))), work)
+    zmq = zeta_series(cache, MatrixData.untwisted(ctx, (m * q,)), work)
     scale = TateSeries.from_ratk(
         RatK(APoly.one(ctx), (APoly.theta(ctx) - cache.theta_q(1)) ** m), work)
     return valuation_identity_check(lhs.truncate(prec + 1),
                                     (zmq * scale).truncate(prec + 1), prec)
 
 
-def strange_shuffle_check(cache, h, k, prec, budget=None):
+def strange_shuffle_check(cache, h, k, prec):
     """The two-parameter untwisted family obtained from the joint-product
     identity, for h, k >= 0 with h + k > 0:
 
@@ -516,20 +515,17 @@ def strange_shuffle_check(cache, h, k, prec, budget=None):
     big = q ** (k + h)
     low = q ** h
     work = prec + 2
-    z1 = zeta_series(cache, MatrixData.untwisted(ctx, (1,)), work, budget=budget)
+    z1 = zeta_series(cache, MatrixData.untwisted(ctx, (1,)), work)
     # the first factor carries the full q^(k+h) power: the identity follows
     # from the joint product by the two-variable specialization raised to
     # q^(k+h), and the h = 0 case is insensitive to the difference
     lhs = (z1 ** big) * zeta_series(
-        cache, MatrixData.untwisted(ctx, (big - low - 1,)), work, budget=budget)
-    rhs = zeta_series(cache, MatrixData.untwisted(ctx, (2 * big - low - 1,)), work,
-                      budget=budget)
+        cache, MatrixData.untwisted(ctx, (big - low - 1,)), work)
+    rhs = zeta_series(cache, MatrixData.untwisted(ctx, (2 * big - low - 1,)), work)
     for pair in ((big, big - low - 1), (big - low - 1, big)):
-        rhs = rhs + zeta_series(cache, MatrixData.untwisted(ctx, pair), work,
-                                budget=budget)
+        rhs = rhs + zeta_series(cache, MatrixData.untwisted(ctx, pair), work)
     for pair in ((big - low, big - 1), (big - 1, big - low)):
-        rhs = rhs - zeta_series(cache, MatrixData.untwisted(ctx, pair), work,
-                                budget=budget)
+        rhs = rhs - zeta_series(cache, MatrixData.untwisted(ctx, pair), work)
     return valuation_identity_check(lhs.truncate(prec + 1), rhs.truncate(prec + 1),
                                     prec)
 

@@ -80,10 +80,6 @@ class TPoly:
         exps = tuple(1 if j == i - 1 else 0 for j in range(s))
         return cls(ctx, s, {exps: RatK.one(ctx)}, _clean=True)
 
-    @classmethod
-    def monomial(cls, ctx, s, exps, coef):
-        return cls(ctx, s, {tuple(exps): coef})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):

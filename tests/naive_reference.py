@@ -263,7 +263,7 @@ class NSeries:
 # the skew power sums by the Carlitz action of each monic
 # ---------------------------------------------------------------------------
 
-def frak_S_naive(cache, d, n, budget=None):
+def frak_S_naive(cache, d, n):
     """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration,
     accumulated over the lcm denominator."""
     from carlitz import _packed as kern
@@ -271,7 +271,7 @@ def frak_S_naive(cache, d, n, budget=None):
     from carlitz.skew import SkewPoly, carlitz_action
     ctx = cache.ctx
     qn = ctx.q ** n
-    cache.check_budget(ctx.q ** d, budget)
+    cache.check_budget(ctx.q ** d)
     den_poly = cache.monic_lcm(d) ** qn
     den = list(den_poly.coeffs)
     acc = [0] * (d + 1)

@@ -17,7 +17,7 @@ from carlitz.mzv import bernoulli_goss
 from carlitz.poly import APoly
 from carlitz.powersums import SeqCache
 
-_POOL = checks._Pool(budget=2_000_000)
+_POOL = checks._Pool(budget=checks.DEFAULT_PARAMS["budget"])
 
 
 def _run(check_id, **params):

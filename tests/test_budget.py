@@ -1,0 +1,69 @@
+"""The enumeration budget has one owner: the SeqCache (and, for a verify
+run, the _Pool that builds the caches).  No other function takes it, and
+the grid checks name each point whose enumeration would exceed it."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import carlitz
+from carlitz import checks
+from carlitz.errors import InvalidParams
+from carlitz.mzv import MatrixData, partial_zeta
+
+# SeqCache and _Pool hold the budget, BudgetExceeded reports it, and
+# partial_zeta accepts it only to check that it equals the cache's
+_OWNERS = {"SeqCache", "_Pool", "BudgetExceeded", "partial_zeta"}
+
+
+def _callables():
+    for info in pkgutil.iter_modules(carlitz.__path__):
+        mod = importlib.import_module(f"carlitz.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__ or name in _OWNERS:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    fn = getattr(raw, "__func__", raw)
+                    if inspect.isfunction(fn):
+                        yield f"{mod.__name__}.{name}.{attr}", fn
+
+
+def test_only_the_cache_takes_a_budget():
+    takers = [name for name, fn in _callables()
+              if "budget" in inspect.signature(fn).parameters]
+    assert takers == []
+
+
+def test_partial_zeta_rejects_a_second_budget(cache3):
+    data = MatrixData.untwisted(cache3.ctx, (1,))
+    assert partial_zeta(cache3, 2, data, budget=cache3.budget) == \
+        partial_zeta(cache3, 2, data)
+    with pytest.raises(InvalidParams):
+        partial_zeta(cache3, 2, data, budget=cache3.budget + 1)
+
+
+def test_run_check_rejects_a_pool_of_another_budget():
+    with pytest.raises(InvalidParams):
+        checks.run_check("eq-e1", pool=checks._Pool(100), budget=200)
+
+
+def test_formula_bg_tests_the_largest_enumeration():
+    # BG_(3^3 - 2) enumerates degrees up to 4: 81 monics, within 100
+    rep = checks.run_check("thm-formulaBG", qs=(3,), budget=100)
+    assert (rep.status, rep.witness) == ("pass", "3 cases exact; over budget: q=3 d=4")
+
+
+@pytest.mark.parametrize("cid, witness", [
+    ("cor-noncommide", "8 cases exact; degree zero excluded by design; over budget: "
+                       "q=3 n=1 d=3, q=3 n=1 d=4, q=3 n=2 d=3, q=3 n=2 d=4, "
+                       "q=4 n=1 d=3, q=4 n=2 d=3"),
+    ("eq-Fdq", "6 cases exact; over budget: q=3 d=3, q=4 d=3"),
+])
+def test_enumerating_checks_name_points_over_budget(cid, witness):
+    rep = checks.run_check(cid, budget=20)
+    assert (rep.status, rep.witness) == ("pass", witness)

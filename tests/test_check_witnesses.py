@@ -35,22 +35,22 @@ def test_tau_b_joins_the_first_four_failures(monkeypatch):
 
 def test_formula_bg_failure_keeps_the_over_budget_tail(monkeypatch):
     monkeypatch.setattr(checks, "bernoulli_goss",
-                        lambda cache, n, budget: SimpleNamespace(value=f"B{n}"))
+                        lambda cache, n: SimpleNamespace(value=f"B{n}"))
     monkeypatch.setattr(checks, "bg_formula_rhs", lambda cache, d: f"R{d}")
-    rep = checks.run_check("thm-formulaBG", qs=(3,), budget=100)
+    rep = checks.run_check("thm-formulaBG", qs=(3,), budget=30)
     assert outcome(rep) == (
         "fail", "q=3 d=1: 'B1' != 'R1'; q=3 d=2: 'B7' != 'R2'; "
                 "over budget: q=3 d=3, q=3 d=4", None)
 
 
 def test_formula_bg_pass_keeps_the_over_budget_tail():
-    rep = checks.run_check("thm-formulaBG", qs=(3,), budget=100)
+    rep = checks.run_check("thm-formulaBG", qs=(3,), budget=30)
     assert outcome(rep) == (
         "pass", "2 cases exact; over budget: q=3 d=3, q=3 d=4", None)
 
 
 def test_noncommide_records_a_raised_error(monkeypatch):
-    def frak_S(cache, d, n, budget):
+    def frak_S(cache, d, n):
         if n == 2:
             raise CarlitzError(f"no sum at d={d}")
     monkeypatch.setattr(checks, "frak_S", frak_S)
@@ -60,7 +60,7 @@ def test_noncommide_records_a_raised_error(monkeypatch):
 
 
 def test_family_qk_below_threshold(monkeypatch):
-    def family(cache, k, prec, budget):
+    def family(cache, k, prec):
         achieved = float("inf") if k == 1 else 7
         return {"achieved": achieved, "threshold": prec,
                 "passed": achieved > prec}

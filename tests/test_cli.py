@@ -102,7 +102,7 @@ def test_verify_with_no_case_is_skipped_and_exits_nonzero(capsys, tmp_path, qs, 
 
 
 def test_verify_names_grid_points_over_budget(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--budget", "100",
+    code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--budget", "30",
                            "--suite", "thm-formulaBG")
     assert code == 0
     assert "ok    2 cases exact; over budget: q=3 d=3, q=3 d=4" in out

@@ -106,10 +106,10 @@ def test_bruteforce_spec_values(cache3):
     assert got == TPoly.constant(ctx, 0, RatK.from_apoly(th ** 3 + 2 * th))
 
 
-def test_budget_guard(cache3):
+def test_budget_guard(ctx3):
     with pytest.raises(BudgetExceeded):
-        power_sum_bruteforce(cache3, 9, 1, SemiChar.trivial(cache3.ctx, 0),
-                             budget=100)
+        power_sum_bruteforce(SeqCache(ctx3, budget=100), 9, 1,
+                             SemiChar.trivial(ctx3, 0))
 
 
 # -- closed forms ---------------------------------------------------------------

@@ -3,24 +3,27 @@
 A polynomial is a plain Python list of element codes (ascending powers of
 theta, no trailing zeros; [] is zero).  Small operands use table-driven
 schoolbook loops.  Large operands are packed into a single Python integer,
-one 32-bit slot per coefficient (for e = 1) or one 32-bit sub-slot per
-F_p-digit with 2e sub-slots per coefficient (for e > 1), so that
-polynomial multiplication becomes one big-integer multiplication.
-Division is schoolbook over the divisor's nonzero terms up to a work
-budget; what that prefix leaves goes to Newton inversion of the reversed
-divisor (a few `kmul`s), or on to schoolbook when the quotient is too long
-for a packed product's slots.
+one sub-slot per F_p-digit: one per coefficient for e = 1 and 2e-1 per
+coefficient for e > 1 (the e digits of a code, then e-1 zero sub-slots
+for the digit products of a product slot), so that polynomial
+multiplication becomes one big-integer multiplication.  A sub-slot is 16
+or 32 bits wide: `kmul` takes the narrowest width that holds its product
+bound, every other packed path 32 bits.  Division is schoolbook over the
+divisor's nonzero terms up to a work budget; what that prefix leaves goes
+to Newton inversion of the reversed divisor (a few `kmul`s), or on to
+schoolbook when the quotient is too long for a packed product's slots.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
 2e-1 residues of a slot as one index into the context's fold table, which
-maps the digits of sum d_j x^j to its element code mod the field modulus.
-kmul and kdivmod check their slot bound before packing (for products,
-min(len) * e * (p-1)^2 < 2^32) and fall back to the schoolbook loop when
-it fails, which only happens for large p; the prime-field kgcd tracks the
-exact slot bound and renormalizes before it reaches 2^31.  The slot codecs
-read and write native 32-bit array items as little-endian bytes, so
-importing the module fails on any other platform.
+maps the digits of sum d_j x^j to its element code mod the field modulus;
+for p = 2 a bit mask reads every residue at once.  kmul and kdivmod check
+their slot bound before packing (for products, min(len) * e * (p-1)^2,
+below 2^16 for 16-bit and 2^32 for 32-bit sub-slots) and fall back to the
+schoolbook loop past 2^32, which only happens for large p; the prime-field
+kgcd tracks the exact slot bound and renormalizes before it reaches 2^31.
+The slot codecs read and write native 16- and 32-bit array items as
+little-endian bytes, so importing the module fails on any other platform.
 """
 
 from array import array
@@ -28,15 +31,18 @@ import sys
 
 from .errors import BothZero, DivisionByZero, InexactDivision
 
-_W = 32                       # bits per sub-slot
+_W = 32                       # bits per sub-slot, except in kmul
 _MASK = (1 << _W) - 1
+_NARROW = 16                  # kmul's sub-slot width while its bound allows
+_TYPECODE = {16: "H", 32: "I"}
 _MUL_CUTOFF = 24              # below this, schoolbook beats pack/unpack
 _DIV_CUTOFF = 24
-_NAIVE_WORK = 8               # schoolbook work per quotient slot and sub-slot
+_NAIVE_WORK = 8               # schoolbook work per quotient slot, times 2e if e > 1
 
-if sys.byteorder != "little" or array("I").itemsize != 4:
-    raise ImportError("the packed kernel needs 4-byte little-endian "
-                      "array('I') items")
+if sys.byteorder != "little" or any(array(t).itemsize * 8 != w
+                                   for w, t in _TYPECODE.items()):
+    raise ImportError("the packed kernel needs 2- and 4-byte little-endian "
+                      "array('H') and array('I') items")
 
 
 def trim(a):
@@ -50,28 +56,41 @@ def trim(a):
 # packing
 # ---------------------------------------------------------------------------
 
-def pack(ctx, coeffs):
-    """Pack a coefficient list into one integer."""
+def pack(ctx, coeffs, width=_W):
+    """Pack a coefficient list into one integer, `width` bits per sub-slot."""
     if ctx.e == 1:
-        return int.from_bytes(array("I", coeffs).tobytes(), "little")
-    slot = ctx._slot_bytes
+        if width == _NARROW and ctx.q <= 256:
+            # bytes() takes a list of small ints at twice array("H")'s speed
+            raw = bytearray(2 * len(coeffs))
+            raw[::2] = bytes(coeffs)
+            return int.from_bytes(raw, "little")
+        return int.from_bytes(array(_TYPECODE[width], coeffs).tobytes(), "little")
+    slot = ctx._slots[width]
     return int.from_bytes(b"".join([slot[c] for c in coeffs]), "little")
 
 
-def unpack(ctx, value, nslots):
-    """Unpack nslots coefficients, reducing each slot mod p (and mod the
-    field modulus in the extension case)."""
-    p = ctx.p
-    sub = ctx.SUB
-    raw = value.to_bytes(4 * sub * nslots, "little")
-    vals = array("I", raw)
-    if ctx.e == 1:
-        return [v % p for v in vals]
-    # fold-table index sum d_j p^j of every slot, by Horner over sub-slots
-    top = 2 * ctx.e - 2
-    idx = [v % p for v in vals[top::sub]]
-    for j in range(top - 1, -1, -1):
-        idx = [i * p + v % p for i, v in zip(idx, vals[j::sub])]
+def unpack(ctx, value, nslots, width=_W):
+    """Unpack nslots coefficients of `width`-bit sub-slots, reducing each
+    slot mod p (and mod the field modulus in the extension case)."""
+    p, sub = ctx.p, 2 * ctx.e - 1
+    nbytes = width // 8 * sub * nslots
+    if p == 2 and sub <= width:
+        # the parities sit at bit 0 of each sub-slot; shifting by
+        # (width - 1) j moves sub-slot j's down to bit j of its slot's
+        # first sub-slot, and no two land on one bit while j <= 2e - 2 < width
+        ones = (1).to_bytes(width // 8, "little") * (sub * nslots)
+        idx = par = value & int.from_bytes(ones, "little")
+        for j in range(1, sub):
+            idx |= par >> ((width - 1) * j)
+        idx = array(_TYPECODE[width], idx.to_bytes(nbytes, "little"))[::sub]
+    else:
+        vals = array(_TYPECODE[width], value.to_bytes(nbytes, "little"))
+        if sub == 1:
+            return [v % p for v in vals]
+        # fold-table index sum d_j p^j of every slot, by Horner over sub-slots
+        idx = [v % p for v in vals[sub - 1::sub]]
+        for j in range(sub - 2, -1, -1):
+            idx = [i * p + v % p for i, v in zip(idx, vals[j::sub])]
     fold = ctx._fold
     return [fold[i] for i in idx]
 
@@ -111,11 +130,14 @@ def kmul(ctx, a, b):
     if not la or not lb:
         return []
     m = min(la, lb)
-    # a product slot sums m * e digit products of at most (p-1)^2
-    if m <= _MUL_CUTOFF or m * ctx.e * (ctx.p - 1) ** 2 >= 1 << _W:
+    # a product sub-slot sums at most m * e digit products of at most
+    # (p-1)^2: sub-slot j holds those of digit pairs j1 + j2 = j
+    bound = m * ctx.e * (ctx.p - 1) ** 2
+    if m <= _MUL_CUTOFF or bound >= 1 << _W:
         return kmul_naive(ctx, a, b)
-    prod = pack(ctx, a) * pack(ctx, b)
-    return trim(unpack(ctx, prod, la + lb - 1))
+    width = _NARROW if bound < 1 << _NARROW else _W
+    prod = pack(ctx, a, width) * pack(ctx, b, width)
+    return trim(unpack(ctx, prod, la + lb - 1, width))
 
 
 def kscal(ctx, s, a):
@@ -171,7 +193,6 @@ def kpow(ctx, a, n):
         return []
     q = ctx.q
     small = {1: list(a)}
-    d = 2
     digs = []
     m = n
     while m:
@@ -233,7 +254,8 @@ def kdivmod(ctx, a, b):
     # schoolbook is cheap on the sparse operands most callers divide; past
     # about what a packed division costs, Newton takes the rest when its
     # products (shorter operand at most nq coefficients) fit their slots
-    quo, r = kdivmod_naive(ctx, a, b, _NAIVE_WORK * ctx.SUB * (la - lb + 1))
+    work = _NAIVE_WORK * (1 if ctx.e == 1 else 2 * ctx.e) * (la - lb + 1)
+    quo, r = kdivmod_naive(ctx, a, b, work)
     if len(r) < lb:
         return quo, r
     if (len(r) - lb + 1) * ctx.e * (ctx.p - 1) ** 2 < 1 << _W:
@@ -273,7 +295,7 @@ def _units(ctx):
     unit[c] * P is c times the packed polynomial P."""
     if ctx.e == 1:
         return range(ctx.q)
-    return [int.from_bytes(b, "little") for b in ctx._slot_bytes]
+    return [int.from_bytes(b, "little") for b in ctx._slots[_W]]
 
 
 def reduce_interval(ctx, width, count):

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import shuffle, tate
-from .errors import CarlitzError, InvalidParams, UnknownCheck
+from .errors import BudgetExceeded, CarlitzError, InvalidParams, UnknownCheck
 from .ffield import FieldContext
 from .mzv import (bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs)
@@ -409,50 +409,59 @@ def _check_necklace(pool, params):
 # valuation-threshold checks
 # ---------------------------------------------------------------------------
 
-# id -> (description, outcomes(cache, params)): the identities checked at
-# q = 3, each a dict with the achieved and the threshold valuation
+# id -> (description, identity(cache, *args, prec), parameter names, the
+# argument tuples): the identities checked at q = 3, each returning a dict
+# with the achieved and the threshold valuation (looked up in `tate` at
+# call time, so that a test can replace one)
 _VALUATION = {
     "eq-annals": ("root-free weight-one evaluation identity, plus the exact "
                   "specializations at theta and at the first trivial zero",
-                  lambda cache, p: [tate.annals_check(cache, p["prec"])]),
+                  lambda *a: tate.annals_check(*a), (), [()]),
     "family-qk": ("zeta(q^k) zeta(q^k - 1) = zeta(2q^k - 1) + zeta(q^k - 1, q^k)",
-                  lambda cache, p: [tate.family_qk_check(cache, k, p["prec"])
-                                    for k in (1, 2)]),
+                  lambda *a: tate.family_qk_check(*a), ("k",), [(1,), (2,)]),
     "thakur-thm5": ("zeta(m, m(q-1)) = zeta(mq) / (theta - theta^q)^m",
-                    lambda cache, p: [tate.thakur_weight_check(cache, m, p["prec"])
-                                      for m in (1, 2)]),
+                    lambda *a: tate.thakur_weight_check(*a), ("m",), [(1,), (2,)]),
     "strange-shuffle": ("the two-parameter untwisted specialization family",
-                        lambda cache, p: [tate.strange_shuffle_check(cache, h, k, p["prec"])
-                                          for h, k in ((0, 1), (1, 1))]),
+                        lambda *a: tate.strange_shuffle_check(*a), ("h", "k"),
+                        [(0, 1), (1, 1)]),
 }
 
 # exact sub-checks an outcome may carry besides its valuation
 _EXACT_PARTS = ("value_at_theta_is_one", "trivial_zero_vanishes")
 
 
-def _valuation_runner(outcomes_of):
+def _valuation_runner(identity, names, arg_tuples):
+    """Run each identity at q = 3; one whose enumeration exceeds the budget
+    is left out and named in an over-budget tail, as in `_grid_check`."""
     def run(pool, params):
-        outcomes = []
+        outcomes, over = [], []
         for q in params["qs"]:
             if q != 3:
                 continue
-            for o in outcomes_of(pool.get(q)[1], params):
+            for args in arg_tuples:
+                try:
+                    o = identity(pool.get(q)[1], *args, params["prec"])
+                except BudgetExceeded:
+                    over.append(" ".join([f"q={q}"] + [f"{n}={v}"
+                                                       for n, v in zip(names, args)]))
+                    continue
                 if not all(o.get(k, True) for k in _EXACT_PARTS):
                     return "fail", "specialization sub-checks failed", o["achieved"]
                 outcomes.append(o)
+        tail = f"; over budget: {', '.join(over)}" if over else ""
         if not outcomes:
-            return "skipped", _NO_CASE, None
+            return "skipped", _NO_CASE + tail, None
         worst = min(o["achieved"] for o in outcomes)
         bad = [o for o in outcomes if not o["passed"]]
         if not bad:
-            return "pass", f"{len(outcomes)} identities beyond threshold", worst
+            return "pass", f"{len(outcomes)} identities beyond threshold{tail}", worst
         return "fail", (f"{len(bad)} below threshold; worst achieved "
-                        f"{bad[0]['achieved']} vs {bad[0]['threshold']}"), worst
+                        f"{bad[0]['achieved']} vs {bad[0]['threshold']}{tail}"), worst
     return run
 
-for _cid, (_desc, _outcomes) in _VALUATION.items():
+for _cid, (_desc, *_identities) in _VALUATION.items():
     REGISTRY[_cid] = CheckSpec(_cid, "valuation-threshold", _desc,
-                               _valuation_runner(_outcomes))
+                               _valuation_runner(*_identities))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ package verifies are stated for q > 2 and several of them degenerate or
 require separate arguments at q = 2.
 """
 
-from array import array
-
 from .errors import FieldConstructionError
 
 # Fixed moduli for the prime-power sizes supported out of the box, as
@@ -84,7 +82,7 @@ class FieldContext:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "mul", "neg", "inv",
-                 "digits", "_undigit", "_fold", "_slot_bytes", "SUB")
+                 "digits", "_undigit", "_fold", "_slots")
 
     def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
@@ -122,7 +120,7 @@ class FieldContext:
 
         # element tables; prime-field rows are built by arithmetic and share
         # the int objects of r, which keeps them small at large p
-        self._fold = self._slot_bytes = None
+        self._fold = self._slots = None
         if e == 1:
             r = list(range(p))
             add = [r[a:] + r[:a] for a in r]
@@ -147,10 +145,11 @@ class FieldContext:
             mul = [_span(add, x_powers(a, e), p) for a in range(q)]
             # the packed kernel's tables: _fold[sum d_j p^j] is the code of
             # sum d_j x^j over the 2e-1 digits a product slot holds, and
-            # _slot_bytes the 2e little-endian sub-slots of each code
+            # _slots[w] the 2e-1 little-endian w-bit sub-slots of each code
             self._fold = _span(add, x_powers(1, 2 * e - 1), p)
-            self._slot_bytes = [array("I", ds + (0,) * e).tobytes()
-                                for ds in digits]
+            self._slots = {w: [b"".join(d.to_bytes(w // 8, "little")
+                                        for d in ds + (0,) * (e - 1))
+                               for ds in digits] for w in (16, 32)}
         self.add = add
         self.mul = mul
         self.neg = [self._undigit[tuple((-x) % p for x in digits[a])]
@@ -162,8 +161,6 @@ class FieldContext:
         except ValueError:
             raise FieldConstructionError(
                 f"modulus {self.modulus} is not irreducible over F_{p}") from None
-        # number of 32-bit sub-slots per coefficient in the packed kernel
-        self.SUB = 1 if e == 1 else 2 * e
 
     # -- identity / comparison ------------------------------------------
 

@@ -67,3 +67,18 @@ def test_formula_bg_tests_the_largest_enumeration():
 def test_enumerating_checks_name_points_over_budget(cid, witness):
     rep = checks.run_check(cid, budget=20)
     assert (rep.status, rep.witness) == ("pass", witness)
+
+
+@pytest.mark.parametrize("cid, budget, status, witness", [
+    ("family-qk", 20, "skipped", "no case ran at these parameters; over budget: "
+                                 "q=3 k=1, q=3 k=2"),
+    ("thakur-thm5", 20, "pass", "1 identities beyond threshold; over budget: q=3 m=2"),
+    ("strange-shuffle", 20, "skipped", "no case ran at these parameters; over budget: "
+                                       "q=3 h=0 k=1, q=3 h=1 k=1"),
+    ("strange-shuffle", 50, "pass", "1 identities beyond threshold; over budget: "
+                                    "q=3 h=0 k=1"),
+])
+def test_valuation_checks_name_identities_over_budget(cid, budget, status, witness):
+    # family-qk and thakur-thm5 enumerate 27 monics, strange-shuffle 81
+    rep = checks.run_check(cid, budget=budget)
+    assert (rep.status, rep.witness) == (status, witness)

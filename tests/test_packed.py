@@ -139,11 +139,77 @@ def test_reduce_interval():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(sorted(FIELDS)), st.data())
-def test_pack_unpack_roundtrip(q, data):
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([16, 32]), st.data())
+def test_pack_unpack_roundtrip(q, width, data):
     ctx = FIELDS[q]
     a = data.draw(coeff_lists(q))
-    assert kern.unpack(ctx, kern.pack(ctx, a), len(a)) == list(a)
+    assert kern.unpack(ctx, kern.pack(ctx, a, width), len(a), width) == list(a)
+    if width == 32:  # the default width
+        assert kern.unpack(ctx, kern.pack(ctx, a), len(a)) == list(a)
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_pack_unpack_roundtrip_past_one_byte(width):
+    # codes of F_257 do not fit one byte, which the 16-bit codec reads
+    # through bytes() below that
+    ctx = FieldContext(257)
+    a = [0, 1, 255, 256, 128, 256]
+    assert kern.unpack(ctx, kern.pack(ctx, a, width), len(a), width) == a
+
+
+def spy_widths(monkeypatch):
+    """Record the sub-slot width of every unpack call."""
+    widths, real = [], kern.unpack
+
+    def unpack(ctx, value, nslots, width=kern._W):
+        widths.append(width)
+        return real(ctx, value, nslots, width)
+    monkeypatch.setattr(kern, "unpack", unpack)
+    return widths
+
+
+def check_times_constant_run(ctx, a, m):
+    """kmul(a, u) for the length-m run u = c (1 + ... + theta^(m-1)) of the
+    code c = q - 1 (every F_p-digit p - 1), checked against the reference
+    in O(m): (1 - theta) a u = c a (1 - theta^m), and F_q[theta] has no
+    zero divisors.  u * u reaches the slot bound m e (p-1)^2 exactly."""
+    c, one_minus_theta = ctx.q - 1, [1, ctx.neg[1]]
+    got = kern.kmul(ctx, a, [c] * m)
+    expected = ref.nmul(ctx, [c] + [0] * (m - 1) + [ctx.neg[c]], a)
+    assert ref.nmul(ctx, got, one_minus_theta) == expected
+
+
+# moduli for the fields past the built-in ones
+MODULI = {512: (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)}   # x^9 + x^4 + 1 over F_2
+
+
+# the largest run length m whose product m e (p-1)^2 fits 16-bit sub-slots
+@pytest.mark.parametrize("q, m", [(3, 16383), (5, 4095), (17, 255), (25, 2047),
+                                  (27, 5461), (4, 32767), (8, 21845), (16, 16383),
+                                  (512, 7281)])
+def test_kmul_at_the_16_bit_bound(q, m, monkeypatch):
+    # just below the bound the product takes 16-bit sub-slots, just above
+    # 32-bit ones; q = 4, 8, 16 decode through the p = 2 parity masks, and
+    # q = 2^9 by Horner at 16 bits, where its 17 sub-slots do not fit them
+    ctx = FIELDS.get(q) or FieldContext(q, MODULI.get(q))
+    assert m * ctx.e * (ctx.p - 1) ** 2 < 2 ** 16 <= (m + 1) * ctx.e * (ctx.p - 1) ** 2
+    rng = random.Random(q)
+    widths = spy_widths(monkeypatch)
+    for n, width in ((m, 16), (m + 1, 32)):
+        for a in ([ctx.q - 1] * n, random_poly(rng, q, n)):
+            del widths[:]
+            check_times_constant_run(ctx, a, n)
+            assert widths == [width], (n, widths)
+
+
+@pytest.mark.parametrize("q, m", [(3, 364), (4, 1365), (5, 3906)])
+def test_shuffle_deep_products_take_16_bit_slots(q, m, monkeypatch):
+    # the longest products of the deep shuffle checks at d <= 5; a fallback
+    # to 32-bit slots would leave them correct, only slower
+    ctx = FIELDS[q]
+    widths = spy_widths(monkeypatch)
+    check_times_constant_run(ctx, random_poly(random.Random(m), q, m), m)
+    assert widths == [16]
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,7 +25,7 @@ from .poly import (APoly, RatK, digit_sum, enumerate_monics, is_irreducible,
 from .tpoly import TPoly
 from .powersums import (DEFAULT_BUDGET, SemiChar, SeqCache, partial_F_one_q,
                         power_sum, power_sum_bruteforce, power_sum_closed,
-                        power_sum_qn_closed, tau_b_expand)
+                        tau_b_expand)
 from .mzv import (BGDegrees, BGPoly, CongruenceSurvey, MatrixData,
                   bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs, multi_power_sum,

@@ -11,9 +11,11 @@ Additions prefer a shared denominator: when one denominator exactly
 divides the other (the common case here, since every denominator is a
 product of ell-sequence factors), the sum keeps the larger one.
 
-The closed-form power sums are written once, in this form
-(`powersums.closed_raw`); `to_tpoly` is the one place where such a value
-is normalized into a TPoly over K.
+Every exact check compares values of this form: the closed-form power
+sums (`powersums.closed_raw`) and the enumeration oracle
+(`powersums.power_sum_bruteforce`) both write theirs over powers of
+ell(d).  `to_tpoly` normalizes a value into a TPoly over K, for output
+only.
 """
 
 from . import _packed as kern
@@ -28,7 +30,13 @@ class RawTPoly:
     def __init__(self, ctx, s, num, den):
         self.ctx = ctx
         self.s = s
-        self.num = {e: c for e, c in num.items() if c}
+        # numerators are stored trimmed and nonzero, so that equal
+        # denominators mean equal numerators (see `equals`)
+        kept = {e: c for e, c in num.items() if c and c[-1]}
+        if len(kept) < len(num):
+            kept = {e: t for e, c in num.items()
+                    if (t := c if not c or c[-1] else kern.trim(list(c)))}
+        self.num = kept
         self.den = den
 
     @classmethod
@@ -38,10 +46,6 @@ class RawTPoly:
     @classmethod
     def one(cls, ctx, s):
         return cls(ctx, s, {(0,) * s: [1]}, [1])
-
-    @classmethod
-    def scalar(cls, ctx, s, num, den):
-        return cls(ctx, s, {(0,) * s: list(num)}, list(den))
 
     def is_zero(self):
         return not self.num
@@ -146,9 +150,12 @@ class RawTPoly:
         return True
 
     def to_tpoly(self):
-        """The same value as a TPoly, every coefficient normalized in K: the
-        one point where a closed form (`powersums.closed_raw`) is reduced."""
+        """The same value as a TPoly, every coefficient normalized in K."""
         ctx = self.ctx
         den = APoly._make(ctx, list(self.den))
         terms = {e: RatK(APoly._make(ctx, list(c)), den) for e, c in self.num.items()}
         return TPoly(ctx, self.s, {e: c for e, c in terms.items() if c}, _clean=True)
+
+    def __repr__(self):
+        from .textio import format_tpoly
+        return format_tpoly(self.to_tpoly())

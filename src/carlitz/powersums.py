@@ -12,13 +12,16 @@ at a field constant (a -> a(c)), and the degree character (a -> t_i^deg a).
 
 Twisted power sums of degree d and order k are sums of a^(-k) sigma(a)
 over the q^d monic a of degree d.  They are computed two independent
-ways: literal enumeration (the oracle; fractions are accumulated over the
-lcm of the enumerated monics, assembled from the irreducibles of degree
-<= d), and closed forms for the families with known ones.  `monic_sum` is
-the one enumeration loop: every sum over monics in the package, here and
-in the skew and Tate-series oracles, goes through it.  The closed
-forms and the enumeration must agree exactly; tests and the verification
-suite enforce that.
+ways: literal enumeration (the oracle), and closed forms for the families
+with known ones.  Both write the sum as a RawTPoly over ell(d)^k; the
+oracle builds that denominator from the irreducibles, not from the ell
+sequence, as ((-1)^d times the lcm of the monics of degree d)^k.
+`monic_sum` is the one enumeration loop: every sum over monics in the
+package, here and in the skew and Tate-series oracles, goes through it.
+The closed forms and the enumeration must agree exactly; tests and the
+verification suite enforce that, comparing the unreduced fractions.
+`power_sum` normalizes a power sum into a TPoly for the layers that work
+over K (mzv and tate).
 """
 
 import itertools
@@ -270,9 +273,8 @@ class SeqCache:
         if v is None:
             v = APoly.one(self.ctx)
             for j in range(1, d + 1):
-                m = d // j
                 for pp in irreducibles_of_degree(self.ctx, j):
-                    v = v * pp ** m
+                    v = v * pp ** (d // j)
             self._monic_lcm[d] = v
         return v
 
@@ -318,12 +320,15 @@ def monic_sum(cache, d, sigma, value, nslots):
 def power_sum_bruteforce(cache, d, k, sigma):
     """Sum of a^(-k) sigma(a) over all monic a of degree d, by enumeration.
 
-    Negative k means positive powers of a (used by the finite zeta sums at
-    negative integers); the result then has coefficients in A.  Positive k
-    sums the cofactors lcm^k / a^k = (lcm^j / a^j)^(k/j) over the lcm of the
-    monics, where `kpow` spreads the q-power part of k/j (Frobenius).  Over
-    F_p, j = 1.  Over F_{p^e}, j keeps all of k but its q-power part, since
-    there a packed product of two cofactors costs more than a division.
+    Returns a RawTPoly.  Negative k means positive powers of a (used by the
+    finite zeta sums at negative integers); the sum is then over 1, with
+    coefficients in A.  Positive k sums the cofactors L^k / a^k =
+    (L^j / a^j)^(k/j) over L^k, where L = (-1)^d `monic_lcm(d)`, so each
+    division is exact; L equals ell(d), so L^k is the denominator
+    `closed_raw` writes.  `kpow` spreads the q-power part of k/j
+    (Frobenius).  Over F_p, j = 1.  Over F_{p^e}, j keeps all of k but its
+    q-power part, since there a packed product of two cofactors costs more
+    than a division.
     """
     ctx = cache.ctx
     cache.check_budget(ctx.q ** d)
@@ -331,21 +336,16 @@ def power_sum_bruteforce(cache, d, k, sigma):
         j = 1 if ctx.e == 1 else k
         while j % ctx.q == 0:
             j //= ctx.q
-        lcm = cache.monic_lcm(d)
-        den_poly, part = lcm ** k, list((lcm ** j).coeffs)
+        lcm = -cache.monic_lcm(d) if d % 2 else cache.monic_lcm(d)
+        den, part = list((lcm ** k).coeffs), list((lcm ** j).coeffs)
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
             ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
-            len(den_poly.coeffs))
+            len(den))
     else:
-        den_poly = APoly.one(ctx)
+        den = [1]
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),
                          1 - k * d)
-    terms = {}
-    for exps, num in sums.items():
-        num = APoly._make(ctx, num)
-        if not num.is_zero():
-            terms[exps] = RatK(num, den_poly)
-    return TPoly(ctx, sigma.s, terms, _clean=True)
+    return RawTPoly(ctx, sigma.s, sums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +378,24 @@ def power_sum_closed(cache, d, which):
     return closed_raw(cache, d, n, sigma).to_tpoly()
 
 
+def _in_var(ctx, s, i, coeffs):
+    """The sum of c_k t_i^k for (k, c_k) in coeffs, c_k in A, as a RawTPoly
+    of arity s over 1."""
+    return RawTPoly(ctx, s, {tuple(k if j == i - 1 else 0 for j in range(s)):
+                             list(c.coeffs) for k, c in coeffs}, [1])
+
+
 def partial_F_one_q(cache, d):
     """The degree-(d+1) partial zeta sum of weight 1 in q variables:
     b_d(t_1) ... b_d(t_q) / ell(d), equal to the sum of the order-1 power
-    sums twisted by chi_{t_1} ... chi_{t_q} over degrees 0..d."""
+    sums twisted by chi_{t_1} ... chi_{t_q} over degrees 0..d.  A RawTPoly
+    over ell(d)."""
     ctx = cache.ctx
     q = ctx.q
-    prod = cache.b_tpoly(d, 1, q)
-    for i in range(2, q + 1):
-        prod = prod * cache.b_tpoly(d, i, q)
-    return prod.scale(RatK(APoly.one(ctx), cache.ell(d)))
+    prod = RawTPoly.one(ctx, q)
+    for i in range(1, q + 1):
+        prod = prod * _in_var(ctx, q, i, enumerate(cache.b_coeffs(d)))
+    return RawTPoly(ctx, q, prod.num, list(cache.ell(d).coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -448,27 +456,15 @@ def tau_b_expand(cache, n, d):
                      ell(i_1)^(q^(n-2)-q^(n-1)) ... ell(i_(n-1))^(1-q)
                      * ell(i_n)^(-1) * b_(i_n)
 
-    returned as (lhs, rhs) TPoly values in one variable; they must be equal.
+    returned as (lhs, rhs) RawTPoly values in one variable; they must be
+    equal.
     """
     ctx = cache.ctx
-    lhs = TPoly(ctx, 1,
-                {(k,): RatK.from_apoly(c.frobenius(n))
-                 for k, c in enumerate(cache.b_coeffs(d)) if not c.is_zero()},
-                _clean=True)
+    lhs = _in_var(ctx, 1, 1, ((k, c.frobenius(n))
+                              for k, c in enumerate(cache.b_coeffs(d))))
     # the ell(d)^(q^(n-1)) prefactor cancels the chains' common denominator,
     # so the right side is already integral
-    num = _chain_numerator(cache, n, d)
-    rhs = TPoly(ctx, 1,
-                {(k,): RatK.from_apoly(v) for k, v in num.items()},
-                _clean=True)
-    return lhs, rhs
-
-
-def power_sum_qn_closed(cache, n, d):
-    """S_d(q^n; chi_t) via the nested chain expansion: the twist of order
-    q^n of the weight-1 closed form.  One variable."""
-    sigma = SemiChar.chi(cache.ctx, 1, 1)
-    return closed_raw(cache, d, cache.ctx.q ** n, sigma).to_tpoly()
+    return lhs, _in_var(ctx, 1, 1, _chain_numerator(cache, n, d).items())
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +536,19 @@ def closed_raw(cache, d, n, sigma):
         return None
     s = sigma.s
     v = sigma.vars
-
-    def in_var(i, coeffs):
-        # sum of c_k t_i^k over 1, for (k, c_k) in coeffs with c_k in A
-        return RawTPoly(ctx, s, {tuple(k if j == i - 1 else 0 for j in range(s)):
-                                 list(c.coeffs) for k, c in coeffs}, [1])
-
     if form == "kql":
         num = RawTPoly.one(ctx, s)
     elif form == "qn":
-        num = in_var(v[0], _chain_numerator(cache, _q_log(ctx.q, n), d).items())
+        num = _in_var(ctx, s, v[0],
+                      _chain_numerator(cache, _q_log(ctx.q, n), d).items())
     elif form == "f2":
-        num = in_var(v[0], enumerate(cache.tb_coeffs(d)))
+        num = _in_var(ctx, s, v[0], enumerate(cache.tb_coeffs(d)))
     else:  # e2, e3, f3
-        b = [in_var(i, enumerate(cache.b_coeffs(d))) for i in v]
+        b = [_in_var(ctx, s, i, enumerate(cache.b_coeffs(d))) for i in v]
         num = b[0] * b[1] if form in ("e3", "f3") else b[0]
         if form == "f3" and d >= 1:
-            tb = [in_var(i, enumerate(cache.tb_coeffs(d - 1))) for i in v]
+            tb = [_in_var(ctx, s, i, enumerate(cache.tb_coeffs(d - 1)))
+                  for i in v]
             gap = list((cache.theta_q(0) - cache.theta_q(d)).coeffs)
             num = num + (b[0] * tb[1] + tb[0] * b[1]).scale_poly(gap)
     terms = num.num
@@ -567,15 +559,15 @@ def closed_raw(cache, d, n, sigma):
 
 
 def power_sum(cache, d, n, sigma):
-    """S_d(n; sigma), exact and memoized per cache: `closed_raw` where it
-    has a closed form, else enumeration."""
+    """S_d(n; sigma) as a TPoly, exact and memoized per cache: `closed_raw`
+    where it has a closed form, else enumeration, normalized once here."""
     key = (d, n, sigma)
     hit = cache._psums.get(key)
     if hit is not None:
         return hit
     raw = closed_raw(cache, d, n, sigma)
     result = (power_sum_bruteforce(cache, d, n, sigma) if raw is None
-              else raw.to_tpoly())
+              else raw).to_tpoly()
     cache._psums[key] = result
     return result
 

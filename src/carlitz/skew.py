@@ -203,7 +203,7 @@ def frak_S_bruteforce(cache, d, n):
     the sum is eta of the enumerated S_d(q^n; chi_t)."""
     ctx = cache.ctx
     return eta(cache, power_sum_bruteforce(cache, d, ctx.q ** n,
-                                           SemiChar.chi(ctx, 1, 1)))
+                                           SemiChar.chi(ctx, 1, 1)).to_tpoly())
 
 
 def frak_S_closed(cache, d, n):

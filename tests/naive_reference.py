@@ -119,6 +119,15 @@ def monics(ctx, d):
         yield list(tail) + [1]
 
 
+def monic_lcm(ctx, d):
+    """The lcm of the monic polynomials of degree d, by definition: one gcd
+    against each monic in turn."""
+    out = [1]
+    for a in monics(ctx, d):
+        out = nmul(ctx, out, ndivmod(ctx, a, ngcd(ctx, out, a))[0])
+    return out
+
+
 def naive_power_sum(ctx, d, k, sigma_codes):
     """dict t-exponents -> NFrac for the order-k degree-d twisted sum;
     sigma_codes maps a monic coefficient list to {exps: element code}."""
@@ -265,14 +274,14 @@ class NSeries:
 
 def frak_S_naive(cache, d, n):
     """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration,
-    accumulated over the lcm denominator."""
+    accumulated over the lcm denominator (`monic_lcm`)."""
     from carlitz import _packed as kern
     from carlitz.poly import APoly, RatK, enumerate_monics
     from carlitz.skew import SkewPoly, carlitz_action
     ctx = cache.ctx
     qn = ctx.q ** n
     cache.check_budget(ctx.q ** d)
-    den_poly = cache.monic_lcm(d) ** qn
+    den_poly = APoly._make(ctx, monic_lcm(ctx, d)) ** qn
     den = list(den_poly.coeffs)
     acc = [0] * (d + 1)
     acc_len = [0] * (d + 1)  # the numerators need not be proper fractions

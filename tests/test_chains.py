@@ -42,7 +42,7 @@ def reference(cache, d, columns, mode):
     for chain in chains(d, len(columns), mode):
         term = TPoly.one(ctx, 2)
         for i, (sigma, n) in zip(chain, columns):
-            term = term * power_sum_bruteforce(cache, i, n, sigma)
+            term = term * power_sum_bruteforce(cache, i, n, sigma).to_tpoly()
         total = total + term
     return total
 

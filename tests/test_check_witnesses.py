@@ -25,12 +25,24 @@ def test_per_degree_failure_names_each_degree(monkeypatch):
 
 
 def test_tau_b_joins_the_first_four_failures(monkeypatch):
-    monkeypatch.setattr(checks, "tau_b_expand", lambda cache, n, d: (d, -1))
+    monkeypatch.setattr(checks, "tau_b_expand", lambda cache, n, d: (
+        RawTPoly.one(cache.ctx, 1), RawTPoly.zero(cache.ctx, 1)))
     rep = checks.run_check("lemma-tau-b", qs=(3,), d_max=2)
     # q = 3 runs d = 0..8; only the first four failures are named
     assert outcome(rep) == (
         "fail", "q=3 d=0: expansion differs; q=3 d=1: expansion differs; "
                 "q=3 d=2: expansion differs; q=3 d=3: expansion differs", None)
+
+
+def test_closed_form_failure_prints_both_values(monkeypatch):
+    enumerate_sum = checks.power_sum_bruteforce
+    monkeypatch.setattr(checks, "power_sum_bruteforce",
+                        lambda cache, d, k, sigma: -enumerate_sum(cache, d, k, sigma))
+    rep = checks.run_check("eq-e2", qs=(3,), d_max=1)
+    assert outcome(rep) == (
+        "fail", "q=3 d=0: closed 1 != enumerated 2; q=3 d=1: closed "
+                "1/(θ^2 + 2) + (2/(θ^3 + 2*θ))*t1 != enumerated "
+                "2/(θ^2 + 2) + (1/(θ^3 + 2*θ))*t1", None)
 
 
 def test_formula_bg_failure_keeps_the_over_budget_tail(monkeypatch):

@@ -44,8 +44,8 @@ def test_star_strict_bridge_depth_two(cache3):
     for d in range(4):
         star = multi_power_sum(cache3, d, md, mode="star")
         strict = multi_power_sum(cache3, d, md, mode="strict")
-        top = power_sum_bruteforce(cache3, d, 1, chi)
-        second = power_sum_bruteforce(cache3, d, 2, triv)
+        top = power_sum_bruteforce(cache3, d, 1, chi).to_tpoly()
+        second = power_sum_bruteforce(cache3, d, 2, triv).to_tpoly()
         assert star == strict + top * second
 
 
@@ -160,8 +160,9 @@ def test_evaluation_bridge(cache3):
             lhs = TPoly.zero(ctx, 0)
             rhs = TPoly.zero(ctx, 0)
             for k in range(K + 1):
-                lhs = lhs + power_sum_bruteforce(cache3, k, 2, chi).substitute(1, point)
-                rhs = rhs + power_sum_bruteforce(cache3, k, -n, triv)
+                lhs = lhs + power_sum_bruteforce(cache3, k, 2, chi).to_tpoly() \
+                    .substitute(1, point)
+                rhs = rhs + power_sum_bruteforce(cache3, k, -n, triv).to_tpoly()
             assert lhs == rhs, (d, K)
 
 

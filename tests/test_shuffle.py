@@ -55,8 +55,8 @@ def test_engine_power_sums_match_enumeration(q):
         for n in sorted(ns):
             for d in range(4):
                 got = eng.S(d, n, key).to_tpoly()
-                assert got == power_sum_bruteforce(cache, d, n, chars[key]), \
-                    (q, key, n, d)
+                want = power_sum_bruteforce(cache, d, n, chars[key]).to_tpoly()
+                assert got == want, (q, key, n, d)
 
 
 def test_engine_rejects_orders_without_closed_form(cache3):
@@ -104,6 +104,16 @@ def test_rawfrac_substitute_one(ctx3):
     b = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [1]}, [1])
     s2 = b.substitute_one(1)
     assert s2.num == {(1,): [2]}
+
+
+def test_rawfrac_untrimmed_numerators(ctx3):
+    # monic_sum returns fixed-length code lists, with trailing zeros and
+    # possibly all zeros; equal denominators must still mean equal values
+    padded = RawTPoly(ctx3, 1, {(0,): [1, 0]}, [1])
+    assert padded.equals(RawTPoly(ctx3, 1, {(0,): [1]}, [1]))
+    zeros = RawTPoly(ctx3, 1, {(0,): [0, 0]}, [1])
+    assert zeros.is_zero()
+    assert zeros.equals(RawTPoly.zero(ctx3, 1))
 
 
 def test_engine_matches_public_partial_sums(cache3):

@@ -27,6 +27,8 @@ little-endian bytes, so importing the module fails on any other platform.
 """
 
 from array import array
+from functools import reduce
+from itertools import islice
 import sys
 
 from .errors import BothZero, DivisionByZero, InexactDivision
@@ -247,8 +249,9 @@ def kdivmod(ctx, a, b):
     la, lb = len(a), len(b)
     if la < lb:
         return [], list(a)
-    if lb == 1:
-        return kscal(ctx, ctx.inv[b[0]], a), []
+    if lb == 1 or not (b[0] or any(islice(b, lb - 1))):
+        # b = c theta^(lb-1): a shift
+        return kscal(ctx, ctx.inv[b[-1]], a[lb - 1:]), trim(a[:lb - 1])
     if la <= _DIV_CUTOFF or la - lb <= 2:
         return kdivmod_naive(ctx, a, b)
     # schoolbook is cheap on the sparse operands most callers divide; past
@@ -288,6 +291,19 @@ def kexactdiv(ctx, a, b):
     if r:
         raise InexactDivision("polynomial division left a remainder")
     return q
+
+
+def kmod_binomial(ctx, a, m):
+    """a mod theta^m - theta (m >= 2) in one pass: theta^k for k >= 1 is
+    theta^(1 + (k-1) mod (m-1)), so slot i >= 1 of the remainder sums the
+    slots of a at i, i + m - 1, i + 2(m - 1), ..."""
+    if len(a) <= m:
+        return list(a)
+    cols = [a[i::m - 1] for i in range(1, m)]
+    if ctx.e == 1:
+        return trim([a[0]] + [sum(c) % ctx.p for c in cols])
+    add = ctx.add
+    return trim([a[0]] + [reduce(lambda x, y: add[x][y], c, 0) for c in cols])
 
 
 def _units(ctx):

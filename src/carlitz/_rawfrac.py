@@ -14,8 +14,11 @@ product of ell-sequence factors), the sum keeps the larger one.
 Every exact check compares values of this form: the closed-form power
 sums (`powersums.closed_raw`) and the enumeration oracle
 (`powersums.power_sum_bruteforce`) both write theirs over powers of
-ell(d).  `to_tpoly` normalizes a value into a TPoly over K, for output
-only.
+ell(d), and the mzv chain sums add and multiply them unreduced.
+`to_tpoly` normalizes a value into a TPoly over K, for output only,
+cancelling each numerator against a list of factors of the denominator;
+`binomial_factors` splits an ell-power denominator into the binomials
+theta^(q^j) - theta, against which the gcds are short.
 """
 
 from . import _packed as kern
@@ -149,13 +152,61 @@ class RawTPoly:
                 return False
         return True
 
-    def to_tpoly(self):
-        """The same value as a TPoly, every coefficient normalized in K."""
+    def to_tpoly(self, factors=None):
+        """The same value as a TPoly, every coefficient normalized in K.
+
+        `factors` are coefficient lists whose product is den (default: den
+        alone, one gcd per coefficient).  A numerator N is cancelled one
+        factor at a time, since gcd(N, f F) = gcd(N, f) gcd(N / gcd(N, f), F).
+        A binomial theta^m - theta is met through N mod it (`kmod_binomial`);
+        it is squarefree, so a later copy needs only the gcd with what the
+        previous copy cancelled, and none once that is 1.  den / g is
+        rebuilt only when something cancelled."""
         ctx = self.ctx
+        # (f, m) with m = 0 unless f is theta^m - theta
+        parts = [(f, len(f) - 1 if len(f) > 2 and f == _binomial(ctx, len(f) - 1)
+                  else 0) for f in factors or (self.den,)]
         den = APoly._make(ctx, list(self.den))
-        terms = {e: RatK(APoly._make(ctx, list(c)), den) for e, c in self.num.items()}
-        return TPoly(ctx, self.s, {e: c for e, c in terms.items() if c}, _clean=True)
+        terms = {}
+        for e, n in self.num.items():
+            g, common = [1], {}
+            for f, m in parts:
+                c = common.get(m, f)
+                if len(c) == 1:
+                    continue
+                gf = kern.kgcd(ctx, c, kern.kmod_binomial(ctx, n, m) if m else n)
+                if m:
+                    common[m] = gf
+                if len(gf) > 1:
+                    n = kern.kexactdiv(ctx, n, gf)
+                    g = gf if len(g) == 1 else kern.kmul(ctx, g, gf)
+            d = den if len(g) == 1 else APoly._make(
+                ctx, kern.kexactdiv(ctx, self.den, g))
+            terms[e] = RatK(APoly._make(ctx, n), d, _reduced=True)
+        return TPoly(ctx, self.s, terms, _clean=True)
 
     def __repr__(self):
         from .textio import format_tpoly
         return format_tpoly(self.to_tpoly())
+
+
+def _binomial(ctx, m):
+    """theta^m - theta (m >= 2) as a coefficient list."""
+    return [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+
+
+def binomial_factors(ctx, den):
+    """den split into binomials theta^(q^j) - theta by trial division from
+    the largest j, then the cofactor left over (a unit when den is a
+    product of ell(i) powers): factors for `RawTPoly.to_tpoly`."""
+    m = ctx.q
+    while m * ctx.q < len(den):
+        m *= ctx.q
+    out, rest = [], list(den)
+    while m > 1:
+        f = _binomial(ctx, m)
+        while len(rest) > m and not kern.kmod_binomial(ctx, rest, m):
+            rest = kern.kexactdiv(ctx, rest, f)
+            out.append(f)
+        m //= ctx.q
+    return out + [rest]

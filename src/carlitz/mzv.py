@@ -6,12 +6,14 @@ semi-character with a positive weight.  The multiple power sum of degree
 d iterates over strictly decreasing degree chains below d (or weakly
 decreasing ones, the "star" variant), and the degree-d_max partial zeta
 sum accumulates degrees 0 .. d_max-1.  Empty inner chains contribute
-zero; the empty matrix data has value 1.
+zero; the empty matrix data has value 1.  Both are summed as unreduced
+RawTPoly values and normalized into a TPoly once per call.
 
 The Bernoulli-Goss polynomial BG_n is the finite sum over all degrees of
 the order-(-n) power sums.  The truncation bound floor(digitsum_q(n)/(q-1))
-is hardened by a runtime assertion that the next two degree terms vanish,
-so a wrong cutoff can never silently truncate.
+is hardened by computing the next two degree terms too, and raising
+TailNotVanishing unless both vanish, so a wrong cutoff can never silently
+truncate.
 """
 
 import warnings
@@ -19,8 +21,8 @@ from typing import NamedTuple
 
 from .errors import ContextMismatch, InvalidParams, TailNotVanishing, WeightZero
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
-from .powersums import ChainSums, SemiChar, power_sum
-from .tpoly import TPoly
+from ._rawfrac import RawTPoly, binomial_factors
+from .powersums import ChainSums, SemiChar, power_sum, power_sum_raw
 
 
 class MatrixData:
@@ -71,33 +73,42 @@ class MatrixData:
         return format_matrix_data(self)
 
 
-def multi_power_sum(cache, d, data, mode="strict"):
+def multi_power_sum(cache, d, data, mode="strict", raw=False):
     """The degree-d multiple twisted power sum of the matrix data.
 
     strict: the top column is taken at degree d and the remaining columns
     run over chains d > i_2 > ... > i_r >= 0; star: weakly decreasing
     chains d >= i_2 >= ... >= i_r >= 0.  Depth 0 gives 1; empty inner
     chains give 0.
+
+    The chain sum runs over unreduced `power_sum_raw` values, and the
+    result is normalized once, against the binomials theta^(q^j) - theta
+    its ell-power denominator splits into, so each gcd is with one short
+    binomial instead of the whole product.  raw returns the RawTPoly
+    instead, for a caller that sums before normalizing.
     """
     if mode not in ("strict", "star"):
         raise ValueError(f"unknown mode {mode!r}")
     if data.depth == 0:
-        return TPoly.one(cache.ctx, data.s)
-    chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma),
-                       TPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
-    return chains.multi(d, data.columns, mode)
+        value = RawTPoly.one(cache.ctx, data.s)
+    else:
+        chains = ChainSums(lambda k, n, sigma: power_sum_raw(cache, k, n, sigma),
+                           RawTPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
+        value = chains.multi(d, data.columns, mode)
+    return value if raw else value.to_tpoly(binomial_factors(cache.ctx, value.den))
 
 
 def partial_zeta(cache, d_max, data, mode="strict", budget=None):
     """The truncated zeta value: sum of the multiple power sums over
-    degrees 0 .. d_max - 1 (zero when d_max = 0).  A budget given must
-    be the cache's, which alone bounds the enumerations."""
+    degrees 0 .. d_max - 1 (zero when d_max = 0), added unreduced and
+    normalized once.  A budget given must be the cache's, which alone
+    bounds the enumerations."""
     if budget is not None and budget != cache.budget:
         raise InvalidParams(f"budget {budget} differs from the cache's {cache.budget}")
-    total = TPoly.zero(cache.ctx, data.s)
+    total = RawTPoly.zero(cache.ctx, data.s)
     for k in range(d_max):
-        total = total + multi_power_sum(cache, k, data, mode)
-    return total
+        total = total + multi_power_sum(cache, k, data, mode, raw=True)
+    return total.to_tpoly(binomial_factors(cache.ctx, total.den))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +127,7 @@ def bernoulli_goss(cache, n):
     """BG_n for n >= 1, summing degrees 0 .. floor(digitsum_q(n)/(q-1)).
 
     The cutoff comes from the base-q digit-sum bound for vanishing power
-    sums; the two degrees after it are computed and asserted to vanish
+    sums; the two degrees after it are computed and must vanish
     (TailNotVanishing otherwise), so the heuristic can never silently
     return a wrong value.
     """

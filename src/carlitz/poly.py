@@ -153,6 +153,8 @@ class APoly:
 
     def __divmod__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not other.coeffs:
             raise DivisionByZero("division by the zero polynomial")
         q, r = kern.kdivmod(self.ctx, list(self.coeffs), list(other.coeffs))
@@ -166,6 +168,8 @@ class APoly:
 
     def __truediv__(self, other):
         """Exact division; raises InexactDivision on a nonzero remainder."""
+        if self._check(other) is NotImplemented:
+            return NotImplemented
         q, r = divmod(self, other)
         if r.coeffs:
             raise InexactDivision(
@@ -482,6 +486,8 @@ class RatK:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n):

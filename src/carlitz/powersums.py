@@ -20,8 +20,9 @@ sequence, as ((-1)^d times the lcm of the monics of degree d)^k.
 package, here and in the skew and Tate-series oracles, goes through it.
 The closed forms and the enumeration must agree exactly; tests and the
 verification suite enforce that, comparing the unreduced fractions.
-`power_sum` normalizes a power sum into a TPoly for the layers that work
-over K (mzv and tate).
+`power_sum_raw` memoizes each power sum in this form per cache, for the
+mzv chain sums; `power_sum` normalizes it into a TPoly for the layers that
+work over K (the Tate series and the Bernoulli-Goss sums).
 """
 
 import itertools
@@ -558,18 +559,26 @@ def closed_raw(cache, d, n, sigma):
     return RawTPoly(ctx, s, terms, list(cache.ell_pow(d, n).coeffs))
 
 
-def power_sum(cache, d, n, sigma):
-    """S_d(n; sigma) as a TPoly, exact and memoized per cache: `closed_raw`
-    where it has a closed form, else enumeration, normalized once here."""
+def power_sum_raw(cache, d, n, sigma):
+    """S_d(n; sigma) as a RawTPoly, exact and memoized per cache:
+    `closed_raw` where it has a closed form, else enumeration."""
     key = (d, n, sigma)
     hit = cache._psums.get(key)
-    if hit is not None:
-        return hit
-    raw = closed_raw(cache, d, n, sigma)
-    result = (power_sum_bruteforce(cache, d, n, sigma) if raw is None
-              else raw).to_tpoly()
-    cache._psums[key] = result
-    return result
+    if hit is None:
+        hit = closed_raw(cache, d, n, sigma)
+        if hit is None:
+            hit = power_sum_bruteforce(cache, d, n, sigma)
+        cache._psums[key] = hit
+    return hit
+
+
+def power_sum(cache, d, n, sigma):
+    """S_d(n; sigma) as a TPoly: `power_sum_raw`, normalized once per cache."""
+    key = ("tpoly", d, n, sigma)
+    hit = cache._psums.get(key)
+    if hit is None:
+        hit = cache._psums[key] = power_sum_raw(cache, d, n, sigma).to_tpoly()
+    return hit
 
 
 # ---------------------------------------------------------------------------

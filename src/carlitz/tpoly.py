@@ -1,12 +1,14 @@
 """Sparse polynomials in t_1, ..., t_s with coefficients in K.
 
 TPoly stores a map from exponent vectors (tuples of length s) to nonzero
-RatK coefficients.  Everything in this package that depends on the
-t-variables -- power sums, truncated zeta sums, Tate-algebra elements with
-polynomial t-dependence -- lives here.  Coefficients are kept in K
-directly: every denominator that occurs is a product of the univariate
-theta-polynomials from the fundamental sequences, so no multivariate gcd
-is ever needed.
+RatK coefficients.  It is the normalized form in which t-dependent values
+leave the package: power sums, multiple power sums and truncated zeta
+values are computed as unreduced RawTPoly fractions (`_rawfrac`) and
+normalized into a TPoly for output; the skew ring and the Tate series
+read and build TPoly values at their boundaries.  Coefficients are kept
+in K directly: every denominator that occurs is a product of the
+univariate theta-polynomials from the fundamental sequences, so no
+multivariate gcd is ever needed.
 
 Values combine only when their arity s and field context agree; the
 result of every operation is normalized (no stored zero coefficients).

@@ -1,14 +1,17 @@
 """The chain-sum engine at depth three, in its exact (mzv) and shuffle
 (RawTPoly) forms, against an explicit enumeration of the degree chains
-summing products of enumerated power sums."""
+summing products of enumerated power sums; and the mzv sums, summed
+unreduced, against normalized power sums summed with TPoly + and *."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carlitz.mzv import MatrixData, multi_power_sum
+from carlitz.ffield import FieldContext
+from carlitz.mzv import MatrixData, multi_power_sum, partial_zeta
 from carlitz.poly import APoly, RatK
-from carlitz.powersums import SemiChar, power_sum_bruteforce
+from carlitz.powersums import SemiChar, SeqCache, power_sum, power_sum_bruteforce
 from carlitz.shuffle import ShuffleEngine
 from carlitz.tpoly import TPoly
 
@@ -76,3 +79,47 @@ def test_shuffle_multi_depth_three(cache3, mode):
             expect = reference(cache3, d, columns, mode)
             assert as_tpoly(eng.Smulti(d, keyed, mode)) == expect, (keyed, d)
             truncated = truncated + expect
+
+
+CACHES = {q: SeqCache(FieldContext(q)) for q in (3, 4, 5)}
+KEYS = ("one", "s", "p", "sp", "nu", "c1", "s_nu")
+
+
+def twisted(ctx, key):
+    if key == "c1":
+        return SemiChar.const_eval(ctx, 2, 1)
+    if key == "s_nu":
+        return SemiChar(ctx, 2, varis=(1,), degs=(2,))
+    return semichar(ctx, key)
+
+
+def normalized_multi(cache, d, columns, mode):
+    """The degree-d multiple sum from normalized power sums, by the chain
+    recursion written out with TPoly + and *."""
+    (sigma, n), rest = columns[0], columns[1:]
+    top = power_sum(cache, d, n, sigma)
+    if not rest:
+        return top
+    inner = TPoly.zero(cache.ctx, 2)
+    for i in range(d if mode == "strict" else d + 1):
+        inner = inner + normalized_multi(cache, i, rest, mode)
+    return top * inner
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(CACHES)), st.sampled_from(["strict", "star"]),
+       st.lists(st.tuples(st.sampled_from(KEYS), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.data())
+def test_mzv_sums_match_normalized_power_sums(q, mode, keyed, data):
+    cache = CACHES[q]
+    ctx = cache.ctx
+    columns = [(twisted(ctx, key), n) for key, n in keyed]
+    md = MatrixData(ctx, columns, s=2)
+    d_max = data.draw(st.integers(0, 4 if q == 3 else 3))
+    truncated = TPoly.zero(ctx, 2)
+    for d in range(d_max):
+        expect = normalized_multi(cache, d, columns, mode)
+        assert multi_power_sum(cache, d, md, mode) == expect, (keyed, d)
+        truncated = truncated + expect
+    assert partial_zeta(cache, d_max, md, mode) == truncated, keyed

@@ -9,7 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "carlitz"
 
 NORMALIZERS = {"power_sum", "power_sum_closed", "frak_S_bruteforce",
-               "RawTPoly.__repr__"}
+               "multi_power_sum", "partial_zeta", "RawTPoly.__repr__"}
 
 
 def _callers(tree, attr):

@@ -45,6 +45,26 @@ def test_divmod_matches_reference(q, data):
     assert ref.nadd(ctx, ref.nmul(ctx, quo, b), rem) == a
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_binomial_fold_matches_schoolbook(q, data):
+    ctx = FIELDS[q]
+    m = data.draw(st.sampled_from([2, 3, q, q + 1, q * q]))
+    a = data.draw(coeff_lists(q, max_len=8 * m + 20))
+    binomial = [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+    assert kern.kmod_binomial(ctx, a, m) == kern.kdivmod_naive(ctx, a, binomial)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_divmod_by_a_monomial_is_a_shift(q, data):
+    ctx = FIELDS[q]
+    a = data.draw(coeff_lists(q))
+    k = data.draw(st.integers(0, 40))
+    b = [0] * k + [data.draw(st.integers(1, q - 1))]
+    assert kern.kdivmod(ctx, a, b) == ref.ndivmod(ctx, a, b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_gcd_matches_reference(q, data):

@@ -221,6 +221,15 @@ def test_ratk_pow_and_inverse(ctx3):
         RatK.zero(ctx3).inverse()
 
 
+def test_ratk_reflected_division(ctx3):
+    th = APoly.theta(ctx3)
+    x = RatK(th + 1, th ** 2 + 1)
+    assert 2 / x == RatK.constant(ctx3, 2) * x.inverse()
+    assert th / x == RatK.from_apoly(th) * x.inverse()
+    with pytest.raises(TypeError):
+        "x" / RatK.one(ctx3)
+
+
 def test_ratk_frobenius_is_qth_power(ctx3):
     th = APoly.theta(ctx3)
     x = RatK(th + 1, th ** 2 + 1)

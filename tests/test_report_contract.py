@@ -2,17 +2,31 @@
 
 `perfbench/references.json` holds the check records (without `elapsed_ms`)
 that the benchmark's verify-default and tate-series workloads must
-reproduce.  These tests run the same parameters and compare record for
-record, so a change to any status, witness or achieved valuation shows up
-in Tier-1 before it reaches the benchmark.
+reproduce, and the sha256 of each zeta-partial request's printed value.
+These tests run the same parameters and compare record for record, so a
+change to any status, witness, achieved valuation or truncated zeta value
+shows up in Tier-1 before it reaches the benchmark.  They only read the
+references.
 """
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 from carlitz import checks
+from carlitz.ffield import FieldContext
+from carlitz.mzv import partial_zeta
+from carlitz.powersums import SeqCache
+from carlitz.textio import format_tpoly, parse_matrix_data
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import ZETA_MENU, request_key  # noqa: E402
+
+REFERENCES = ROOT / "perfbench" / "references.json"
 TATE_IDS = ("eq-annals", "family-qk", "strange-shuffle", "thakur-thm5")
 
 
@@ -36,3 +50,15 @@ def test_default_suite_matches_the_reference():
 def test_tate_checks_match_the_reference():
     reports = [checks.run_check(cid, qs=(3,), prec=160) for cid in TATE_IDS]
     assert records(reports) == reference("tate-series")
+
+
+def test_zeta_partial_requests_match_the_reference():
+    budget = checks.DEFAULT_PARAMS["budget"]
+    digests = {}
+    for q, data, d, mode in ZETA_MENU:
+        ctx = FieldContext(q)
+        value = partial_zeta(SeqCache(ctx, budget=budget), d,
+                             parse_matrix_data(ctx, data), mode=mode)
+        digests[request_key(q, data, d, mode)] = hashlib.sha256(
+            format_tpoly(value).encode()).hexdigest()
+    assert digests == reference("zeta-partial")

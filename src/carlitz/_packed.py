@@ -9,9 +9,13 @@ for the digit products of a product slot), so that polynomial
 multiplication becomes one big-integer multiplication.  A sub-slot is 16
 or 32 bits wide: `kmul` takes the narrowest width that holds its product
 bound, every other packed path 32 bits.  Division is schoolbook over the
-divisor's nonzero terms up to a work budget; what that prefix leaves goes
-to Newton inversion of the reversed divisor (a few `kmul`s), or on to
-schoolbook when the quotient is too long for a packed product's slots.
+divisor's nonzero terms up to a work budget (over F_p on plain integers,
+reduced as read); what that prefix leaves goes to Newton division in
+blocks against one inverse of the reversed divisor to max(len(b), 64)
+terms, each block a short product for the quotient and one for the
+remainder (schoolbook again when a product's slots would overflow).  A
+divisor theta^m - theta is a recurrence from the top, summed as one
+packed strided suffix sum.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
@@ -27,7 +31,6 @@ little-endian bytes, so importing the module fails on any other platform.
 """
 
 from array import array
-from functools import reduce
 from itertools import islice
 import sys
 
@@ -40,6 +43,8 @@ _TYPECODE = {16: "H", 32: "I"}
 _MUL_CUTOFF = 24              # below this, schoolbook beats pack/unpack
 _DIV_CUTOFF = 24
 _NAIVE_WORK = 8               # schoolbook work per quotient slot, times 2e if e > 1
+_BLOCK = 64                   # shortest Newton block (and inverse length)
+_FOLD_MIN = 16                # kmod_binomial sums columns up to this m if e = 1
 
 if sys.byteorder != "little" or any(array(t).itemsize * 8 != w
                                    for w, t in _TYPECODE.items()):
@@ -49,6 +54,8 @@ if sys.byteorder != "little" or any(array(t).itemsize * 8 != w
 
 def trim(a):
     """Strip trailing zero coefficients in place; return a."""
+    if a and a[-1] == 0 and not any(a):  # an exact remainder, in one scan
+        a.clear()
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -220,26 +227,38 @@ def kpow(ctx, a, n):
 # ---------------------------------------------------------------------------
 
 def kdivmod_naive(ctx, a, b, work=None):
-    """Schoolbook division, one work unit per nonzero term of b per step;
-    with `work`, it stops within that budget, r possibly still >= b."""
-    mul, add, neg = ctx.mul, ctx.add, ctx.neg
-    r = list(a)
-    db = len(b) - 1
-    inv_lead = ctx.inv[b[-1]]
-    quo = [0] * max(0, len(a) - db)
+    """Schoolbook division, one work unit per nonzero term of b per nonzero
+    quotient slot; with `work`, it stops within that budget, r possibly
+    still >= b.  It walks r from the top, reading each slot once: for e = 1
+    the slots are plain integers, reduced mod p only when read."""
+    db, inv_lead, p, e1 = len(b) - 1, ctx.inv[b[-1]], ctx.p, ctx.e == 1
+    mul, add = ctx.mul, ctx.add
     terms = [(j, bj) for j, bj in enumerate(b) if bj]
     steps = len(a) if work is None else work // len(terms)
-    while steps and len(r) - 1 >= db and r:
-        steps -= 1
-        c = mul[r[-1]][inv_lead]
-        shift = len(r) - 1 - db
-        quo[shift] = c
-        row = mul[neg[c]]
-        for j, bj in terms:
-            k = shift + j
-            r[k] = add[r[k]][row[bj]]
-        trim(r)
-    return trim(quo), r
+    r, end, quo = list(a), db, [0] * (len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r[top]
+        if c and e1:
+            c %= p
+        if c:
+            if not steps:
+                end = top + 1
+                break
+            steps -= 1
+            shift = top - db
+            if e1:
+                quo[shift] = c = c * inv_lead % p
+                c = p - c
+                for j, bj in terms:
+                    r[shift + j] += c * bj
+            else:
+                quo[shift] = c = mul[c][inv_lead]
+                row = mul[ctx.neg[c]]
+                for j, bj in terms:
+                    k = shift + j
+                    r[k] = add[r[k]][row[bj]]
+    del r[end:]
+    return trim(quo), trim([v % p for v in r] if e1 else r)
 
 
 def kdivmod(ctx, a, b):
@@ -254,36 +273,66 @@ def kdivmod(ctx, a, b):
         return kscal(ctx, ctx.inv[b[-1]], a[lb - 1:]), trim(a[:lb - 1])
     if la <= _DIV_CUTOFF or la - lb <= 2:
         return kdivmod_naive(ctx, a, b)
+    m = lb - 1
+    if (b[-1] == 1 and b[1] == ctx.neg[1] and not (b[0] or any(islice(b, 2, m)))
+            and _sums_fit(ctx, la - lb, m - 1)):
+        # b = theta^m - theta: quo_j = a_(j+m) + quo_(j+m-1) from the top, a
+        # strided suffix sum, and rem_i = a_i + quo_(i-1) for i < m
+        quo = _strided_sums(ctx, a[lb - 1:], m - 1, la - m)
+        return quo, kadd(ctx, a[:m], [0] + quo[:m - 1])
     # schoolbook is cheap on the sparse operands most callers divide; past
-    # about what a packed division costs, Newton takes the rest when its
-    # products (shorter operand at most nq coefficients) fit their slots
+    # about what a packed division costs, Newton takes the rest
     work = _NAIVE_WORK * (1 if ctx.e == 1 else 2 * ctx.e) * (la - lb + 1)
     quo, r = kdivmod_naive(ctx, a, b, work)
     if len(r) < lb:
         return quo, r
-    if (len(r) - lb + 1) * ctx.e * (ctx.p - 1) ** 2 < 1 << _W:
-        rest, rem = _kdivmod_newton(ctx, r, b)
-    else:
-        rest, rem = kdivmod_naive(ctx, r, b)
+    rest, rem = _kdivmod_newton(ctx, r, b)
     return kadd(ctx, quo, rest), rem
 
 
+def _kmul_part(ctx, a, b, lo, hi):
+    """Coefficients lo .. hi-1 of a*b, zero-padded to hi - lo, from operands
+    cut to hi terms; a packed product unpacks only those slots."""
+    a, b = a[:hi], b[:hi]
+    m = min(len(a), len(b))
+    bound = m * ctx.e * (ctx.p - 1) ** 2
+    if m <= _MUL_CUTOFF or bound >= 1 << _W:
+        out = kmul_naive(ctx, a, b)[lo:hi]
+        return out + [0] * (hi - lo - len(out))
+    width = _NARROW if bound < 1 << _NARROW else _W
+    bits = (2 * ctx.e - 1) * width
+    prod = pack(ctx, a, width) * pack(ctx, b, width) >> (lo * bits)
+    return unpack(ctx, prod & ((1 << ((hi - lo) * bits)) - 1), hi - lo, width)
+
+
 def _kdivmod_newton(ctx, a, b):
-    """Division through the reversals: rev(quo) = rev(a) * g mod x^nq with
-    g = 1/rev(b) mod x^nq by Newton doubling (if f*g = 1 + x^k*e mod x^2k,
-    then g - x^k*(g*e) is the inverse mod x^2k), so a long quotient costs
-    a few products instead of nq steps."""
-    nq, m = len(a) - len(b) + 1, len(b) - 1
-    f, neg = b[::-1], ctx.neg
-    g, k = [ctx.inv[f[0]]], 1
-    while k < nq:
-        k2 = min(2 * k, nq)
-        e = kmul(ctx, f[:k2], g)[k:k2]
-        g += [0] * (k - len(g)) + [neg[c] for c in kmul(ctx, g, e)[:k2 - k]]
+    """Division in blocks of size = max(len(b), _BLOCK) quotient slots (at
+    most all of them) from the top, against one g = 1/rev(b) mod x^size:
+    rev(block) = rev(top n slots of r) * g mod x^n, and r drops those n
+    slots and takes (block * b) mod x^(len(b) - 1) off the ones below."""
+    db, neg = len(b) - 1, ctx.neg
+    top = len(a) - db
+    size = min(top, max(db + 1, _BLOCK))
+    if size * ctx.e * (ctx.p - 1) ** 2 >= 1 << _W:  # a block product's slots overflow
+        return kdivmod_naive(ctx, a, b)
+    # seed rev(theta^(k-1+deg c) div c), c the top k terms of b; then if
+    # f*g = 1 + x^k*e mod x^2k, g - x^k*(g*e) is 1/f mod x^2k
+    k, c = min(size, _MUL_CUTOFF), b[-_MUL_CUTOFF:]
+    g = kdivmod_naive(ctx, [0] * (k + len(c) - 2) + [1], c)[0][::-1]
+    f = b[:-size - 1:-1]
+    while k < size:
+        k2 = min(2 * k, size)
+        g += kneg(ctx, _kmul_part(ctx, g, _kmul_part(ctx, f, g, k, k2), 0, k2 - k))
         k = k2
-    rq = kmul(ctx, a[:-nq - 1:-1], g)[:nq]
-    quo = trim([0] * (nq - len(rq)) + rq[::-1])
-    return quo, ksub(ctx, a[:m], kmul(ctx, quo[:m], b[:m])[:m])
+    r, quo, add = list(a), [0] * top, ctx.add
+    while top:
+        lo = max(0, top - size)
+        quo[lo:top] = blk = _kmul_part(ctx, r[top + db - 1:lo + db - 1:-1], g, 0,
+                                       top - lo)[::-1]
+        low = _kmul_part(ctx, blk, b, 0, db)
+        r[lo:] = [add[x][neg[y]] for x, y in zip(r[lo:lo + db], low)]
+        top = lo
+    return trim(quo), trim(r)
 
 
 def kexactdiv(ctx, a, b):
@@ -293,17 +342,34 @@ def kexactdiv(ctx, a, b):
     return q
 
 
+def _sums_fit(ctx, n, s):
+    """Whether `_strided_sums` of n slots at stride s fits 32-bit sub-slots."""
+    return (n // s + 1) * (ctx.p - 1) < 1 << _W
+
+
+def _strided_sums(ctx, a, s, n):
+    """Slots 0 .. n-1 of the sums a_j + a_(j+s) + a_(j+2s) + ...: a packed
+    once, each doubling step adds it shifted by s, 2s, 4s, ... slots."""
+    bits = (2 * ctx.e - 1) * _W
+    v, k = pack(ctx, a), s
+    while k < len(a):
+        v += v >> (k * bits)
+        k *= 2
+    return unpack(ctx, v & ((1 << (n * bits)) - 1), n)
+
+
 def kmod_binomial(ctx, a, m):
     """a mod theta^m - theta (m >= 2) in one pass: theta^k for k >= 1 is
     theta^(1 + (k-1) mod (m-1)), so slot i >= 1 of the remainder sums the
-    slots of a at i, i + m - 1, i + 2(m - 1), ..."""
+    slots of a at i, i + m - 1, i + 2(m - 1), ...: column sums for e = 1
+    and short m, else the packed a[1:] folded onto its first m - 1 slots."""
     if len(a) <= m:
         return list(a)
-    cols = [a[i::m - 1] for i in range(1, m)]
-    if ctx.e == 1:
-        return trim([a[0]] + [sum(c) % ctx.p for c in cols])
-    add = ctx.add
-    return trim([a[0]] + [reduce(lambda x, y: add[x][y], c, 0) for c in cols])
+    if ctx.e == 1 and m <= _FOLD_MIN:
+        return trim([a[0]] + [sum(a[i::m - 1]) % ctx.p for i in range(1, m)])
+    if _sums_fit(ctx, len(a), m - 1):
+        return trim([a[0]] + _strided_sums(ctx, a[1:], m - 1, m - 1))
+    return kdivmod_naive(ctx, a, [0, ctx.neg[1]] + [0] * (m - 2) + [1])[1]
 
 
 def _units(ctx):

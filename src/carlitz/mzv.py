@@ -24,6 +24,8 @@ from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
 from ._rawfrac import RawTPoly, binomial_factors
 from .powersums import ChainSums, SemiChar, power_sum, power_sum_raw
 
+_SPLIT_MIN = 128       # ell-power denominators up to this length take one gcd
+
 
 class MatrixData:
     """Columns (sigma_i, n_i) of semi-characters and weights; the empty
@@ -84,8 +86,8 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     The chain sum runs over unreduced `power_sum_raw` values, and the
     result is normalized once, against the binomials theta^(q^j) - theta
     its ell-power denominator splits into, so each gcd is with one short
-    binomial instead of the whole product.  raw returns the RawTPoly
-    instead, for a caller that sums before normalizing.
+    binomial instead of the whole product (`_factors`).  raw returns the
+    RawTPoly instead, for a caller that sums before normalizing.
     """
     if mode not in ("strict", "star"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -95,7 +97,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
         chains = ChainSums(lambda k, n, sigma: power_sum_raw(cache, k, n, sigma),
                            RawTPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
         value = chains.multi(d, data.columns, mode)
-    return value if raw else value.to_tpoly(binomial_factors(cache.ctx, value.den))
+    return value if raw else value.to_tpoly(_factors(cache.ctx, value.den))
 
 
 def partial_zeta(cache, d_max, data, mode="strict", budget=None):
@@ -108,7 +110,13 @@ def partial_zeta(cache, d_max, data, mode="strict", budget=None):
     total = RawTPoly.zero(cache.ctx, data.s)
     for k in range(d_max):
         total = total + multi_power_sum(cache, k, data, mode, raw=True)
-    return total.to_tpoly(binomial_factors(cache.ctx, total.den))
+    return total.to_tpoly(_factors(cache.ctx, total.den))
+
+
+def _factors(ctx, den):
+    """`to_tpoly`'s factors of an ell-power den: its binomials, or none (one
+    gcd per coefficient) up to _SPLIT_MIN coefficients, where that is faster."""
+    return binomial_factors(ctx, den) if len(den) > _SPLIT_MIN else None
 
 
 # ---------------------------------------------------------------------------

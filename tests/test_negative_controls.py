@@ -1,0 +1,60 @@
+"""Negative controls for the packed kernel's fast division paths.
+
+Each entry mutates one fragment of a `_packed` function, from outside
+`src/`, and names the property test of `test_packed.py` that must catch
+it: the test passes on the real kernel and fails on the mutant.  A
+fragment that no longer occurs exactly once fails the control, so the
+table follows the code it perturbs.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from carlitz import _packed as kern
+
+import test_packed as prop
+
+# (what the mutation breaks, function, fragment, replacement, test, its args)
+KERNEL_MUTATIONS = [
+    ("Newton block read one slot off", "_kdivmod_newton",
+     "r[top + db - 1:lo + db - 1:-1]", "r[top + db - 2:lo + db - 2:-1]",
+     prop.test_exact_division_on_every_path, (3,)),
+    ("binomial recurrence without the quo_(i-1) carry", "kdivmod",
+     "quo = _strided_sums(ctx, a[lb - 1:], m - 1, la - m)", "quo = a[lb - 1:]",
+     prop.test_exact_division_on_every_path, (5,)),
+    ("Newton inverse one term short", "_kdivmod_newton",
+     "g, 0,", "g[:-1], 0,",
+     prop.test_exact_division_on_every_path, (4,)),
+    ("packed fold dropping its last block", "kmod_binomial",
+     "_strided_sums(ctx, a[1:], m - 1, m - 1)",
+     "_strided_sums(ctx, a[1:1 - m], m - 1, m - 1)",
+     prop.test_kmod_binomial_above_the_packed_threshold, (3,)),
+]
+
+
+def mutant(name, fragment, replacement):
+    """kern.<name> recompiled with `fragment` replaced, in kern's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(kern, name)))
+    if source.count(fragment) != 1:
+        raise LookupError(f"{name} does not hold {fragment!r} exactly once")
+    scope = {}
+    exec(compile(source.replace(fragment, replacement), f"<mutant {name}>", "exec"),
+         vars(kern), scope)
+    return scope[name]
+
+
+def test_every_kernel_mutation_is_caught():
+    missed = []
+    for what, name, fragment, replacement, test, args in KERNEL_MUTATIONS:
+        with pytest.MonkeyPatch.context() as mp:
+            test(*args, mp)  # the real kernel passes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kern, name, mutant(name, fragment, replacement))
+            try:
+                test(*args, mp)
+            except Exception:
+                continue
+        missed.append(f"{what}: {test.__name__}{args}")
+    assert missed == []

@@ -19,6 +19,17 @@ import naive_reference as ref
 FIELDS = {q: FieldContext(q) for q in (3, 4, 5, 8, 9, 16, 25, 27)}
 
 
+def field(q):
+    """FIELDS[q], else a new context (F_2003 takes 0.5 s and 60 MB, so it
+    is not kept)."""
+    return FIELDS.get(q) or FieldContext(q)
+
+
+def binomial(ctx, m):
+    """theta^m - theta as a coefficient list."""
+    return [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+
+
 def coeff_lists(q, max_len=120):
     return st.lists(st.integers(0, q - 1), min_size=0, max_size=max_len).map(
         lambda xs: kern.trim(list(xs)))
@@ -51,8 +62,7 @@ def test_binomial_fold_matches_schoolbook(q, data):
     ctx = FIELDS[q]
     m = data.draw(st.sampled_from([2, 3, q, q + 1, q * q]))
     a = data.draw(coeff_lists(q, max_len=8 * m + 20))
-    binomial = [0, ctx.neg[1]] + [0] * (m - 2) + [1]
-    assert kern.kmod_binomial(ctx, a, m) == kern.kdivmod_naive(ctx, a, binomial)[1]
+    assert kern.kmod_binomial(ctx, a, m) == kern.kdivmod_naive(ctx, a, binomial(ctx, m))[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,30 +110,116 @@ def random_poly(rng, q, n, density=1.0):
             for _ in range(n - 1)] + [rng.randrange(1, q)]
 
 
-# (len a, len b) pairs on both sides of the schoolbook work budget, so that
-# some divisions end in the schoolbook prefix and the rest go on to Newton:
-# quotient lengths near 128, dividend lengths near 512, a short divisor
-# under a long quotient, and 3n by n
-DIVISION_SHAPES = [(2185, 7), (2000, 40), (2100, 700), (512, 385), (512, 386),
-                   (511, 384), (640, 513), (640, 514), (1200, 17), (900, 300)]
+def spy_division_paths(monkeypatch):
+    """Record the fast path each division takes: "newton" (in blocks) or
+    "binomial" (the theta^m - theta recurrence); a kdivmod adding neither
+    ended in the schoolbook prefix."""
+    seen = []
+    for path, name in (("newton", "_kdivmod_newton"), ("binomial", "_strided_sums")):
+        real = getattr(kern, name)
+        monkeypatch.setattr(kern, name,
+                            lambda *args, _r=real, _p=path: seen.append(_p) or _r(*args))
+    return seen
+
+
+# (len a, len b) pairs on both sides of the schoolbook work budget and of
+# Newton's block size max(len b, 64), so that some divisions end in the
+# schoolbook prefix and the rest go on to Newton: a short divisor under a
+# long quotient (many blocks), quotients near one block of 64, a divisor
+# longer than its quotient (one block), and 3n by n
+DIVISION_SHAPES = [(2185, 7), (2000, 40), (2100, 700), (512, 385), (127, 64),
+                   (128, 64), (129, 64), (640, 513), (1200, 17), (900, 300)]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 9, 25])
 def test_divmod_above_cutoffs(q, monkeypatch):
     ctx = FIELDS[q]
     rng = random.Random(q)
-    newton, real = [], kern._kdivmod_newton
-    monkeypatch.setattr(kern, "_kdivmod_newton",
-                        lambda *args: newton.append(1) or real(*args))
+    paths, routes = spy_division_paths(monkeypatch), set()
     for la, lb in DIVISION_SHAPES:
         for density in (1.0, 0.05):
             a = random_poly(rng, q, la, density)
             b = random_poly(rng, q, lb, density)
+            del paths[:]
             assert kern.kdivmod(ctx, a, b) == ref.ndivmod(ctx, a, b), (la, lb)
+            routes.add(tuple(paths))
+    assert routes == {(), ("newton",)}  # both the prefix and Newton finished some
     # exact division by a planted factor
     f, g = random_poly(rng, q, 1500), random_poly(rng, q, 300)
     assert kern.kdivmod(ctx, ref.nmul(ctx, f, g), g) == (f, [])
-    assert newton  # the long dense quotients went through Newton
+
+
+# (quotient, divisor) lengths for Newton in blocks of size = max(lb, 64),
+# at most the quotient: a divisor longer than its quotient (one block), one
+# block of 64, three of 64 and a partial one, and two of lb and a partial one
+NEWTON_SHAPES = [(150, 200), (64, 40), (3 * 64 + 17, 40), (2 * 150 + 1, 150)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9, 25, 2003])
+def test_exact_division_on_every_path(q, monkeypatch):
+    ctx = field(q)
+    rng = random.Random(q + 1)
+    paths = spy_division_paths(monkeypatch)
+    cases = [(random_poly(rng, q, lb), nq, "newton") for nq, lb in NEWTON_SHAPES]
+    cases += [(binomial(ctx, m), 400, "binomial") for m in (2, 3, 60)]
+    cases.append((kern.kspread(random_poly(rng, q, 4), 10), 400, "prefix"))
+    routes = set()
+    for b, nq, path in cases:
+        f = random_poly(rng, q, nq)
+        a = ref.nmul(ctx, f, b)
+        if path == "newton":  # every block shape, whatever the prefix leaves
+            assert kern._kdivmod_newton(ctx, a, b) == (f, [])
+        del paths[:]
+        assert kern.kexactdiv(ctx, a, b) == f
+        routes.add((path, tuple(paths)))
+        a[len(a) // 2] = ctx.add[a[len(a) // 2]][1]   # no longer a multiple of b
+        assert kern.kdivmod(ctx, a, b) == ref.ndivmod(ctx, a, b)
+        with pytest.raises(InexactDivision):
+            kern.kexactdiv(ctx, a, b)
+    # the prefix may finish a Newton shape when e > 1 (its budget is 2e times
+    # longer), but not all of them
+    assert routes - {("newton", ())} == {("newton", ("newton",)), ("prefix", ()),
+                                         ("binomial", ("binomial",))}
+
+
+def test_sparse_quotient_stays_in_the_schoolbook_prefix(monkeypatch):
+    # the 9841-by-3280 division of `carlitz verify` at q = 3: the divisor
+    # theta^7 prod_(j=1..7) (1 + theta^(3^j - 1)) has 128 nonzero terms and
+    # the quotient two; the prefix takes about 1 ms on it, Newton about 5
+    ctx = FIELDS[3]
+    b = [0] * 7 + [1]
+    for j in range(1, 8):
+        b = ref.nmul(ctx, b, [1] + [0] * (3 ** j - 2) + [1])
+    quo = [0, 1] + [0] * 6559 + [1]
+    a = ref.nmul(ctx, quo, b)
+    assert (len(a), len(b), sum(map(bool, b))) == (9841, 3280, 128)
+    paths = spy_division_paths(monkeypatch)
+    assert kern.kdivmod(ctx, a, b) == (quo, [])
+    a[0] = 1
+    assert kern.kdivmod(ctx, a, b) == (quo, [1])
+    assert paths == []
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 2003])
+def test_kmod_binomial_above_the_packed_threshold(q, monkeypatch):
+    ctx = field(q)
+    rng = random.Random(q + 2)
+    folds = []
+    real = kern._strided_sums
+    monkeypatch.setattr(kern, "_strided_sums", lambda *args: folds.append(1) or real(*args))
+    cut = kern._FOLD_MIN
+    # one block, several with a short last one, many
+    for m in (cut, cut + 1, 40, 300):
+        for n in (m + 1, 7 * (m - 1) + 5, 2000):
+            a = random_poly(rng, q, n)
+            del folds[:]
+            assert kern.kmod_binomial(ctx, a, m) == \
+                kern.kdivmod_naive(ctx, a, binomial(ctx, m))[1], (m, n)
+            # column sums for e = 1 and short m, else one packed fold
+            assert len(folds) == (ctx.e > 1 or m > cut), (m, n)
+    # past the slot bound the fold is a schoolbook division
+    monkeypatch.setattr(kern, "_sums_fit", lambda *args: False)
+    assert kern.kmod_binomial(ctx, a, 40) == kern.kdivmod_naive(ctx, a, binomial(ctx, 40))[1]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 9, 25])
@@ -298,23 +394,59 @@ def overflow_mismatches(ctx, n=1100):
     return bad
 
 
-def test_slot_bound_falls_back_to_schoolbook():
-    # at q = 2003, length 1100 is just past the 32-bit slot bound of both
-    # kmul (n (p-1)^2) and kdivmod (p - 1 + n (p-1)^2); the fallback must
-    # hold under python -O too, where an assert would be stripped
+def inexact_misses(ctx):
+    """The division paths (schoolbook prefix, Newton in blocks, binomial
+    recurrence) on which kexactdiv of a long non-multiple does not raise
+    InexactDivision, or which the division does not take."""
+    rng = random.Random(ctx.q)
+    cases = {"prefix": kern.kspread(random_poly(rng, ctx.q, 4), 10),
+             "newton": random_poly(rng, ctx.q, 200),
+             "binomial": binomial(ctx, 60)}
+    real, taken, missed = (kern._kdivmod_newton, kern._strided_sums), [], []
+    kern._kdivmod_newton = lambda *args: taken.append("newton") or real[0](*args)
+    kern._strided_sums = lambda *args: taken.append("binomial") or real[1](*args)
+    try:
+        for path, b in cases.items():
+            a = ref.nmul(ctx, random_poly(rng, ctx.q, 400), b)
+            a[len(a) // 2] = ctx.add[a[len(a) // 2]][1]
+            del taken[:]
+            try:
+                kern.kexactdiv(ctx, a, b)
+                missed.append(path)
+            except InexactDivision:
+                if taken != ([] if path == "prefix" else [path]):
+                    missed.append(path)
+    finally:
+        kern._kdivmod_newton, kern._strided_sums = real
+    return missed
+
+
+def check_in_process_and_optimized(expr):
+    """`expr`, a call returning a list of mismatches, must return [] both
+    here and under python -O, where an assert would be stripped."""
     here = Path(__file__).resolve().parent
     src = Path(kern.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
     code = ("import sys; from carlitz.ffield import FieldContext; "
-            "from test_packed import overflow_mismatches; "
-            "print(sys.flags.optimize, overflow_mismatches(FieldContext(2003)))")
+            f"from test_packed import *; print(sys.flags.optimize, {expr})")
     proc = subprocess.Popen([sys.executable, "-O", "-c", code], env=env,
                             stdout=subprocess.PIPE, text=True)
     try:
-        in_process = overflow_mismatches(FieldContext(2003))
+        in_process = eval(expr)
         out, _ = proc.communicate(timeout=300)
     finally:
         proc.kill()
     assert in_process == []
     assert proc.returncode == 0
     assert out.split() == ["1", "[]"]
+
+
+def test_slot_bound_falls_back_to_schoolbook():
+    # at q = 2003, length 1100 is just past the 32-bit slot bound of both
+    # kmul (n (p-1)^2) and Newton division (blocks of n slots)
+    check_in_process_and_optimized("overflow_mismatches(FieldContext(2003))")
+
+
+def test_inexact_division_raises_on_every_path():
+    check_in_process_and_optimized(
+        "[(q, path) for q in (3, 4, 25) for path in inexact_misses(FIELDS[q])]")

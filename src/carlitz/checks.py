@@ -29,12 +29,12 @@ from .ffield import FieldContext
 from .mzv import (bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs)
 from .poly import irreducibles_of_degree, necklace_count
-from .powersums import (SemiChar, SeqCache, closed_raw, partial_F_one_q,
+from .powersums import (DEFAULT_BUDGET, SemiChar, SeqCache, closed_raw, partial_F_one_q,
                         power_sum_bruteforce, tau_b_expand)
 from .skew import frak_S, star_chain_check
 from .shuffle import ShuffleEngine
 
-DEFAULT_PARAMS = {"qs": (3, 4), "d_max": 5, "prec": 25, "budget": 200_000}
+DEFAULT_PARAMS = {"qs": (3, 4), "d_max": 5, "prec": 25, "budget": DEFAULT_BUDGET}
 DEEP_PARAMS = {"qs": (3, 4, 5), "d_max": 6, "prec": 40, "budget": 2_000_000}
 
 

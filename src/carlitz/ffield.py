@@ -15,7 +15,7 @@ package verifies are stated for q > 2 and several of them degenerate or
 require separate arguments at q = 2.
 """
 
-from .errors import FieldConstructionError
+from .errors import DivisionByZero, FieldConstructionError
 
 # Fixed moduli for the prime-power sizes supported out of the box, as
 # ascending coefficient tuples over F_p.  Any other q = p^e needs an
@@ -257,13 +257,13 @@ class FqElem:
     def __truediv__(self, other):
         other = self._check(other)
         if other.code == 0:
-            raise ZeroDivisionError("division by zero in F_q")
+            raise DivisionByZero("division by zero in F_q")
         return FqElem(self.ctx, self.ctx.mul[self.code][self.ctx.inv[other.code]])
 
     def __pow__(self, n):
         if n < 0:
             if self.code == 0:
-                raise ZeroDivisionError("inverse of zero in F_q")
+                raise DivisionByZero("inverse of zero in F_q")
             return FqElem(self.ctx, self.ctx.epow(self.ctx.inv[self.code], -n))
         return FqElem(self.ctx, self.ctx.epow(self.code, n))
 

@@ -19,7 +19,8 @@ truncate.
 import warnings
 from typing import NamedTuple
 
-from .errors import ContextMismatch, InvalidParams, TailNotVanishing, WeightZero
+from .errors import (ArityMismatch, ContextMismatch, InvalidParams, TailNotVanishing,
+                     WeightZero)
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
 from ._rawfrac import RawTPoly, binomial_factors
 from .powersums import ChainSums, SemiChar, power_sum, power_sum_raw
@@ -46,7 +47,7 @@ class MatrixData:
         self.ctx = ctx
         self.s = max_s if s is None else s
         if self.s < max_s:
-            raise WeightZero(f"arity {s} too small for the columns")
+            raise ArityMismatch(f"arity {s} too small for the columns")
         self.columns = tuple((sigma.with_arity(self.s), n) for sigma, n in cols)
 
     @classmethod
@@ -95,7 +96,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
         value = RawTPoly.one(cache.ctx, data.s)
     else:
         chains = ChainSums(lambda k, n, sigma: power_sum_raw(cache, k, n, sigma),
-                           RawTPoly.zero(cache.ctx, data.s), cache.chain_memo("exact"))
+                           RawTPoly.zero(cache.ctx, data.s), cache.table("exact chains"))
         value = chains.multi(d, data.columns, mode)
     return value if raw else value.to_tpoly(_factors(cache.ctx, value.den))
 

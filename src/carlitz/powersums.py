@@ -167,14 +167,17 @@ class SemiChar:
 
 
 class SeqCache:
-    """Memoized fundamental data for one field context.
+    """Memoized fundamental data for one field context: the one memo store.
 
-    Holds theta^(q^i), the ell sequence, the b-polynomial coefficient
-    lists and their Frobenius twists, powers and ratios of ell, the lcm
-    of the monic polynomials of each degree, and memos of exact twisted
-    power sums and of their chain sums.  Single-threaded, append-only:
-    no lock guards it, so one cache must not be filled from two threads at
-    once; every returned value is immutable.
+    Holds the sequences theta^(q^i), ell, the b-polynomial coefficient
+    lists and their Frobenius twists, and one dict of tagged memo tables:
+    `memo(tag, key, make)` computes a value once, and `table(tag)` is a
+    whole table, for a `ChainSums`.  The tables hold the powers and ratios
+    of ell, the lcm of the monics of each degree, the exact twisted power
+    sums and their normalized and series forms, and the chain sums of
+    every module.  Single-threaded, append-only: no lock guards it, so one
+    cache must not be filled from two threads at once; every returned
+    value is immutable.
     """
 
     def __init__(self, ctx, budget=DEFAULT_BUDGET):
@@ -184,11 +187,7 @@ class SeqCache:
         self._ell = [APoly.one(ctx)]
         self._b = [(APoly.one(ctx),)]       # coefficient tuples, ascending
         self._tb = [(APoly.one(ctx),)]      # Frobenius-twisted b
-        self._ell_pow = {}
-        self._ell_ratio = {}
-        self._monic_lcm = {0: APoly.one(ctx)}
-        self._psums = {}
-        self._chains = {}
+        self._tables = {}                   # tag -> memo dict
 
     # -- sequences ----------------------------------------------------------
 
@@ -249,39 +248,40 @@ class SeqCache:
             acc = acc * x + c
         return acc
 
+    def table(self, tag):
+        """The memo dict tagged `tag`, created empty on first use."""
+        t = self._tables.get(tag)
+        if t is None:
+            t = self._tables[tag] = {}
+        return t
+
+    def memo(self, tag, key, make):
+        """The value under key in the table tagged `tag`, computed by make()
+        on first use; values are never None."""
+        t = self.table(tag)
+        v = t.get(key)
+        if v is None:
+            v = t[key] = make()
+        return v
+
     def ell_pow(self, i, n):
         """ell(i)^n, memoized."""
-        key = (i, n)
-        v = self._ell_pow.get(key)
-        if v is None:
-            v = self.ell(i) ** n
-            self._ell_pow[key] = v
-        return v
+        return self.memo("ell_pow", (i, n), lambda: self.ell(i) ** n)
 
     def ell_ratio(self, d, i):
         """ell(d) / ell(i) (exact), memoized."""
-        key = (d, i)
-        v = self._ell_ratio.get(key)
-        if v is None:
-            v = self.ell(d) / self.ell(i)
-            self._ell_ratio[key] = v
-        return v
+        return self.memo("ell_ratio", (d, i), lambda: self.ell(d) / self.ell(i))
 
     def monic_lcm(self, d):
         """The lcm of all monic polynomials of degree d, assembled as the
         product of P^(floor(d / deg P)) over irreducibles P of degree <= d."""
-        v = self._monic_lcm.get(d)
-        if v is None:
+        def make():
             v = APoly.one(self.ctx)
             for j in range(1, d + 1):
                 for pp in irreducibles_of_degree(self.ctx, j):
                     v = v * pp ** (d // j)
-            self._monic_lcm[d] = v
-        return v
-
-    def chain_memo(self, tag):
-        """The memo dict of the chain sums (ChainSums) tagged `tag`."""
-        return self._chains.setdefault(tag, {})
+            return v
+        return self.memo("monic_lcm", d, make)
 
     def check_budget(self, count):
         if count > self.budget:
@@ -562,23 +562,14 @@ def closed_raw(cache, d, n, sigma):
 def power_sum_raw(cache, d, n, sigma):
     """S_d(n; sigma) as a RawTPoly, exact and memoized per cache:
     `closed_raw` where it has a closed form, else enumeration."""
-    key = (d, n, sigma)
-    hit = cache._psums.get(key)
-    if hit is None:
-        hit = closed_raw(cache, d, n, sigma)
-        if hit is None:
-            hit = power_sum_bruteforce(cache, d, n, sigma)
-        cache._psums[key] = hit
-    return hit
+    return cache.memo("raw", (d, n, sigma), lambda: closed_raw(cache, d, n, sigma)
+                      or power_sum_bruteforce(cache, d, n, sigma))
 
 
 def power_sum(cache, d, n, sigma):
     """S_d(n; sigma) as a TPoly: `power_sum_raw`, normalized once per cache."""
-    key = ("tpoly", d, n, sigma)
-    hit = cache._psums.get(key)
-    if hit is None:
-        hit = cache._psums[key] = power_sum_raw(cache, d, n, sigma).to_tpoly()
-    return hit
+    return cache.memo("tpoly", (d, n, sigma),
+                      lambda: power_sum_raw(cache, d, n, sigma).to_tpoly())
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +583,8 @@ class ChainSums:
 
     `value(d, n, sigma)` gives a column's degree-d term and `zero` the
     empty sum; values need only + and *, so each caller keeps its own
-    representation.  Results go into `memo`, a dict owned by the caller
-    (a SeqCache or a ShuffleEngine) and used with one `value` and `zero`.
+    representation.  Results go into `memo`, a `SeqCache.table` used with
+    one `value` and `zero`.
     """
 
     __slots__ = ("value", "zero", "memo")

@@ -18,11 +18,12 @@ Semi-characters are addressed by short keys:
 
 from ._rawfrac import RawTPoly
 from .errors import InvalidParams
-from .powersums import ChainSums, SemiChar, closed_raw
+from .powersums import ChainSums, SemiChar, closed_form, power_sum_raw
 
 
 class ShuffleEngine:
-    """Memoized per-degree power sums and multiple sums over one context."""
+    """Per-degree power sums and multiple sums over one context, addressed
+    by semi-character keys; the values are memoized in the SeqCache."""
 
     def __init__(self, cache):
         self.cache = cache
@@ -30,25 +31,18 @@ class ShuffleEngine:
         self._chars = {"one": SemiChar(ctx, 2), "s": SemiChar.chi(ctx, 2, 1),
                        "p": SemiChar.chi(ctx, 2, 2), "nu": SemiChar.nu(ctx, 2, 1),
                        "sp": SemiChar(ctx, 2, varis=(1, 2))}
-        self._S = {}
-        self._chains = {}  # the memo of the chain sums over S
 
     # -- single power sums ------------------------------------------------
 
     def S(self, d, n, sig):
         """The degree-d power sum of order n twisted by the keyed
-        semi-character, in closed form (`closed_raw`)."""
-        key = (d, n, sig)
-        hit = self._S.get(key)
-        if hit is not None:
-            return hit
+        semi-character: `power_sum_raw`, for orders with a closed form."""
         if sig not in self._chars:
             raise InvalidParams(f"unknown semi-character key {sig!r}")
-        val = closed_raw(self.cache, d, n, self._chars[sig])
-        if val is None:
+        sigma = self._chars[sig]
+        if closed_form(self.ctx.q, n, sigma) is None:
             raise InvalidParams(f"no closed form for order {n} twisted by {sig!r}")
-        self._S[key] = val
-        return val
+        return power_sum_raw(self.cache, d, n, sigma)
 
     def alemma_head(self, d):
         """The head term of the depth-two decomposition of S_d(2;sp):
@@ -58,9 +52,7 @@ class ShuffleEngine:
     # -- multiple and truncated sums ----------------------------------------
 
     def _chain_sums(self):
-        # built per call: kept on self, it would refer back to self through
-        # self.S, a cycle that holds the memo until the cyclic collector runs
-        return ChainSums(self.S, RawTPoly.zero(self.ctx, 2), self._chains)
+        return ChainSums(self.S, RawTPoly.zero(self.ctx, 2), self.cache.table("shuffle chains"))
 
     def F(self, d, n, sig):
         """Sum of S(i, n, sig) over 0 <= i < d."""
@@ -171,12 +163,6 @@ def weight_q_product(eng, d):
            + eng.Fmulti(d, (("one", q - 1), ("one", 1)))
            + eng.Fmulti(d, (("one", 1), ("one", q - 1))))
     return lhs, rhs
-
-
-def per_degree_weight_q(eng, d):
-    """S_d(1) S_d(q-1) = S_d(q)."""
-    q = eng.ctx.q
-    return eng.S(d, 1, "one") * eng.S(d, q - 1, "one"), eng.S(d, q, "one")
 
 
 def star_bridge(eng, d):

@@ -153,32 +153,32 @@ class SkewPoly:
 # the Carlitz action and the basis isomorphism
 # ---------------------------------------------------------------------------
 
+def _act(ctx, coeffs):
+    """The sum of c_k X^k over the K-coefficients c_k, ascending, with
+    X = theta + tau, by Horner's rule."""
+    X = SkewPoly(ctx, (RatK.from_apoly(APoly.theta(ctx)), RatK.one(ctx)))
+    acc = SkewPoly.zero(ctx)
+    for c in reversed(coeffs):
+        acc = acc * X + SkewPoly.constant(ctx, c)
+    return acc
+
+
 def carlitz_action(cache, a):
     """The image of a in K{tau} under the ring homomorphism with
     theta -> theta + tau; multiplicative: the image of ab is the product
     of the images."""
     ctx = cache.ctx
-    X = SkewPoly(ctx, (RatK.from_apoly(APoly.theta(ctx)), RatK.one(ctx)))
-    acc = SkewPoly.zero(ctx)
-    for code in reversed(a.coeffs):
-        acc = acc * X + SkewPoly.constant(ctx, APoly.constant(ctx, FqElem(ctx, code)))
-    return acc
+    return _act(ctx, [FqElem(ctx, code) for code in a.coeffs])
 
 
 def eta(cache, tp):
     """The linear isomorphism from one-variable polynomials over K to
     K{tau}: t^i maps to the Carlitz action of theta^i."""
-    ctx = cache.ctx
     if tp.s != 1:
         raise ContextMismatch("eta acts on one-variable polynomials")
-    top = tp.degree_in(1)
     if tp.is_zero():
-        return SkewPoly.zero(ctx)
-    X = SkewPoly(ctx, (RatK.from_apoly(APoly.theta(ctx)), RatK.one(ctx)))
-    acc = SkewPoly.zero(ctx)
-    for k in range(int(top), -1, -1):
-        acc = acc * X + SkewPoly.constant(ctx, tp.coefficient((k,)))
-    return acc
+        return SkewPoly.zero(cache.ctx)
+    return _act(cache.ctx, [tp.coefficient((k,)) for k in range(int(tp.degree_in(1)) + 1)])
 
 
 def eta_inv(cache, f):

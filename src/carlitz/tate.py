@@ -358,19 +358,16 @@ def _inverse_power(ctx, a, n, rows):
 
 def _series_power_sum(cache, d, n, sigma, prec):
     """The degree-d order-n twisted power sum as a series to the given
-    precision: exact closed forms embedded when available (degree
-    characters excepted), otherwise the sum of sigma(a) times the expansion
-    of 1/a^n over monic a, through `monic_sum`.  Every 1/a^n starts at
-    theta^(-nd) with coefficient 1, so all expansions align."""
-    key = ("series", d, n, sigma, prec)
-    hit = cache._psums.get(key)
-    if hit is not None:
-        return hit
+    precision, memoized per cache: exact closed forms embedded when
+    available (degree characters excepted), otherwise the sum of sigma(a)
+    times the expansion of 1/a^n over monic a, through `monic_sum`.  Every
+    1/a^n starts at theta^(-nd) with coefficient 1, so all expansions
+    align."""
     ctx = cache.ctx
-    if not sigma.degs and closed_form(ctx.q, n, sigma):
-        val = TateSeries.embed_tpoly(power_sum(cache, d, n, sigma),
-                                     prec, s=sigma.s)
-    else:
+
+    def make():
+        if not sigma.degs and closed_form(ctx.q, n, sigma):
+            return TateSeries.embed_tpoly(power_sum(cache, d, n, sigma), prec, s=sigma.s)
         rows = prec - n * d + 1
         if rows > 0:
             sums = monic_sum(cache, d, sigma, lambda a: _inverse_power(ctx, a, n, rows),
@@ -378,9 +375,8 @@ def _series_power_sum(cache, d, n, sigma, prec):
         else:
             cache.check_budget(ctx.q ** d)
             sums = {}
-        val = _from_pieces(ctx, sigma.s, prec, [(e, -n * d, r) for e, r in sums.items()])
-    cache._psums[key] = val
-    return val
+        return _from_pieces(ctx, sigma.s, prec, [(e, -n * d, r) for e, r in sums.items()])
+    return cache.memo("series", (d, n, sigma, prec), make)
 
 
 def zeta_series(cache, data, prec, mode="strict"):
@@ -397,7 +393,7 @@ def zeta_series(cache, data, prec, mode="strict"):
         return TateSeries.one(ctx, data.s, prec)
     chains = ChainSums(
         lambda k, n, sigma: _series_power_sum(cache, k, n, sigma, prec),
-        TateSeries.zero(ctx, data.s, prec), cache.chain_memo(("series", prec)))
+        TateSeries.zero(ctx, data.s, prec), cache.table(("series chains", prec)))
     total = TateSeries.zero(ctx, data.s, prec)
     vals = []
     d = 0
@@ -528,19 +524,3 @@ def strange_shuffle_check(cache, h, k, prec):
         rhs = rhs - zeta_series(cache, MatrixData.untwisted(ctx, pair), work)
     return valuation_identity_check(lhs.truncate(prec + 1), rhs.truncate(prec + 1),
                                     prec)
-
-
-def log_identity_check(cache, prec):
-    """The weight-one zeta value equals the logarithm series at 1:
-    sum over i of ell(i)^(-1)."""
-    ctx = cache.ctx
-    z = zeta_series(cache, MatrixData.untwisted(ctx, (1,)), prec)
-    log1 = TateSeries.zero(ctx, 0, prec)
-    i = 0
-    while True:
-        term = TateSeries.from_ratk(RatK(APoly.one(ctx), cache.ell(i)), prec)
-        if term.is_zero_to_precision() and i > 0:
-            break
-        log1 = log1 + term
-        i += 1
-    return valuation_identity_check(z, log1, prec - 1)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz.errors import FieldConstructionError
+from carlitz.errors import CarlitzError, FieldConstructionError
 from carlitz.ffield import FieldContext, FqElem
 
 SUPPORTED = [3, 4, 5, 7, 8, 9, 16, 25, 27]
@@ -128,8 +128,11 @@ def test_element_ops_and_errors(ctx3, ctx5):
     assert (a / a).code == 1
     assert (-a).code == 1
     assert a ** -1 == a.__pow__(-1)
-    with pytest.raises(ZeroDivisionError):
-        a / ctx3.element(0)
+    zero = ctx3.element(0)
+    for divide in (lambda: a / zero, lambda: zero ** -1):
+        with pytest.raises(ZeroDivisionError) as err:
+            divide()
+        assert isinstance(err.value, CarlitzError)
     with pytest.raises(FieldConstructionError):
         a + ctx5.element(2)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from carlitz.errors import TailNotVanishing, WeightZero
+from carlitz.errors import ArityMismatch, TailNotVanishing, WeightZero
 from carlitz.ffield import FieldContext
 from carlitz.mzv import (MatrixData, bernoulli_goss, bg_block_values,
                          bg_congruence_survey, bg_degree_formula,
@@ -19,6 +19,15 @@ def test_matrix_data_structure(ctx3):
     assert empty.weight == 0 and empty.depth == 0
     with pytest.raises(WeightZero):
         MatrixData(ctx3, [(chi, 0)])
+
+
+def test_matrix_data_arity_too_small(ctx3):
+    # a column in two variables does not fit arity 1: an arity error, not
+    # the grammar's weight error
+    two = SemiChar.chi(ctx3, 2, 2)
+    with pytest.raises(ArityMismatch, match="arity 1 too small"):
+        MatrixData(ctx3, [(two, 1)], s=1)
+    assert MatrixData(ctx3, [(two, 1)], s=3).s == 3
 
 
 def test_multi_power_sum_conventions(cache3):

@@ -25,7 +25,8 @@ ALL_IDENTITIES = [
     shuffle.difference_identity,
     shuffle.degree_character_identity,
     shuffle.weight_q_product,
-    shuffle.per_degree_weight_q,
+    # S_d(1) S_d(q-1) = S_d(q)
+    lambda e, d: (e.S(d, 1, "one") * e.S(d, e.ctx.q - 1, "one"), e.S(d, e.ctx.q, "one")),
     shuffle.star_bridge,
 ]
 

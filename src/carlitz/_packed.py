@@ -8,7 +8,11 @@ coefficient for e > 1 (the e digits of a code, then e-1 zero sub-slots
 for the digit products of a product slot), so that polynomial
 multiplication becomes one big-integer multiplication.  A sub-slot is 16
 or 32 bits wide: `kmul` takes the narrowest width that holds its product
-bound, every other packed path 32 bits.  Division is schoolbook over the
+bound, every other packed path 32 bits.  When one operand has at most
+four nonzero terms and the other is longer than the schoolbook cutoff,
+`kmul` adds shifted scalar multiples of the packed long operand instead (a
+monomial is a shift); its optional addend c is packed into the same sum,
+so c + a*b costs one unpack.  Division is schoolbook over the
 divisor's nonzero terms up to a work budget (over F_p on plain integers,
 reduced as read); what that prefix leaves goes to Newton division in
 blocks against one inverse of the reversed divisor to max(len(b), 64)
@@ -20,19 +24,29 @@ packed strided suffix sum.
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
 2e-1 residues of a slot as one index into the context's fold table, which
-maps the digits of sum d_j x^j to its element code mod the field modulus;
-for p = 2 a bit mask reads every residue at once.  kmul and kdivmod check
-their slot bound before packing (for products, min(len) * e * (p-1)^2,
-below 2^16 for 16-bit and 2^32 for 32-bit sub-slots) and fall back to the
-schoolbook loop past 2^32, which only happens for large p; the prime-field
-kgcd tracks the exact slot bound and renormalizes before it reaches 2^31.
-The slot codecs read and write native 16- and 32-bit array items as
-little-endian bytes, so importing the module fails on any other platform.
+maps the digits of sum d_j x^j to its element code mod the field modulus.
+kmul and kdivmod check their slot bound before packing (for products,
+min(len) * e * (p-1)^2, or the sparse operand's nonzero terms times
+e * (p-1)^2, plus p-1 for an addend; below 2^16 for 16-bit and 2^32 for
+32-bit sub-slots) and fall back to the schoolbook loop past 2^32, which
+only happens for large p; the prime-field kgcd tracks the exact slot bound
+and renormalizes before it reaches 2^31.
+
+For q <= 16, where codes and the sums a*q + b of two codes fit in a byte,
+the codecs and the coefficient-wise operations are bytes.translate calls
+on byte-packed values, through tables built on first use and kept on the
+context: unpack reduces byte k of every sub-slot to x * 256^k mod p, adds
+these lanes as integers and reads the fold table by one more translate;
+kadd reads a*q + b through a flattened addition table.  Other fields keep
+the per-coefficient loops, which read and write native 16- and 32-bit
+array items as little-endian bytes, so importing the module fails on any
+other platform.
 """
 
 from array import array
-from itertools import islice
+from itertools import compress, islice
 import sys
+from types import SimpleNamespace
 
 from .errors import BothZero, DivisionByZero, InexactDivision
 
@@ -41,6 +55,7 @@ _MASK = (1 << _W) - 1
 _NARROW = 16                  # kmul's sub-slot width while its bound allows
 _TYPECODE = {16: "H", 32: "I"}
 _MUL_CUTOFF = 24              # below this, schoolbook beats pack/unpack
+_SPARSE = 4                   # kmul's most nonzero terms of a sparse operand
 _DIV_CUTOFF = 24
 _NAIVE_WORK = 8               # schoolbook work per quotient slot, times 2e if e > 1
 _BLOCK = 64                   # shortest Newton block (and inverse length)
@@ -53,11 +68,10 @@ if sys.byteorder != "little" or any(array(t).itemsize * 8 != w
 
 
 def trim(a):
-    """Strip trailing zero coefficients in place; return a."""
-    if a and a[-1] == 0 and not any(a):  # an exact remainder, in one scan
-        a.clear()
-    while a and a[-1] == 0:
-        a.pop()
+    """Strip trailing zero coefficients in place; return a.  compress()
+    finds the last nonzero slot in one scan from the top, in C."""
+    if a and not a[-1]:
+        del a[next(compress(range(len(a) - 1, -1, -1), reversed(a)), -1) + 1:]
     return a
 
 
@@ -65,41 +79,89 @@ def trim(a):
 # packing
 # ---------------------------------------------------------------------------
 
+def _table(values):
+    """A bytes.translate table: `values`, then zeros up to 256 entries."""
+    return bytes(values).ljust(256, b"\0")
+
+
+def _byte_tables(ctx):
+    """The byte codecs' tables for a field with q * q <= 256."""
+    p, e = ctx.p, ctx.e
+    residue = (bytes(range(p)) * (256 // p + 1))[:256]  # x mod p
+
+    def times(f):  # x -> (x mod p) f, for (p - 1) f < 256
+        return residue.translate(_table(i * f for i in range(p)))
+    return SimpleNamespace(
+        # add[a q + b] = a + b, neg[a] = -a, mul[s][a] = s a
+        add=_table(b"".join(map(bytes, ctx.add))),
+        neg=_table(ctx.neg), mul=[_table(row) for row in ctx.mul],
+        # byte k of a sub-slot is worth x 256^k mod p of its residue; for
+        # p = 2 byte 0 alone holds the parity
+        lanes={w: [(k, times(256 ** k % p).translate(residue))
+                   for k in range(w // 8)] if p > 2 else [] for w in _TYPECODE},
+        # weights[j][x] = (x mod p) p^j: summed over the 2e-1 sub-slots of a
+        # slot, the index of its code in the fold table
+        weights=[times(p ** j) for j in range(2 * e - 1)],
+        fold=_table(ctx._fold or ()),
+        digits=[_table(ds[j] for ds in ctx.digits) for j in range(e)])
+
+
+def _codec(ctx):
+    """The byte tables of a field whose codes, and the sums a q + b of two
+    codes, fit in a byte (q <= 16), built on first use; False for any other
+    field."""
+    t = ctx._bytes
+    if t is None:
+        t = ctx._bytes = ctx.q * ctx.q <= 256 and _byte_tables(ctx)
+    return t
+
+
 def pack(ctx, coeffs, width=_W):
     """Pack a coefficient list into one integer, `width` bits per sub-slot."""
+    size = width // 8
     if ctx.e == 1:
-        if width == _NARROW and ctx.q <= 256:
-            # bytes() takes a list of small ints at twice array("H")'s speed
-            raw = bytearray(2 * len(coeffs))
-            raw[::2] = bytes(coeffs)
-            return int.from_bytes(raw, "little")
-        return int.from_bytes(array(_TYPECODE[width], coeffs).tobytes(), "little")
-    slot = ctx._slots[width]
-    return int.from_bytes(b"".join([slot[c] for c in coeffs]), "little")
+        if ctx.q > 256:
+            return int.from_bytes(array(_TYPECODE[width], coeffs).tobytes(), "little")
+        # bytearray() reads a list of small ints faster than bytes() or array()
+        raw = bytearray(size * len(coeffs))
+        raw[::size] = bytearray(coeffs)
+        return int.from_bytes(raw, "little")
+    t = _codec(ctx)
+    if not t:
+        slot = ctx._slots[width]
+        return int.from_bytes(b"".join([slot[c] for c in coeffs]), "little")
+    stride = (2 * ctx.e - 1) * size
+    raw, codes = bytearray(stride * len(coeffs)), bytearray(coeffs)
+    for j, digit in enumerate(t.digits):
+        raw[j * size::stride] = codes.translate(digit)
+    return int.from_bytes(raw, "little")
 
 
 def unpack(ctx, value, nslots, width=_W):
     """Unpack nslots coefficients of `width`-bit sub-slots, reducing each
     slot mod p (and mod the field modulus in the extension case)."""
-    p, sub = ctx.p, 2 * ctx.e - 1
-    nbytes = width // 8 * sub * nslots
-    if p == 2 and sub <= width:
-        # the parities sit at bit 0 of each sub-slot; shifting by
-        # (width - 1) j moves sub-slot j's down to bit j of its slot's
-        # first sub-slot, and no two land on one bit while j <= 2e - 2 < width
-        ones = (1).to_bytes(width // 8, "little") * (sub * nslots)
-        idx = par = value & int.from_bytes(ones, "little")
-        for j in range(1, sub):
-            idx |= par >> ((width - 1) * j)
-        idx = array(_TYPECODE[width], idx.to_bytes(nbytes, "little"))[::sub]
-    else:
-        vals = array(_TYPECODE[width], value.to_bytes(nbytes, "little"))
+    p, sub, size = ctx.p, 2 * ctx.e - 1, width // 8
+    raw = value.to_bytes(size * sub * nslots, "little")
+    t = _codec(ctx)
+    if t:
+        lanes = t.lanes[width]
+        if lanes:  # each byte of the lane sum stays below 4 p: no carries
+            raw = sum(int.from_bytes(raw[k::size].translate(lane), "little")
+                      for k, lane in lanes).to_bytes(sub * nslots, "little")
+        else:
+            raw = raw[::size]
         if sub == 1:
-            return [v % p for v in vals]
-        # fold-table index sum d_j p^j of every slot, by Horner over sub-slots
-        idx = [v % p for v in vals[sub - 1::sub]]
-        for j in range(sub - 2, -1, -1):
-            idx = [i * p + v % p for i, v in zip(idx, vals[j::sub])]
+            return list(raw.translate(t.weights[0]))
+        idx = sum(int.from_bytes(raw[j::sub].translate(w), "little")
+                  for j, w in enumerate(t.weights))
+        return list(idx.to_bytes(nslots, "little").translate(t.fold))
+    vals = array(_TYPECODE[width], raw)
+    if sub == 1:
+        return [v % p for v in vals]
+    # fold-table index sum d_j p^j of every slot, by Horner over sub-slots
+    idx = [v % p for v in vals[sub - 1::sub]]
+    for j in range(sub - 2, -1, -1):
+        idx = [i * p + v % p for i, v in zip(idx, vals[j::sub])]
     fold = ctx._fold
     return [fold[i] for i in idx]
 
@@ -133,20 +195,39 @@ def kmul_naive(ctx, a, b):
     return trim(out)
 
 
-def kmul(ctx, a, b):
-    """Product of two coefficient lists."""
+def kmul(ctx, a, b, c=None):
+    """c + a*b for coefficient lists a, b and an optional addend c, with one
+    unpack when packed."""
     la, lb = len(a), len(b)
     if not la or not lb:
-        return []
-    m = min(la, lb)
+        return list(c or ())
     # a product sub-slot sums at most m * e digit products of at most
-    # (p-1)^2: sub-slot j holds those of digit pairs j1 + j2 = j
-    bound = m * ctx.e * (ctx.p - 1) ** 2
-    if m <= _MUL_CUTOFF or bound >= 1 << _W:
-        return kmul_naive(ctx, a, b)
+    # (p-1)^2 (sub-slot j holds those of digit pairs j1 + j2 = j), over the
+    # m = min(la, lb) slot pairs, or the m nonzero terms of a sparse operand
+    # times a long one; the addend adds one digit
+    m, sparse = min(la, lb), None
+    if max(la, lb) > _MUL_CUTOFF:
+        for x, y in ((a, b), (b, a)):
+            if len(y) > _MUL_CUTOFF and (terms := len(x) - x.count(0)) <= _SPARSE:
+                m, sparse, dense = terms, x, y
+                break
+    if sparse is not None and m == 1:  # a monomial: a shift
+        i = next(compress(range(len(sparse)), sparse))
+        prod = trim([0] * i + kscal(ctx, sparse[i], dense))
+        return kadd(ctx, c, prod) if c else prod
+    bound = m * ctx.e * (ctx.p - 1) ** 2 + (ctx.p - 1 if c else 0)
+    if bound >= 1 << _W or (m <= _MUL_CUTOFF and sparse is None):
+        return kadd(ctx, c, kmul_naive(ctx, a, b)) if c else kmul_naive(ctx, a, b)
     width = _NARROW if bound < 1 << _NARROW else _W
-    prod = pack(ctx, a, width) * pack(ctx, b, width)
-    return trim(unpack(ctx, prod, la + lb - 1, width))
+    acc = pack(ctx, c, width) if c else 0
+    if sparse is None:
+        acc += pack(ctx, a, width) * pack(ctx, b, width)
+    else:
+        v, bits = pack(ctx, dense, width), (2 * ctx.e - 1) * width
+        unit = _units(ctx, width)
+        for i in compress(range(len(sparse)), sparse):
+            acc += unit[sparse[i]] * v << i * bits
+    return trim(unpack(ctx, acc, max(la + lb - 1, len(c or ())), width))
 
 
 def kscal(ctx, s, a):
@@ -155,11 +236,21 @@ def kscal(ctx, s, a):
         return []
     if s == 1:
         return list(a)
+    t = _codec(ctx)
+    if t:
+        return list(bytearray(a).translate(t.mul[s]))
     row = ctx.mul[s]
     return [row[c] for c in a]
 
 
 def kadd(ctx, a, b):
+    t = _codec(ctx)
+    if t:
+        # slot i of a q + b is a_i q + b_i < q^2 <= 256, no carries
+        s = (int.from_bytes(bytearray(a), "little") * ctx.q
+             + int.from_bytes(bytearray(b), "little"))
+        return list(s.to_bytes(max(len(a), len(b)), "little").translate(t.add)
+                    .rstrip(b"\0"))
     add = ctx.add
     if len(a) < len(b):
         a, b = b, a
@@ -171,6 +262,9 @@ def kadd(ctx, a, b):
 
 
 def kneg(ctx, a):
+    t = _codec(ctx)
+    if t:
+        return list(bytearray(a).translate(t.neg))
     neg = ctx.neg
     return [neg[c] for c in a]
 
@@ -372,12 +466,12 @@ def kmod_binomial(ctx, a, m):
     return kdivmod_naive(ctx, a, [0, ctx.neg[1]] + [0] * (m - 2) + [1])[1]
 
 
-def _units(ctx):
+def _units(ctx, width=_W):
     """Packed value of each element code as a one-slot polynomial, so that
     unit[c] * P is c times the packed polynomial P."""
     if ctx.e == 1:
         return range(ctx.q)
-    return [int.from_bytes(b, "little") for b in ctx._slots[_W]]
+    return [int.from_bytes(b, "little") for b in ctx._slots[width]]
 
 
 def reduce_interval(ctx, width, count):

@@ -5,7 +5,10 @@ shared denominator, with no reduction invariant.  Identity checks build
 both sides in this representation and compare by cross multiplication,
 so no gcd is ever computed: every step is polynomial multiplication,
 which the packed kernel makes cheap even at the large degrees the deeper
-parameter grids reach.
+parameter grids reach.  Sums of products accumulate through the kernel's
+fused multiply-add, `kmul(ctx, a, b, c)` = c + a*b, which unpacks once,
+and most denominator ratios (products of theta^(q^j) - theta) are sparse
+operands, which the kernel multiplies as sums of shifted multiples.
 
 Additions prefer a shared denominator: when one denominator exactly
 divides the other (the common case here, since every denominator is a
@@ -77,15 +80,11 @@ class RawTPoly:
         if not r:
             out = dict(a.num)
             for e, c in b.num.items():
-                cur = out.get(e)
-                cq = kern.kmul(ctx, c, q)
-                out[e] = cq if cur is None else kern.kadd(ctx, cur, cq)
+                out[e] = kern.kmul(ctx, c, q, out.get(e))
             return RawTPoly(ctx, self.s, out, a.den)
         out = a._scaled_num(b.den)
         for e, c in b.num.items():
-            cur = out.get(e)
-            ca = kern.kmul(ctx, c, a.den)
-            out[e] = ca if cur is None else kern.kadd(ctx, cur, ca)
+            out[e] = kern.kmul(ctx, c, a.den, out.get(e))
         return RawTPoly(ctx, self.s, out, kern.kmul(ctx, a.den, b.den))
 
     def __neg__(self):
@@ -104,9 +103,7 @@ class RawTPoly:
         for e1, c1 in self.num.items():
             for e2, c2 in other.num.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                prod = kern.kmul(ctx, c1, c2)
-                cur = out.get(e)
-                out[e] = prod if cur is None else kern.kadd(ctx, cur, prod)
+                out[e] = kern.kmul(ctx, c1, c2, out.get(e))
         return RawTPoly(ctx, self.s, out, kern.kmul(ctx, self.den, other.den))
 
     def scale_poly(self, c):

@@ -8,7 +8,8 @@ tables (q <= a few hundred in practice), so element arithmetic in inner
 loops is plain list indexing.  For e > 1 every product comes from
 multiplication by x, and a modulus is rejected as reducible when some
 nonzero element has no inverse; the context also builds the packed
-kernel's slot layout and fold table (see `_packed`).
+kernel's slot layout and fold table, and holds the byte tables the kernel
+builds for itself on first use (see `_packed`).
 
 The restriction q > 2 is enforced at construction: the identities this
 package verifies are stated for q > 2 and several of them degenerate or
@@ -76,13 +77,15 @@ class FieldContext:
     """Arithmetic tables for F_q, q = p^e > 2.
 
     Instances are immutable after construction and safe to share between
-    threads.  Two contexts compare equal iff they have the same q and the
-    same modulus, but element codes must never be mixed across instances
-    of different parameters.
+    threads, apart from `_bytes`, which the packed kernel sets once on first
+    use (two threads may both build its tables, which are equal).  Two
+    contexts compare equal iff they have the same q and the same modulus,
+    but element codes must never be mixed across instances of different
+    parameters.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "mul", "neg", "inv",
-                 "digits", "_undigit", "_fold", "_slots")
+                 "digits", "_undigit", "_fold", "_slots", "_bytes")
 
     def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
@@ -120,7 +123,7 @@ class FieldContext:
 
         # element tables; prime-field rows are built by arithmetic and share
         # the int objects of r, which keeps them small at large p
-        self._fold = self._slots = None
+        self._fold = self._slots = self._bytes = None
         if e == 1:
             r = list(range(p))
             add = [r[a:] + r[:a] for a in r]

@@ -1,4 +1,4 @@
-"""Negative controls for the packed kernel's fast division paths.
+"""Negative controls for the packed kernel's fast paths.
 
 Each entry mutates one fragment of a `_packed` function, from outside
 `src/`, and names the property test of `test_packed.py` that must catch
@@ -31,6 +31,16 @@ KERNEL_MUTATIONS = [
      "_strided_sums(ctx, a[1:], m - 1, m - 1)",
      "_strided_sums(ctx, a[1:1 - m], m - 1, m - 1)",
      prop.test_kmod_binomial_above_the_packed_threshold, (3,)),
+    # 256 = 1 mod 3 and mod 5, so the wrong power shows from p = 7 on
+    ("byte lane reduced with the wrong power of 256", "_byte_tables",
+     "times(256 ** k % p)", "times(256 ** (k + 1) % p)",
+     prop.test_codecs_match_reference, (7,)),
+    ("sparse term shifted by one slot", "kmul",
+     "unit[sparse[i]] * v << i * bits", "unit[sparse[i]] * v << (i + 1) * bits",
+     prop.test_sparse_products, (3,)),
+    ("fused addend without its top coefficient", "kmul",
+     "pack(ctx, c, width)", "pack(ctx, c[:-1], width)",
+     prop.test_fused_multiply_add, (4,)),
 ]
 
 

@@ -266,8 +266,8 @@ def test_pack_unpack_roundtrip(q, width, data):
 
 @pytest.mark.parametrize("width", [16, 32])
 def test_pack_unpack_roundtrip_past_one_byte(width):
-    # codes of F_257 do not fit one byte, which the 16-bit codec reads
-    # through bytes() below that
+    # codes of F_257 do not fit one byte, which the prime-field codec reads
+    # through bytearray() below that
     ctx = FieldContext(257)
     a = [0, 1, 255, 256, 128, 256]
     assert kern.unpack(ctx, kern.pack(ctx, a, width), len(a), width) == a
@@ -328,6 +328,119 @@ def test_shuffle_deep_products_take_16_bit_slots(q, m, monkeypatch):
     assert widths == [16]
 
 
+# the fields whose codes and sums a q + b of two codes fit in a byte, on
+# which the codecs, kadd, kneg and kscal run through byte tables
+BYTE_FIELDS = [3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+def decode_slot(ctx, digits):
+    """Code of sum_j d_j x^j for integer digits d_j (x^j read as 1 when
+    e = 1, where a slot holds one digit), by the field's own tables."""
+    code = 0
+    for j, d in enumerate(digits):
+        power = ctx.epow(ctx.p, j) if ctx.e > 1 else 1
+        code = ctx.add[code][ctx.mul[d % ctx.p][power]]
+    return code
+
+
+@pytest.mark.parametrize("q", BYTE_FIELDS + [25, 27, 2003])
+def test_codecs_match_reference(q, monkeypatch):
+    # a new context, so that its byte tables are built by the kernel under
+    # test (see test_negative_controls); q = 25, 27, 2003 take the loops
+    ctx = FieldContext(q)
+    rng = random.Random(q)
+    sub, n = 2 * ctx.e - 1, 150
+    a, b = random_poly(rng, q, 300), random_poly(rng, q, 120)
+    for width in (16, 32):
+        assert kern.unpack(ctx, kern.pack(ctx, a, width), len(a), width) == a
+        # unreduced sub-slots, as a product leaves them, up to 2^width - 1
+        subs = [rng.randrange(1 << width) for _ in range(sub * n)]
+        value = sum(v << (k * width) for k, v in enumerate(subs))
+        assert kern.unpack(ctx, value, n, width) == \
+            [decode_slot(ctx, subs[i * sub:(i + 1) * sub]) for i in range(n)]
+    assert kern.kadd(ctx, a, b) == kern.kadd(ctx, b, a) == ref.nadd(ctx, a, b)
+    # a top that cancels, and all of it
+    c = list(a)
+    c[3] = ctx.add[c[3]][1]
+    assert kern.kadd(ctx, a, ref.nneg(ctx, c)) == ref.nsub(ctx, a, c) == [0, 0, 0, ctx.neg[1]]
+    assert kern.kadd(ctx, a, ref.nneg(ctx, a)) == []
+    assert kern.kneg(ctx, a) == ref.nneg(ctx, a)
+    assert kern.ksub(ctx, a, b) == ref.nsub(ctx, a, b)
+    for s in (0, 1, q - 1, rng.randrange(q)):
+        assert kern.kscal(ctx, s, a) == ref.trim([ctx.mul[s][x] for x in a])
+
+
+def test_trim_finds_the_last_nonzero_slot():
+    rng = random.Random(5)
+    for zeros in (0, 1, 2, 3, 5, 64, 100, 1000):
+        for head in ([], [1], [0, 2], [rng.randrange(1, 3) for _ in range(50)]):
+            a = head + [0] * zeros
+            assert kern.trim(list(a)) == ref.trim(list(a)), (head, zeros)
+    a = [0] * 7 + [1] + [0] * 9
+    assert kern.trim(a) is a and a == [0] * 7 + [1]
+
+
+@pytest.mark.parametrize("q", BYTE_FIELDS)
+def test_byte_tables_match_the_field_tables(q):
+    ctx = FieldContext(q)
+    assert ctx._bytes is None  # built on first use, not with the context
+    t = kern._codec(ctx)
+    assert ctx._bytes is t
+    assert [[t.add[a * q + b] for b in range(q)] for a in range(q)] == ctx.add
+    assert [list(row[:q]) for row in t.mul] == ctx.mul
+    assert list(t.neg[:q]) == ctx.neg
+    for q in (25, 27):
+        assert kern._codec(FieldContext(q)) is False
+
+
+def sparse_poly(rng, q, n, terms):
+    """A length-n coefficient list with `terms` nonzero terms, one of them
+    the leading one."""
+    a = [0] * n
+    for i in rng.sample(range(n - 1), terms - 1) + [n - 1]:
+        a[i] = rng.randrange(1, q)
+    return a
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16, 25, 27])
+def test_sparse_products(q, monkeypatch):
+    ctx = FIELDS[q]
+    rng = random.Random(q + 3)
+    naive, real = [], kern.kmul_naive
+    monkeypatch.setattr(kern, "kmul_naive", lambda *args: naive.append(1) or real(*args))
+    for terms in (1, 2, 3, 4):
+        # the sparse operand shorter than the dense one, longer, much longer
+        for ls, ld in ((40, 100), (300, 30), (2000, 60)):
+            x, y = sparse_poly(rng, q, ls, terms), random_poly(rng, q, ld)
+            assert kern.kmul(ctx, x, y) == kern.kmul(ctx, y, x) == ref.nmul(ctx, x, y), \
+                (terms, ls, ld)
+    assert naive == []  # every product above took the sparse path
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 25])
+def test_fused_multiply_add(q, monkeypatch):
+    ctx = FIELDS[q]
+    rng = random.Random(q + 4)
+    widths = spy_widths(monkeypatch)
+    shapes = {"dense": (random_poly(rng, q, 60), random_poly(rng, q, 80)),
+              "sparse": (sparse_poly(rng, q, 200, 3), random_poly(rng, q, 50)),
+              "monomial": (sparse_poly(rng, q, 10, 1), random_poly(rng, q, 50)),
+              "schoolbook": (random_poly(rng, q, 10), random_poly(rng, q, 12))}
+    for path, (a, b) in shapes.items():
+        ab = ref.nmul(ctx, a, b)
+        for c in (random_poly(rng, q, len(ab) + 40),  # longer than a*b
+                  random_poly(rng, q, len(ab) // 2),  # shorter
+                  ref.nneg(ctx, ab),                  # cancelling a*b to []
+                  ref.nsub(ctx, random_poly(rng, q, 7), ab)):  # all but 7 slots
+            kept = list(c)
+            del widths[:]
+            assert kern.kmul(ctx, a, b, c) == ref.nadd(ctx, c, ab), path
+            assert c == kept
+            # one unpack for the sum on a packed path, none otherwise
+            assert len(widths) == (path in ("dense", "sparse")), path
+    assert kern.kmul(ctx, [], b, c) == c and kern.kmul(ctx, [], b, c) is not c
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_pow_matches_repeated_mul(q, data):
@@ -383,10 +496,19 @@ def overflow_mismatches(ctx, n=1100):
     p = ctx.p
     bad = []
     a = [p - 1] * n
-    if kern.kmul(ctx, a, a) != ref.nmul(ctx, a, a):
+    aa = ref.nmul(ctx, a, a)
+    if kern.kmul(ctx, a, a) != aa:
         bad.append("kmul")
     # a monic divisor with all lower coefficients p-1, times an all-ones
     # quotient: every division step adds (p-1)^2 to each slot it touches
+    # the fused addend adds p-1 to the product's bound, here past 2^32 at
+    # n = 1100, and four sparse terms stay far below it
+    c = [p - 1] * (2 * n)
+    if kern.kmul(ctx, a, a, c) != ref.nadd(ctx, c, aa):
+        bad.append("kmul fused")
+    s = [p - 1] + [0] * (n // 3) + [p - 1] + [0] * (n // 2) + [p - 1, p - 1]
+    if kern.kmul(ctx, s, a, c) != ref.nadd(ctx, c, ref.nmul(ctx, s, a)):
+        bad.append("kmul sparse")
     b = [p - 1] * (n - 1) + [1]
     quo = [1] * n
     if kern.kdivmod(ctx, ref.nmul(ctx, b, quo), b) != (quo, []):
@@ -443,7 +565,8 @@ def check_in_process_and_optimized(expr):
 
 def test_slot_bound_falls_back_to_schoolbook():
     # at q = 2003, length 1100 is just past the 32-bit slot bound of both
-    # kmul (n (p-1)^2) and Newton division (blocks of n slots)
+    # kmul (n (p-1)^2, with or without an addend) and Newton division
+    # (blocks of n slots)
     check_in_process_and_optimized("overflow_mismatches(FieldContext(2003))")
 
 

@@ -14,6 +14,7 @@
 
 from carlitz import (APoly, FieldContext, SemiChar, SeqCache, partial_F_one_q,
                      power_sum_bruteforce, power_sum_closed, tau_b_expand)
+from carlitz.tpoly import TPoly
 
 ctx = FieldContext(3)
 cache = SeqCache(ctx)
@@ -21,7 +22,8 @@ cache = SeqCache(ctx)
 print("== the fundamental sequences ==")
 for i in (0, 1, 2):
     print(f"ell({i}) = {cache.ell(i)}")
-print(f"b_2(t)  = {cache.b_tpoly(2, 1, 1)}")
+b2 = TPoly(ctx, 1, {(k,): c for k, c in enumerate(cache.b_coeffs(2))})
+print(f"b_2(t)  = {b2}")
 
 print("\n== weight one: enumeration meets the closed form ==")
 chi = SemiChar.chi(ctx, 1, 1)           # a -> a(t1)

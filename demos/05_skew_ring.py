@@ -1,37 +1,40 @@
-# The twisted polynomial ring K{τ} and the module action on it.
+# Twisted power sums in the skew ring K{τ} and the star chain.
 #
-# Multiplication twists scalars: τ·c = c^q·τ.  The action of θ is θ + τ;
-# the linear isomorphism with one-variable polynomials sends t^i to
-# (θ+τ)^i and its inverse sends τ^j to b_j(t).  Power sums with twisted
-# coefficients then inherit closed forms from the commutative side.
+# Multiplication in K{τ} twists scalars: τ·c = c^q·τ, and the module action
+# of a monic a is C_a, with C_θ = θ + τ.  The linear isomorphism with
+# one-variable polynomials sends t^i to C_(θ^i); its inverse sends τ^j to
+# b_j(t), and so sends C_a to a(t).  A power sum with twisted coefficients,
+# the sum of a^(-q^n) C_a, therefore maps to the commutative sum
+# S_d(q^n; χ_t), and its chain closed form is checked there, exactly.
 
-from carlitz import (APoly, FieldContext, RatK, SeqCache, SkewPoly,
-                     carlitz_action, eta, eta_inv, frak_S, star_chain_check)
+from carlitz import (FieldContext, SemiChar, SeqCache, frak_S,
+                     power_sum_bruteforce, star_chain_check)
+from carlitz.powersums import b_combination, chain_weights
 from carlitz.tpoly import TPoly
 
 ctx = FieldContext(3)
 cache = SeqCache(ctx)
-theta = APoly.theta(ctx)
+chi = SemiChar.chi(ctx, 1, 1)
 
-print("== the twist rule ==")
-tau = SkewPoly.tau(ctx)
-print(f"τ·θ = {tau * SkewPoly.constant(ctx, theta)}")
-X = carlitz_action(cache, theta)
-print(f"action of θ: {X}")
-print(f"action of θ²: {carlitz_action(cache, theta**2)} (= (θ+τ)²)")
-
-print("\n== the basis isomorphism ==")
-t = TPoly.variable(ctx, 1, 1)
-print(f"t   ->  {eta(cache, t)}")
-print(f"τ   ->  {eta_inv(cache, SkewPoly.tau(ctx))}   (back)")
-print(f"τ²  ->  {eta_inv(cache, SkewPoly.tau(ctx, 2))}   (evaluation)")
-a = theta**2 + theta + 1
-print(f"a(t) -> action of a: {eta(cache, t**2 + t + 1) == carlitz_action(cache, a)}")
-
-print("\n== twisted power sums have a chain closed form ==")
+print("== twisted power sums: the chain closed form against enumeration ==")
 for (d, n) in ((1, 1), (2, 1), (2, 2)):
-    v = frak_S(cache, d, n)   # asserts closed form == enumeration
+    v = frak_S(cache, d, n)   # raises unless closed form == enumeration
     print(f"sum of a^(-q^{n}) C_a over degree {d}: {v}")
+
+print("\n== the b-expansion: τ^j -> b_j(t) takes the skew sum to S_d(q^n; χ_t) ==")
+d, n = 2, 1
+weights = chain_weights(cache, n, d)
+den = cache.ell_pow(d, ctx.q ** n)
+for j in range(d + 1):
+    bj = TPoly(ctx, 1, {(k,): c for k, c in enumerate(cache.b_coeffs(j))})
+    print(f"b_{j}(t) = {bj}")
+expansion = TPoly(ctx, 1, {(k,): c for k, c in b_combination(cache, weights).items()})
+print(f"sum of w_i b_i(t) = {expansion}")
+print(f"  over ell({d})^{ctx.q ** n} = {den}")
+brute = power_sum_bruteforce(cache, d, ctx.q ** n, chi)
+num = {(k,): list(c.coeffs) for k, c in b_combination(cache, weights).items()}
+print(f"enumerated S_{d}(q^{n}; χ_t) = {brute}")
+print(f"  same denominator and numerators: {brute.den == list(den.coeffs) and brute.num == num}")
 
 print("\n== evaluation at one links to star zeta values ==")
 for d in (1, 2, 3, 4):

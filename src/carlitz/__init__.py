@@ -5,7 +5,7 @@
 - fundamental sequences, semi-characters, twisted power sums (powersums)
 - matrix-data multiple zeta sums and finite zeta values (mzv)
 - the per-degree shuffle identity engine (shuffle)
-- the twisted polynomial ring and the Carlitz action (skew)
+- twisted power sums in K{tau} and the star chain (skew)
 - truncated Tate series and the numeric identity checks (tate)
 - the verification registry and report machinery (checks)
 - textual grammars (textio) and the command line (cli)
@@ -30,8 +30,7 @@ from .mzv import (BGDegrees, BGPoly, CongruenceSurvey, MatrixData,
                   bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs, multi_power_sum,
                   partial_zeta)
-from .skew import (SkewPoly, carlitz_action, eta, eta_inv, frak_S,
-                   star_chain_check)
+from .skew import SkewPoly, frak_S, star_chain_check
 from .tate import (TateSeries, annals_check, family_qk_check, omega_factor,
                    pi_factor, strange_shuffle_check, thakur_weight_check,
                    valuation_identity_check, zeta_series)

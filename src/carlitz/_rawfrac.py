@@ -17,7 +17,10 @@ product of ell-sequence factors), the sum keeps the larger one.
 Every exact check compares values of this form: the closed-form power
 sums (`powersums.closed_raw`) and the enumeration oracle
 (`powersums.power_sum_bruteforce`) both write theirs over powers of
-ell(d), and the mzv chain sums add and multiply them unreduced.
+ell(d), the mzv chain sums add and multiply them unreduced, the skew
+checks compare b-expansions and sum truncated zeta values in it, and
+`substitute` specializes a variable at a theta-polynomial (t_i := 1,
+theta, theta^q) with the denominator unchanged.
 `to_tpoly` normalizes a value into a TPoly over K, for output only,
 cancelling each numerator against a list of factors of the denominator;
 `binomial_factors` splits an ell-power denominator into the binomials
@@ -123,16 +126,20 @@ class RawTPoly:
                 base = base * base
         return result
 
-    def substitute_one(self, i):
-        """Set t_i := 1 (arity drops by one)."""
+    def substitute(self, i, value):
+        """Set t_i := value, a theta-polynomial given as a coefficient list
+        (arity drops by one; the denominator is unchanged)."""
         if not 1 <= i <= self.s:
             raise IndexOutOfRange(f"variable index {i} outside 1..{self.s}")
-        out = {}
+        ctx = self.ctx
+        powers, out = {}, {}
         for e, c in self.num.items():
+            k = e[i - 1]
+            if k not in powers:
+                powers[k] = kern.kpow(ctx, value, k)
             ne = e[:i - 1] + e[i:]
-            cur = out.get(ne)
-            out[ne] = list(c) if cur is None else kern.kadd(self.ctx, cur, c)
-        return RawTPoly(self.ctx, self.s - 1, out, self.den)
+            out[ne] = kern.kmul(ctx, c, powers[k], out.get(ne))
+        return RawTPoly(ctx, self.s - 1, out, self.den)
 
     def equals(self, other):
         """Exact equality of the represented fractions, by cross

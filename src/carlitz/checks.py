@@ -235,8 +235,8 @@ def _check_nu(pool, params):
                 yield f"q={q} d={d}: identity fails"
                 continue
             l1, r1 = shuffle.product_weight_one_untwisted(eng, d)
-            if (lhs.substitute_one(1).equals(l1.substitute_one(1))
-                    and rhs.substitute_one(1).equals(r1.substitute_one(1))):
+            if (lhs.substitute(1, [1]).equals(l1.substitute(1, [1]))
+                    and rhs.substitute(1, [1]).equals(r1.substitute(1, [1]))):
                 yield None
             else:
                 yield (f"q={q} d={d}: t := 1 does not reproduce the "

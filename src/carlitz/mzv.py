@@ -101,17 +101,17 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     return value if raw else value.to_tpoly(_factors(cache.ctx, value.den))
 
 
-def partial_zeta(cache, d_max, data, mode="strict", budget=None):
+def partial_zeta(cache, d_max, data, mode="strict", budget=None, raw=False):
     """The truncated zeta value: sum of the multiple power sums over
     degrees 0 .. d_max - 1 (zero when d_max = 0), added unreduced and
-    normalized once.  A budget given must be the cache's, which alone
-    bounds the enumerations."""
+    normalized once; raw returns the RawTPoly instead.  A budget given
+    must be the cache's, which alone bounds the enumerations."""
     if budget is not None and budget != cache.budget:
         raise InvalidParams(f"budget {budget} differs from the cache's {cache.budget}")
     total = RawTPoly.zero(cache.ctx, data.s)
     for k in range(d_max):
         total = total + multi_power_sum(cache, k, data, mode, raw=True)
-    return total.to_tpoly(_factors(cache.ctx, total.den))
+    return total if raw else total.to_tpoly(_factors(cache.ctx, total.den))
 
 
 def _factors(ctx, den):

@@ -32,8 +32,7 @@ from ._rawfrac import RawTPoly
 from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch,
                      NonMonicInput, UnsupportedCharacter)
 from .ffield import FqElem
-from .poly import APoly, RatK, enumerate_monics, irreducibles_of_degree
-from .tpoly import TPoly
+from .poly import APoly, enumerate_monics, irreducibles_of_degree
 
 DEFAULT_BUDGET = 200_000
 
@@ -156,15 +155,6 @@ class SemiChar:
             terms = {e: c for e, c in terms.items() if c}
         return terms
 
-    def eval(self, a):
-        """sigma(a) as a TPoly; multiplicative in monic a, sigma(1) = 1."""
-        if not isinstance(a, APoly) or a.ctx != self.ctx:
-            raise ContextMismatch("argument from a different context")
-        codes = self.eval_codes(list(a.coeffs))
-        return TPoly(self.ctx, self.s,
-                     {e: RatK.constant(self.ctx, FqElem(self.ctx, c))
-                      for e, c in codes.items()}, _clean=True)
-
 
 class SeqCache:
     """Memoized fundamental data for one field context: the one memo store.
@@ -231,15 +221,6 @@ class SeqCache:
             k = len(self._tb)
             self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
         return self._tb[i]
-
-    def b_tpoly(self, i, var=1, s=1):
-        """b_i as a TPoly in variable t_var."""
-        terms = {}
-        for k, c in enumerate(self.b_coeffs(i)):
-            if not c.is_zero():
-                exps = tuple(k if j == var - 1 else 0 for j in range(s))
-                terms[exps] = RatK.from_apoly(c)
-        return TPoly(self.ctx, s, terms, _clean=True)
 
     def b_eval(self, i, x):
         """b_i evaluated at an element x of A."""
@@ -437,12 +418,13 @@ def chain_weights(cache, n, d):
     return weights
 
 
-def _chain_numerator(cache, n, d):
-    """Numerator terms of the chain expansion over the common denominator
-    ell(d)^(q^(n-1)): a dict t-exponent -> APoly."""
+def b_combination(cache, weights):
+    """The sum of w_i b_i(t) over the weights w_i in A: a dict t-exponent ->
+    APoly.  With the `chain_weights` it is the numerator of the chain
+    expansion over the common denominator ell(d)^(q^(n-1))."""
     zero = APoly.zero(cache.ctx)
     total = {}
-    for i, weight in enumerate(chain_weights(cache, n, d)):
+    for i, weight in enumerate(weights):
         for kk, c in enumerate(cache.b_coeffs(i)):
             if not c.is_zero():
                 total[kk] = total.get(kk, zero) + weight * c
@@ -465,7 +447,8 @@ def tau_b_expand(cache, n, d):
                               for k, c in enumerate(cache.b_coeffs(d))))
     # the ell(d)^(q^(n-1)) prefactor cancels the chains' common denominator,
     # so the right side is already integral
-    return lhs, _in_var(ctx, 1, 1, _chain_numerator(cache, n, d).items())
+    weights = chain_weights(cache, n, d)
+    return lhs, _in_var(ctx, 1, 1, b_combination(cache, weights).items())
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +523,8 @@ def closed_raw(cache, d, n, sigma):
     if form == "kql":
         num = RawTPoly.one(ctx, s)
     elif form == "qn":
-        num = _in_var(ctx, s, v[0],
-                      _chain_numerator(cache, _q_log(ctx.q, n), d).items())
+        weights = chain_weights(cache, _q_log(ctx.q, n), d)
+        num = _in_var(ctx, s, v[0], b_combination(cache, weights).items())
     elif form == "f2":
         num = _in_var(ctx, s, v[0], enumerate(cache.tb_coeffs(d)))
     else:  # e2, e3, f3

@@ -38,10 +38,10 @@ from functools import lru_cache
 from . import _packed as kern
 from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
                      PrecisionInsufficient)
+from ._rawfrac import RawTPoly
 from .mzv import MatrixData, partial_zeta
 from .poly import APoly, RatK
 from .powersums import ChainSums, SemiChar, closed_form, monic_sum, power_sum
-from .tpoly import TPoly
 
 INF = math.inf
 
@@ -457,14 +457,12 @@ def annals_check(cache, prec):
            * pi_factor(ctx, work)).lift_arity(1)
     main = valuation_identity_check(lhs.truncate(prec + 1), rhs.truncate(prec + 1),
                                     prec)
-    # exact specializations of the truncated weight-one zeta sum
-    theta = RatK.from_apoly(APoly.theta(ctx))
-    depth = 4
-    fd = partial_zeta(cache, depth, data_sigma)
-    at_theta = fd.substitute(1, theta)
-    at_zero = partial_zeta(cache, 3, data_sigma).substitute(
-        1, RatK.from_apoly(cache.theta_q(1)))
-    main["value_at_theta_is_one"] = at_theta == TPoly.one(ctx, 0)
+    # exact specializations of the truncated weight-one zeta sum, unreduced
+    at_theta = partial_zeta(cache, 4, data_sigma, raw=True).substitute(
+        1, list(cache.theta_q(0).coeffs))
+    at_zero = partial_zeta(cache, 3, data_sigma, raw=True).substitute(
+        1, list(cache.theta_q(1).coeffs))
+    main["value_at_theta_is_one"] = at_theta.equals(RawTPoly.one(ctx, 0))
     main["trivial_zero_vanishes"] = at_zero.is_zero()
     return main
 

@@ -4,8 +4,10 @@ TPoly stores a map from exponent vectors (tuples of length s) to nonzero
 RatK coefficients.  It is the normalized form in which t-dependent values
 leave the package: power sums, multiple power sums and truncated zeta
 values are computed as unreduced RawTPoly fractions (`_rawfrac`) and
-normalized into a TPoly for output; the skew ring and the Tate series
-read and build TPoly values at their boundaries.  Coefficients are kept
+normalized into a TPoly for output, and the Tate series read TPoly values
+at their boundary; no identity check computes with them.  The ring
+operations remain for building values (the textual grammar, the tests'
+expected values).  Coefficients are kept
 in K directly: every denominator that occurs is a product of the
 univariate theta-polynomials from the fundamental sequences, so no
 multivariate gcd is ever needed.
@@ -206,26 +208,6 @@ class TPoly:
         return TPoly(self.ctx, self.s,
                      {e: c.frobenius(n) for e, c in self.terms.items()},
                      _clean=True)
-
-    # -- substitution --------------------------------------------------------
-
-    def substitute(self, i, value):
-        """Exact substitution t_i := value in K; the arity drops by one."""
-        if not 1 <= i <= self.s:
-            raise IndexOutOfRange(f"variable index {i} outside 1..{self.s}")
-        value = self._as_ratk(self.ctx, value)
-        out = {}
-        for exps, coef in self.terms.items():
-            k = exps[i - 1]
-            new_exps = exps[:i - 1] + exps[i:]
-            c = coef * value ** k if k else coef
-            cur = out.get(new_exps)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                out.pop(new_exps, None)
-            else:
-                out[new_exps] = new
-        return TPoly(self.ctx, self.s - 1, out, _clean=True)
 
     # -- comparison ------------------------------------------------------
 

@@ -8,8 +8,9 @@ against the field axioms, so this layer is an independent route to every
 value it checks.
 
 The one exception is `frak_S_naive`, the package's former skew oracle: it
-uses the packed kernel, but computes the Carlitz action of every monic,
-so it checks the route through eta and F_q-linearity that replaced it.
+uses the packed kernel for its cofactors, but computes the Carlitz action
+of every monic (`carlitz_action`, schoolbook), so it checks the route
+through the b-expansion and F_q-linearity that replaced it.
 """
 
 import itertools
@@ -269,15 +270,48 @@ class NSeries:
 
 
 # ---------------------------------------------------------------------------
-# the skew power sums by the Carlitz action of each monic
+# the Carlitz action, and the skew power sums by the action of each monic
 # ---------------------------------------------------------------------------
 
+def nfrobenius(ctx, f):
+    """f^q for f in A: the F_q-coefficients are fixed, theta^j -> theta^(qj)."""
+    out = [0] * (ctx.q * (len(f) - 1) + 1) if f else []
+    for j, c in enumerate(f):
+        out[ctx.q * j] = c
+    return out
+
+
+def carlitz_action(ctx, a):
+    """The coefficients of C_a (code lists, by increasing tau-power) for a
+    in A: C_a = sum_k a_k C_(theta^k), where C_theta = theta + tau and
+    tau c = c^q tau give [C_(theta f)]_i = theta [C_f]_i + [C_f]_(i-1)^q."""
+    out, power = [], [[1]]
+    for k, ak in enumerate(a):
+        if k:
+            power = [nadd(ctx, [0] + c, nfrobenius(ctx, prev))
+                     for c, prev in zip(power + [[]], [[]] + power)]
+        out = [nadd(ctx, x, nmul(ctx, [ak], c))
+               for x, c in itertools.zip_longest(out, power, fillvalue=[])]
+    return out
+
+
+def b_poly(ctx, j):
+    """b_j(t) = (t - theta)(t - theta^q)...(t - theta^(q^(j-1))), as a list
+    by t-power of code lists in theta."""
+    out = [[1]]
+    for m in range(j):
+        root = nneg(ctx, [0] * ctx.q ** m + [1])
+        out = [nadd(ctx, lo, nmul(ctx, root, hi))
+               for lo, hi in zip([[]] + out, out + [[]])]
+    return out
+
+
 def frak_S_naive(cache, d, n):
-    """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration,
-    accumulated over the lcm denominator (`monic_lcm`)."""
+    """Sum of a^(-q^n) C_a over monic a of degree d, by enumeration, as a
+    SkewPoly, accumulated over the lcm denominator (`monic_lcm`)."""
     from carlitz import _packed as kern
-    from carlitz.poly import APoly, RatK, enumerate_monics
-    from carlitz.skew import SkewPoly, carlitz_action
+    from carlitz.poly import APoly, RatK
+    from carlitz.skew import SkewPoly
     ctx = cache.ctx
     qn = ctx.q ** n
     cache.check_budget(ctx.q ** d)
@@ -287,25 +321,16 @@ def frak_S_naive(cache, d, n):
     acc_len = [0] * (d + 1)  # the numerators need not be proper fractions
     # a slot of one product sums at most len(cofactor) digit products
     every = kern.reduce_interval(ctx, len(den) - d * qn, ctx.q ** d)
-    for i, a in enumerate(enumerate_monics(ctx, d), 1):
-        ca = carlitz_action(cache, a)
-        apow = kern.kpow(ctx, list(a.coeffs), qn)
-        cof_coeffs = kern.kexactdiv(ctx, den, apow)
+    for i, a in enumerate(monics(ctx, d), 1):
+        cof_coeffs = kern.kexactdiv(ctx, den, kern.kpow(ctx, a, qn))
         cof = kern.pack(ctx, cof_coeffs)
-        for j, coeff in enumerate(ca.coeffs):
-            num = coeff.as_apoly()  # Carlitz coefficients lie in A
-            if num.is_zero():
-                continue
-            acc[j] += kern.pack(ctx, list(num.coeffs)) * cof
-            acc_len[j] = max(acc_len[j], len(num.coeffs) + len(cof_coeffs) - 1)
+        for j, num in enumerate(carlitz_action(ctx, a)):
+            if num:
+                acc[j] += kern.pack(ctx, num) * cof
+                acc_len[j] = max(acc_len[j], len(num) + len(cof_coeffs) - 1)
         if every and i % every == 0:
             acc = [kern.pack(ctx, kern.unpack(ctx, v, m))
                    for v, m in zip(acc, acc_len)]
-    out = []
-    for j in range(d + 1):
-        if acc[j]:
-            num = kern.trim(kern.unpack(ctx, acc[j], acc_len[j]))
-            out.append(RatK(APoly._make(ctx, num), den_poly))
-        else:
-            out.append(RatK.zero(ctx))
-    return SkewPoly(ctx, out)
+    return SkewPoly(ctx, [RatK(APoly._make(ctx, kern.trim(kern.unpack(ctx, v, m))),
+                               den_poly) if v else RatK.zero(ctx)
+                          for v, m in zip(acc, acc_len)])

@@ -1,10 +1,14 @@
-"""Negative controls for the packed kernel's fast paths.
+"""Negative controls for the packed kernel's fast paths and for checks.
 
-Each entry mutates one fragment of a `_packed` function, from outside
-`src/`, and names the property test of `test_packed.py` that must catch
-it: the test passes on the real kernel and fails on the mutant.  A
-fragment that no longer occurs exactly once fails the control, so the
-table follows the code it perturbs.
+Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
+function, from outside `src/`, and names the property test of
+`test_packed.py` that must catch it: the test passes on the real kernel
+and fails on the mutant.  A fragment that no longer occurs exactly once
+fails the control, so the table follows the code it perturbs.
+
+Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
+a monkeypatch from outside `src/`, and must turn that check's status from
+pass into fail, with the failure it names in its witness.
 """
 
 import inspect
@@ -13,6 +17,9 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
+from carlitz import skew
+from carlitz._rawfrac import RawTPoly
+from carlitz.checks import run_check
 
 import test_packed as prop
 
@@ -68,3 +75,43 @@ def test_every_kernel_mutation_is_caught():
                 continue
         missed.append(f"{what}: {test.__name__}{args}")
     assert missed == []
+
+
+def _drop_top_weight(mp):
+    real = skew.chain_weights
+    mp.setattr(skew, "chain_weights", lambda cache, n, d: real(cache, n, d)[:-1])
+
+
+def _star_plus_one(mp):
+    real = skew.partial_zeta
+
+    def partial_zeta(cache, d_max, data, mode="strict", **kw):
+        value = real(cache, d_max, data, mode, **kw)
+        return value + RawTPoly.one(cache.ctx, data.s) if mode == "star" else value
+    mp.setattr(skew, "partial_zeta", partial_zeta)
+
+
+def _shift_point(mp):
+    real = RawTPoly.substitute
+    mp.setattr(RawTPoly, "substitute", lambda self, i, value: real(
+        self, i, kern.kadd(self.ctx, value, [1])))
+
+
+# (check id, what the perturbation breaks, its patch, a witness fragment)
+CHECK_CONTROLS = [
+    ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
+     "chain closed form disagrees with enumeration"),
+    ("star-chain", "the star value plus one", _star_plus_one, "broken links"),
+    ("eq-annals", "t_1 := theta + 1, theta^q + 1", _shift_point,
+     "specialization sub-checks failed"),
+]
+
+
+@pytest.mark.parametrize("check_id,what,patch,witness", CHECK_CONTROLS,
+                         ids=[c[0] for c in CHECK_CONTROLS])
+def test_check_control_turns_pass_into_fail(check_id, what, patch, witness):
+    assert run_check(check_id, d_max=2).status == "pass"
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        rep = run_check(check_id, d_max=2)
+    assert (rep.status, witness in rep.witness) == ("fail", True), (what, rep.witness)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from carlitz._rawfrac import RawTPoly
 from carlitz.errors import (ArityMismatch, BudgetExceeded, NonMonicInput,
                             UnsupportedCharacter)
 from carlitz.ffield import FieldContext
@@ -24,25 +25,22 @@ def test_ell_and_b_recurrences(cache3):
     for i in range(1, 7):
         assert cache3.ell(i) == (th - th ** (3 ** i)) * cache3.ell(i - 1)
         assert cache3.ell(i).degree == sum(3 ** j for j in range(1, i + 1))
-    t1 = TPoly.variable(ctx, 1, 1)
-    for i in range(1, 6):
-        expected = TPoly.one(ctx, 1)
-        for j in range(i):
-            expected = expected * (t1 - th ** (3 ** j))
-        assert cache3.b_tpoly(i, 1, 1) == expected
+    for i in range(6):
+        assert [list(c.coeffs) for c in cache3.b_coeffs(i)] == ref.b_poly(ctx, i)
 
 
 # -- semi-characters -----------------------------------------------------------
 
 def test_semichar_examples(ctx3):
-    th = APoly.theta(ctx3)
     chi = SemiChar.chi(ctx3, 1, 1)
-    t1 = TPoly.variable(ctx3, 1, 1)
-    assert chi.eval(th ** 2 + 1) == t1 ** 2 + 1
+    assert chi.eval_codes([1, 0, 1]) == {(0,): 1, (2,): 1}        # t1^2 + 1
     triv = SemiChar.trivial(ctx3, 0)
-    assert triv.eval(th ** 2 + th) == TPoly.one(ctx3, 0)
+    assert triv.eval_codes([0, 1, 1]) == {(): 1}
     nu = SemiChar.nu(ctx3, 1, 1)
-    assert nu.eval(th ** 2 + th) == t1 ** 2
+    assert nu.eval_codes([0, 1, 1]) == {(2,): 1}                  # t1^deg
+    # a -> a(c): theta^2 + theta at 1 is 2, at 2 it is 6 = 0
+    assert SemiChar.const_eval(ctx3, 1, 1).eval_codes([0, 1, 1]) == {(0,): 2}
+    assert SemiChar.const_eval(ctx3, 1, 2).eval_codes([0, 1, 1]) == {}
 
 
 def test_semichar_multiplicative(ctx3, ctx4):
@@ -53,16 +51,18 @@ def test_semichar_multiplicative(ctx3, ctx4):
                  SemiChar.const_eval(ctx, 2, 1)]
         monics = list(enumerate_monics(ctx, 1)) + list(enumerate_monics(ctx, 2))
         for sigma in chars:
-            assert sigma.eval(APoly.one(ctx)) == TPoly.one(ctx, 2)
+            assert sigma.eval_codes([1]) == {(0, 0): 1}
             for _ in range(5):
                 a, b = rng.choice(monics), rng.choice(monics)
-                assert sigma.eval(a * b) == sigma.eval(a) * sigma.eval(b)
+                assert sigma.eval_codes(list((a * b).coeffs)) == ref._tmul(
+                    ctx, sigma.eval_codes(list(a.coeffs)),
+                    sigma.eval_codes(list(b.coeffs)))
 
 
 def test_semichar_errors(ctx3, ctx4):
     chi = SemiChar.chi(ctx3, 1, 1)
     with pytest.raises(NonMonicInput):
-        chi.eval(2 * APoly.theta(ctx3))
+        chi.eval_codes([0, 2])
     with pytest.raises(UnsupportedCharacter):
         SemiChar.const_eval(ctx3, 1, ctx4.element(1))
     with pytest.raises(UnsupportedCharacter):
@@ -173,9 +173,9 @@ def test_closed_form_spec_values(cache3):
         (t1 - th ** 3).scale(RatK(APoly.one(ctx), l1 ** 2))
     assert power_sum_closed(cache3, 0, "e1") == TPoly.one(ctx, 0)
     # evaluating the weight-2 sum at theta recovers the weight-1 value
-    f2 = power_sum_closed(cache3, 1, "f2")
-    assert f2.substitute(1, RatK.from_apoly(th)) == \
-        TPoly.constant(ctx, 0, RatK(APoly.one(ctx), l1))
+    f2 = closed_raw(cache3, 1, 2, SemiChar.chi(ctx, 1, 1))
+    assert f2.substitute(1, [0, 1]).equals(
+        RawTPoly(ctx, 0, {(): [1]}, list(l1.coeffs)))
 
 
 def test_partial_F_one_q(cache3):

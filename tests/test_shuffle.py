@@ -98,12 +98,12 @@ def test_rawfrac_divisible_denominator_add(ctx3):
 
 def test_rawfrac_substitute_one(ctx3):
     a = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [2]}, [1])
-    s = a.substitute_one(1)
+    s = a.substitute(1, [1])
     assert s.s == 1
     # the two terms merge at t2^1, and 1 + 2 = 0 in F_3
     assert not s.num
     b = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [1]}, [1])
-    s2 = b.substitute_one(1)
+    s2 = b.substitute(1, [1])
     assert s2.num == {(1,): [2]}
 
 

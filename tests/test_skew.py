@@ -1,145 +1,114 @@
-import random
-
 import pytest
 
-from carlitz.errors import ClosedFormMismatch
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, enumerate_monics
 from carlitz import _packed as kern
+from carlitz._rawfrac import RawTPoly
 from carlitz.powersums import (SemiChar, SeqCache, closed_raw, power_sum_bruteforce,
                                power_sum_closed)
-from carlitz.skew import (SkewPoly, carlitz_action, eta, eta_inv,
-                          frak_S, frak_S_bruteforce, frak_S_closed,
-                          star_chain_check)
+from carlitz.skew import SkewPoly, frak_S, frak_S_bruteforce, star_chain_check
 from carlitz.tate import _series_power_sum
 from carlitz.tpoly import TPoly
-from naive_reference import NSeries, frak_S_naive, naive_power_sum
+from naive_reference import (NSeries, b_poly, carlitz_action, frak_S_naive, monics,
+                             nadd, nmul, naive_power_sum)
 
 
-def one(ctx):
-    return RatK.one(ctx)
+def b_expansion(cache, f):
+    """sum_j f_j b_j(t) for a SkewPoly f: the image of f under the inverse
+    of t^i -> C_(theta^i), as a TPoly."""
+    ctx = cache.ctx
+    total = TPoly.zero(ctx, 1)
+    for j, c in enumerate(f.coeffs):
+        total = total + TPoly(ctx, 1, {(k,): b for k, b in
+                                       enumerate(cache.b_coeffs(j))}).scale(c)
+    return total
 
 
-def test_twist_rule(ctx3):
-    th = APoly.theta(ctx3)
-    tau = SkewPoly.tau(ctx3)
-    assert tau * SkewPoly.constant(ctx3, th) == \
-        SkewPoly(ctx3, (RatK.zero(ctx3), RatK.from_apoly(th ** 3)))
-    X = SkewPoly(ctx3, (RatK.from_apoly(th), one(ctx3)))
-    assert X * X == SkewPoly(ctx3, (RatK.from_apoly(th ** 2),
-                                    RatK.from_apoly(th ** 3 + th), one(ctx3)))
-    f = SkewPoly(ctx3, (RatK.from_apoly(th + 1), one(ctx3), RatK.from_apoly(th)))
-    assert f * SkewPoly.one(ctx3) == f
-    assert SkewPoly.one(ctx3) * f == f
-
-
-def test_skew_associativity(ctx3, ctx4):
-    rng = random.Random(8)
+def test_twist_rule(ctx3, ctx4):
+    # C_(theta^2) = (theta + tau)^2 = theta^2 + (theta + theta^q) tau + tau^2,
+    # the middle term from tau theta = theta^q tau
     for ctx in (ctx3, ctx4):
-        def rand_skew():
-            return SkewPoly(ctx, [RatK.from_apoly(
-                APoly(ctx, [rng.randrange(ctx.q) for _ in range(3)]))
-                for _ in range(rng.randint(1, 4))])
-        for _ in range(6):
-            a, b, c = rand_skew(), rand_skew(), rand_skew()
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+        theta_q = [0] * ctx.q + [1]
+        assert carlitz_action(ctx, [0, 0, 1]) == \
+            [[0, 0, 1], nadd(ctx, [0, 1], theta_q), [1]]
 
 
-def test_carlitz_action(cache3):
-    ctx = cache3.ctx
-    th = APoly.theta(ctx)
-    X = SkewPoly(ctx, (RatK.from_apoly(th), one(ctx)))
-    assert carlitz_action(cache3, th) == X
-    assert carlitz_action(cache3, APoly.one(ctx)) == SkewPoly.one(ctx)
-    assert carlitz_action(cache3, th ** 2) == X * X
-    rng = random.Random(4)
-    monics = list(enumerate_monics(ctx, 2)) + list(enumerate_monics(ctx, 3))
-    for _ in range(8):
-        a, b = rng.choice(monics), rng.choice(monics)
-        assert carlitz_action(cache3, a * b) == \
-            carlitz_action(cache3, a) * carlitz_action(cache3, b)
+def test_carlitz_action(ctx3, ctx4):
+    for ctx in (ctx3, ctx4):
+        assert carlitz_action(ctx, [1]) == [[1]]
+        assert carlitz_action(ctx, [0, 1]) == [[0, 1], [1]]
+        for a in monics(ctx, 3):
+            ca = carlitz_action(ctx, a)
+            # the constant term is a itself, the top one its leading coefficient
+            assert ca[0] == a and ca[-1] == [1] and len(ca) == 4
+            # F_q-linear: C_(2a) = 2 C_a
+            two = ctx.add[1][1]
+            assert carlitz_action(ctx, [ctx.mul[two][c] for c in a]) == \
+                [nmul(ctx, [two], c) for c in ca]
 
 
-def test_eta_and_inverse(cache3):
-    ctx = cache3.ctx
-    th = APoly.theta(ctx)
-    t = TPoly.variable(ctx, 1, 1)
-    X = SkewPoly(ctx, (RatK.from_apoly(th), one(ctx)))
-    assert eta(cache3, t) == X
-    assert eta_inv(cache3, SkewPoly.tau(ctx)) == t - th
-    a = th ** 2 + th + 1
-    a_of_t = t ** 2 + t + 1
-    assert eta(cache3, a_of_t) == carlitz_action(cache3, a)
-    rng = random.Random(12)
-    for _ in range(8):
-        tp = TPoly(ctx, 1, {(k,): RatK.from_apoly(
-            APoly(ctx, [rng.randrange(3) for _ in range(rng.randint(1, 4))]))
-            for k in range(rng.randint(1, 9))})
-        assert eta_inv(cache3, eta(cache3, tp)) == tp
-        f = SkewPoly(ctx, [RatK.from_apoly(APoly(ctx, [rng.randrange(3)
-                                                       for _ in range(3)]))
-                           for _ in range(rng.randint(1, 9))])
-        assert eta(cache3, eta_inv(cache3, f)) == f
-
-
-def test_eval_at_omega(cache3):
-    ctx = cache3.ctx
-    th = APoly.theta(ctx)
-    t = TPoly.variable(ctx, 1, 1)
-    assert eta_inv(cache3, carlitz_action(cache3, th)) == t
-    assert eta_inv(cache3, SkewPoly.one(ctx)) == TPoly.one(ctx, 1)
-    assert eta_inv(cache3, SkewPoly.tau(ctx, 2)) == (t - th) * (t - th ** 3)
-    # the action of a evaluates to a(t)
-    rng = random.Random(6)
-    for a in list(enumerate_monics(ctx, 2))[:4]:
-        expected = TPoly(ctx, 1, {(k,): RatK.constant(ctx, c)
-                                  for k, c in enumerate(a.coeffs) if c})
-        assert eta_inv(cache3, carlitz_action(cache3, a)) == expected
-    # eta composed with evaluation is the identity
-    for _ in range(5):
-        tp = TPoly(ctx, 1, {(k,): RatK.from_apoly(
-            APoly(ctx, [rng.randrange(3) for _ in range(3)]))
-            for k in range(rng.randint(1, 8))})
-        assert eta_inv(cache3, eta(cache3, tp)) == tp
+def test_eval_at_omega(ctx3, ctx4):
+    # the fact frak_S's raw comparison rests on: the inverse isomorphism
+    # tau^j -> b_j(t) sends C_a to a(t), sum_j [C_a]_j b_j(t) = a(t)
+    for ctx in (ctx3, ctx4):
+        bs = [b_poly(ctx, j) for j in range(4)]
+        for d in range(4):
+            for a in monics(ctx, d):
+                total = {}
+                for cj, bj in zip(carlitz_action(ctx, a), bs):
+                    for k, c in enumerate(bj):
+                        total[k] = nadd(ctx, total.get(k, []), nmul(ctx, cj, c))
+                assert {k: v for k, v in total.items() if v} == \
+                    {k: [c] for k, c in enumerate(a) if c}, a
 
 
 def test_eval_at_one(cache3):
+    # the star chain evaluates frak_S(k, 1) at one: its coefficients summed,
+    # over ell(k)^q; through d = 2 that is 1 + (1 + l1) / l1^3
     ctx = cache3.ctx
     th = APoly.theta(ctx)
-    f = SkewPoly(ctx, (RatK.from_apoly(th), one(ctx)))
-    assert f.eval_at_one() == RatK.from_apoly(th + 1)
-    assert SkewPoly.zero(ctx).eval_at_one() == RatK.zero(ctx)
     l1 = th - th ** 3
-    got = frak_S(cache3, 1, 1).eval_at_one()
-    assert got == RatK(APoly.one(ctx) + l1, l1 ** 3)
+    want = RawTPoly.one(ctx, 0) + RawTPoly(ctx, 0, {(): list((l1 + 1).coeffs)},
+                                           list((l1 ** 3).coeffs))
+    assert star_chain_check(cache3, 2)["skew_sum"].equals(want)
+    one = frak_S(cache3, 1, 1)
+    assert one.coeffs[0] + one.coeffs[1] == RatK(APoly.one(ctx) + l1, l1 ** 3)
 
 
 def test_eta_of_weight_one_power_sum(cache3):
+    # S_d(1; chi_t) = b_d(t) / ell(d) corresponds to tau^d / ell(d): the sum
+    # of a^(-1) C_a over degree d, order q^0
     ctx = cache3.ctx
-    for d in range(7):
-        sd = power_sum_closed(cache3, d, "e2")
+    for d in range(4):
         expected = SkewPoly(ctx, [RatK.zero(ctx)] * d
                             + [RatK(APoly.one(ctx), cache3.ell(d))])
-        assert eta(cache3, sd) == expected
+        assert frak_S_naive(cache3, d, 0) == expected, d
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_frak_S_closed_vs_bruteforce(q):
+    # the enumerated sum is written over ell(d)^(q^n), the closed form's own
+    # denominator, and equals the commutative closed form there
     cache = SeqCache(FieldContext(q))
+    chi = SemiChar.chi(cache.ctx, 1, 1)
     for (d, n) in ((0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
-        assert frak_S_closed(cache, d, n) == frak_S_bruteforce(cache, d, n), (d, n)
+        brute = frak_S_bruteforce(cache, d, n)
+        assert brute.den == list(cache.ell_pow(d, q ** n).coeffs), (d, n)
+        assert brute.num == closed_raw(cache, d, q ** n, chi).num, (d, n)
         frak_S(cache, d, n)  # must not raise
 
 
 @pytest.mark.parametrize("q,d_max", [(3, 3), (4, 3), (5, 3), (8, 2), (9, 2)])
 def test_frak_S_bruteforce_matches_carlitz_action_loop(q, d_max):
-    # the eta route through F_q-linearity against the per-monic Carlitz
-    # action, including e > 1 at p = 2 and p = 3
+    # the b-expansion route through F_q-linearity against the per-monic
+    # Carlitz action, including e > 1 at p = 2 and p = 3
     cache = SeqCache(FieldContext(q))
     for n in (1, 2):
         for d in range(d_max + 1):
-            assert frak_S_bruteforce(cache, d, n) == frak_S_naive(cache, d, n), (d, n)
+            naive = frak_S_naive(cache, d, n)
+            assert frak_S(cache, d, n) == naive, (d, n)
+            assert frak_S_bruteforce(cache, d, n).to_tpoly() == \
+                b_expansion(cache, naive), (d, n)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -155,7 +124,7 @@ def test_oracle_accumulators_reduce_on_slot_bound(q, monkeypatch):
             power_sum_bruteforce(cache, d, 2, triv).to_tpoly()
         assert power_sum_closed(cache, d, "f2") == \
             power_sum_bruteforce(cache, d, 2, sigma).to_tpoly()
-        assert frak_S_closed(cache, d, 1) == frak_S_bruteforce(cache, d, 1), d
+        frak_S(cache, d, 1)  # closed form against enumeration; must not raise
         # k < 0: the sum of a^3 a(t)
         got = power_sum_bruteforce(cache, d, -3, sigma).to_tpoly()
         want = naive_power_sum(ctx, d, -3, sigma.eval_codes)
@@ -173,10 +142,12 @@ def test_oracle_accumulators_reduce_on_slot_bound(q, monkeypatch):
 
 
 def test_frak_S_equivalence_with_commutative_form(cache3):
+    # the commutative closed form of order q^n is the b-expansion of the
+    # skew closed form
     chi = SemiChar.chi(cache3.ctx, 1, 1)
     for (d, n) in ((1, 1), (2, 1), (3, 1), (2, 2), (4, 2)):
-        assert eta(cache3, closed_raw(cache3, d, 3 ** n, chi).to_tpoly()) == \
-            frak_S_closed(cache3, d, n)
+        assert closed_raw(cache3, d, 3 ** n, chi).to_tpoly() == \
+            b_expansion(cache3, frak_S(cache3, d, n))
 
 
 def test_star_chain(cache3, cache4):
@@ -191,5 +162,6 @@ def test_star_chain(cache3, cache4):
 def test_star_chain_tiny_values(cache3):
     # at truncation depth 1 every link is the constant 1
     rep = star_chain_check(cache3, 1)
-    assert rep["skew_sum"] == RatK.one(cache3.ctx)
-    assert rep["star"] == RatK.one(cache3.ctx)
+    one = RawTPoly.one(cache3.ctx, 0)
+    assert rep["skew_sum"].equals(one)
+    assert rep["star"].equals(one)

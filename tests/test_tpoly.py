@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from carlitz._rawfrac import RawTPoly
 from carlitz.errors import ArityMismatch, IndexOutOfRange
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK
@@ -20,6 +21,12 @@ def rand_tpoly(ctx, rng, s=2, max_terms=4, max_exp=3, max_deg=4):
             den = APoly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randint(1, max_deg))])
         terms[exps] = RatK(num, den)
     return TPoly(ctx, s, terms)
+
+
+def b_tpoly(cache, i, var=1, s=1):
+    """b_i(t_var) as a TPoly of arity s."""
+    return TPoly(cache.ctx, s, {tuple(k if j == var - 1 else 0 for j in range(s)): c
+                                for k, c in enumerate(cache.b_coeffs(i))})
 
 
 def test_examples(ctx3):
@@ -53,30 +60,43 @@ def test_no_zero_coefficients_after_ops(ctx3):
             assert all(not c.is_zero() for c in v.terms.values())
 
 
+def _b_raw(cache, i):
+    return RawTPoly(cache.ctx, 1, {(k,): list(c.coeffs)
+                                   for k, c in enumerate(cache.b_coeffs(i))}, [1])
+
+
 def test_substitute_examples(cache3):
     ctx = cache3.ctx
     th = APoly.theta(ctx)
-    b2 = cache3.b_tpoly(2, 1, 1)
-    assert b2.substitute(1, RatK.from_apoly(th)).is_zero()
-    b1 = cache3.b_tpoly(1, 1, 1)
-    got = b1.substitute(1, RatK.from_apoly(th ** 9))
-    assert got == TPoly.constant(ctx, 0, RatK.from_apoly(th ** 9 - th))
+    assert _b_raw(cache3, 2).substitute(1, [0, 1]).is_zero()
+    got = _b_raw(cache3, 1).substitute(1, list((th ** 9).coeffs))
     assert got.s == 0
+    assert got.equals(RawTPoly(ctx, 0, {(): list((th ** 9 - th).coeffs)}, [1]))
+    # over a denominator, and with t_1 absent from a term
+    a = RawTPoly(ctx, 2, {(2, 1): [1], (0, 1): [0, 1]}, [1, 1])
+    assert a.substitute(1, [2]).equals(RawTPoly(ctx, 1, {(1,): [1, 1]}, [1, 1]))
+
+
+def rand_raw(ctx, rng, s=2):
+    def poly(n):
+        return [rng.randrange(ctx.q) for _ in range(n)] + [1]
+    return RawTPoly(ctx, s, {tuple(rng.randint(0, 3) for _ in range(s)): poly(rng.randint(0, 4))
+                             for _ in range(rng.randint(0, 4))}, poly(rng.randint(0, 3)))
 
 
 def test_substitute_is_ring_homomorphism(ctx3):
     rng = random.Random(31)
-    v = RatK(APoly.theta(ctx3) + 1, APoly.theta(ctx3) ** 2 + 1)
-    for _ in range(8):
-        a, b = rand_tpoly(ctx3, rng), rand_tpoly(ctx3, rng)
-        assert (a * b).substitute(1, v) == a.substitute(1, v) * b.substitute(1, v)
-        assert (a + b).substitute(1, v) == a.substitute(1, v) + b.substitute(1, v)
+    for v in ([1, 1], [0, 2, 1], [2], []):
+        for _ in range(8):
+            a, b = rand_raw(ctx3, rng), rand_raw(ctx3, rng)
+            assert (a * b).substitute(1, v).equals(a.substitute(1, v) * b.substitute(1, v))
+            assert (a + b).substitute(1, v).equals(a.substitute(1, v) + b.substitute(1, v))
 
 
 def test_degree_in_conventions(cache3):
     ctx = cache3.ctx
     th = APoly.theta(ctx)
-    b2 = cache3.b_tpoly(2, 1, 1)
+    b2 = b_tpoly(cache3, 2)
     assert b2.degree_in(1) == 2
     five = TPoly.constant(ctx, 1, RatK.constant(ctx, 2))
     assert five.degree_in(1) == 0               # nonzero, variable absent
@@ -110,13 +130,13 @@ def test_f2_f3_closed_numerators(q):
     for d in range(6):
         tq = cache.theta_q(d)
         tb = TPoly(ctx, 1, {(k,): c for k, c in enumerate(cache.tb_coeffs(d))})
-        assert cache.b_tpoly(d, 1, 1) * (t - tq) == (t - th) * tb
+        assert b_tpoly(cache, d) * (t - tq) == (t - th) * tb
         assert numerator(closed_raw(cache, d, 2, SemiChar.chi(ctx, 1, 1))) == tb
         bracket = ((t1 - th) * (t2 - th) + (t1 - th) * (th - tq)
                    + (t2 - th) * (th - tq))
         f3 = numerator(closed_raw(cache, d, 2, SemiChar(ctx, 2, varis=(1, 2))))
         assert f3 * (t1 - th) * (t2 - th) == \
-            cache.b_tpoly(d, 1, 2) * cache.b_tpoly(d, 2, 2) * bracket
+            b_tpoly(cache, d, 1, 2) * b_tpoly(cache, d, 2, 2) * bracket
 
 
 def test_frobenius_twist(ctx3):

@@ -34,8 +34,8 @@ from .skew import SkewPoly, frak_S, star_chain_check
 from .tate import (TateSeries, annals_check, family_qk_check, omega_factor,
                    pi_factor, strange_shuffle_check, thakur_weight_check,
                    valuation_identity_check, zeta_series)
-from .checks import (CheckReport, CheckSpec, REGISTRY, all_passed, run_check,
-                     run_suite)
+from .checks import (CheckReport, CheckSpec, REGISTRY, all_passed, iter_suite,
+                     run_check, run_suite)
 from .textio import (format_apoly, format_matrix_data, format_ratk,
                      format_semichar, format_series, format_skew, format_tpoly,
                      parse_apoly, parse_matrix_data, parse_ratk, parse_semichar,

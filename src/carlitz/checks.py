@@ -503,16 +503,23 @@ def run_check(check_id, pool=None, **params):
     return REGISTRY[check_id].run(pool, merged)
 
 
-def run_suite(pattern="all", **params):
+def iter_suite(pattern="all", **params):
     """Run every check whose id matches the glob pattern, in id order.
 
-    Returns the list of CheckReports; failures are recorded, never raised.
+    Validates the parameters at once and returns a generator that yields
+    each CheckReport as its check finishes; failures are recorded, never
+    raised.
     """
     merged = _validated(dict(params))
     ids = sorted(REGISTRY) if pattern in ("all", "*") else \
         sorted(fnmatch.filter(REGISTRY, pattern))
     pool = _Pool(merged["budget"])
-    return [REGISTRY[i].run(pool, merged) for i in ids]
+    return (REGISTRY[i].run(pool, merged) for i in ids)
+
+
+def run_suite(pattern="all", **params):
+    """The list of `iter_suite`'s CheckReports."""
+    return list(iter_suite(pattern, **params))
 
 
 def all_passed(reports):

@@ -3,7 +3,8 @@
 Subcommands:
 
   verify     run identity checks (glob-filtered), emit a report; exit 1
-             if a check failed or every selected check was skipped
+             if a check failed or every selected check was skipped;
+             `--format ndjson` writes each record as its check finishes
   powsum     one multiple twisted power sum, exactly
   partial    a truncated zeta value, exactly
   bg         a finite zeta sum at a negative integer, with its degree and
@@ -18,7 +19,9 @@ semi-characters like `1`, `t1`, `t1*t2`, `nu1`, or `c(2)`.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from . import checks
 from .errors import CarlitzError
@@ -31,12 +34,10 @@ from .tate import zeta_series
 from .textio import format_skew, format_tpoly, parse_matrix_data
 
 
-def _add_common(p, csv=False):
+def _add_common(p, formats=("text", "json")):
     p.add_argument("--q", type=int, default=3, help="field size q = p^e > 2")
     p.add_argument("--budget", type=int, default=checks.DEFAULT_PARAMS["budget"],
                    help="largest allowed monic enumeration")
-    # csv only for the commands whose output is a table
-    formats = ("text", "json", "csv") if csv else ("text", "json")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -48,7 +49,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    _add_common(v, csv=True)  # its fields use the built-in moduli
+    _add_common(v, ("text", "json", "csv", "ndjson"))  # built-in moduli only
     v.set_defaults(q=None)  # bare `verify` sweeps the profile's q list
     v.add_argument("--suite", default="all", help="check id or glob (default: all)")
     v.add_argument("--d-max", type=int, default=None)
@@ -65,7 +66,9 @@ def build_parser():
             ("bg-survey", (("--d", int, True),)),
             ("skew", (("--d", int, True), ("--n", int, True)))):
         p = sub.add_parser(name)
-        _add_common(p, csv=name == "bg-survey")
+        # csv only for the commands whose output is a table
+        _add_common(p, ("text", "json", "csv") if name == "bg-survey"
+                    else ("text", "json"))
         p.add_argument("--modulus", help="comma-separated F_p coefficients of "
                        "a custom modulus for extension fields, ascending")
         for flag, typ, required in extra:
@@ -110,6 +113,8 @@ def cmd_verify(args):
         params["d_max"] = args.d_max
     if args.prec is not None:
         params["prec"] = args.prec
+    if args.format == "ndjson":
+        return _stream_records(args, checks.iter_suite(args.suite, **params))
     reports = checks.run_suite(args.suite, **params)
     if args.format == "json":
         _emit(args, checks.reports_to_json(reports))
@@ -118,6 +123,25 @@ def cmd_verify(args):
     else:
         _emit(args, checks.reports_to_text(reports))
     return checks.exit_code(reports)
+
+
+def _stream_records(args, reports):
+    """Write and flush one ndjson record per report as it arrives; return
+    the run's exit code."""
+    done = []
+    with open(args.out, "w", encoding="utf-8") if args.out \
+            else nullcontext(sys.stdout) as fh:
+        for r in reports:
+            try:
+                fh.write(checks.reports_to_ndjson([r]) + "\n")
+                fh.flush()
+            except BrokenPipeError:
+                # the reader left early (`| head`): stop, and point the
+                # stream at devnull so that its flush at exit cannot raise
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+                return 1
+            done.append(r)
+    return checks.exit_code(done)
 
 
 def cmd_powsum(args):

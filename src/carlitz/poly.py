@@ -6,9 +6,10 @@ gcd(num, den) = 1 (zero is 0/1).  Degrees of the zero polynomial compare
 as -infinity, and the infinite-place valuation of the zero fraction as
 +infinity, via float sentinels.
 
-Also here: gcd, irreducibility (deterministic distinct-degree criterion),
-enumeration of monic polynomials in a reproducible order, irreducible
-counting via the necklace polynomial, and base-q digit sums.
+Also here: gcd, irreducibility (a deterministic distinct-degree test for
+one polynomial, a sieve for all monics of one degree), enumeration of
+monic polynomials in a reproducible order, irreducible counting via the
+necklace polynomial, and base-q digit sums.
 """
 
 import itertools
@@ -275,10 +276,29 @@ def enumerate_monics(ctx, d):
 
 @lru_cache(maxsize=None)
 def irreducibles_of_degree(ctx, d):
-    """All monic irreducibles of degree d, in enumeration order."""
+    """All monic irreducibles of degree d, in enumeration order.
+
+    A sieve of Eratosthenes on monics: a monic of degree d is reducible iff
+    it has a monic irreducible factor P of degree k <= d/2, so each product
+    P * g, over every monic g of degree d - k, flags its position in
+    `enumerate_monics` order (Horner over c_0, ..., c_(d-1), c_0 most
+    significant) in a bytearray of q^d flags; the unflagged monics remain.
+    The factors of degree k come from this function, so its cache holds
+    every lower degree too.
+    """
     if d < 1:
         raise ConstantInput("irreducibles have degree >= 1")
-    return tuple(a for a in enumerate_monics(ctx, d) if is_irreducible(a))
+    q = ctx.q
+    reducible = bytearray(q ** d)
+    for k in range(1, d // 2 + 1):
+        for factor in irreducibles_of_degree(ctx, k):
+            for tail in itertools.product(range(q), repeat=d - k):
+                index = 0
+                for c in kern.kmul(ctx, factor.coeffs, tail + (1,))[:d]:
+                    index = index * q + c
+                reducible[index] = 1
+    return tuple(a for a, flag in zip(enumerate_monics(ctx, d), reducible)
+                 if not flag)
 
 
 def moebius(n):

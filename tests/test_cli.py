@@ -1,7 +1,14 @@
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from carlitz import checks
 from carlitz.cli import main
 
 
@@ -85,6 +92,60 @@ def test_verify_json_format(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["all_passed"] is True
     assert doc["checks"][0]["id"] == "eq-e1"
+
+
+class _Flushed(io.StringIO):
+    """A stdout that keeps what it held at its last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+def test_verify_ndjson_flushes_each_record_before_the_next_check(monkeypatch):
+    out = _Flushed()
+    monkeypatch.setattr(sys, "stdout", out)
+    seen = []  # the flushed lines when each check starts
+    for cid in ("eq-e1", "eq-e2"):
+        def runner(pool, params, real=checks.REGISTRY[cid].runner):
+            seen.append(out.flushed.count("\n"))
+            return real(pool, params)
+        monkeypatch.setitem(checks.REGISTRY, cid,
+                            dataclasses.replace(checks.REGISTRY[cid], runner=runner))
+    code = main(["verify", "--suite", "eq-e[12]", "--q", "3", "--d-max", "2",
+                 "--format", "ndjson"])
+    assert (code, seen) == (0, [0, 1])
+    assert [json.loads(line)["id"] for line in out.getvalue().splitlines()] == [
+        "eq-e1", "eq-e2"]
+
+
+def test_verify_ndjson_lines_equal_the_suite_records(capsys, tmp_path):
+    def strip(lines):
+        return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in lines]
+    out_path = tmp_path / "report.ndjson"
+    code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--d-max", "2",
+                           "--format", "ndjson", "--out", str(out_path))
+    reports = checks.run_suite("all", qs=(3,), d_max=2)
+    assert (code, out) == (checks.exit_code(reports), "")
+    assert strip(out_path.read_text().splitlines()) == strip(
+        checks.reports_to_ndjson(reports).splitlines())
+
+
+def test_verify_ndjson_stops_quietly_when_the_reader_leaves():
+    # the read end closes before the child writes its first record
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "carlitz.cli", "verify", "--suite", "eq-e*",
+         "--q", "3", "--d-max", "2", "--format", "ndjson"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 @pytest.mark.parametrize("qs,suite", [("4,5", "eq-annals"), ("5", "cor-noncommide")])

@@ -17,7 +17,7 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import skew
+from carlitz import checks, poly, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
@@ -51,14 +51,16 @@ KERNEL_MUTATIONS = [
 ]
 
 
-def mutant(name, fragment, replacement):
-    """kern.<name> recompiled with `fragment` replaced, in kern's globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(kern, name)))
+def mutant(name, fragment, replacement, module=kern):
+    """module.<name> recompiled with `fragment` replaced, in the module's
+    globals; a decorated function gets its decorators anew (an lru_cache
+    its own cache)."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     if source.count(fragment) != 1:
         raise LookupError(f"{name} does not hold {fragment!r} exactly once")
     scope = {}
     exec(compile(source.replace(fragment, replacement), f"<mutant {name}>", "exec"),
-         vars(kern), scope)
+         vars(module), scope)
     return scope[name]
 
 
@@ -97,6 +99,16 @@ def _shift_point(mp):
         self, i, kern.kadd(self.ctx, value, [1])))
 
 
+def _sieve_one_degree_short(mp):
+    # factors only of degree k < d/2: at even d the squares P^2 stay
+    # "irreducible"; the mutant keeps its own cache, and `checks` holds
+    # the name through its own import
+    sieve = mutant("irreducibles_of_degree", "range(1, d // 2 + 1)",
+                   "range(1, d // 2)", poly)
+    for module in (poly, checks):
+        mp.setattr(module, "irreducibles_of_degree", sieve)
+
+
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
@@ -104,6 +116,8 @@ CHECK_CONTROLS = [
     ("star-chain", "the star value plus one", _star_plus_one, "broken links"),
     ("eq-annals", "t_1 := theta + 1, theta^q + 1", _shift_point,
      "specialization sub-checks failed"),
+    ("necklace-bound", "the sieve one factor degree short", _sieve_one_degree_short,
+     "irreducible count != necklace value"),
 ]
 
 
@@ -115,3 +129,5 @@ def test_check_control_turns_pass_into_fail(check_id, what, patch, witness):
         patch(mp)
         rep = run_check(check_id, d_max=2)
     assert (rep.status, witness in rep.witness) == ("fail", True), (what, rep.witness)
+    # no mutant value is left in a cache that outlives the run
+    assert run_check(check_id, d_max=2).status == "pass"

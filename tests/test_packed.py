@@ -305,8 +305,8 @@ MODULI = {512: (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)}   # x^9 + x^4 + 1 over F_2
                                   (512, 7281)])
 def test_kmul_at_the_16_bit_bound(q, m, monkeypatch):
     # just below the bound the product takes 16-bit sub-slots, just above
-    # 32-bit ones; q = 4, 8, 16 decode through the p = 2 parity masks, and
-    # q = 2^9 by Horner at 16 bits, where its 17 sub-slots do not fit them
+    # 32-bit ones; q = 4, 8, 16 decode through the byte tables, and q = 2^9,
+    # too large for them, by Horner over its 17 sub-slots
     ctx = FIELDS.get(q) or FieldContext(q, MODULI.get(q))
     assert m * ctx.e * (ctx.p - 1) ** 2 < 2 ** 16 <= (m + 1) * ctx.e * (ctx.p - 1) ** 2
     rng = random.Random(q)

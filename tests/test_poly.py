@@ -131,6 +131,20 @@ def test_irreducibles_of_degree(ctx3):
     assert len(irreducibles_of_degree(ctx3, 2)) == necklace_count(3, 2)
 
 
+# to d = 7, 5, 4 the sieve flags squares and products of two factors of
+# degree >= 2; q = 8, 9, 25, 27 have e > 1, q = 7, 11 a larger p
+@pytest.mark.parametrize("q,dmax", [(3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3),
+                                    (11, 2), (25, 2), (27, 2)])
+def test_sieve_matches_the_distinct_degree_filter(q, dmax):
+    # from an empty cache, so no value cached by an earlier test masks a bug
+    irreducibles_of_degree.cache_clear()
+    ctx = FieldContext(q)
+    for d in range(1, dmax + 1):
+        sieved = irreducibles_of_degree(ctx, d)
+        assert sieved == tuple(a for a in enumerate_monics(ctx, d) if is_irreducible(a))
+        assert len(sieved) == necklace_count(q, d)
+
+
 @pytest.mark.parametrize("q,dmax", [(3, 6), (4, 4), (5, 3)])
 def test_necklace_count_matches_and_field_counting(q, dmax):
     ctx = FieldContext(q)

@@ -25,12 +25,10 @@ mzv chain sums; `power_sum` normalizes it into a TPoly for the layers that
 work over K (the Tate series and the Bernoulli-Goss sums).
 """
 
-import itertools
-
 from . import _packed as kern
 from ._rawfrac import RawTPoly
-from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch,
-                     NonMonicInput, UnsupportedCharacter)
+from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch, DivisionByZero,
+                     InexactDivision, NonMonicInput, UnsupportedCharacter)
 from .ffield import FqElem
 from .poly import APoly, enumerate_monics, irreducibles_of_degree
 
@@ -250,8 +248,17 @@ class SeqCache:
         return self.memo("ell_pow", (i, n), lambda: self.ell(i) ** n)
 
     def ell_ratio(self, d, i):
-        """ell(d) / ell(i) (exact), memoized."""
-        return self.memo("ell_ratio", (d, i), lambda: self.ell(d) / self.ell(i))
+        """ell(d) / ell(i): 1 at i = d, else memoized as ell_ratio(d, i + 1)
+        * (theta - theta^(q^(i+1))), a product with a two-term factor.
+        DivisionByZero for i < 0 (ell(i) = 0), InexactDivision for i > d."""
+        if i < 0:
+            raise DivisionByZero(f"ell({i}) is zero")
+        if i > d:
+            raise InexactDivision(f"ell({d}) is not divisible by ell({i})")
+        if i == d:
+            return APoly.one(self.ctx)
+        return self.memo("ell_ratio", (d, i), lambda: self.ell_ratio(d, i + 1)
+                         * (self.theta_q(0) - self.theta_q(i + 1)))
 
     def monic_lcm(self, d):
         """The lcm of all monic polynomials of degree d, assembled as the
@@ -384,51 +391,41 @@ def partial_F_one_q(cache, d):
 # Frobenius expansion of b_d and the q^n-order closed forms
 # ---------------------------------------------------------------------------
 
-def _descending_chains(d, n):
-    """All chains d >= i_1 >= i_2 >= ... >= i_n >= 0."""
-    for combo in itertools.combinations_with_replacement(range(d + 1), n):
-        yield tuple(reversed(combo))
-
-
 def chain_weights(cache, n, d):
     """Entry i (0 <= i <= d) is the sum over chains d >= i_1 >= ... >= i_n = i
-    of (ell(d)/ell(i_1))^(q^(n-1)-q^(n-2)) ... (ell(d)/ell(i_(n-1)))^(q-1)
-    * ell(d)/ell(i): the weight of the last slot i in the chain expansions
-    of b_d and of the skew power sums."""
+    of R(i_1)^(e_1) ... R(i_(n-1))^(e_(n-1)) R(i), with R(j) = ell(d)/ell(j)
+    and e_m = q^(n-m) - q^(n-m-1): the weight of the last slot i in the chain
+    expansions of b_d and of the skew power sums.  By suffix sums, in
+    n (d + 1) products: from P = 1 at slot d and 0 below, for each e in
+    e_1, ..., e_(n-1), 1 in turn set P(i) <- R(i)^e * (sum of P(j), j >= i)."""
     ctx = cache.ctx
     q = ctx.q
-    exps_of_m = [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)]
-    ratio_pows = {}
-
-    def rpow(i, e):
-        key = (i, e)
-        v = ratio_pows.get(key)
-        if v is None:
-            v = cache.ell_ratio(d, i) ** e
-            ratio_pows[key] = v
-        return v
-
-    weights = [APoly.zero(ctx)] * (d + 1)
-    for chain in _descending_chains(d, n):
-        mult = APoly.one(ctx)
-        for m in range(n - 1):
-            mult = mult * rpow(chain[m], exps_of_m[m])
-        mult = mult * cache.ell_ratio(d, chain[-1])
-        weights[chain[-1]] = weights[chain[-1]] + mult
+    ratios = [cache.ell_ratio(d, i) for i in range(d + 1)]
+    zero = APoly.zero(ctx)
+    weights = [zero] * d + [APoly.one(ctx)]    # its suffix sums are all 1
+    for e in [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)] + [1]:
+        suffix = zero
+        for i in reversed(range(d + 1)):
+            suffix = suffix + weights[i]
+            weights[i] = ratios[i] ** e * suffix
     return weights
 
 
 def b_combination(cache, weights):
     """The sum of w_i b_i(t) over the weights w_i in A: a dict t-exponent ->
-    APoly.  With the `chain_weights` it is the numerator of the chain
-    expansion over the common denominator ell(d)^(q^(n-1))."""
-    zero = APoly.zero(cache.ctx)
-    total = {}
-    for i, weight in enumerate(weights):
-        for kk, c in enumerate(cache.b_coeffs(i)):
-            if not c.is_zero():
-                total[kk] = total.get(kk, zero) + weight * c
-    return {k: v for k, v in total.items() if not v.is_zero()}
+    APoly; for the `chain_weights`, the numerator of the chain expansion over
+    ell(d)^(q^(n-1)).  By Horner's rule on b_(i+1) = (t - theta^(q^i)) b_i:
+    T = w_d, then T <- w_i + (t - theta^(q^i)) T for i = d - 1, ..., 0, where
+    theta^(q^i) times a coefficient is a shift by q^i slots: no products."""
+    ctx = cache.ctx
+    total = []                                 # T's coefficients by t-power
+    for i in reversed(range(len(weights))):
+        shift = [0] * ctx.q ** i
+        # coefficient k of (t - theta^(q^i)) T is T_(k-1) - theta^(q^i) T_k
+        total = [kern.kadd(ctx, lo, shift + kern.kneg(ctx, hi) if hi else [])
+                 for lo, hi in zip([[]] + total, total + [[]])]
+        total[0] = kern.kadd(ctx, total[0], list(weights[i].coeffs))
+    return {k: APoly._make(ctx, c) for k, c in enumerate(total) if c}
 
 
 def tau_b_expand(cache, n, d):
@@ -440,7 +437,8 @@ def tau_b_expand(cache, n, d):
                      * ell(i_n)^(-1) * b_(i_n)
 
     returned as (lhs, rhs) RawTPoly values in one variable; they must be
-    equal.
+    equal.  The right side is the `b_combination` (by Horner's rule) of the
+    `chain_weights` (by suffix sums over products of two-term factors).
     """
     ctx = cache.ctx
     lhs = _in_var(ctx, 1, 1, ((k, c.frobenius(n))

@@ -7,10 +7,14 @@ multiplication.  The field tables themselves are validated separately
 against the field axioms, so this layer is an independent route to every
 value it checks.
 
-The one exception is `frak_S_naive`, the package's former skew oracle: it
-uses the packed kernel for its cofactors, but computes the Carlitz action
-of every monic (`carlitz_action`, schoolbook), so it checks the route
-through the b-expansion and F_q-linearity that replaced it.
+The exceptions are `frak_S_naive`, the package's former skew oracle, and
+`chain_weights_naive`, its former chain enumeration.  The first uses the
+packed kernel for its cofactors, but computes the Carlitz action of every
+monic (`carlitz_action`, schoolbook), so it checks the route through the
+b-expansion and F_q-linearity that replaced it.  The second multiplies
+`APoly` values, but sums over every descending chain with each ratio of
+ell values an exact division, so it checks the suffix-sum recurrence and
+the product-built ratios that replaced it.
 """
 
 import itertools
@@ -304,6 +308,39 @@ def b_poly(ctx, j):
         out = [nadd(ctx, lo, nmul(ctx, root, hi))
                for lo, hi in zip([[]] + out, out + [[]])]
     return out
+
+
+def b_combination_naive(ctx, weights):
+    """The sum of w_i b_i(t) for code lists w_i, each b_i built by `b_poly`
+    and each term a schoolbook product: a list by t-power of code lists."""
+    out = []
+    for i, w in enumerate(weights):
+        for k, c in enumerate(b_poly(ctx, i)):
+            if k == len(out):
+                out.append([])
+            out[k] = nadd(ctx, out[k], nmul(ctx, w, c))
+    return out
+
+
+def chain_weights_naive(cache, n, d):
+    """Entry i is the sum over all chains d >= i_1 >= ... >= i_n = i of
+    R(i_1)^(q^(n-1)-q^(n-2)) ... R(i_(n-1))^(q-1) * R(i), where R(j) =
+    ell(d) / ell(j) by exact division: one product per chain link, APoly
+    values."""
+    from carlitz.poly import APoly
+    ctx = cache.ctx
+    q = ctx.q
+    exps = [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)] + [1]
+    powers = {(i, e): (cache.ell(d) / cache.ell(i)) ** e
+              for i in range(d + 1) for e in set(exps)}
+    weights = [APoly.zero(ctx)] * (d + 1)
+    for combo in itertools.combinations_with_replacement(range(d + 1), n):
+        chain = combo[::-1]                    # d >= i_1 >= ... >= i_n
+        mult = APoly.one(ctx)
+        for i, e in zip(chain, exps):
+            mult = mult * powers[i, e]
+        weights[chain[-1]] = weights[chain[-1]] + mult
+    return weights
 
 
 def frak_S_naive(cache, d, n):

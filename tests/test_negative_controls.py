@@ -17,7 +17,7 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import checks, poly, skew
+from carlitz import checks, poly, powersums, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
@@ -109,6 +109,18 @@ def _sieve_one_degree_short(mp):
         mp.setattr(module, "irreducibles_of_degree", sieve)
 
 
+def _horner_root_one_power_up(mp):
+    # the Horner step multiplies by theta^(q^(i+1)), the root of b_(i+2)
+    mp.setattr(powersums, "b_combination", mutant(
+        "b_combination", "[0] * ctx.q ** i", "[0] * ctx.q ** (i + 1)", powersums))
+
+
+def _first_chain_exponent_dropped(mp):
+    # the suffix sums skip e_1 = q^(n-1) - q^(n-2); n = 1 is unchanged
+    mp.setattr(powersums, "chain_weights", mutant(
+        "chain_weights", "range(1, n)", "range(2, n)", powersums))
+
+
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
@@ -118,6 +130,10 @@ CHECK_CONTROLS = [
      "specialization sub-checks failed"),
     ("necklace-bound", "the sieve one factor degree short", _sieve_one_degree_short,
      "irreducible count != necklace value"),
+    ("lemma-tau-b", "the Horner root one Frobenius power up", _horner_root_one_power_up,
+     "expansion differs"),
+    ("prop4", "the first chain exponent dropped", _first_chain_exponent_dropped,
+     "chain expansion differs"),
 ]
 
 

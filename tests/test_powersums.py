@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from carlitz import _packed as kern
 from carlitz._rawfrac import RawTPoly
-from carlitz.errors import (ArityMismatch, BudgetExceeded, NonMonicInput,
-                            UnsupportedCharacter)
+from carlitz.errors import (ArityMismatch, BudgetExceeded, DivisionByZero,
+                            InexactDivision, NonMonicInput, UnsupportedCharacter)
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, enumerate_monics
-from carlitz.powersums import (SemiChar, SeqCache, closed_raw, partial_F_one_q,
-                               power_sum, power_sum_bruteforce, power_sum_closed,
-                               tau_b_expand)
+from carlitz.powersums import (SemiChar, SeqCache, b_combination, chain_weights,
+                               closed_raw, partial_F_one_q, power_sum,
+                               power_sum_bruteforce, power_sum_closed, tau_b_expand)
 from carlitz.tpoly import TPoly
 
 import naive_reference as ref
@@ -220,6 +222,75 @@ def test_tau_b_expand(q):
     for (n, d) in ((2, 0), (2, 3), (3, 2)):
         lhs, rhs = tau_b_expand(cache, n, d)
         assert lhs.equals(rhs)
+
+
+def _codes(combination):
+    return {k: list(c.coeffs) for k, c in combination.items()}
+
+
+def _naive_codes(ctx, weights):
+    return {k: c for k, c in enumerate(ref.b_combination_naive(
+        ctx, [list(w.coeffs) for w in weights])) if c}
+
+
+# q = 4, 8, 9 have e > 1; d_top keeps ell(d)^(q^2) short enough for schoolbook
+@pytest.mark.parametrize("q,d_top", [(3, 5), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)])
+def test_expansion_weights_match_chain_enumeration(q, d_top):
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    for n in (1, 2, 3):
+        for d in range(d_top + 1):
+            weights = chain_weights(cache, n, d)
+            assert weights == ref.chain_weights_naive(cache, n, d), (n, d)
+            assert _codes(b_combination(cache, weights)) == \
+                _naive_codes(ctx, weights), (n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5, 9]), st.data())
+def test_b_combination_matches_schoolbook_on_random_weights(q, data):
+    ctx = FieldContext(q)
+    weights = [APoly(ctx, w) for w in data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), max_size=12), max_size=5))]
+    assert _codes(b_combination(SeqCache(ctx), weights)) == _naive_codes(ctx, weights)
+
+
+def test_b_combination_makes_no_product(cache3, monkeypatch):
+    weights = chain_weights(cache3, 2, 4)
+
+    def kmul(*args):
+        raise AssertionError("b_combination called kmul")
+    monkeypatch.setattr(kern, "kmul", kmul)
+    combination = b_combination(cache3, weights)
+    monkeypatch.undo()
+    assert _codes(combination) == _naive_codes(cache3.ctx, weights)
+
+
+def test_chain_weights_makes_linearly_many_products(monkeypatch):
+    # chain enumeration makes n products for each of the C(d + n, n) = 56 chains
+    cache = SeqCache(FieldContext(3))
+    real, calls = APoly.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(APoly, "__mul__", counted)
+    n, d = 3, 5
+    chain_weights(cache, n, d)
+    assert 0 < len(calls) <= 2 * n * (d + 1)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_ell_ratio_is_the_exact_quotient(q):
+    cache = SeqCache(FieldContext(q))
+    for d in range(7):
+        assert cache.ell_ratio(d, d) == APoly.one(cache.ctx)
+        for i in range(d + 1):
+            assert cache.ell_ratio(d, i) * cache.ell(i) == cache.ell(d), (d, i)
+        with pytest.raises(InexactDivision):
+            cache.ell_ratio(d, d + 1)
+        with pytest.raises(DivisionByZero):
+            cache.ell_ratio(d, -1)
 
 
 def test_qn_closed_matches_bruteforce(cache3):

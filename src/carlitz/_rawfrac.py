@@ -29,7 +29,7 @@ theta^(q^j) - theta, against which the gcds are short.
 
 from . import _packed as kern
 from .errors import ArityMismatch, IndexOutOfRange
-from .poly import APoly, RatK
+from .poly import APoly, RatK, power
 from .tpoly import TPoly
 
 
@@ -116,15 +116,7 @@ class RawTPoly:
         return RawTPoly(self.ctx, self.s, self._scaled_num(c), self.den)
 
     def __pow__(self, n):
-        result = RawTPoly.one(self.ctx, self.s)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, RawTPoly.one(self.ctx, self.s))
 
     def substitute(self, i, value):
         """Set t_i := value, a theta-polynomial given as a coefficient list

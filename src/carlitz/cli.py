@@ -178,9 +178,9 @@ def cmd_bg(args):
         raise CarlitzError("bg needs --n or --d")
     payload = {"q": ctx.q}
     if args.d is not None:
+        pred = bg_degree_formula(ctx.q, args.d)   # InvalidParams for d < 1
         n = ctx.q ** args.d - 2
         bg = bernoulli_goss(cache, n)
-        pred = bg_degree_formula(ctx.q, args.d)
         rhs = bg_formula_rhs(cache, args.d)
         payload.update({
             "n": n, "value": repr(bg.value), "degree": bg.value.degree,

@@ -142,7 +142,7 @@ def bernoulli_goss(cache, n):
     """
     ctx = cache.ctx
     if n < 1:
-        raise ValueError("Bernoulli-Goss polynomials need n >= 1")
+        raise InvalidParams("Bernoulli-Goss polynomials need n >= 1")
     if n % (ctx.q - 1) == 0:
         warnings.warn(f"n = {n} is divisible by q - 1 = {ctx.q - 1}; "
                       "this zeta value vanishes trivially", stacklevel=2)
@@ -161,25 +161,28 @@ def bernoulli_goss(cache, n):
     return BGPoly(n, total, k_stop)
 
 
+def _bg_terms(cache, d):
+    """(i, j, b_i(theta^(q^d)) ell_ratio(d, i) ell_ratio(d-1, j)) for
+    d >= i > j >= 0: the terms b_i(theta^(q^d)) / (ell(i) ell(j)) of the
+    Bernoulli-Goss double sum, as numerators over ell(d) ell(d-1)."""
+    tqd = cache.theta_q(d)
+    for i in range(1, d + 1):
+        top = cache.b_eval(i, tqd) * cache.ell_ratio(d, i)
+        for j in range(i):
+            yield i, j, top * cache.ell_ratio(d - 1, j)
+
+
 def bg_formula_rhs(cache, d):
     """The closed double sum for BG at n = q^d - 2:
 
         -(sum over d >= i > j >= 0 of b_i(theta^(q^d)) / (ell(i) ell(j)))
 
-    evaluated exactly over the common denominator ell(d) ell(d-1); the
-    result must land in A."""
+    summed as numerators over the common denominator ell(d) ell(d-1), and
+    divided exactly (InexactDivision unless the result lands in A)."""
     if d < 1:
-        raise ValueError("the double-sum formula needs d >= 1")
-    ctx = cache.ctx
-    tqd = cache.theta_q(d)
-    num = APoly.zero(ctx)
-    for i in range(1, d + 1):
-        bi = cache.b_eval(i, tqd)
-        ri = cache.ell_ratio(d, i)
-        for j in range(i):
-            num = num + bi * ri * cache.ell_ratio(d - 1, j)
-    den = cache.ell(d) * cache.ell(d - 1)
-    return (-RatK(num, den)).as_apoly()
+        raise InvalidParams("the double-sum formula needs d >= 1")
+    num = sum((t for _, _, t in _bg_terms(cache, d)), APoly.zero(cache.ctx))
+    return -(num / (cache.ell(d) * cache.ell(d - 1)))
 
 
 class BGDegrees(NamedTuple):
@@ -196,7 +199,7 @@ def bg_degree_formula(q, d):
     """Degree predictions: (d-1) q^d - 2q(q^(d-1) - 1)/(q-1) for the value
     itself, with the block degrees from the decomposition lemma."""
     if d < 1:
-        raise ValueError("degree formula needs d >= 1")
+        raise InvalidParams("degree formula needs d >= 1")
     geo = sum(q ** t for t in range(1, d))       # q + ... + q^(d-1)
     geo2 = sum(q ** t for t in range(1, d - 1))  # q + ... + q^(d-2)
     main = (d - 1) * q ** d - 2 * q * (q ** (d - 1) - 1) // (q - 1)
@@ -209,27 +212,15 @@ def bg_block_values(cache, d):
     """The three blocks of the double-sum decomposition, exactly:
     dominant = alpha_d beta_(d-1); merged = (alpha_d + alpha_(d-1)) *
     sum of beta_j for j <= d-2; tail = the remaining double sum, where
-    alpha_i = b_i(theta^(q^d))/ell(i) and beta_j = 1/ell(j)."""
-    ctx = cache.ctx
-    tqd = cache.theta_q(d)
-
-    def alpha(i):
-        return RatK(cache.b_eval(i, tqd), cache.ell(i))
-
-    def beta(j):
-        return RatK(APoly.one(ctx), cache.ell(j))
-
-    dominant = alpha(d) * beta(d - 1)
-    beta_sum = RatK.zero(ctx)
-    for j in range(d - 1):
-        beta_sum = beta_sum + beta(j)
-    merged = (alpha(d) + alpha(d - 1)) * beta_sum
-    tail = RatK.zero(ctx)
-    for i in range(d - 1):
-        ai = alpha(i)
-        for j in range(i):
-            tail = tail + ai * beta(j)
-    return dominant, merged, tail
+    alpha_i = b_i(theta^(q^d))/ell(i) and beta_j = 1/ell(j).  Each block
+    is a partial sum of the `_bg_terms` over ell(d) ell(d-1), normalized
+    once."""
+    sums = [APoly.zero(cache.ctx)] * 3
+    for i, j, term in _bg_terms(cache, d):
+        block = 0 if j == d - 1 else 1 if i >= d - 1 else 2
+        sums[block] = sums[block] + term
+    den = cache.ell(d) * cache.ell(d - 1)
+    return tuple(RatK(num, den) for num in sums)
 
 
 class CongruenceRow(NamedTuple):
@@ -267,17 +258,18 @@ class CongruenceSurvey(NamedTuple):
 def bg_congruence_survey(cache, d):
     """For every monic irreducible P of degree d, compare BG_(q^d - 2) and
     the degree-d truncated zeta sum of weight one modulo P, and report the
-    vanishing statistics against the divisor-count bound."""
+    vanishing statistics against the divisor-count bound.  The truncated
+    sum is one fraction over ell(d-1), its numerator summed over ell ratios."""
+    if d < 1:
+        raise InvalidParams("the congruence survey needs d >= 1")
     ctx = cache.ctx
     q = ctx.q
     n = q ** d - 2
     bg = bernoulli_goss(cache, n).value
-    # truncated weight-one zeta sum: sum of 1/ell(i) for i < d
-    fd = RatK.zero(ctx)
-    for i in range(d):
-        fd = fd + RatK(APoly.one(ctx), cache.ell(i))
-    # the A-element whose degree-d prime divisors are exactly the vanishing P
-    divisor_poly = (fd * cache.ell(d - 1)).as_apoly()
+    # the A-element whose degree-d prime divisors are exactly the vanishing
+    # P, over ell(d-1) the truncated weight-one zeta sum of 1/ell(i), i < d
+    divisor_poly = sum((cache.ell_ratio(d - 1, i) for i in range(d)), APoly.zero(ctx))
+    fd = RatK(divisor_poly, cache.ell(d - 1))
     rows = []
     zero_count = 0
     for P in irreducibles_of_degree(ctx, d):

@@ -9,7 +9,8 @@ as -infinity, and the infinite-place valuation of the zero fraction as
 Also here: gcd, irreducibility (a deterministic distinct-degree test for
 one polynomial, a sieve for all monics of one degree), enumeration of
 monic polynomials in a reproducible order, irreducible counting via the
-necklace polynomial, and base-q digit sums.
+necklace polynomial, base-q digit sums, and the square-and-multiply
+`power` of the t-polynomial and series types.
 """
 
 import itertools
@@ -22,6 +23,21 @@ from .ffield import FqElem, _is_prime
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+
+def power(x, n, one):
+    """x ** n by square-and-multiply from `one`, for the rings without a
+    kernel power; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _codes(ctx, values):

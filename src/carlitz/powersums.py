@@ -1,10 +1,12 @@
 """Fundamental sequences, semi-characters, and twisted power sums.
 
-The two sequences everything is built from:
+The sequences everything is built from, each a `SeqCache` memo entry
+(tag in quotes) made from its predecessor:
 
-    ell(i)      = product over 1 <= j <= i of (theta - theta^(q^j)),  ell(0) = 1
-    b_coeffs(i) = coefficients of the monic polynomial with roots
-                  theta, theta^q, ..., theta^(q^(i-1)),  b_0 = 1
+    "theta_q"  theta^(q^i) = (theta^(q^(i-1)))^q,        theta^(q^0) = theta
+    "ell"      ell(i) = ell(i-1) (theta - theta^(q^i)),    ell(0) = 1
+    "b"        b_i(t) = b_(i-1)(t) (t - theta^(q^(i-1))),  b_0 = 1, in A[t]
+    "tb"       the Frobenius twist of b_i, coefficient by coefficient
 
 A semi-character is a multiplicative map on monic polynomials built from
 three kinds of factors: evaluation at a variable (a -> a(t_i)), evaluation
@@ -157,68 +159,52 @@ class SemiChar:
 class SeqCache:
     """Memoized fundamental data for one field context: the one memo store.
 
-    Holds the sequences theta^(q^i), ell, the b-polynomial coefficient
-    lists and their Frobenius twists, and one dict of tagged memo tables:
-    `memo(tag, key, make)` computes a value once, and `table(tag)` is a
-    whole table, for a `ChainSums`.  The tables hold the powers and ratios
-    of ell, the lcm of the monics of each degree, the exact twisted power
-    sums and their normalized and series forms, and the chain sums of
-    every module.  Single-threaded, append-only: no lock guards it, so one
-    cache must not be filled from two threads at once; every returned
-    value is immutable.
+    All of it is in one dict of tagged tables: `memo(tag, key, make)`
+    computes a value once, and `table(tag)` is a whole table, for a
+    `ChainSums`.  The tags: the sequences "theta_q", "ell", "b" and "tb"
+    (recurrences in the module docstring); "ell_pow" and "ell_ratio";
+    "monic_lcm", the lcm of the monics of each degree; "chain_weights";
+    the exact twisted power sums and their normalized and series forms,
+    "raw", "tpoly" and "series"; and the chain sums of every module.
+    Single-threaded, append-only: no lock guards it, so one cache must not
+    be filled from two threads at once; every returned value is immutable.
     """
 
     def __init__(self, ctx, budget=DEFAULT_BUDGET):
         self.ctx = ctx
         self.budget = budget
-        self._theta_q = [APoly.theta(ctx)]
-        self._ell = [APoly.one(ctx)]
-        self._b = [(APoly.one(ctx),)]       # coefficient tuples, ascending
-        self._tb = [(APoly.one(ctx),)]      # Frobenius-twisted b
         self._tables = {}                   # tag -> memo dict
 
     # -- sequences ----------------------------------------------------------
 
     def theta_q(self, i):
         """theta^(q^i) as an element of A."""
-        while len(self._theta_q) <= i:
-            prev = self._theta_q[-1]
-            self._theta_q.append(prev.frobenius())
-        return self._theta_q[i]
+        return self.memo("theta_q", i, lambda: self.theta_q(i - 1).frobenius()
+                         if i else APoly.theta(self.ctx))
 
     def ell(self, i):
         """ell(i); zero for negative indices."""
         if i < 0:
             return APoly.zero(self.ctx)
-        while len(self._ell) <= i:
-            k = len(self._ell)
-            factor = APoly.theta(self.ctx) - self.theta_q(k)
-            self._ell.append(self._ell[-1] * factor)
-        return self._ell[i]
+        return self.memo("ell", i, lambda: self.ell(i - 1)
+                         * (self.theta_q(0) - self.theta_q(i)) if i else APoly.one(self.ctx))
 
     def b_coeffs(self, i):
         """Coefficients (in A, ascending) of the degree-i polynomial with
         roots theta^(q^j) for 0 <= j < i."""
-        while len(self._b) <= i:
-            k = len(self._b)
-            root = self.theta_q(k - 1)
-            prev = self._b[-1]
-            new = []
-            for m in range(k + 1):
-                c = prev[m - 1] if m >= 1 else APoly.zero(self.ctx)
-                if m < len(prev):
-                    c = c - root * prev[m]
-                new.append(c)
-            self._b.append(tuple(new))
-        return self._b[i]
+        def make():
+            if not i:
+                return (APoly.one(self.ctx),)
+            root, prev = self.theta_q(i - 1), self.b_coeffs(i - 1)
+            # coefficient m of (t - root) b_(i-1) is prev[m-1] - root prev[m]
+            return ((-(root * prev[0]),) + tuple(prev[m - 1] - root * prev[m]
+                                                 for m in range(1, i)) + prev[-1:])
+        return self.memo("b", i, make)
 
     def tb_coeffs(self, i):
         """Coefficients of the Frobenius twist of b_i: the monic polynomial
         with roots theta^(q^j) for 1 <= j <= i."""
-        while len(self._tb) <= i:
-            k = len(self._tb)
-            self._tb.append(tuple(c.frobenius() for c in self.b_coeffs(k)))
-        return self._tb[i]
+        return self.memo("tb", i, lambda: tuple(c.frobenius() for c in self.b_coeffs(i)))
 
     def b_eval(self, i, x):
         """b_i evaluated at an element x of A."""
@@ -397,18 +383,19 @@ def chain_weights(cache, n, d):
     and e_m = q^(n-m) - q^(n-m-1): the weight of the last slot i in the chain
     expansions of b_d and of the skew power sums.  By suffix sums, in
     n (d + 1) products: from P = 1 at slot d and 0 below, for each e in
-    e_1, ..., e_(n-1), 1 in turn set P(i) <- R(i)^e * (sum of P(j), j >= i)."""
-    ctx = cache.ctx
-    q = ctx.q
-    ratios = [cache.ell_ratio(d, i) for i in range(d + 1)]
-    zero = APoly.zero(ctx)
-    weights = [zero] * d + [APoly.one(ctx)]    # its suffix sums are all 1
-    for e in [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)] + [1]:
-        suffix = zero
-        for i in reversed(range(d + 1)):
-            suffix = suffix + weights[i]
-            weights[i] = ratios[i] ** e * suffix
-    return weights
+    e_1, ..., e_(n-1), 1 in turn set P(i) <- R(i)^e * (sum of P(j), j >= i).
+    Memoized as a tuple under (n, d); each call returns a fresh list."""
+    def make():
+        q = cache.ctx.q
+        zero = APoly.zero(cache.ctx)
+        weights = [zero] * d + [APoly.one(cache.ctx)]    # its suffix sums are all 1
+        for e in [q ** (n - m) - q ** (n - m - 1) for m in range(1, n)] + [1]:
+            suffix = zero
+            for i in reversed(range(d + 1)):
+                suffix = suffix + weights[i]
+                weights[i] = cache.ell_ratio(d, i) ** e * suffix
+        return tuple(weights)
+    return list(cache.memo("chain_weights", (n, d), make))
 
 
 def b_combination(cache, weights):

@@ -21,7 +21,7 @@ values.
 """
 
 from ._rawfrac import RawTPoly
-from .errors import ClosedFormMismatch, ContextMismatch
+from .errors import ClosedFormMismatch, ContextMismatch, InvalidParams
 from .mzv import MatrixData, partial_zeta
 from .poly import APoly, RatK
 from .powersums import SemiChar, b_combination, chain_weights, power_sum_bruteforce
@@ -69,7 +69,10 @@ def frak_S_bruteforce(cache, d, n):
 def frak_S(cache, d, n):
     """The twisted power sum in K{tau} in chain closed form, asserted
     against enumeration (ClosedFormMismatch on disagreement): sum_i w_i
-    b_i(t) over ell(d)^(q^n) must equal `frak_S_bruteforce`."""
+    b_i(t) over ell(d)^(q^n) must equal `frak_S_bruteforce`.  Needs
+    d >= 0 and n >= 1 (InvalidParams otherwise)."""
+    if d < 0 or n < 1:
+        raise InvalidParams(f"frak_S needs d >= 0 and n >= 1, got d={d}, n={n}")
     ctx = cache.ctx
     weights = chain_weights(cache, n, d)
     den = cache.ell_pow(d, ctx.q ** n)

@@ -40,7 +40,7 @@ from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
                      PrecisionInsufficient)
 from ._rawfrac import RawTPoly
 from .mzv import MatrixData, partial_zeta
-from .poly import APoly, RatK
+from .poly import APoly, RatK, power
 from .powersums import ChainSums, SemiChar, closed_form, monic_sum, power_sum
 
 INF = math.inf
@@ -254,14 +254,7 @@ class TateSeries:
         return _series(self.ctx, self.s, prec, self.top + other.top, rows, rad, c)
 
     def __pow__(self, n):
-        result, base = TateSeries.one(self.ctx, self.s, INF), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, TateSeries.one(self.ctx, self.s, INF))
 
     def invert_unit(self):
         """Inverse of a series with a dominant t-free unit term.  With u the

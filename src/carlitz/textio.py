@@ -282,11 +282,16 @@ def format_series(x):
         if k == 0:
             pieces.append(f"({coeff})" if len(mono) > 1 else coeff)
         else:
-            power = THETA if k == 1 else f"{THETA}^{k}"
+            power = _theta_power(k)
             pieces.append(power if coeff == "1" else f"({coeff})*{power}")
     if x.prec != INF:
-        pieces.append(f"O({THETA}^-{x.prec + 1})")
+        pieces.append(f"O({_theta_power(-(x.prec + 1))})")
     return " + ".join(pieces) if pieces else "0"
+
+
+def _theta_power(k):
+    """theta^k as text: 1 at k = 0, bare theta at k = 1."""
+    return "1" if k == 0 else THETA if k == 1 else f"{THETA}^{k}"
 
 
 # ---------------------------------------------------------------------------

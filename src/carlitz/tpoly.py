@@ -18,7 +18,7 @@ result of every operation is normalized (no stored zero coefficients).
 
 from .errors import ArityMismatch, ContextMismatch, IndexOutOfRange, InexactDivision
 from .ffield import FqElem
-from .poly import NEG_INF, APoly, RatK
+from .poly import NEG_INF, APoly, RatK, power
 
 
 def _grade_key(exps):
@@ -192,16 +192,7 @@ class TPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a TPoly")
-        result = TPoly.one(self.ctx, self.s)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, TPoly.one(self.ctx, self.s))
 
     def frobenius(self, n=1):
         """Coefficient-wise q^n-power Frobenius (F_q[t]-linear twist)."""

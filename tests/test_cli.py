@@ -185,6 +185,18 @@ def test_budget_surfaced(capsys):
     assert "budget" in err and "100" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bg", "--n", "0"), ("bg", "--d", "0"), ("bg-survey", "--d", "0"),
+    ("skew", "--d", "-1", "--n", "1"), ("skew", "--d", "1", "--n", "-1"),
+    ("skew", "--d", "1", "--n", "0")], ids=" ".join)
+def test_out_of_range_values_are_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the message names the range, not a failure further down
+    assert "Traceback" not in err and ">= " in err
+
+
 def test_grammar_error_position(capsys):
     code, _, err = run_cli(capsys, "powsum", "--q", "3", "--d", "1",
                            "--data", "t1:1,,")

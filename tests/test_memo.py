@@ -80,3 +80,11 @@ def test_memo_computes_once_per_tag_and_key(ctx3):
     assert cache.memo("other probe", 1, make) is not first
     assert len(calls) == 3
     assert cache.table("probe") == {1: first, 2: cache.memo("probe", 2, make)}
+
+
+def test_the_cache_holds_nothing_but_its_tables(ctx3):
+    cache = SeqCache(ctx3)
+    cache.ell(4), cache.b_coeffs(3), cache.tb_coeffs(2), cache.ell_ratio(3, 1)
+    power_sum_raw(cache, 2, 1, SemiChar.chi(ctx3, 1, 1))
+    assert sorted(vars(cache)) == ["_tables", "budget", "ctx"]
+    assert {"theta_q", "ell", "b", "tb", "ell_ratio", "raw"} <= set(cache._tables)

@@ -141,6 +141,39 @@ def test_bg_blocks(cache3):
         assert total.as_apoly() == bernoulli_goss(cache3, 3 ** d - 2).value
 
 
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_bg_double_sum_beyond_q3(q):
+    cache = SeqCache(FieldContext(q))
+    for d in (1, 2):
+        value = bernoulli_goss(cache, q ** d - 2).value
+        assert bg_formula_rhs(cache, d) == value
+        pred = bg_degree_formula(q, d)
+        assert value.degree == pred.degree
+        dom, merged, tail = bg_block_values(cache, d)
+        assert -(dom + merged + tail) == RatK.from_apoly(value)
+        assert -dom.valuation == pred.dominant_degree
+        if d == 2:
+            assert -merged.valuation == pred.merged_degree and tail.is_zero()
+
+
+def test_bg_layer_makes_no_fraction_arithmetic(monkeypatch):
+    # the double sum and the divisor sum run over ell ratios in A; a fresh
+    # cache, so that every value the three functions need is computed here
+    cache = SeqCache(FieldContext(3))
+
+    def refuse(self, other):
+        raise AssertionError("RatK arithmetic in the Bernoulli-Goss layer")
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatK, name, refuse)
+    rhs = bg_formula_rhs(cache, 3)
+    blocks = bg_block_values(cache, 3)
+    sv = bg_congruence_survey(cache, 2)
+    monkeypatch.undo()
+    assert rhs == bernoulli_goss(cache, 25).value == \
+        (-sum(blocks, RatK.zero(cache.ctx))).as_apoly()
+    assert sv.all_congruent and sv.divisor_consistent
+
+
 def test_congruence_survey(cache3):
     sv = bg_congruence_survey(cache3, 1)
     assert sv.all_congruent and sv.irreducible_count == 3

@@ -17,7 +17,7 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import checks, poly, powersums, skew
+from carlitz import checks, mzv, poly, powersums, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
@@ -121,6 +121,20 @@ def _first_chain_exponent_dropped(mp):
         "chain_weights", "range(1, n)", "range(2, n)", powersums))
 
 
+def _bg_top_term_dropped(mp):
+    # the double sum without its (i, j) = (d, d - 1) term, the dominant block
+    mp.setattr(mzv, "_bg_terms", mutant(
+        "_bg_terms", "range(i)", "range(i - (i == d))", mzv))
+
+
+def _divisor_sum_from_one(mp):
+    # the truncated weight-one sum without its i = 0 term, 1/ell(0) = 1;
+    # `checks` holds the name through its own import
+    survey = mutant("bg_congruence_survey", "for i in range(d)", "for i in range(1, d)", mzv)
+    for module in (mzv, checks):
+        mp.setattr(module, "bg_congruence_survey", survey)
+
+
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
@@ -134,6 +148,12 @@ CHECK_CONTROLS = [
      "expansion differs"),
     ("prop4", "the first chain exponent dropped", _first_chain_exponent_dropped,
      "chain expansion differs"),
+    ("thm-formulaBG", "the (d, d-1) term of the double sum dropped", _bg_top_term_dropped,
+     "d=2: θ^3 + 2*θ + 1 != 1"),
+    ("thm-exactdegree", "the (d, d-1) term of the double sum dropped", _bg_top_term_dropped,
+     "block degrees off"),
+    ("cor-TAOD", "the i = 0 term of the divisor sum dropped", _divisor_sum_from_one,
+     "fails at P ="),
 ]
 
 

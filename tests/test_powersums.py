@@ -31,6 +31,23 @@ def test_ell_and_b_recurrences(cache3):
         assert [list(c.coeffs) for c in cache3.b_coeffs(i)] == ref.b_poly(ctx, i)
 
 
+@pytest.mark.parametrize("q,top", [(4, 5), (5, 4), (9, 3), (25, 2)])
+def test_sequences_beyond_q3(q, top):
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    th = APoly.theta(ctx)
+    assert cache.ell(0) == APoly.one(ctx) and cache.theta_q(0) == th
+    for i in range(top + 1):
+        assert cache.theta_q(i) == th ** (q ** i)
+        if i:
+            assert cache.ell(i) == (th - th ** (q ** i)) * cache.ell(i - 1)
+        b = ref.b_poly(ctx, i)
+        assert [list(c.coeffs) for c in cache.b_coeffs(i)] == b
+        # the twist has the roots theta^(q^j), 1 <= j <= i
+        assert [list(c.coeffs) for c in cache.tb_coeffs(i)] == \
+            [ref.nfrobenius(ctx, c) for c in b]
+
+
 # -- semi-characters -----------------------------------------------------------
 
 def test_semichar_examples(ctx3):
@@ -278,6 +295,24 @@ def test_chain_weights_makes_linearly_many_products(monkeypatch):
     n, d = 3, 5
     chain_weights(cache, n, d)
     assert 0 < len(calls) <= 2 * n * (d + 1)
+
+
+def test_chain_weights_are_computed_once(monkeypatch):
+    cache = SeqCache(FieldContext(3))
+    first = chain_weights(cache, 2, 4)
+    assert first == ref.chain_weights_naive(cache, 2, 4)
+    real, calls = APoly.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(APoly, "__mul__", counted)
+    again = chain_weights(cache, 2, 4)
+    assert calls == [] and again == first and again is not first
+    # the caller owns the list it gets: changing it leaves the memo intact
+    again[0], again[-1:] = APoly.zero(cache.ctx), []
+    assert chain_weights(cache, 2, 4) == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", [3, 4])

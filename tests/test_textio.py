@@ -173,3 +173,11 @@ def test_series_print_field_elements_like_every_printer(ctx3, ctx9):
     assert text == "([2*x])*θ^-1 + ([1])*θ^-2 + ([x])*θ^-3 + ([2])*θ^-4 + O(θ^-5)"
     codes = [parse_fq(ctx9, c) for c in re.findall(r"\[[^]]*\]", text)]
     assert codes == [u.terms[k][()] for k in (-1, -2, -3, -4)]
+
+
+def test_series_error_term_at_negative_precision(ctx3):
+    # the O-term is theta^-(prec + 1): O(1) at prec -1, O(theta) at prec -2
+    th = APoly.theta(ctx3)
+    assert format_series(TateSeries.from_apoly(th, prec=-1)) == "θ + O(1)"
+    assert format_series(TateSeries.from_apoly(th ** 3, prec=-2)) == "θ^3 + O(θ)"
+    assert format_series(TateSeries.from_apoly(th ** 3, prec=0)) == "θ^3 + O(θ^-1)"

@@ -8,6 +8,7 @@ from carlitz.errors import ArityMismatch, IndexOutOfRange
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK
 from carlitz.powersums import SemiChar, SeqCache, closed_raw
+from carlitz.tate import TateSeries
 from carlitz.tpoly import TPoly
 
 
@@ -91,6 +92,23 @@ def test_substitute_is_ring_homomorphism(ctx3):
             a, b = rand_raw(ctx3, rng), rand_raw(ctx3, rng)
             assert (a * b).substitute(1, v).equals(a.substitute(1, v) * b.substitute(1, v))
             assert (a + b).substitute(1, v).equals(a.substitute(1, v) + b.substitute(1, v))
+
+
+@pytest.mark.parametrize("kind", ["TPoly", "RawTPoly", "TateSeries"])
+def test_powers_share_one_square_and_multiply(ctx3, kind):
+    rng = random.Random(5)
+    x = {"TPoly": lambda: rand_tpoly(ctx3, rng),
+         "RawTPoly": lambda: rand_raw(ctx3, rng),
+         "TateSeries": lambda: TateSeries.one(ctx3, 0, 10) + TateSeries.from_ratk(
+             RatK(APoly.one(ctx3), APoly.theta(ctx3) + 1), 10)}[kind]()
+    same = RawTPoly.equals if kind == "RawTPoly" else type(x).__eq__
+    product = x ** 0
+    for n in range(1, 6):
+        product = product * x
+        assert same(x ** n, product), n
+    # a negative power is refused, where it used to square a growing base forever
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
 
 
 def test_degree_in_conventions(cache3):

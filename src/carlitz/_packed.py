@@ -1,7 +1,14 @@
 """Low-level dense polynomial kernel over F_q, with packed-integer fast paths.
 
 A polynomial is a plain Python list of element codes (ascending powers of
-theta, no trailing zeros; [] is zero).  Small operands use table-driven
+theta, no trailing zeros; [] is zero).  Over a field with byte codecs (see
+below) it may also be `bytes`, the form `RawTPoly` keeps: `trim`, `kmul`
+(with its addend), `kadd`, `kneg`, `kscal`, `kdivmod`, `kexactdiv`, `kgcd`
+and `kmod_binomial` take bytes operands, and each returns bytes when its
+first coefficient operand is bytes, else a list (the result-type rule).
+The byte-table paths and `unpack` make bytes directly, so a product or a
+sum of bytes values builds no list; a schoolbook result is converted once.
+Small operands use table-driven
 schoolbook loops.  Large operands are packed into a single Python integer,
 one sub-slot per F_p-digit: one per coefficient for e = 1 and 2e-1 per
 coefficient for e > 1 (the e digits of a code, then e-1 zero sub-slots
@@ -68,11 +75,27 @@ if sys.byteorder != "little" or any(array(t).itemsize * 8 != w
 
 
 def trim(a):
-    """Strip trailing zero coefficients in place; return a.  compress()
-    finds the last nonzero slot in one scan from the top, in C."""
+    """Strip trailing zero coefficients: a list in place, returning it;
+    bytes by rstrip, into a new value.  compress() finds the last nonzero
+    slot of a list in one scan from the top, in C."""
     if a and not a[-1]:
+        if type(a) is bytes:
+            return a.rstrip(b"\0")
         del a[next(compress(range(len(a) - 1, -1, -1), reversed(a)), -1) + 1:]
     return a
+
+
+def _like(first, a):
+    """The result-type rule: a, a list or bytes, as bytes when `first` (the
+    first coefficient operand) is bytes, else as it is."""
+    if type(first) is bytes and type(a) is not bytes:
+        return bytes(bytearray(a))  # faster than bytes(a) from a list
+    return a
+
+
+def _copy(a):
+    """a as a new list, or bytes a itself (bytes are immutable)."""
+    return a if type(a) is bytes else list(a)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +160,10 @@ def pack(ctx, coeffs, width=_W):
     return int.from_bytes(raw, "little")
 
 
-def unpack(ctx, value, nslots, width=_W):
+def unpack(ctx, value, nslots, width=_W, as_bytes=False):
     """Unpack nslots coefficients of `width`-bit sub-slots, reducing each
-    slot mod p (and mod the field modulus in the extension case)."""
+    slot mod p (and mod the field modulus in the extension case); as bytes
+    if asked, over a field with byte codecs."""
     p, sub, size = ctx.p, 2 * ctx.e - 1, width // 8
     raw = value.to_bytes(size * sub * nslots, "little")
     t = _codec(ctx)
@@ -151,10 +175,12 @@ def unpack(ctx, value, nslots, width=_W):
         else:
             raw = raw[::size]
         if sub == 1:
-            return list(raw.translate(t.weights[0]))
-        idx = sum(int.from_bytes(raw[j::sub].translate(w), "little")
-                  for j, w in enumerate(t.weights))
-        return list(idx.to_bytes(nslots, "little").translate(t.fold))
+            out = raw.translate(t.weights[0])
+        else:
+            idx = sum(int.from_bytes(raw[j::sub].translate(w), "little")
+                      for j, w in enumerate(t.weights))
+            out = idx.to_bytes(nslots, "little").translate(t.fold)
+        return out if as_bytes else list(out)
     vals = array(_TYPECODE[width], raw)
     if sub == 1:
         return [v % p for v in vals]
@@ -197,10 +223,13 @@ def kmul_naive(ctx, a, b):
 
 def kmul(ctx, a, b, c=None):
     """c + a*b for coefficient lists a, b and an optional addend c, with one
-    unpack when packed."""
+    unpack when packed; bytes when a is bytes."""
     la, lb = len(a), len(b)
+    to_bytes = type(a) is bytes
     if not la or not lb:
-        return list(c or ())
+        return bytes(c or b"") if to_bytes else list(c or ())
+    if (type(b) is bytes) is not to_bytes:
+        b = bytes(bytearray(b)) if to_bytes else list(b)
     # a product sub-slot sums at most m * e digit products of at most
     # (p-1)^2 (sub-slot j holds those of digit pairs j1 + j2 = j), over the
     # m = min(la, lb) slot pairs, or the m nonzero terms of a sparse operand
@@ -213,11 +242,12 @@ def kmul(ctx, a, b, c=None):
                 break
     if sparse is not None and m == 1:  # a monomial: a shift
         i = next(compress(range(len(sparse)), sparse))
-        prod = trim([0] * i + kscal(ctx, sparse[i], dense))
-        return kadd(ctx, c, prod) if c else prod
+        prod = trim((bytes(i) if to_bytes else [0] * i) + kscal(ctx, sparse[i], dense))
+        return kadd(ctx, prod, c) if c else prod
     bound = m * ctx.e * (ctx.p - 1) ** 2 + (ctx.p - 1 if c else 0)
     if bound >= 1 << _W or (m <= _MUL_CUTOFF and sparse is None):
-        return kadd(ctx, c, kmul_naive(ctx, a, b)) if c else kmul_naive(ctx, a, b)
+        prod = _like(a, kmul_naive(ctx, a, b))
+        return kadd(ctx, prod, c) if c else prod
     width = _NARROW if bound < 1 << _NARROW else _W
     acc = pack(ctx, c, width) if c else 0
     if sparse is None:
@@ -227,18 +257,19 @@ def kmul(ctx, a, b, c=None):
         unit = _units(ctx, width)
         for i in compress(range(len(sparse)), sparse):
             acc += unit[sparse[i]] * v << i * bits
-    return trim(unpack(ctx, acc, max(la + lb - 1, len(c or ())), width))
+    return trim(unpack(ctx, acc, max(la + lb - 1, len(c or ())), width, to_bytes))
 
 
 def kscal(ctx, s, a):
     """Scalar multiple s * a for an element code s."""
     if s == 0 or not a:
-        return []
+        return _like(a, [])
     if s == 1:
-        return list(a)
+        return _copy(a)
     t = _codec(ctx)
     if t:
-        return list(bytearray(a).translate(t.mul[s]))
+        out = bytearray(a).translate(t.mul[s])
+        return bytes(out) if type(a) is bytes else list(out)
     row = ctx.mul[s]
     return [row[c] for c in a]
 
@@ -249,8 +280,8 @@ def kadd(ctx, a, b):
         # slot i of a q + b is a_i q + b_i < q^2 <= 256, no carries
         s = (int.from_bytes(bytearray(a), "little") * ctx.q
              + int.from_bytes(bytearray(b), "little"))
-        return list(s.to_bytes(max(len(a), len(b)), "little").translate(t.add)
-                    .rstrip(b"\0"))
+        out = s.to_bytes(max(len(a), len(b)), "little").translate(t.add).rstrip(b"\0")
+        return out if type(a) is bytes else list(out)
     add = ctx.add
     if len(a) < len(b):
         a, b = b, a
@@ -264,7 +295,8 @@ def kadd(ctx, a, b):
 def kneg(ctx, a):
     t = _codec(ctx)
     if t:
-        return list(bytearray(a).translate(t.neg))
+        out = bytearray(a).translate(t.neg)
+        return bytes(out) if type(a) is bytes else list(out)
     neg = ctx.neg
     return [neg[c] for c in a]
 
@@ -279,9 +311,7 @@ def kspread(a, m):
     if not a or m == 1:
         return list(a)
     out = [0] * ((len(a) - 1) * m + 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i * m] = c
+    out[::m] = a
     return out
 
 
@@ -360,28 +390,29 @@ def kdivmod(ctx, a, b):
     if not b:
         raise DivisionByZero("polynomial division by zero")
     la, lb = len(a), len(b)
-    if la < lb:
-        return [], list(a)
-    if lb == 1 or not (b[0] or any(islice(b, lb - 1))):
-        # b = c theta^(lb-1): a shift
-        return kscal(ctx, ctx.inv[b[-1]], a[lb - 1:]), trim(a[:lb - 1])
-    if la <= _DIV_CUTOFF or la - lb <= 2:
-        return kdivmod_naive(ctx, a, b)
     m = lb - 1
-    if (b[-1] == 1 and b[1] == ctx.neg[1] and not (b[0] or any(islice(b, 2, m)))
+    if la < lb:
+        quo, rem = [], _copy(a)
+    elif lb == 1 or not (b[0] or any(islice(b, lb - 1))):
+        # b = c theta^(lb-1): a shift
+        quo, rem = kscal(ctx, ctx.inv[b[-1]], a[lb - 1:]), trim(a[:lb - 1])
+    elif la <= _DIV_CUTOFF or la - lb <= 2:
+        quo, rem = kdivmod_naive(ctx, a, b)
+    elif (b[-1] == 1 and b[1] == ctx.neg[1] and not (b[0] or any(islice(b, 2, m)))
             and _sums_fit(ctx, la - lb, m - 1)):
         # b = theta^m - theta: quo_j = a_(j+m) + quo_(j+m-1) from the top, a
         # strided suffix sum, and rem_i = a_i + quo_(i-1) for i < m
         quo = _strided_sums(ctx, a[lb - 1:], m - 1, la - m)
-        return quo, kadd(ctx, a[:m], [0] + quo[:m - 1])
-    # schoolbook is cheap on the sparse operands most callers divide; past
-    # about what a packed division costs, Newton takes the rest
-    work = _NAIVE_WORK * (1 if ctx.e == 1 else 2 * ctx.e) * (la - lb + 1)
-    quo, r = kdivmod_naive(ctx, a, b, work)
-    if len(r) < lb:
-        return quo, r
-    rest, rem = _kdivmod_newton(ctx, r, b)
-    return kadd(ctx, quo, rest), rem
+        rem = kadd(ctx, a[:m], [0] + quo[:m - 1])
+    else:
+        # schoolbook is cheap on the sparse operands most callers divide;
+        # past about what a packed division costs, Newton takes the rest
+        work = _NAIVE_WORK * (1 if ctx.e == 1 else 2 * ctx.e) * (la - lb + 1)
+        quo, rem = kdivmod_naive(ctx, a, b, work)
+        if len(rem) >= lb:
+            rest, rem = _kdivmod_newton(ctx, rem, b)
+            quo = kadd(ctx, quo, rest)
+    return _like(a, quo), _like(a, rem)
 
 
 def _kmul_part(ctx, a, b, lo, hi):
@@ -458,12 +489,14 @@ def kmod_binomial(ctx, a, m):
     slots of a at i, i + m - 1, i + 2(m - 1), ...: column sums for e = 1
     and short m, else the packed a[1:] folded onto its first m - 1 slots."""
     if len(a) <= m:
-        return list(a)
+        return _copy(a)
     if ctx.e == 1 and m <= _FOLD_MIN:
-        return trim([a[0]] + [sum(a[i::m - 1]) % ctx.p for i in range(1, m)])
-    if _sums_fit(ctx, len(a), m - 1):
-        return trim([a[0]] + _strided_sums(ctx, a[1:], m - 1, m - 1))
-    return kdivmod_naive(ctx, a, [0, ctx.neg[1]] + [0] * (m - 2) + [1])[1]
+        rem = trim([a[0]] + [sum(a[i::m - 1]) % ctx.p for i in range(1, m)])
+    elif _sums_fit(ctx, len(a), m - 1):
+        rem = trim([a[0]] + _strided_sums(ctx, a[1:], m - 1, m - 1))
+    else:
+        rem = kdivmod_naive(ctx, a, [0, ctx.neg[1]] + [0] * (m - 2) + [1])[1]
+    return _like(a, rem)
 
 
 def _units(ctx, width=_W):
@@ -515,14 +548,15 @@ def kgcd(ctx, a, b):
     """
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
+    first = a
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
-        return [1]
+        return _like(first, [1])
     if b and len(a) - len(b) >= _GCD_UNBALANCED:
         a, b = b, kdivmod(ctx, a, b)[1]
     if not b or ctx.e > 1 or len(a) <= _GCD_CUTOFF:
-        return _kgcd_naive(ctx, a, b)
+        return _like(first, _kgcd_naive(ctx, a, b))
 
     p = ctx.p
     A, da, amax = pack(ctx, a), len(a) - 1, p - 1
@@ -550,7 +584,7 @@ def kgcd(ctx, a, b):
             B &= (1 << ((db + 1) * _W)) - 1
             g = trim(unpack(ctx, B, db + 1))
             lc = g[-1]
-            return g if lc == 1 else kscal(ctx, ctx.inv[lc], g)
+            return _like(first, g if lc == 1 else kscal(ctx, ctx.inv[lc], g))
         if da < db:
             A, da, amax, B, db, bmax = B, db, bmax, A, da, amax
             inv_b = ctx.inv[_slot_elem(ctx, B, db)]

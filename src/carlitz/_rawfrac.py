@@ -1,18 +1,25 @@
 """Unnormalized multivariate fractions for exact identity verification.
 
 A RawTPoly is a dict of t-monomial -> theta-polynomial numerator over one
-shared denominator, with no reduction invariant.  Identity checks build
-both sides in this representation and compare by cross multiplication,
-so no gcd is ever computed: every step is polynomial multiplication,
-which the packed kernel makes cheap even at the large degrees the deeper
-parameter grids reach.  Sums of products accumulate through the kernel's
-fused multiply-add, `kmul(ctx, a, b, c)` = c + a*b, which unpacks once,
-and most denominator ratios (products of theta^(q^j) - theta) are sparse
-operands, which the kernel multiplies as sums of shifted multiples.
+shared denominator, with no reduction invariant, so no gcd is ever
+computed: every step is polynomial multiplication, which the packed
+kernel makes cheap even at the large degrees the deeper parameter grids
+reach.  Sums of products accumulate through the kernel's fused
+multiply-add, `kmul(ctx, a, b, c)` = c + a*b, which unpacks once, and most
+denominator ratios (products of theta^(q^j) - theta) are sparse operands,
+which the kernel multiplies as sums of shifted multiples.
 
-Additions prefer a shared denominator: when one denominator exactly
-divides the other (the common case here, since every denominator is a
-product of ell-sequence factors), the sum keeps the larger one.
+Over a field with byte codecs (q <= 16) the numerators and the
+denominator are trimmed `bytes` (else lists; values given as lists are
+converted), and the kernel returns bytes for bytes, so products and sums
+build no Python list; values leave as lists where they become an APoly.
+
+Each denominator is scaled once: `RawTPoly.sum` adds the terms over one
+denominator first, then brings the distinct ones up smallest first.  When
+one denominator divides the other (the common case, every denominator
+being a product of ell-sequence factors), the other side's numerators
+are multiplied by the sparse quotient; `equals` compares through that
+quotient too, and cross multiplies only when neither divides the other.
 
 Every exact check compares values of this form: the closed-form power
 sums (`powersums.closed_raw`) and the enumeration oracle
@@ -33,20 +40,25 @@ from .poly import APoly, RatK, power
 from .tpoly import TPoly
 
 
+def _stored(kind, c):
+    """Coefficients c trimmed, as a new value of type `kind` (bytes or list)."""
+    return kern.trim(bytes(bytearray(c)) if kind is bytes else list(c))
+
+
 class RawTPoly:
     __slots__ = ("ctx", "s", "num", "den")
 
     def __init__(self, ctx, s, num, den):
         self.ctx = ctx
         self.s = s
+        kind = bytes if kern._codec(ctx) else list
         # numerators are stored trimmed and nonzero, so that equal
         # denominators mean equal numerators (see `equals`)
-        kept = {e: c for e, c in num.items() if c and c[-1]}
+        kept = {e: c for e, c in num.items() if c and c[-1] and type(c) is kind}
         if len(kept) < len(num):
-            kept = {e: t for e, c in num.items()
-                    if (t := c if not c or c[-1] else kern.trim(list(c)))}
+            kept = {e: t for e, c in num.items() if (t := _stored(kind, c))}
         self.num = kept
-        self.den = den
+        self.den = den if type(den) is kind else _stored(kind, den)
 
     @classmethod
     def zero(cls, ctx, s):
@@ -59,36 +71,45 @@ class RawTPoly:
     def is_zero(self):
         return not self.num
 
-    def _scaled_num(self, factor):
-        return {e: kern.kmul(self.ctx, c, factor) for e, c in self.num.items()}
+    @classmethod
+    def sum(cls, terms):
+        """The sum of one or more values of one arity.  Terms over one
+        denominator are added first; then the smaller of the running and
+        the next denominator is brought up: its side times the quotient
+        when it divides the larger, else each side times the other's
+        denominator, over their product."""
+        terms = list(terms)
+        ctx, s = terms[0].ctx, terms[0].s
+        groups = {}
+        for t in terms:
+            if t.s != s:
+                raise ArityMismatch("arities differ")
+            if t.num:
+                key = t.den if type(t.den) is bytes else tuple(t.den)
+                if key not in groups:
+                    groups[key] = (t.den, dict(t.num))
+                    continue
+                out = groups[key][1]
+                for e, c in t.num.items():
+                    cur = out.get(e)
+                    out[e] = c if cur is None else kern.kadd(ctx, cur, c)
+        if not groups:
+            return terms[0]
+        (den, out), *rest = sorted(groups.values(), key=lambda g: len(g[0]))
+        for d, num in rest:
+            if len(den) > len(d):
+                den, out, d, num = d, num, den, out
+            quo, r = kern.kdivmod(ctx, d, den)
+            if r:
+                num = {e: kern.kmul(ctx, c, den) for e, c in num.items()}
+                quo, d = d, kern.kmul(ctx, den, d)
+            for e, c in out.items():
+                num[e] = kern.kmul(ctx, c, quo, num.get(e))
+            den, out = d, num
+        return cls(ctx, s, out, den)
 
     def __add__(self, other):
-        if other.s != self.s:
-            raise ArityMismatch("arities differ")
-        ctx = self.ctx
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        a, b = self, other
-        if a.den == b.den:
-            out = dict(a.num)
-            for e, c in b.num.items():
-                cur = out.get(e)
-                out[e] = list(c) if cur is None else kern.kadd(ctx, cur, c)
-            return RawTPoly(ctx, self.s, out, a.den)
-        if len(a.den) < len(b.den):
-            a, b = b, a
-        q, r = kern.kdivmod(ctx, a.den, b.den)
-        if not r:
-            out = dict(a.num)
-            for e, c in b.num.items():
-                out[e] = kern.kmul(ctx, c, q, out.get(e))
-            return RawTPoly(ctx, self.s, out, a.den)
-        out = a._scaled_num(b.den)
-        for e, c in b.num.items():
-            out[e] = kern.kmul(ctx, c, a.den, out.get(e))
-        return RawTPoly(ctx, self.s, out, kern.kmul(ctx, a.den, b.den))
+        return RawTPoly.sum((self, other))
 
     def __neg__(self):
         return RawTPoly(self.ctx, self.s,
@@ -113,7 +134,8 @@ class RawTPoly:
         """Multiply by a polynomial given as a coefficient list."""
         if not c:
             return RawTPoly.zero(self.ctx, self.s)
-        return RawTPoly(self.ctx, self.s, self._scaled_num(c), self.den)
+        return RawTPoly(self.ctx, self.s, {e: kern.kmul(self.ctx, x, c)
+                                           for e, x in self.num.items()}, self.den)
 
     def __pow__(self, n):
         return power(self, n, RawTPoly.one(self.ctx, self.s))
@@ -134,19 +156,25 @@ class RawTPoly:
         return RawTPoly(ctx, self.s - 1, out, self.den)
 
     def equals(self, other):
-        """Exact equality of the represented fractions, by cross
+        """Exact equality of the represented fractions.  When one
+        denominator divides the other, one side's numerators times the
+        quotient are compared with the other's; else by cross
         multiplication against the two denominators."""
         if other.s != self.s:
             raise ArityMismatch("arities differ")
-        ctx = self.ctx
-        if self.den == other.den:
-            return self.num == other.num
-        for e in set(self.num) | set(other.num):
-            c1 = self.num.get(e, [])
-            c2 = other.num.get(e, [])
-            if kern.kmul(ctx, c1, other.den) != kern.kmul(ctx, c2, self.den):
-                return False
-        return True
+        ctx, a, b = self.ctx, self, other
+        if a.den == b.den:
+            return a.num == b.num
+        if len(a.den) > len(b.den):
+            a, b = b, a
+        quo, r = kern.kdivmod(ctx, b.den, a.den)
+        if not r:
+            return a.num.keys() == b.num.keys() and all(
+                kern.kmul(ctx, c, quo) == b.num[e] for e, c in a.num.items())
+        zero = a.den[:0]
+        return all(kern.kmul(ctx, a.num.get(e, zero), b.den)
+                   == kern.kmul(ctx, b.num.get(e, zero), a.den)
+                   for e in a.num.keys() | b.num.keys())
 
     def to_tpoly(self, factors=None):
         """The same value as a TPoly, every coefficient normalized in K.
@@ -158,14 +186,14 @@ class RawTPoly:
         it is squarefree, so a later copy needs only the gcd with what the
         previous copy cancelled, and none once that is 1.  den / g is
         rebuilt only when something cancelled."""
-        ctx = self.ctx
+        ctx, den_codes = self.ctx, list(self.den)  # the gcds work on lists
         # (f, m) with m = 0 unless f is theta^m - theta
         parts = [(f, len(f) - 1 if len(f) > 2 and f == _binomial(ctx, len(f) - 1)
-                  else 0) for f in factors or (self.den,)]
-        den = APoly._make(ctx, list(self.den))
+                  else 0) for f in factors or (den_codes,)]
+        den = APoly._make(ctx, den_codes)
         terms = {}
         for e, n in self.num.items():
-            g, common = [1], {}
+            n, g, common = list(n), [1], {}
             for f, m in parts:
                 c = common.get(m, f)
                 if len(c) == 1:
@@ -177,7 +205,7 @@ class RawTPoly:
                     n = kern.kexactdiv(ctx, n, gf)
                     g = gf if len(g) == 1 else kern.kmul(ctx, g, gf)
             d = den if len(g) == 1 else APoly._make(
-                ctx, kern.kexactdiv(ctx, self.den, g))
+                ctx, kern.kexactdiv(ctx, den_codes, g))
             terms[e] = RatK(APoly._make(ctx, n), d, _reduced=True)
         return TPoly(ctx, self.s, terms, _clean=True)
 

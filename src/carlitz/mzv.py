@@ -88,10 +88,13 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     result is normalized once, against the binomials theta^(q^j) - theta
     its ell-power denominator splits into, so each gcd is with one short
     binomial instead of the whole product (`_factors`).  raw returns the
-    RawTPoly instead, for a caller that sums before normalizing.
+    RawTPoly instead, for a caller that sums before normalizing.  Needs
+    d >= 0 (InvalidParams otherwise).
     """
     if mode not in ("strict", "star"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParams(f"unknown mode {mode!r}")
+    if d < 0:
+        raise InvalidParams(f"the multiple power sum needs d >= 0, got d={d}")
     if data.depth == 0:
         value = RawTPoly.one(cache.ctx, data.s)
     else:

@@ -216,8 +216,9 @@ class APoly:
     def __eq__(self, other):
         if isinstance(other, int):
             other = APoly.constant(self.ctx, other)
-        return (isinstance(other, APoly) and self.ctx == other.ctx
-                and self.coeffs == other.coeffs)
+        elif not isinstance(other, APoly):
+            return NotImplemented  # a RatK, for one, compares itself
+        return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ctx.q, self.coeffs))

@@ -30,7 +30,7 @@ work over K (the Tate series and the Bernoulli-Goss sums).
 from . import _packed as kern
 from ._rawfrac import RawTPoly
 from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch, DivisionByZero,
-                     InexactDivision, NonMonicInput, UnsupportedCharacter)
+                     InexactDivision, InvalidParams, NonMonicInput, UnsupportedCharacter)
 from .ffield import FqElem
 from .poly import APoly, enumerate_monics, irreducibles_of_degree
 
@@ -347,7 +347,7 @@ def power_sum_closed(cache, d, which):
     normalized by `RawTPoly.to_tpoly`.
     """
     if which not in _CLOSED_NAMES:
-        raise ValueError(f"unknown closed form {which!r}")
+        raise InvalidParams(f"unknown closed form {which!r}")
     n, s = _CLOSED_NAMES[which]
     sigma = SemiChar(cache.ctx, s, varis=range(1, s + 1))
     return closed_raw(cache, d, n, sigma).to_tpoly()
@@ -384,8 +384,12 @@ def chain_weights(cache, n, d):
     expansions of b_d and of the skew power sums.  By suffix sums, in
     n (d + 1) products: from P = 1 at slot d and 0 below, for each e in
     e_1, ..., e_(n-1), 1 in turn set P(i) <- R(i)^e * (sum of P(j), j >= i).
-    Memoized as a tuple under (n, d); each call returns a fresh list."""
+    Memoized as a tuple under (n, d); each call returns a fresh list.  For
+    n = 1 every suffix sum is 1, so the weights are the memoized ratios R(i)
+    themselves."""
     def make():
+        if n == 1:
+            return tuple(cache.ell_ratio(d, i) for i in range(d + 1))
         q = cache.ctx.q
         zero = APoly.zero(cache.ctx)
         weights = [zero] * d + [APoly.one(cache.ctx)]    # its suffix sums are all 1

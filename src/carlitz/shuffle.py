@@ -5,8 +5,8 @@ a family of exact identities between truncated sums, one for each degree:
 both sides are polynomials in t_1, t_2 over K, and equality is exact.
 This module builds both sides of each such identity degree by degree in
 the unnormalized-fraction representation (RawTPoly), where the only
-operations are polynomial multiplication and addition; equality is
-decided by cross multiplication.
+operations are polynomial multiplication and addition; a side with
+several terms is one `RawTPoly.sum`, and `RawTPoly.equals` decides.
 
 The engine fixes arity 2 with the first evaluation character on t_1 and
 the second on t_2; untwisted values are constants in the t-variables.
@@ -75,14 +75,14 @@ def product_weight_one_untwisted(eng, d):
     """F_d(1)^2 = F_d(2) + 2 F_d(1,1)."""
     lhs = eng.F(d, 1, "one") ** 2
     two = eng.Fmulti(d, (("one", 1), ("one", 1)))
-    rhs = eng.F(d, 2, "one") + two + two
+    rhs = RawTPoly.sum((eng.F(d, 2, "one"), two, two))
     return lhs, rhs
 
 
 def product_weight_one_single(eng, d, sig="s"):
     """F_d(1;sigma) F_d(1) = F_d[[sigma,1],[1,1]] + F_d(2;sigma)."""
     lhs = eng.F(d, 1, sig) * eng.F(d, 1, "one")
-    rhs = eng.Fmulti(d, ((sig, 1), ("one", 1))) + eng.F(d, 2, sig)
+    rhs = RawTPoly.sum((eng.Fmulti(d, ((sig, 1), ("one", 1))), eng.F(d, 2, sig)))
     return lhs, rhs
 
 
@@ -97,61 +97,62 @@ def product_weight_one_joint(eng, d):
     """F_d(1) F_d(1;sigma psi) = F_d(2;sigma psi) + F_d[[1,sp]] + F_d[[sp,1]]
     - F_d[[psi,sigma]] - F_d[[sigma,psi]]."""
     lhs = eng.F(d, 1, "one") * eng.F(d, 1, "sp")
-    rhs = (eng.F(d, 2, "sp")
-           + eng.Fmulti(d, (("one", 1), ("sp", 1)))
-           + eng.Fmulti(d, (("sp", 1), ("one", 1)))
-           - eng.Fmulti(d, (("p", 1), ("s", 1)))
-           - eng.Fmulti(d, (("s", 1), ("p", 1))))
+    rhs = RawTPoly.sum((eng.F(d, 2, "sp"),
+                        eng.Fmulti(d, (("one", 1), ("sp", 1))),
+                        eng.Fmulti(d, (("sp", 1), ("one", 1))),
+                        -eng.Fmulti(d, (("p", 1), ("s", 1))),
+                        -eng.Fmulti(d, (("s", 1), ("p", 1)))))
     return lhs, rhs
 
 
 def per_degree_single(eng, d, sig="s"):
     """S_d(1;sigma) S_d(1) = S_d(2;sigma) - S_d[[1,sigma],[1,1]]."""
     lhs = eng.S(d, 1, sig) * eng.S(d, 1, "one")
-    rhs = eng.S(d, 2, sig) - eng.Smulti(d, (("one", 1), (sig, 1)))
+    rhs = RawTPoly.sum((eng.S(d, 2, sig), -eng.Smulti(d, (("one", 1), (sig, 1)))))
     return lhs, rhs
 
 
 def per_degree_split(eng, d):
     """S_d(1;sigma) S_d(1;psi) = S_d(2;sp) - S_d[[p,s]] - S_d[[s,p]]."""
     lhs = eng.S(d, 1, "s") * eng.S(d, 1, "p")
-    rhs = (eng.S(d, 2, "sp") - eng.Smulti(d, (("p", 1), ("s", 1)))
-           - eng.Smulti(d, (("s", 1), ("p", 1))))
+    rhs = RawTPoly.sum((eng.S(d, 2, "sp"), -eng.Smulti(d, (("p", 1), ("s", 1))),
+                        -eng.Smulti(d, (("s", 1), ("p", 1)))))
     return lhs, rhs
 
 
 def per_degree_joint(eng, d):
     """S_d(1) S_d(1;sp) = S_d(2;sp) - S_d[[p,s]] - S_d[[s,p]]."""
     lhs = eng.S(d, 1, "one") * eng.S(d, 1, "sp")
-    rhs = (eng.S(d, 2, "sp") - eng.Smulti(d, (("p", 1), ("s", 1)))
-           - eng.Smulti(d, (("s", 1), ("p", 1))))
+    rhs = RawTPoly.sum((eng.S(d, 2, "sp"), -eng.Smulti(d, (("p", 1), ("s", 1))),
+                        -eng.Smulti(d, (("s", 1), ("p", 1)))))
     return lhs, rhs
 
 
 def depth_two_decomposition(eng, d):
     """S_d(2;sp) = S_d(1;s) S_d(1;p) + S_d[[p,s]] + S_d[[s,p]]."""
     lhs = eng.S(d, 2, "sp")
-    rhs = (eng.alemma_head(d) + eng.Smulti(d, (("p", 1), ("s", 1)))
-           + eng.Smulti(d, (("s", 1), ("p", 1))))
+    rhs = RawTPoly.sum((eng.alemma_head(d), eng.Smulti(d, (("p", 1), ("s", 1))),
+                        eng.Smulti(d, (("s", 1), ("p", 1)))))
     return lhs, rhs
 
 
 def difference_identity(eng, d):
     """F_d(1)F_d(1;sp) - F_d(1;s)F_d(1;p) = F_d[[1,sp]] + F_d[[sp,1]]
     - F_d[[p,s]] - F_d[[s,p]]."""
-    lhs = eng.F(d, 1, "one") * eng.F(d, 1, "sp") - eng.F(d, 1, "s") * eng.F(d, 1, "p")
-    rhs = (eng.Fmulti(d, (("one", 1), ("sp", 1)))
-           + eng.Fmulti(d, (("sp", 1), ("one", 1)))
-           - eng.Fmulti(d, (("p", 1), ("s", 1)))
-           - eng.Fmulti(d, (("s", 1), ("p", 1))))
+    lhs = RawTPoly.sum((eng.F(d, 1, "one") * eng.F(d, 1, "sp"),
+                        -(eng.F(d, 1, "s") * eng.F(d, 1, "p"))))
+    rhs = RawTPoly.sum((eng.Fmulti(d, (("one", 1), ("sp", 1))),
+                        eng.Fmulti(d, (("sp", 1), ("one", 1))),
+                        -eng.Fmulti(d, (("p", 1), ("s", 1))),
+                        -eng.Fmulti(d, (("s", 1), ("p", 1)))))
     return lhs, rhs
 
 
 def degree_character_identity(eng, d):
     """F_d(1;nu) F_d(1) = F_d(2;nu) + F_d[[nu,1]] + F_d[[1,nu]]."""
     lhs = eng.F(d, 1, "nu") * eng.F(d, 1, "one")
-    rhs = (eng.F(d, 2, "nu") + eng.Fmulti(d, (("nu", 1), ("one", 1)))
-           + eng.Fmulti(d, (("one", 1), ("nu", 1))))
+    rhs = RawTPoly.sum((eng.F(d, 2, "nu"), eng.Fmulti(d, (("nu", 1), ("one", 1))),
+                        eng.Fmulti(d, (("one", 1), ("nu", 1)))))
     return lhs, rhs
 
 
@@ -159,9 +160,9 @@ def weight_q_product(eng, d):
     """F_d(1) F_d(q-1) = F_d(q) + F_d(q-1,1) + F_d(1,q-1)."""
     q = eng.ctx.q
     lhs = eng.F(d, 1, "one") * eng.F(d, q - 1, "one")
-    rhs = (eng.F(d, q, "one")
-           + eng.Fmulti(d, (("one", q - 1), ("one", 1)))
-           + eng.Fmulti(d, (("one", 1), ("one", q - 1))))
+    rhs = RawTPoly.sum((eng.F(d, q, "one"),
+                        eng.Fmulti(d, (("one", q - 1), ("one", 1))),
+                        eng.Fmulti(d, (("one", 1), ("one", q - 1)))))
     return lhs, rhs
 
 
@@ -170,5 +171,5 @@ def star_bridge(eng, d):
     q = eng.ctx.q
     cols = (("one", q - 1), ("one", 1))
     lhs = eng.Fmulti(d, cols, mode="star")
-    rhs = eng.Fmulti(d, cols, mode="strict") + eng.F(d, 1, "one") ** q
+    rhs = RawTPoly.sum((eng.Fmulti(d, cols, mode="strict"), eng.F(d, 1, "one") ** q))
     return lhs, rhs

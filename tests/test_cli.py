@@ -188,7 +188,8 @@ def test_budget_surfaced(capsys):
 @pytest.mark.parametrize("argv", [
     ("bg", "--n", "0"), ("bg", "--d", "0"), ("bg-survey", "--d", "0"),
     ("skew", "--d", "-1", "--n", "1"), ("skew", "--d", "1", "--n", "-1"),
-    ("skew", "--d", "1", "--n", "0")], ids=" ".join)
+    ("skew", "--d", "1", "--n", "0"), ("powsum", "--q", "3", "--d", "-1", "--data", "1:1")],
+    ids=" ".join)
 def test_out_of_range_values_are_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

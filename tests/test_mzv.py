@@ -1,7 +1,7 @@
 import pytest
 
 from carlitz._rawfrac import RawTPoly
-from carlitz.errors import ArityMismatch, TailNotVanishing, WeightZero
+from carlitz.errors import ArityMismatch, InvalidParams, TailNotVanishing, WeightZero
 from carlitz.ffield import FieldContext
 from carlitz.mzv import (MatrixData, bernoulli_goss, bg_block_values,
                          bg_congruence_survey, bg_degree_formula,
@@ -20,6 +20,14 @@ def test_matrix_data_structure(ctx3):
     assert empty.weight == 0 and empty.depth == 0
     with pytest.raises(WeightZero):
         MatrixData(ctx3, [(chi, 0)])
+
+
+def test_multi_power_sum_rejects_an_unknown_mode_and_a_negative_degree(cache3):
+    md = MatrixData(cache3.ctx, [(SemiChar.trivial(cache3.ctx, 0), 1)])
+    with pytest.raises(InvalidParams, match="unknown mode 'weak'"):
+        multi_power_sum(cache3, 1, md, mode="weak")
+    with pytest.raises(InvalidParams, match="d >= 0"):
+        multi_power_sum(cache3, -1, md)
 
 
 def test_matrix_data_arity_too_small(ctx3):

@@ -48,6 +48,10 @@ KERNEL_MUTATIONS = [
     ("fused addend without its top coefficient", "kmul",
      "pack(ctx, c, width)", "pack(ctx, c[:-1], width)",
      prop.test_fused_multiply_add, (4,)),
+    # the list path is untouched: only a kmul of bytes shifts one slot too far
+    ("bytes monomial product shifted by one slot", "kmul",
+     "bytes(i) if to_bytes", "bytes(i + 1) if to_bytes",
+     prop.test_bytes_operands_on_every_product_path, (3,)),
 ]
 
 

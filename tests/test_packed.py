@@ -277,9 +277,9 @@ def spy_widths(monkeypatch):
     """Record the sub-slot width of every unpack call."""
     widths, real = [], kern.unpack
 
-    def unpack(ctx, value, nslots, width=kern._W):
+    def unpack(ctx, value, nslots, width=kern._W, *rest):
         widths.append(width)
-        return real(ctx, value, nslots, width)
+        return real(ctx, value, nslots, width, *rest)
     monkeypatch.setattr(kern, "unpack", unpack)
     return widths
 
@@ -573,3 +573,86 @@ def test_slot_bound_falls_back_to_schoolbook():
 def test_inexact_division_raises_on_every_path():
     check_in_process_and_optimized(
         "[(q, path) for q in (3, 4, 25) for path in inexact_misses(FIELDS[q])]")
+
+
+# -- bytes operands (the form RawTPoly keeps over fields with byte codecs) ---
+
+def byte_field_polys(q, max_len=100):
+    """Trimmed coefficient lists of any length up to max_len, dense or with
+    at most four nonzero terms."""
+    dense = st.integers(0, max_len).flatmap(
+        lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    sparse = st.integers(1, max_len).flatmap(lambda n: st.dictionaries(
+        st.integers(0, n - 1), st.integers(1, q - 1), max_size=kern._SPARSE).map(
+        lambda terms: [terms.get(i, 0) for i in range(n)]))
+    return st.one_of(dense, sparse).map(lambda xs: kern.trim(list(xs)))
+
+
+def check_result_type_rule(op, operands):
+    """op over bytes operands gives the codes it gives over lists, as bytes;
+    with mixed operands, the type of the first one."""
+    want = op(*operands)
+    as_bytes = [bytes(x) for x in operands]
+    for args in (as_bytes, as_bytes[:1] + operands[1:], operands[:1] + as_bytes[1:]):
+        got = op(*args)
+        kind = type(args[0])
+        for g, w in zip(got, want) if type(want) is tuple else ((got, want),):
+            assert type(w) is list and type(g) is kind and list(g) == w, kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BYTE_FIELDS), st.data())
+def test_bytes_operands_give_the_list_codes(q, data):
+    ctx = field(q)
+    a, b, c = (data.draw(byte_field_polys(q), label=x) for x in "abc")
+    b, g = b or [1], c or [1]  # b a divisor, g a common factor
+    s = data.draw(st.integers(0, q - 1), label="s")
+    m = data.draw(st.sampled_from([2, 3, q, 17, q * q]), label="m")
+    ops = [(lambda x, y: kern.kmul(ctx, x, y), (a, b)),
+           (lambda x, y, z: kern.kmul(ctx, x, y, z), (a, b, c)),
+           (lambda x, y: kern.kadd(ctx, x, y), (a, c)),
+           (lambda x: kern.kneg(ctx, x), (a,)),
+           (lambda x: kern.kscal(ctx, s, x), (a,)),
+           (lambda x, y: kern.kdivmod(ctx, x, y), (a, b)),
+           (lambda x, y: kern.kdivmod(ctx, x, y), (c, binomial(ctx, m))),
+           (lambda x, y: kern.kexactdiv(ctx, x, y), (ref.nmul(ctx, a, b), b)),
+           (lambda x, y: kern.kgcd(ctx, x, y), (ref.nmul(ctx, a, g), ref.nmul(ctx, b, g))),
+           (lambda x: kern.kmod_binomial(ctx, x, m), (a,))]
+    for op, operands in ops:
+        check_result_type_rule(op, list(operands))
+    padded = a + [0] * data.draw(st.integers(0, 40), label="zeros")
+    assert kern.trim(bytes(padded)) == bytes(a)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16])
+def test_bytes_operands_on_every_product_path(q, monkeypatch):
+    # kmul's schoolbook, monomial, sparse and dense paths, each with no
+    # addend, a short one and a long one, against the same lists
+    ctx = field(q)
+    rng = random.Random(q + 6)
+    naive, real = [], kern.kmul_naive
+    monkeypatch.setattr(kern, "kmul_naive", lambda *args: naive.append(1) or real(*args))
+    shapes = {"dense": (random_poly(rng, q, 60), random_poly(rng, q, 80)),
+              "sparse": (sparse_poly(rng, q, 200, 3), random_poly(rng, q, 50)),
+              "monomial": (random_poly(rng, q, 50), sparse_poly(rng, q, 10, 1)),
+              "schoolbook": (random_poly(rng, q, 10), random_poly(rng, q, 12))}
+    for path, (a, b) in shapes.items():
+        del naive[:]
+        for c in (None, random_poly(rng, q, 7), random_poly(rng, q, 300)):
+            want = ref.nmul(ctx, a, b) if c is None else ref.nadd(ctx, c, ref.nmul(ctx, a, b))
+            got = kern.kmul(ctx, bytes(a), bytes(b), c and bytes(c))
+            assert type(got) is bytes and list(got) == want, path
+        assert bool(naive) == (path == "schoolbook"), path
+        assert list(kern.kadd(ctx, bytes(a), bytes(b))) == ref.nadd(ctx, a, b), path
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 27])
+def test_spread_matches_the_loop(m):
+    rng = random.Random(m)
+    for a in ([], [1], [0, 2], random_poly(rng, 3, 40, 0.5), random_poly(rng, 3, 7)):
+        expected = [0] * ((len(a) - 1) * m + 1) if a else []
+        for i, c in enumerate(a):
+            if c:
+                expected[i * m] = c
+        got = kern.kspread(a, m)
+        assert got == expected and got is not a

@@ -226,6 +226,13 @@ def test_ratk_normalization_idempotent(ctx3):
         assert y.num == x.num and y.den == x.den
 
 
+def test_apoly_and_ratk_compare_equal_both_ways(ctx3):
+    th = APoly.theta(ctx3)
+    assert th == RatK.from_apoly(th) and RatK.from_apoly(th) == th
+    assert th != RatK(th, th + 1) and RatK(th, th + 1) != th
+    assert th != "theta" and th == th and th == APoly(ctx3, [0, 1])
+
+
 def test_ratk_pow_and_inverse(ctx3):
     th = APoly.theta(ctx3)
     x = RatK(th + 1, th ** 2 + 1)

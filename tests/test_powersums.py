@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from carlitz import _packed as kern
 from carlitz._rawfrac import RawTPoly
 from carlitz.errors import (ArityMismatch, BudgetExceeded, DivisionByZero,
-                            InexactDivision, NonMonicInput, UnsupportedCharacter)
+                            InexactDivision, InvalidParams, NonMonicInput,
+                            UnsupportedCharacter)
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, enumerate_monics
 from carlitz.powersums import (SemiChar, SeqCache, b_combination, chain_weights,
@@ -152,7 +153,7 @@ def test_bruteforce_sums_over_ell_powers(q):
     for d in range(3):
         for k in (1, 2, q):
             got = power_sum_bruteforce(cache, d, k, chi)
-            assert got.den == list(cache.ell_pow(d, k).coeffs), (d, k)
+            assert list(got.den) == list(cache.ell_pow(d, k).coeffs), (d, k)
             closed = closed_raw(cache, d, k, chi)
             assert closed.den == got.den and closed.num == got.num, (d, k)
 
@@ -313,6 +314,21 @@ def test_chain_weights_are_computed_once(monkeypatch):
     again[0], again[-1:] = APoly.zero(cache.ctx), []
     assert chain_weights(cache, 2, 4) == first
     assert calls == []
+
+
+def test_order_one_weights_are_the_memoized_ell_ratios():
+    # for n = 1 every suffix sum is 1: no new polynomial is built
+    cache = SeqCache(FieldContext(3))
+    for d in range(5):
+        weights = chain_weights(cache, 1, d)
+        assert all(w is cache.ell_ratio(d, i) for i, w in enumerate(weights[:-1])), d
+        assert weights[-1] == APoly.one(cache.ctx)
+        assert weights == ref.chain_weights_naive(cache, 1, d), d
+
+
+def test_unknown_closed_form_is_invalid_params(cache3):
+    with pytest.raises(InvalidParams, match="unknown closed form 'g1'"):
+        power_sum_closed(cache3, 1, "g1")
 
 
 @pytest.mark.parametrize("q", [3, 4])

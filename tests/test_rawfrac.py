@@ -1,5 +1,7 @@
 """RawTPoly normalization split over the binomial factors of an ell-power
-denominator, against plain RatK normalization of every coefficient."""
+denominator, against plain RatK normalization of every coefficient; sums
+grouped by denominator and equality through the quotient of the two
+denominators, against normalized TPoly arithmetic."""
 
 import random
 from functools import reduce
@@ -8,6 +10,7 @@ import pytest
 
 from carlitz import _packed as kern
 from carlitz._rawfrac import RawTPoly, binomial_factors
+from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, irreducibles_of_degree
 from carlitz.powersums import SeqCache
@@ -66,3 +69,68 @@ def test_binomial_factors_of_other_denominators(ctx3):
     # any factor list multiplying to den: (theta + 1)(theta + 2) over itself
     raw = RawTPoly(ctx3, 0, {(): [2, 0, 1]}, [2, 0, 1])
     assert raw.to_tpoly([[1, 1], [2, 1]]) == raw.to_tpoly() == RawTPoly.one(ctx3, 0).to_tpoly()
+
+
+def irreducible(ctx, d):
+    """A monic irreducible of degree d: prime to ell(i) for every i < d."""
+    return list(irreducibles_of_degree(ctx, d)[0].coeffs)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 25])
+def test_sum_matches_the_left_to_right_sum(q):
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    rng = random.Random(q + 7)
+    top = 2 if q <= 5 else 1
+    # ell powers (each dividing some other), repeated, and one prime to all
+    dens = [list((cache.ell(i) ** k).coeffs) for i in range(top + 1) for k in (1, 2)]
+    dens.append(irreducible(ctx, top + 1))
+    terms = []
+    for _ in range(10):
+        num = {(rng.randint(0, 2), rng.randint(0, 1)): random_poly(ctx, rng, rng.randint(1, 30))
+               for _ in range(rng.randint(1, 3))}
+        terms.append(RawTPoly(ctx, 2, num, rng.choice(dens)))
+    terms += [-terms[0], terms[1], RawTPoly.zero(ctx, 2)]
+    rng.shuffle(terms)
+    total = RawTPoly.sum(terms)
+    left = reduce(lambda x, y: x + y, terms)
+    assert total.equals(left) and left.equals(total)
+    assert total.to_tpoly() == reduce(lambda x, y: x + y, [t.to_tpoly() for t in terms])
+    assert RawTPoly.sum([terms[0]]).equals(terms[0])
+    assert RawTPoly.sum([terms[2], -terms[2]]).is_zero()
+    assert RawTPoly.sum([RawTPoly.zero(ctx, 2)] * 2).is_zero()
+    with pytest.raises(ArityMismatch):
+        RawTPoly.sum([terms[0], RawTPoly.one(ctx, 1)])
+
+
+def bumped(ctx, raw, e, k):
+    """raw with coefficient k of the numerator at t-exponent e plus one."""
+    num = {x: list(c) for x, c in raw.num.items()}
+    c = num[e] + [0] * (k + 1 - len(num[e]))
+    c[k] = ctx.add[c[k]][1]
+    num[e] = c
+    return RawTPoly(ctx, raw.s, num, raw.den)
+
+
+@pytest.mark.parametrize("q", [3, 4, 25])
+def test_equals_sees_one_changed_coefficient(q):
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    rng = random.Random(q + 8)
+    ell = list(cache.ell(1).coeffs)
+    g1, g2 = (list(p.coeffs) for p in irreducibles_of_degree(ctx, 2)[:2])
+    num = {(0,): random_poly(ctx, rng, 20), (2,): random_poly(ctx, rng, 9)}
+    value = RawTPoly(ctx, 1, num, ell)
+
+    def over(f):  # value with numerators and denominator times f
+        return RawTPoly(ctx, 1, {e: kern.kmul(ctx, c, f) for e, c in num.items()},
+                        kern.kmul(ctx, ell, f))
+    # ell divides ell g1; neither of ell g1, ell g2 divides the other
+    for x, y in ((value, over(g1)), (over(g2), over(g1))):
+        assert x.equals(y) and y.equals(x)
+        for e in num:
+            for k in (0, 3, len(y.num[e]) - 1, len(y.num[e]) + 2):
+                for a, b in ((x, bumped(ctx, y, e, k)), (bumped(ctx, x, e, k), y)):
+                    assert not a.equals(b) and not b.equals(a), (e, k)
+        extra = RawTPoly(ctx, 1, {(5,): [1]}, [1])
+        assert not (x + extra).equals(y) and not y.equals(x + extra)

@@ -84,16 +84,16 @@ def test_rawfrac_add_mul_against_ratk(ctx3):
 
 def ratk_matches(num, den, x):
     ctx = x.ctx
-    return kern.kmul(ctx, num, list(x.den.coeffs)) == \
-        kern.kmul(ctx, list(x.num.coeffs), den)
+    return list(kern.kmul(ctx, num, list(x.den.coeffs))) == \
+        list(kern.kmul(ctx, list(x.num.coeffs), den))
 
 
 def test_rawfrac_divisible_denominator_add(ctx3):
     a = RawTPoly(ctx3, 1, {(0,): [1]}, [0, 0, 1])   # 1/θ²
     b = RawTPoly(ctx3, 1, {(0,): [1]}, [0, 1])      # 1/θ
     s = a + b
-    assert s.den == [0, 0, 1]
-    assert s.num[(0,)] == [1, 1]
+    assert list(s.den) == [0, 0, 1]
+    assert list(s.num[(0,)]) == [1, 1]
 
 
 def test_rawfrac_substitute_one(ctx3):
@@ -104,7 +104,7 @@ def test_rawfrac_substitute_one(ctx3):
     assert not s.num
     b = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [1]}, [1])
     s2 = b.substitute(1, [1])
-    assert s2.num == {(1,): [2]}
+    assert {e: list(c) for e, c in s2.num.items()} == {(1,): [2]}
 
 
 def test_rawfrac_untrimmed_numerators(ctx3):

@@ -93,7 +93,7 @@ def test_frak_S_closed_vs_bruteforce(q):
     chi = SemiChar.chi(cache.ctx, 1, 1)
     for (d, n) in ((0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
         brute = frak_S_bruteforce(cache, d, n)
-        assert brute.den == list(cache.ell_pow(d, q ** n).coeffs), (d, n)
+        assert list(brute.den) == list(cache.ell_pow(d, q ** n).coeffs), (d, n)
         assert brute.num == closed_raw(cache, d, q ** n, chi).num, (d, n)
         frak_S(cache, d, n)  # must not raise
 

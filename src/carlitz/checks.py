@@ -1,17 +1,21 @@
 """The verification registry: one executable check per named identity.
 
 Each check has a stable id, a kind (exact-per-degree, exact-finite, or
-valuation-threshold), and a runner that sweeps its parameter grid and
-produces a CheckReport.  Failures never abort a suite run; every check
-reports pass/fail/skipped with a witness string, and valuation-threshold
+valuation-threshold), and a grid: grid(q, params) yields the check's
+points at one q as (monics, case, coords), where monics is the number of
+monics the point enumerates (0 if none), coords its ordered coordinates
+such as {"n": 1, "d": 3}, and case(ctx, cache, engine, **coords) yields,
+per case, None if it held or a failure text (or a valuation outcome).
+
+One driver, `_walk`, alone loops over the run's q list and holds monics
+against the budget.  It labels each point once (`q=3 n=1 d=3`), runs its
+case on that q's shared store, and names in an over-budget tail each
+point whose monics exceed the budget or whose case raised BudgetExceeded
+(a series finds its depth only while it is summed).  Failures never abort
+a suite run: every check reports pass/fail/skipped with a witness string,
+each failure prefixed with its point's label, and valuation-threshold
 checks also record the achieved valuation of the difference.  A check
 whose grid holds no case at the given parameters is skipped, not passed.
-
-An exact check is a generator over its grid, registered by `_grid_check`:
-for each case it yields None if the case held or its failure message, and
-for each grid point it leaves out because the enumeration would exceed
-the budget, an `_Over` label naming the point.  That driver alone counts
-the cases and turns them into a status and a witness.
 
 Reports are deterministic: two runs with the same parameters produce the
 same records up to the timing field.
@@ -24,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import shuffle, tate
+from ._rawfrac import RawTPoly
 from .errors import BudgetExceeded, CarlitzError, InvalidParams, UnknownCheck
 from .ffield import FieldContext
 from .mzv import (bernoulli_goss, bg_block_values, bg_congruence_survey,
@@ -100,35 +105,54 @@ REGISTRY = {}
 _NO_CASE = "no case ran at these parameters"
 
 
-class _Over(str):
-    """A grid point left out because its enumeration exceeds the budget."""
+def _walk(pool, params, grid, over):
+    """The one walk over a check's points: at each q of the run, label each
+    point of grid(q, params) once and run its case on the q's store,
+    yielding (label, result) per result.  The label of a point whose monics
+    exceed the budget, or whose case raises BudgetExceeded, goes to over."""
+    for q in params["qs"]:
+        for monics, case, coords in grid(q, params):
+            label = " ".join([f"q={q}"] + [f"{k}={v}" for k, v in coords.items()])
+            if monics > pool.budget:
+                over.append(label)
+                continue
+            try:
+                for result in case(*pool.get(q), **coords):
+                    yield label, result
+            except BudgetExceeded:
+                over.append(label)
+
+
+def _tail(over):
+    return f"; over budget: {', '.join(over)}" if over else ""
 
 
 def _grid_check(id, kind, description, extra=""):
-    """Register a grid generator as a check.  Per case the generator yields
-    None if the case held or its failure message; per grid point left out
-    over budget, an _Over label.  The first four failures make a failing
-    witness, no case at all a skip, and the over-budget labels a tail."""
-    def deco(gen):
+    """Register a grid as an exact check.  Each result of a case is one
+    case: None if it held, else a failure text, which the witness prefixes
+    with the point's label.  The first four failures make a failing
+    witness, no case at all a skip, and the points over budget a tail."""
+    def deco(grid):
         def run(pool, params):
             failures, over, cases = [], [], 0
-            for item in gen(pool, params):
-                if isinstance(item, _Over):
-                    over.append(item)
-                    continue
+            for label, failure in _walk(pool, params, grid, over):
                 cases += 1
-                if item is not None:
-                    failures.append(item)
-            tail = f"; over budget: {', '.join(over)}" if over else ""
+                if failure is not None:
+                    failures.append(f"{label}: {failure}")
             if failures:
-                return "fail", "; ".join(failures[:4]) + tail, None
+                return "fail", "; ".join(failures[:4]) + _tail(over), None
             if not cases:
-                return "skipped", _NO_CASE + tail, None
+                return "skipped", _NO_CASE + _tail(over), None
             note = f"; {extra}" if extra else ""
-            return "pass", f"{cases} cases exact{note}{tail}", None
+            return "pass", f"{cases} cases exact{note}{_tail(over)}", None
         REGISTRY[id] = CheckSpec(id, kind, description, run)
-        return gen
+        return grid
     return deco
+
+
+def _each_degree(case):
+    """The grid of a case that enumerates nothing, at d = 0 .. d_max."""
+    return lambda q, params: ((0, case, {"d": d}) for d in range(params["d_max"] + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -140,43 +164,30 @@ _CLOSED_SPECS = {
     "eq-f2": ("f2", 2, (1,)), "eq-f3": ("f3", 2, (1, 2)),
 }
 
-def _closed_cases(order, varis):
-    def cases(pool, params):
-        for q in params["qs"]:
-            ctx, cache, _ = pool.get(q)
-            sigma = SemiChar(ctx, len(varis), varis=varis)
-            for d in range(min(params["d_max"], 4) + 1):
-                if q ** d > pool.budget:
-                    yield _Over(f"q={q} d={d}")
-                    continue
-                closed = closed_raw(cache, d, order, sigma)
-                brute = power_sum_bruteforce(cache, d, order, sigma)
-                yield None if closed.equals(brute) else (
-                    f"q={q} d={d}: closed {closed!r} != enumerated {brute!r}")
-    return cases
+def _closed_grid(order, varis):
+    def case(ctx, cache, _, d):
+        sigma = SemiChar(ctx, len(varis), varis=varis)
+        closed = closed_raw(cache, d, order, sigma)
+        brute = power_sum_bruteforce(cache, d, order, sigma)
+        yield None if closed.equals(brute) else f"closed {closed!r} != enumerated {brute!r}"
+    return lambda q, params: ((q ** d, case, {"d": d})
+                              for d in range(min(params["d_max"], 4) + 1))
 
 for _cid, _spec in _CLOSED_SPECS.items():
     _grid_check(_cid, "exact-finite",
-                f"closed form {_spec[0]} equals enumeration")(_closed_cases(*_spec[1:]))
+                f"closed form {_spec[0]} equals enumeration")(_closed_grid(*_spec[1:]))
 
 
-@_grid_check("eq-Fdq", "exact-finite",
-             "q-variable weight-one partial sum equals its enumerated form")
-def _check_fdq(pool, params):
-    for q in params["qs"]:
-        ctx, cache, _ = pool.get(q)
-        sigma = SemiChar(ctx, q, varis=tuple(range(1, q + 1)))
-        for d in range(min(params["d_max"], 3) + 1):
-            if q ** d > pool.budget:
-                yield _Over(f"q={q} d={d}")
-                continue
-            closed = partial_F_one_q(cache, d)
-            acc = None
-            for k in range(d + 1):
-                term = power_sum_bruteforce(cache, k, 1, sigma)
-                acc = term if acc is None else acc + term
-            yield None if closed.equals(acc) else (
-                f"q={q} d={d}: product form != enumerated sum")
+def _fdq_case(ctx, cache, _, d):
+    sigma = SemiChar(ctx, ctx.q, varis=tuple(range(1, ctx.q + 1)))
+    enumerated = RawTPoly.sum(power_sum_bruteforce(cache, k, 1, sigma) for k in range(d + 1))
+    yield None if partial_F_one_q(cache, d).equals(enumerated) else (
+        "product form != enumerated sum")
+
+_grid_check("eq-Fdq", "exact-finite",
+            "q-variable weight-one partial sum equals its enumerated form")(
+    lambda q, params: ((q ** d, _fdq_case, {"d": d})
+                       for d in range(min(params["d_max"], 3) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,145 +222,129 @@ _PER_DEGREE = {
                     "F*(q-1,1) = F(q-1,1) + F(1)^q"),
 }
 
-def _per_degree_cases(fn):
-    def cases(pool, params):
-        for q in params["qs"]:
-            _, _, eng = pool.get(q)
-            for d in range(params["d_max"] + 1):
-                lhs, rhs = fn(eng, d)
-                yield None if lhs.equals(rhs) else f"q={q} d={d}: sides differ"
-    return cases
+def _sides_case(fn):
+    def case(ctx, cache, eng, d):
+        lhs, rhs = fn(eng, d)
+        yield None if lhs.equals(rhs) else "sides differ"
+    return case
 
 for _cid, (_fn, _desc) in _PER_DEGREE.items():
-    _grid_check(_cid, "exact-per-degree", _desc)(_per_degree_cases(_fn))
+    _grid_check(_cid, "exact-per-degree", _desc)(_each_degree(_sides_case(_fn)))
 
 
-@_grid_check("remark-nu", "exact-per-degree",
-             "degree-character shuffle and its t := 1 specialization")
-def _check_nu(pool, params):
-    for q in params["qs"]:
-        _, _, eng = pool.get(q)
-        for d in range(params["d_max"] + 1):
-            lhs, rhs = shuffle.degree_character_identity(eng, d)
-            if not lhs.equals(rhs):
-                yield f"q={q} d={d}: identity fails"
-                continue
-            l1, r1 = shuffle.product_weight_one_untwisted(eng, d)
-            if (lhs.substitute(1, [1]).equals(l1.substitute(1, [1]))
-                    and rhs.substitute(1, [1]).equals(r1.substitute(1, [1]))):
-                yield None
-            else:
-                yield (f"q={q} d={d}: t := 1 does not reproduce the "
-                       "untwisted square identity")
+def _nu_case(ctx, cache, eng, d):
+    lhs, rhs = shuffle.degree_character_identity(eng, d)
+    if not lhs.equals(rhs):
+        yield "identity fails"
+        return
+    l1, r1 = shuffle.product_weight_one_untwisted(eng, d)
+    ok = (lhs.substitute(1, [1]).equals(l1.substitute(1, [1]))
+          and rhs.substitute(1, [1]).equals(r1.substitute(1, [1])))
+    yield None if ok else "t := 1 does not reproduce the untwisted square identity"
+
+_grid_check("remark-nu", "exact-per-degree",
+            "degree-character shuffle and its t := 1 specialization")(_each_degree(_nu_case))
 
 
 # ---------------------------------------------------------------------------
 # Frobenius expansions and the skew ring
 # ---------------------------------------------------------------------------
 
-@_grid_check("lemma-tau-b", "exact-finite",
-             "Frobenius of b_d expands over the ell-weighted b-basis")
-def _check_tau_b(pool, params):
-    for q in params["qs"]:
-        _, cache, _ = pool.get(q)
-        top = 8 if q == 3 else min(params["d_max"], 4)
-        for d in range(top + 1):
-            lhs, rhs = tau_b_expand(cache, 1, d)
-            yield None if lhs.equals(rhs) else f"q={q} d={d}: expansion differs"
+def _tau_b_case(ctx, cache, _, d):
+    lhs, rhs = tau_b_expand(cache, 1, d)
+    yield None if lhs.equals(rhs) else "expansion differs"
+
+_grid_check("lemma-tau-b", "exact-finite",
+            "Frobenius of b_d expands over the ell-weighted b-basis")(
+    lambda q, params: ((0, _tau_b_case, {"d": d})
+                       for d in range((8 if q == 3 else min(params["d_max"], 4)) + 1)))
+
+
+def _chain_case(ctx, cache, _, n, d):
+    lhs, rhs = tau_b_expand(cache, n, d)
+    yield None if lhs.equals(rhs) else "chain expansion differs"
+
+
+def _chain_power_sum_case(ctx, cache, _, n, d):
+    chi = SemiChar.chi(ctx, 1, 1)
+    closed = closed_raw(cache, d, ctx.q ** n, chi)
+    brute = power_sum_bruteforce(cache, d, ctx.q ** n, chi)
+    yield None if closed.equals(brute) else "closed power sum != enumeration"
 
 
 @_grid_check("prop4", "exact-finite",
              "iterated Frobenius expansion and the q^n-order closed form")
-def _check_prop4(pool, params):
-    for q in params["qs"]:
-        ctx, cache, _ = pool.get(q)
-        n_top = 3 if q == 3 else 2
-        d_top = min(params["d_max"], 5) if q == 3 else min(params["d_max"], 3)
-        for n in range(1, n_top + 1):
-            for d in range(d_top + 1):
-                lhs, rhs = tau_b_expand(cache, n, d)
-                yield None if lhs.equals(rhs) else (
-                    f"q={q} n={n} d={d}: chain expansion differs")
-        # the derived power-sum form, pinned against enumeration
-        chi = SemiChar.chi(ctx, 1, 1)
-        for n in range(1, 3):
-            for d in range(min(params["d_max"], 4 if q == 3 else 3) + 1):
-                if q ** d > pool.budget:
-                    yield _Over(f"q={q} n={n} d={d}")
-                    continue
-                closed = closed_raw(cache, d, q ** n, chi)
-                brute = power_sum_bruteforce(cache, d, q ** n, chi)
-                yield None if closed.equals(brute) else (
-                    f"q={q} n={n} d={d}: closed power sum != enumeration")
+def _prop4_grid(q, params):
+    n_top, d_top = (3, 5) if q == 3 else (2, 3)
+    for n in range(1, n_top + 1):
+        for d in range(min(params["d_max"], d_top) + 1):
+            yield 0, _chain_case, {"n": n, "d": d}
+    # the derived power-sum form, pinned against enumeration
+    for n in range(1, 3):
+        for d in range(min(params["d_max"], 4 if q == 3 else 3) + 1):
+            yield q ** d, _chain_power_sum_case, {"n": n, "d": d}
+
+
+def _noncommide_case(ctx, cache, _, n, d):
+    try:
+        frak_S(cache, d, n)
+    except CarlitzError as exc:
+        yield str(exc)
+    else:
+        yield None
 
 
 @_grid_check("cor-noncommide", "exact-finite",
              "twisted power sums in the skew ring: chain form vs enumeration",
              "degree zero excluded by design")
-def _check_noncommide(pool, params):
-    for q in params["qs"]:
-        if q > 4:
-            continue  # enumeration cost grows as q^(d q^n); covered by q=3,4
-        _, cache, _ = pool.get(q)
-        d_top = min(params["d_max"], 4) if q == 3 else min(params["d_max"], 3)
-        for n in (1, 2):
-            for d in range(1, d_top + 1):
-                if q ** d > pool.budget:
-                    yield _Over(f"q={q} n={n} d={d}")
-                    continue
-                try:
-                    frak_S(cache, d, n)
-                except CarlitzError as exc:
-                    yield f"q={q} n={n} d={d}: {exc}"
-                else:
-                    yield None
+def _noncommide_grid(q, params):
+    if q > 4:
+        return  # enumeration cost grows as q^(d q^n); covered by q=3,4
+    for n in (1, 2):
+        for d in range(1, min(params["d_max"], 4 if q == 3 else 3) + 1):
+            yield q ** d, _noncommide_case, {"n": n, "d": d}
 
+
+def _star_chain_case(ctx, cache, _, d):
+    rep = star_chain_check(cache, d)
+    bad = [k for k in ("skew_equals_star", "star_equals_strict_plus_power",
+                       "star_equals_product_minus_swap") if not rep[k]]
+    yield f"broken links {bad}" if bad else None
 
 @_grid_check("star-chain", "exact-finite",
              "skew evaluation sums equal the star and strict truncations")
-def _check_star_chain(pool, params):
-    for q in params["qs"]:
-        if q > 4:
-            continue
-        _, cache, _ = pool.get(q)
-        for d in range(1, params["d_max"] + 1):
-            if q ** (d - 1) > pool.budget:  # frak_S(k) enumerates k < d
-                yield _Over(f"q={q} d={d}")
-                continue
-            rep = star_chain_check(cache, d)
-            bad = [k for k in ("skew_equals_star", "star_equals_strict_plus_power",
-                               "star_equals_product_minus_swap") if not rep[k]]
-            yield f"q={q} d={d}: broken links {bad}" if bad else None
+def _star_chain_grid(q, params):
+    if q > 4:
+        return
+    for d in range(1, params["d_max"] + 1):
+        yield q ** (d - 1), _star_chain_case, {"d": d}  # frak_S(k) enumerates k < d
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli-Goss checks
 # ---------------------------------------------------------------------------
 
-def _bg_grid(pool, params, case, tops=None):
-    """Yield from case(cache, q, d) at each point of the Bernoulli-Goss
-    grid, or an _Over label where the enumeration exceeds the budget:
-    BG_(q^d - 2) sums degrees < d and checks d, d + 1 (q^(d+1) monics)."""
-    for q in params["qs"]:
-        top = (tops or {3: min(params["d_max"], 4), 4: 3, 5: 2}).get(q, 2)
-        for d in range(1, top + 1):
-            if q ** (d + 1) > pool.budget:
-                yield _Over(f"q={q} d={d}")
-            else:
-                yield from case(pool.get(q)[1], q, d)
+def _bg_grid(case, tops=lambda d_max: {3: min(d_max, 4), 4: 3, 5: 2}):
+    """The grid of case over the Bernoulli-Goss degrees d = 1 .. tops(d_max)
+    at q (2 for a q not listed): BG_(q^d - 2) sums degrees < d and checks
+    d, d + 1 (q^(d+1) monics)."""
+    def grid(q, params):
+        top = tops(params["d_max"]).get(q, 2)
+        return ((q ** (d + 1), case, {"d": d}) for d in range(1, top + 1))
+    return grid
 
 
-def _formula_bg_case(cache, q, d):
-    bg = bernoulli_goss(cache, q ** d - 2)
+def _formula_bg_case(ctx, cache, _, d):
+    bg = bernoulli_goss(cache, ctx.q ** d - 2)
     rhs = bg_formula_rhs(cache, d)
-    yield None if bg.value == rhs else f"q={q} d={d}: {bg.value!r} != {rhs!r}"
+    yield None if bg.value == rhs else f"{bg.value!r} != {rhs!r}"
 
 
-def _exactdegree_case(cache, q, d):
-    pred = bg_degree_formula(q, d)
-    bg = bernoulli_goss(cache, q ** d - 2)
+def _exactdegree_case(ctx, cache, _, d):
+    pred = bg_degree_formula(ctx.q, d)
+    bg = bernoulli_goss(cache, ctx.q ** d - 2)
     if bg.value.degree != pred.degree:
-        yield f"q={q} d={d}: deg {bg.value.degree} != {pred.degree}"
+        yield f"deg {bg.value.degree} != {pred.degree}"
         return
     ok = True
     if d >= 2:
@@ -358,51 +353,51 @@ def _exactdegree_case(cache, q, d):
               and -merged.valuation == pred.merged_degree
               and pred.dominant_degree > pred.merged_degree
               and (d < 3 or -tail.valuation == pred.tail_degree))
-    yield None if ok else f"q={q} d={d}: block degrees off"
+    yield None if ok else "block degrees off"
 
 
-def _taod_case(cache, q, d):
+def _taod_case(ctx, cache, _, d):
     sv = bg_congruence_survey(cache, d)
     bad = [r for r in sv.rows if not r.congruent]
     if bad:
-        yield f"q={q} d={d}: fails at P = {bad[0].modulus!r}"
+        yield f"fails at P = {bad[0].modulus!r}"
     else:
         yield from (None for _ in sv.rows)
 
 
-def _zero_count_case(cache, q, d):
+def _zero_count_case(ctx, cache, _, d):
     sv = bg_congruence_survey(cache, d)
     ok = sv.bound_holds and sv.count_matches_necklace and sv.divisor_consistent
-    yield None if ok else (f"q={q} d={d}: zero count {sv.zero_count} vs bound "
-                           f"{sv.zero_bound}, divisor consistency {sv.divisor_consistent}")
+    yield None if ok else (f"zero count {sv.zero_count} vs bound {sv.zero_bound}, "
+                           f"divisor consistency {sv.divisor_consistent}")
 
 
 _grid_check("thm-formulaBG", "exact-finite",
             "finite zeta sum at q^d - 2 equals the closed double sum")(
-    lambda pool, params: _bg_grid(pool, params, _formula_bg_case))
+    _bg_grid(_formula_bg_case))
 
 _grid_check("thm-exactdegree", "exact-finite",
             "degree of the finite zeta sum matches the closed formula",
             "tail block empty below d=3 (excluded there)")(
-    lambda pool, params: _bg_grid(pool, params, _exactdegree_case,
-                                  {3: min(params["d_max"], 5), 4: 3, 5: 3}))
+    _bg_grid(_exactdegree_case, lambda d_max: {3: min(d_max, 5), 4: 3, 5: 3}))
 
 _grid_check("cor-TAOD", "exact-finite",
             "finite zeta sum congruent to the truncated weight-one sum mod "
-            "every irreducible of the matching degree")(
-    lambda pool, params: _bg_grid(pool, params, _taod_case))
+            "every irreducible of the matching degree")(_bg_grid(_taod_case))
+
+
+def _necklace_case(ctx, cache, _, d):
+    ok = len(irreducibles_of_degree(ctx, d)) == necklace_count(ctx.q, d)
+    yield None if ok else "irreducible count != necklace value"
 
 
 @_grid_check("necklace-bound", "exact-finite",
              "irreducible counts match the necklace polynomial and the "
              "vanishing count respects the divisor bound")
-def _check_necklace(pool, params):
-    for q in params["qs"]:
-        ctx = pool.get(q)[0]
-        for d in range(1, (6 if q == 3 else 4) + 1):
-            ok = len(irreducibles_of_degree(ctx, d)) == necklace_count(q, d)
-            yield None if ok else f"q={q} d={d}: irreducible count != necklace value"
-    yield from _bg_grid(pool, params, _zero_count_case)
+def _necklace_grid(q, params):
+    for d in range(1, (6 if q == 3 else 4) + 1):
+        yield 0, _necklace_case, {"d": d}
+    yield from _bg_grid(_zero_count_case)(q, params)
 
 
 # ---------------------------------------------------------------------------
@@ -431,32 +426,27 @@ _EXACT_PARTS = ("value_at_theta_is_one", "trivial_zero_vanishes")
 
 
 def _valuation_runner(identity, names, arg_tuples):
-    """Run each identity at q = 3; one whose enumeration exceeds the budget
-    is left out and named in an over-budget tail, as in `_grid_check`."""
+    """A check of identity at q = 3, one point per argument tuple, whose
+    case yields the identity's outcome."""
+    def grid(q, params):
+        def case(ctx, cache, _, **args):
+            yield identity(cache, *args.values(), params["prec"])
+        return ((0, case, dict(zip(names, args))) for args in (arg_tuples if q == 3 else ()))
+
     def run(pool, params):
         outcomes, over = [], []
-        for q in params["qs"]:
-            if q != 3:
-                continue
-            for args in arg_tuples:
-                try:
-                    o = identity(pool.get(q)[1], *args, params["prec"])
-                except BudgetExceeded:
-                    over.append(" ".join([f"q={q}"] + [f"{n}={v}"
-                                                       for n, v in zip(names, args)]))
-                    continue
-                if not all(o.get(k, True) for k in _EXACT_PARTS):
-                    return "fail", "specialization sub-checks failed", o["achieved"]
-                outcomes.append(o)
-        tail = f"; over budget: {', '.join(over)}" if over else ""
+        for _, o in _walk(pool, params, grid, over):
+            if not all(o.get(k, True) for k in _EXACT_PARTS):
+                return "fail", "specialization sub-checks failed", o["achieved"]
+            outcomes.append(o)
         if not outcomes:
-            return "skipped", _NO_CASE + tail, None
+            return "skipped", _NO_CASE + _tail(over), None
         worst = min(o["achieved"] for o in outcomes)
         bad = [o for o in outcomes if not o["passed"]]
         if not bad:
-            return "pass", f"{len(outcomes)} identities beyond threshold{tail}", worst
+            return "pass", f"{len(outcomes)} identities beyond threshold{_tail(over)}", worst
         return "fail", (f"{len(bad)} below threshold; worst achieved "
-                        f"{bad[0]['achieved']} vs {bad[0]['threshold']}{tail}"), worst
+                        f"{bad[0]['achieved']} vs {bad[0]['threshold']}{_tail(over)}"), worst
     return run
 
 for _cid, (_desc, *_identities) in _VALUATION.items():

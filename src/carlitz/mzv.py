@@ -108,7 +108,10 @@ def partial_zeta(cache, d_max, data, mode="strict", budget=None, raw=False):
     """The truncated zeta value: sum of the multiple power sums over
     degrees 0 .. d_max - 1 (zero when d_max = 0), added unreduced and
     normalized once; raw returns the RawTPoly instead.  A budget given
-    must be the cache's, which alone bounds the enumerations."""
+    must be the cache's, which alone bounds the enumerations.  Needs
+    d_max >= 0 (InvalidParams otherwise)."""
+    if d_max < 0:
+        raise InvalidParams(f"the truncated zeta value needs d >= 0, got d={d_max}")
     if budget is not None and budget != cache.budget:
         raise InvalidParams(f"budget {budget} differs from the cache's {cache.budget}")
     total = RawTPoly.zero(cache.ctx, data.s)

@@ -430,7 +430,7 @@ class RatK:
             raise NonIntegral(f"{self!r} is not in A")
         return self.num
 
-    # -- arithmetic (CPython fractions-style cross cancellation) -----------
+    # -- arithmetic (each result normalized by the constructor) -------------
 
     def _coerce(self, other):
         if isinstance(other, RatK):
@@ -447,30 +447,7 @@ class RatK:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx = self.ctx
-        na, da = list(self.num.coeffs), list(self.den.coeffs)
-        nb, db = list(other.num.coeffs), list(other.den.coeffs)
-        if not na:
-            return other
-        if not nb:
-            return self
-        g = kern.kgcd(ctx, da, db)
-        if len(g) == 1:
-            num = kern.kadd(ctx, kern.kmul(ctx, na, db), kern.kmul(ctx, nb, da))
-            den = kern.kmul(ctx, da, db)
-            return RatK(APoly._make(ctx, num), APoly._make(ctx, den), _reduced=True)
-        da2 = kern.kexactdiv(ctx, da, g)
-        db2 = kern.kexactdiv(ctx, db, g)
-        t = kern.kadd(ctx, kern.kmul(ctx, na, db2), kern.kmul(ctx, nb, da2))
-        if not t:
-            return RatK.zero(ctx)
-        g2 = kern.kgcd(ctx, t, g)
-        if len(g2) == 1:
-            num, den = t, kern.kmul(ctx, da2, db)
-        else:
-            num = kern.kexactdiv(ctx, t, g2)
-            den = kern.kmul(ctx, da2, kern.kexactdiv(ctx, db, g2))
-        return RatK(APoly._make(ctx, num), APoly._make(ctx, den), _reduced=True)
+        return RatK(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -490,21 +467,7 @@ class RatK:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx = self.ctx
-        na, da = list(self.num.coeffs), list(self.den.coeffs)
-        nb, db = list(other.num.coeffs), list(other.den.coeffs)
-        if not na or not nb:
-            return RatK.zero(ctx)
-        g1 = kern.kgcd(ctx, na, db) if len(db) > 1 else [1]
-        if len(g1) > 1:
-            na = kern.kexactdiv(ctx, na, g1)
-            db = kern.kexactdiv(ctx, db, g1)
-        g2 = kern.kgcd(ctx, nb, da) if len(da) > 1 else [1]
-        if len(g2) > 1:
-            nb = kern.kexactdiv(ctx, nb, g2)
-            da = kern.kexactdiv(ctx, da, g2)
-        return RatK(APoly._make(ctx, kern.kmul(ctx, na, nb)),
-                    APoly._make(ctx, kern.kmul(ctx, da, db)), _reduced=True)
+        return RatK(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -36,8 +36,8 @@ import math
 from functools import lru_cache
 
 from . import _packed as kern
-from .errors import (ArityMismatch, ContextMismatch, NonConvergent, NotAUnit,
-                     PrecisionInsufficient)
+from .errors import (ArityMismatch, ContextMismatch, InvalidParams, NonConvergent,
+                     NotAUnit, PrecisionInsufficient)
 from ._rawfrac import RawTPoly
 from .mzv import MatrixData, partial_zeta
 from .poly import APoly, RatK, power
@@ -379,8 +379,10 @@ def zeta_series(cache, data, prec, mode="strict"):
     Stops once the last two degree terms vanish to precision and the order
     bound n_1 * d exceeds the precision (every term of the degree-d sum
     has valuation at least n_1 * d); raises NonConvergent if valuations
-    fail to increase across a three-term window.
+    fail to increase across a three-term window (InvalidParams if prec < 0).
     """
+    if prec < 0:
+        raise InvalidParams(f"the zeta series needs prec >= 0, got prec={prec}")
     ctx = cache.ctx
     if data.depth == 0:
         return TateSeries.one(ctx, data.s, prec)

@@ -1,7 +1,9 @@
 """The enumeration budget has one owner: the SeqCache (and, for a verify
-run, the _Pool that builds the caches).  No other function takes it, and
-the grid checks name each point whose enumeration would exceed it."""
+run, the _Pool that builds the caches).  No other function takes it, one
+driver alone holds the registry's grid points against it, and the checks
+name each point whose enumeration would exceed it."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -37,6 +39,29 @@ def test_only_the_cache_takes_a_budget():
     takers = [name for name, fn in _callables()
               if "budget" in inspect.signature(fn).parameters]
     assert takers == []
+
+
+def _driver_reads(node, where, out):
+    """(function, what) for each read of the q list (`params["qs"]`) or of
+    a budget attribute (`pool.budget`) under node, by innermost function."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        where = getattr(node, "name", "<lambda>")
+    if isinstance(getattr(node, "ctx", None), ast.Load):
+        if isinstance(node, ast.Subscript) and getattr(node.slice, "value", None) == "qs":
+            out.add((where, "qs"))
+        if isinstance(node, ast.Attribute) and node.attr == "budget":
+            out.add((where, "budget"))
+    for child in ast.iter_child_nodes(node):
+        _driver_reads(child, where, out)
+    return out
+
+
+def test_only_the_driver_reads_the_q_list_and_the_budget():
+    # besides the driver, _Pool.get builds each cache at the pool's budget,
+    # and run_check reads that budget only to check that it is the run's
+    reads = _driver_reads(ast.parse(inspect.getsource(checks)), "<module>", set())
+    assert reads == {("_walk", "qs"), ("_walk", "budget"), ("get", "budget"),
+                     ("run_check", "budget")}
 
 
 def test_partial_zeta_rejects_a_second_budget(cache3):

@@ -1,8 +1,8 @@
 """The verify report against the committed benchmark references.
 
 `perfbench/references.json` holds the check records (without `elapsed_ms`)
-that the benchmark's verify-default and tate-series workloads must
-reproduce, and the sha256 of each zeta-partial request's printed value.
+that the benchmark's verify-default, shuffle-deep and tate-series workloads
+must reproduce, and the sha256 of each zeta-partial request's printed value.
 These tests run the same parameters and compare record for record, so a
 change to any status, witness, achieved valuation or truncated zeta value
 shows up in Tier-1 before it reaches the benchmark.  They only read the
@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import ZETA_MENU, request_key  # noqa: E402
+from perfbench.workloads import (SHUFFLE_IDS, SHUFFLE_PARAMS, ZETA_MENU,  # noqa: E402
+                                 request_key)
 
 REFERENCES = ROOT / "perfbench" / "references.json"
 TATE_IDS = ("eq-annals", "family-qk", "strange-shuffle", "thakur-thm5")
@@ -45,6 +46,12 @@ def records(reports):
 
 def test_default_suite_matches_the_reference():
     assert records(checks.run_suite("all", d_max=2)) == reference("verify-default")
+
+
+def test_deep_shuffle_checks_match_the_reference():
+    # each check with its own pool, as the shuffle-deep workload runs them
+    reports = [checks.run_check(cid, **SHUFFLE_PARAMS) for cid in SHUFFLE_IDS]
+    assert records(reports) == reference("shuffle-deep")
 
 
 def test_tate_checks_match_the_reference():

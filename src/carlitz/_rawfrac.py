@@ -21,14 +21,16 @@ being a product of ell-sequence factors), the other side's numerators
 are multiplied by the sparse quotient; `equals` compares through that
 quotient too, and cross multiplies only when neither divides the other.
 
-Every exact check compares values of this form: the closed-form power
-sums (`powersums.closed_raw`) and the enumeration oracle
+Every power sum and every exact check is a value of this form: the
+closed forms (`powersums.closed_raw`) and the enumeration oracle
 (`powersums.power_sum_bruteforce`) both write theirs over powers of
-ell(d), the mzv chain sums add and multiply them unreduced, the skew
-checks compare b-expansions and sum truncated zeta values in it, and
-`substitute` specializes a variable at a theta-polynomial (t_i := 1,
-theta, theta^q) with the denominator unchanged.
-`to_tpoly` normalizes a value into a TPoly over K, for output only,
+ell(d), `powersums.power_sum` memoizes them so, the mzv chain sums add
+and multiply them unreduced, the Tate series expand them numerator by
+numerator (`TateSeries.from_raw`), the skew checks compare b-expansions
+and sum truncated zeta values in it, and `substitute` specializes a
+variable at a theta-polynomial (t_i := 1, theta, theta^q) with the
+denominator unchanged.
+`to_tpoly` normalizes a value into a TPoly over K where it is printed,
 cancelling each numerator against a list of factors of the denominator;
 `binomial_factors` splits an ell-power denominator into the binomials
 theta^(q^j) - theta, against which the gcds are short.

@@ -24,7 +24,7 @@ import sys
 from contextlib import nullcontext
 
 from . import checks
-from .errors import CarlitzError
+from .errors import CarlitzError, InvalidParams
 from .ffield import FieldContext
 from .mzv import bernoulli_goss, bg_congruence_survey, bg_degree_formula, \
     bg_formula_rhs, multi_power_sum, partial_zeta
@@ -89,10 +89,16 @@ def _emit(args, text):
         print(text)
 
 
+def _int_list(flag, text):
+    """The comma-separated integers of an option (else InvalidParams)."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidParams(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _context(args):
-    modulus = None
-    if args.modulus:
-        modulus = tuple(int(c) for c in args.modulus.split(","))
+    modulus = _int_list("--modulus", args.modulus) if args.modulus else None
     ctx = FieldContext(args.q, modulus)
     return ctx, SeqCache(ctx, budget=args.budget)
 
@@ -106,7 +112,7 @@ def _wrap_value(args, payload):
 def cmd_verify(args):
     params = {"profile": args.profile, "budget": args.budget}
     if args.qs:
-        params["qs"] = tuple(int(x) for x in args.qs.split(","))
+        params["qs"] = _int_list("--qs", args.qs)
     elif args.q is not None:
         params["qs"] = (args.q,)
     if args.d_max is not None:

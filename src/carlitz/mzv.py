@@ -7,7 +7,7 @@ d iterates over strictly decreasing degree chains below d (or weakly
 decreasing ones, the "star" variant), and the degree-d_max partial zeta
 sum accumulates degrees 0 .. d_max-1.  Empty inner chains contribute
 zero; the empty matrix data has value 1.  Both are summed as unreduced
-RawTPoly values and normalized into a TPoly once per call.
+RawTPoly `power_sum` values and normalized into a TPoly once, for output.
 
 The Bernoulli-Goss polynomial BG_n is the finite sum over all degrees of
 the order-(-n) power sums.  The truncation bound floor(digitsum_q(n)/(q-1))
@@ -23,7 +23,7 @@ from .errors import (ArityMismatch, ContextMismatch, InvalidParams, TailNotVanis
                      WeightZero)
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
 from ._rawfrac import RawTPoly, binomial_factors
-from .powersums import ChainSums, SemiChar, power_sum, power_sum_raw
+from .powersums import ChainSums, SemiChar, power_sum
 
 _SPLIT_MIN = 128       # ell-power denominators up to this length take one gcd
 
@@ -84,7 +84,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     chains d >= i_2 >= ... >= i_r >= 0.  Depth 0 gives 1; empty inner
     chains give 0.
 
-    The chain sum runs over unreduced `power_sum_raw` values, and the
+    The chain sum runs over unreduced `power_sum` values, and the
     result is normalized once, against the binomials theta^(q^j) - theta
     its ell-power denominator splits into, so each gcd is with one short
     binomial instead of the whole product (`_factors`).  raw returns the
@@ -98,7 +98,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     if data.depth == 0:
         value = RawTPoly.one(cache.ctx, data.s)
     else:
-        chains = ChainSums(lambda k, n, sigma: power_sum_raw(cache, k, n, sigma),
+        chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma),
                            RawTPoly.zero(cache.ctx, data.s), cache.table("exact chains"))
         value = chains.multi(d, data.columns, mode)
     return value if raw else value.to_tpoly(_factors(cache.ctx, value.den))
@@ -156,11 +156,10 @@ def bernoulli_goss(cache, n):
     triv = SemiChar.trivial(ctx, 0)
     total = APoly.zero(ctx)
     for k in range(k_stop + 1):
-        term = power_sum(cache, k, -n, triv)
-        total = total + term.constant_coefficient().as_apoly()
+        # a sum of negative order is enumerated over 1: its one numerator
+        total = total + APoly._make(ctx, list(power_sum(cache, k, -n, triv).num.get((), ())))
     for k in (k_stop + 1, k_stop + 2):
-        tail = power_sum(cache, k, -n, triv)
-        if not tail.is_zero():
+        if not power_sum(cache, k, -n, triv).is_zero():
             raise TailNotVanishing(
                 f"degree-{k} power sum of order {-n} did not vanish; "
                 f"the digit-sum cutoff {k_stop} is wrong for n = {n}")

@@ -363,7 +363,9 @@ def digit_sum(q, n):
 # ---------------------------------------------------------------------------
 
 class RatK:
-    """A normalized fraction of APoly: monic denominator, gcd(num, den) = 1."""
+    """A normalized fraction of APoly (monic denominator, gcd(num, den) = 1):
+    a printed or parsed value, with the parser's sum and product, the
+    valuation and reduce_mod; identity work is done on RawTPoly instead."""
 
     __slots__ = ("num", "den")
 
@@ -424,12 +426,6 @@ class RatK:
     def __bool__(self):
         return bool(self.num)
 
-    def as_apoly(self):
-        """The numerator, if the denominator is 1; NonIntegral otherwise."""
-        if self.den.degree != 0:
-            raise NonIntegral(f"{self!r} is not in A")
-        return self.num
-
     # -- arithmetic (each result normalized by the constructor) -------------
 
     def _coerce(self, other):
@@ -451,53 +447,11 @@ class RatK:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatK(-self.num, self.den, _reduced=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return RatK(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return RatK(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero fraction")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RatK(self.num ** n, self.den ** n, _reduced=True)
-
-    def frobenius(self, n=1):
-        """The q^n-power Frobenius; preserves normalization."""
-        return RatK(self.num.frobenius(n), self.den.frobenius(n), _reduced=True)
 
     # -- valuation and reduction -------------------------------------------
 

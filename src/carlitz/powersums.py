@@ -22,9 +22,9 @@ sequence, as ((-1)^d times the lcm of the monics of degree d)^k.
 package, here and in the skew and Tate-series oracles, goes through it.
 The closed forms and the enumeration must agree exactly; tests and the
 verification suite enforce that, comparing the unreduced fractions.
-`power_sum_raw` memoizes each power sum in this form per cache, for the
-mzv chain sums; `power_sum` normalizes it into a TPoly for the layers that
-work over K (the Tate series and the Bernoulli-Goss sums).
+`power_sum` memoizes each power sum in this form per cache, for every
+layer above (the mzv, shuffle, Tate-series and Bernoulli-Goss sums); a
+value is normalized into a TPoly only where it is printed.
 """
 
 from . import _packed as kern
@@ -164,8 +164,8 @@ class SeqCache:
     `ChainSums`.  The tags: the sequences "theta_q", "ell", "b" and "tb"
     (recurrences in the module docstring); "ell_pow" and "ell_ratio";
     "monic_lcm", the lcm of the monics of each degree; "chain_weights";
-    the exact twisted power sums and their normalized and series forms,
-    "raw", "tpoly" and "series"; and the chain sums of every module.
+    the exact twisted power sums, "raw", and their series, "series"; and
+    the chain sums of every module.  No table holds a normalized value.
     Single-threaded, append-only: no lock guards it, so one cache must not
     be filled from two threads at once; every returned value is immutable.
     """
@@ -531,17 +531,11 @@ def closed_raw(cache, d, n, sigma):
     return RawTPoly(ctx, s, terms, list(cache.ell_pow(d, n).coeffs))
 
 
-def power_sum_raw(cache, d, n, sigma):
+def power_sum(cache, d, n, sigma):
     """S_d(n; sigma) as a RawTPoly, exact and memoized per cache:
     `closed_raw` where it has a closed form, else enumeration."""
     return cache.memo("raw", (d, n, sigma), lambda: closed_raw(cache, d, n, sigma)
                       or power_sum_bruteforce(cache, d, n, sigma))
-
-
-def power_sum(cache, d, n, sigma):
-    """S_d(n; sigma) as a TPoly: `power_sum_raw`, normalized once per cache."""
-    return cache.memo("tpoly", (d, n, sigma),
-                      lambda: power_sum_raw(cache, d, n, sigma).to_tpoly())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Semi-characters are addressed by short keys:
 
 from ._rawfrac import RawTPoly
 from .errors import InvalidParams
-from .powersums import ChainSums, SemiChar, closed_form, power_sum_raw
+from .powersums import ChainSums, SemiChar, closed_form, power_sum
 
 
 class ShuffleEngine:
@@ -36,13 +36,13 @@ class ShuffleEngine:
 
     def S(self, d, n, sig):
         """The degree-d power sum of order n twisted by the keyed
-        semi-character: `power_sum_raw`, for orders with a closed form."""
+        semi-character: `power_sum`, for orders with a closed form."""
         if sig not in self._chars:
             raise InvalidParams(f"unknown semi-character key {sig!r}")
         sigma = self._chars[sig]
         if closed_form(self.ctx.q, n, sigma) is None:
             raise InvalidParams(f"no closed form for order {n} twisted by {sig!r}")
-        return power_sum_raw(self.cache, d, n, sigma)
+        return power_sum(self.cache, d, n, sigma)
 
     def alemma_head(self, d):
         """The head term of the depth-two decomposition of S_d(2;sp):

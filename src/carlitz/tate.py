@@ -14,7 +14,8 @@ exponents and rad_i bounds the t_i-degrees.  The layout is kept tight
 (first and last row nonzero, each radix minimal).  A product re-lays both
 operands with rows_a + rows_b - 1 rows and radices rad_a + rad_b - 1, so
 no index sum carries into the next block: one `kmul`, then a cut at the
-precision rule.  `from_ratk` is one `kdivmod` of theta^N * num by den, and
+precision rule.  `from_ratk` is one `kdivmod` of theta^N * num by den,
+`from_raw` one per t-monomial of an unreduced RawTPoly (no gcd), and
 `invert_unit` Newton iteration g <- g (2 - f g).
 
 The transcendental period factors are handled root-free: the period and
@@ -120,15 +121,15 @@ def _from_pieces(ctx, s, prec, pieces):
     return _series(ctx, s, prec, top, rows, rad, c)
 
 
-def _expansion(x, prec):
-    """(top, rows) of x in K expanded in 1/theta down to theta^(-prec): the
-    quotient of theta^prec * num by den, highest exponent first."""
-    num, den = list(x.num.coeffs), list(x.den.coeffs)
+def _expansion(ctx, num, den, prec):
+    """(top, rows) of num / den in K, given as coefficient lists, expanded
+    in 1/theta down to theta^(-prec): the quotient of theta^prec * num by
+    den, highest exponent first.  The fraction need not be reduced."""
     top = len(num) - len(den)
     if not num or top + prec < 0:
         return 0, []
     num, den = ([0] * prec + num, den) if prec >= 0 else (num, [0] * -prec + den)
-    return top, kern.kdivmod(x.ctx, num, den)[0][::-1]
+    return top, kern.kdivmod(ctx, num, den)[0][::-1]
 
 
 class TateSeries:
@@ -165,16 +166,16 @@ class TateSeries:
     @classmethod
     def from_ratk(cls, x, prec, s=0):
         """The 1/theta-expansion of an element of K, exact to the precision."""
-        top, rows = _expansion(x, prec)
+        top, rows = _expansion(x.ctx, list(x.num.coeffs), list(x.den.coeffs), prec)
         return _series(x.ctx, s, prec, top, len(rows), (1,) * s, rows)
 
     @classmethod
-    def embed_tpoly(cls, tp, prec, s=None):
-        """Embed an exact TPoly coefficient-by-coefficient."""
-        s = tp.s if s is None else s
-        pad = (0,) * (s - tp.s)
-        return _from_pieces(tp.ctx, s, prec, [(e + pad, *_expansion(coef, prec))
-                                              for e, coef in tp.terms.items()])
+    def from_raw(cls, x, prec):
+        """The 1/theta-expansion of a RawTPoly, exact to the precision: the
+        division of `from_ratk` for each t-monomial, unreduced."""
+        den = list(x.den)
+        return _from_pieces(x.ctx, x.s, prec, [(e, *_expansion(x.ctx, list(c), den, prec))
+                                               for e, c in x.num.items()])
 
     # -- structure ---------------------------------------------------------
 
@@ -351,16 +352,16 @@ def _inverse_power(ctx, a, n, rows):
 
 def _series_power_sum(cache, d, n, sigma, prec):
     """The degree-d order-n twisted power sum as a series to the given
-    precision, memoized per cache: exact closed forms embedded when
-    available (degree characters excepted), otherwise the sum of sigma(a)
-    times the expansion of 1/a^n over monic a, through `monic_sum`.  Every
-    1/a^n starts at theta^(-nd) with coefficient 1, so all expansions
-    align."""
+    precision, memoized per cache: the raw closed form expanded by
+    `from_raw` when there is one (degree characters excepted), otherwise
+    the sum of sigma(a) times the expansion of 1/a^n over monic a, through
+    `monic_sum`.  Every 1/a^n starts at theta^(-nd) with coefficient 1, so
+    all expansions align."""
     ctx = cache.ctx
 
     def make():
         if not sigma.degs and closed_form(ctx.q, n, sigma):
-            return TateSeries.embed_tpoly(power_sum(cache, d, n, sigma), prec, s=sigma.s)
+            return TateSeries.from_raw(power_sum(cache, d, n, sigma), prec)
         rows = prec - n * d + 1
         if rows > 0:
             sums = monic_sum(cache, d, sigma, lambda a: _inverse_power(ctx, a, n, rows),

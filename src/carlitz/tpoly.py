@@ -1,24 +1,23 @@
-"""Sparse polynomials in t_1, ..., t_s with coefficients in K.
+"""Sparse polynomials in t_1, ..., t_s with coefficients in K, for output.
 
 TPoly stores a map from exponent vectors (tuples of length s) to nonzero
 RatK coefficients.  It is the normalized form in which t-dependent values
-leave the package: power sums, multiple power sums and truncated zeta
-values are computed as unreduced RawTPoly fractions (`_rawfrac`) and
-normalized into a TPoly for output, and the Tate series read TPoly values
-at their boundary; no identity check computes with them.  The ring
-operations remain for building values (the textual grammar, the tests'
-expected values).  Coefficients are kept
-in K directly: every denominator that occurs is a product of the
-univariate theta-polynomials from the fundamental sequences, so no
-multivariate gcd is ever needed.
-
-Values combine only when their arity s and field context agree; the
-result of every operation is normalized (no stored zero coefficients).
+leave the package, and nothing else: power sums, multiple power sums and
+truncated zeta values are computed, memoized, compared and expanded into
+Tate series as unreduced RawTPoly fractions (`_rawfrac`), and normalized
+into a TPoly only where they are printed (`RawTPoly.to_tpoly`) or parsed
+(`textio.parse_tpoly`).  So a TPoly has a constructor, its accessors,
+equality and printing; its sum and product stay because the benchmark's
+span table (`perfbench/spans.py`) names them.  Coefficients are kept in
+K directly: every denominator that occurs is a product of the univariate
+theta-polynomials from the fundamental sequences, so no multivariate gcd
+is ever needed.  Values combine only when their arity s and field
+context agree, and no zero coefficient is stored.
 """
 
-from .errors import ArityMismatch, ContextMismatch, IndexOutOfRange, InexactDivision
+from .errors import ArityMismatch, ContextMismatch, IndexOutOfRange
 from .ffield import FqElem
-from .poly import NEG_INF, APoly, RatK, power
+from .poly import APoly, RatK
 
 
 def _grade_key(exps):
@@ -77,13 +76,6 @@ class TPoly:
             return cls.zero(ctx, s)
         return cls(ctx, s, {(0,) * s: coef}, _clean=True)
 
-    @classmethod
-    def variable(cls, ctx, s, i):
-        if not 1 <= i <= s:
-            raise IndexOutOfRange(f"variable index {i} outside 1..{s}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(s))
-        return cls(ctx, s, {exps: RatK.one(ctx)}, _clean=True)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
@@ -96,29 +88,6 @@ class TPoly:
         """Terms in graded-lexicographic order (deterministic)."""
         for exps in sorted(self.terms, key=_grade_key):
             yield exps, self.terms[exps]
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), RatK.zero(self.ctx))
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.s, RatK.zero(self.ctx))
-
-    def as_ratk(self):
-        """The value as an element of K, if no variable occurs."""
-        if not self.terms:
-            return RatK.zero(self.ctx)
-        if len(self.terms) == 1 and (0,) * self.s in self.terms:
-            return self.terms[(0,) * self.s]
-        raise InexactDivision(f"{self!r} is not constant in the t-variables")
-
-    def degree_in(self, i):
-        """Maximum exponent of t_i; 0 if t_i is absent from a nonzero value,
-        NEG_INF only for the zero polynomial."""
-        if not 1 <= i <= self.s:
-            raise IndexOutOfRange(f"variable index {i} outside 1..{self.s}")
-        if not self.terms:
-            return NEG_INF
-        return max(e[i - 1] for e in self.terms)
 
     def _check(self, other):
         if isinstance(other, TPoly):
@@ -147,32 +116,7 @@ class TPoly:
                 out[exps] = new
         return TPoly(self.ctx, self.s, out, _clean=True)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly(self.ctx, self.s,
-                     {e: -c for e, c in self.terms.items()}, _clean=True)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, coef):
-        """Multiply by a scalar from K."""
-        coef = self._as_ratk(self.ctx, coef)
-        if coef.is_zero():
-            return TPoly.zero(self.ctx, self.s)
-        return TPoly(self.ctx, self.s,
-                     {e: c * coef for e, c in self.terms.items()}, _clean=True)
-
     def __mul__(self, other):
-        if isinstance(other, (int, FqElem, APoly, RatK)):
-            return self.scale(other)
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -188,17 +132,6 @@ class TPoly:
                 else:
                     out[exps] = new
         return TPoly(self.ctx, self.s, out, _clean=True)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n, TPoly.one(self.ctx, self.s))
-
-    def frobenius(self, n=1):
-        """Coefficient-wise q^n-power Frobenius (F_q[t]-linear twist)."""
-        return TPoly(self.ctx, self.s,
-                     {e: c.frobenius(n) for e, c in self.terms.items()},
-                     _clean=True)
 
     # -- comparison ------------------------------------------------------
 

@@ -97,7 +97,7 @@ def normalized_multi(cache, d, columns, mode):
     """The degree-d multiple sum from normalized power sums, by the chain
     recursion written out with TPoly + and *."""
     (sigma, n), rest = columns[0], columns[1:]
-    top = power_sum(cache, d, n, sigma)
+    top = power_sum(cache, d, n, sigma).to_tpoly()
     if not rest:
         return top
     inner = TPoly.zero(cache.ctx, 2)

@@ -215,6 +215,17 @@ def test_malformed_integer_in_data_is_a_grammar_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--qs", "3,x"),
+    ("powsum", "--q", "4", "--modulus", "1,x", "--d", "1", "--data", "1:1")],
+    ids=" ".join)
+def test_malformed_integer_list_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "comma-separated integers" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [("--modulus", "1,0,1"), ("--vars", "7")])
 def test_verify_offers_no_field_options(capsys, extra):
     # verify builds every field from its built-in modulus; x^2 + 1 is

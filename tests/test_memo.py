@@ -1,7 +1,7 @@
 """Every memo has one owner: the SeqCache.  Power sums, their chain sums
 and their series are computed once per cache and kept in its tagged
-tables; no other module reaches into the cache, and the shuffle engine
-keeps nothing but its semi-character keys."""
+tables, none of them normalized; no other module reaches into the cache,
+and the shuffle engine keeps nothing but its semi-character keys."""
 
 import ast
 import importlib
@@ -9,8 +9,14 @@ import inspect
 import pkgutil
 
 import carlitz
-from carlitz import shuffle
-from carlitz.powersums import SemiChar, SeqCache, power_sum_raw
+from carlitz import checks, shuffle
+from carlitz.ffield import FieldContext
+from carlitz.mzv import MatrixData, bernoulli_goss
+from carlitz.poly import RatK
+from carlitz.powersums import SemiChar, SeqCache, power_sum
+from carlitz.tate import zeta_series
+from carlitz.textio import parse_matrix_data
+from carlitz.tpoly import TPoly
 
 
 def _private_cache_reads(tree):
@@ -62,7 +68,7 @@ def test_engine_power_sum_is_the_cached_one(ctx3):
     for key, sigma in (("s", SemiChar.chi(ctx, 2, 1)), ("one", SemiChar.trivial(ctx, 2)),
                        ("sp", SemiChar(ctx, 2, varis=(1, 2)))):
         got = eng.S(2, 1, key)
-        assert got is power_sum_raw(cache, 2, 1, sigma)
+        assert got is power_sum(cache, 2, 1, sigma)
         assert got is eng.S(2, 1, key)
 
 
@@ -85,6 +91,56 @@ def test_memo_computes_once_per_tag_and_key(ctx3):
 def test_the_cache_holds_nothing_but_its_tables(ctx3):
     cache = SeqCache(ctx3)
     cache.ell(4), cache.b_coeffs(3), cache.tb_coeffs(2), cache.ell_ratio(3, 1)
-    power_sum_raw(cache, 2, 1, SemiChar.chi(ctx3, 1, 1))
+    power_sum(cache, 2, 1, SemiChar.chi(ctx3, 1, 1))
     assert sorted(vars(cache)) == ["_tables", "budget", "ctx"]
     assert {"theta_q", "ell", "b", "tb", "ell_ratio", "raw"} <= set(cache._tables)
+
+
+def _held(value):
+    """value and everything inside it: the items of containers and the
+    slots of carlitz objects, field contexts left out."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        yield v
+        if isinstance(v, dict):
+            stack += v.values()
+        elif isinstance(v, (list, tuple)):
+            stack += v
+        elif type(v).__module__.startswith("carlitz") and not isinstance(v, FieldContext):
+            stack += [getattr(v, a) for a in getattr(type(v), "__slots__", ())
+                      if a != "ctx" and hasattr(v, a)]
+
+
+def _normalized_tables(cache):
+    return sorted({str(tag) for tag, table in cache._tables.items()
+                   for v in _held(table) if isinstance(v, (TPoly, RatK))})
+
+
+def test_no_memo_holds_a_normalized_value():
+    # every cache of a default-suite run
+    pool = checks._Pool(checks.DEFAULT_PARAMS["budget"])
+    for check_id in sorted(checks.REGISTRY):
+        assert checks.run_check(check_id, pool=pool).status == "pass", check_id
+    stores = pool._stores
+    assert sorted(stores) == [3, 4] and "series" in stores[3][1]._tables
+    for _, cache, _ in stores.values():
+        assert _normalized_tables(cache) == []
+    # a q = 4 cache after the Tate series (closed forms and enumeration)
+    # and the Bernoulli-Goss sums
+    ctx = FieldContext(4)
+    cache = SeqCache(ctx)
+    for text in ("t1:1", "t1:2", "1:1,1:3", "t1*t2:1", "nu1:1"):
+        zeta_series(cache, parse_matrix_data(ctx, text), 12)
+    zeta_series(cache, MatrixData.untwisted(ctx, (4,)), 12)
+    for n in (5, 14):
+        bernoulli_goss(cache, n)
+    assert {"raw", "series"} <= set(cache._tables)
+    assert _normalized_tables(cache) == []
+
+
+def test_the_walk_sees_a_normalized_value(ctx3):
+    cache = SeqCache(ctx3)
+    cache.memo("probe", 1, lambda: (RatK.one(ctx3),))
+    cache.memo("probe", 2, lambda: {"x": [TPoly.one(ctx3, 1)]})
+    assert _normalized_tables(cache) == ["probe"]

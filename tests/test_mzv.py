@@ -85,10 +85,9 @@ def test_star_bridge_for_partial_sums(cache3, cache4):
         md = MatrixData.untwisted(ctx, (q - 1, 1))
         f1 = MatrixData.untwisted(ctx, (1,))
         for d in range(6):
-            star = partial_zeta(cache, d, md, mode="star").as_ratk()
-            strict = partial_zeta(cache, d, md, mode="strict").as_ratk()
-            f1d = partial_zeta(cache, d, f1).as_ratk()
-            assert star == strict + f1d ** q
+            strict = partial_zeta(cache, d, md, mode="strict", raw=True)
+            f1d = partial_zeta(cache, d, f1, raw=True)
+            assert partial_zeta(cache, d, md, mode="star") == (strict + f1d ** q).to_tpoly()
 
 
 # -- Bernoulli-Goss ------------------------------------------------------------
@@ -145,8 +144,7 @@ def test_bg_blocks(cache3):
             assert -tail.valuation == pred.tail_degree
         assert pred.dominant_degree > pred.merged_degree
         # the blocks reassemble the value
-        total = -(dom + merged + tail)
-        assert total.as_apoly() == bernoulli_goss(cache3, 3 ** d - 2).value
+        assert dom + merged + tail == -bernoulli_goss(cache3, 3 ** d - 2).value
 
 
 @pytest.mark.parametrize("q", [4, 5, 9])
@@ -158,7 +156,7 @@ def test_bg_double_sum_beyond_q3(q):
         pred = bg_degree_formula(q, d)
         assert value.degree == pred.degree
         dom, merged, tail = bg_block_values(cache, d)
-        assert -(dom + merged + tail) == RatK.from_apoly(value)
+        assert dom + merged + tail == -value
         assert -dom.valuation == pred.dominant_degree
         if d == 2:
             assert -merged.valuation == pred.merged_degree and tail.is_zero()
@@ -171,14 +169,14 @@ def test_bg_layer_makes_no_fraction_arithmetic(monkeypatch):
 
     def refuse(self, other):
         raise AssertionError("RatK arithmetic in the Bernoulli-Goss layer")
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+    for name in ("__add__", "__radd__", "__mul__"):
         monkeypatch.setattr(RatK, name, refuse)
     rhs = bg_formula_rhs(cache, 3)
     blocks = bg_block_values(cache, 3)
     sv = bg_congruence_survey(cache, 2)
     monkeypatch.undo()
-    assert rhs == bernoulli_goss(cache, 25).value == \
-        (-sum(blocks, RatK.zero(cache.ctx))).as_apoly()
+    assert rhs == bernoulli_goss(cache, 25).value
+    assert sum(blocks, RatK.zero(cache.ctx)) == -rhs
     assert sv.all_congruent and sv.divisor_consistent
 
 

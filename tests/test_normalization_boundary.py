@@ -1,6 +1,7 @@
 """Identity checks compare unreduced RawTPoly fractions.  A RawTPoly is
-normalized into a TPoly over K only where a power sum leaves for output,
-so only the functions named here may call `to_tpoly`, the check registry
+normalized into a TPoly over K only where a value leaves for output (the
+memoized `power_sum` stays raw), so only the functions named here may
+call `to_tpoly`, the check registry
 never touches the normalized types, and the skew and Tate-series checks
 that compare exact values take them raw."""
 
@@ -9,8 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carlitz"
 
-NORMALIZERS = {"power_sum", "power_sum_closed", "multi_power_sum", "partial_zeta",
-               "RawTPoly.__repr__"}
+NORMALIZERS = {"power_sum_closed", "multi_power_sum", "partial_zeta", "RawTPoly.__repr__"}
 
 # module -> the functions in it that compare exact values: each takes its
 # zeta values raw, and normalizes, reads into K or substitutes none

@@ -233,31 +233,6 @@ def test_apoly_and_ratk_compare_equal_both_ways(ctx3):
     assert th != "theta" and th == th and th == APoly(ctx3, [0, 1])
 
 
-def test_ratk_pow_and_inverse(ctx3):
-    th = APoly.theta(ctx3)
-    x = RatK(th + 1, th ** 2 + 1)
-    assert x ** -2 == (x.inverse()) ** 2
-    assert x * x.inverse() == RatK.one(ctx3)
-    with pytest.raises(DivisionByZero):
-        RatK.zero(ctx3).inverse()
-
-
-def test_ratk_reflected_division(ctx3):
-    th = APoly.theta(ctx3)
-    x = RatK(th + 1, th ** 2 + 1)
-    assert 2 / x == RatK.constant(ctx3, 2) * x.inverse()
-    assert th / x == RatK.from_apoly(th) * x.inverse()
-    with pytest.raises(TypeError):
-        "x" / RatK.one(ctx3)
-
-
-def test_ratk_frobenius_is_qth_power(ctx3):
-    th = APoly.theta(ctx3)
-    x = RatK(th + 1, th ** 2 + 1)
-    assert x.frobenius() == x ** 3
-    assert x.frobenius(2) == x ** 9
-
-
 def test_reduce_mod(ctx3):
     th = APoly.theta(ctx3)
     P = th ** 2 + 1

@@ -18,6 +18,22 @@ from carlitz.tpoly import TPoly
 import naive_reference as ref
 
 
+def t(ctx, s, i):
+    """t_i as a RawTPoly of arity s."""
+    return RawTPoly(ctx, s, {tuple(int(j == i - 1) for j in range(s)): [1]}, [1])
+
+
+def a(ctx, s, x):
+    """The theta-polynomial x as a RawTPoly of arity s."""
+    return RawTPoly(ctx, s, {(0,) * s: list(x.coeffs)}, [1])
+
+
+def over(value, den):
+    """The RawTPoly value divided by the theta-polynomial den."""
+    return RawTPoly(value.ctx, value.s, value.num,
+                    kern.kmul(value.ctx, value.den, list(den.coeffs)))
+
+
 # -- fundamental sequences -----------------------------------------------------
 
 def test_ell_and_b_recurrences(cache3):
@@ -118,8 +134,7 @@ def test_bruteforce_spec_values(cache3):
     th = APoly.theta(ctx)
     chi = SemiChar.chi(ctx, 1, 1)
     got = power_sum_bruteforce(cache3, 1, 1, chi).to_tpoly()
-    t1 = TPoly.variable(ctx, 1, 1)
-    assert got == (t1 - th).scale(RatK(APoly.one(ctx), th - th ** 3))
+    assert got == over(t(ctx, 1, 1) - a(ctx, 1, th), th - th ** 3).to_tpoly()
     assert power_sum_bruteforce(cache3, 0, 5, SemiChar.trivial(ctx, 0)).to_tpoly() == \
         TPoly.one(ctx, 0)
     got = power_sum_bruteforce(cache3, 1, -7, SemiChar.trivial(ctx, 0)).to_tpoly()
@@ -185,12 +200,11 @@ def test_closed_forms_match_enumeration(q):
 def test_closed_form_spec_values(cache3):
     ctx = cache3.ctx
     th = APoly.theta(ctx)
-    t1 = TPoly.variable(ctx, 1, 1)
+    t1 = t(ctx, 1, 1)
     l1 = th - th ** 3
-    assert power_sum_closed(cache3, 1, "e2") == \
-        (t1 - th).scale(RatK(APoly.one(ctx), l1))
+    assert power_sum_closed(cache3, 1, "e2") == over(t1 - a(ctx, 1, th), l1).to_tpoly()
     assert power_sum_closed(cache3, 1, "f2") == \
-        (t1 - th ** 3).scale(RatK(APoly.one(ctx), l1 ** 2))
+        over(t1 - a(ctx, 1, th ** 3), l1 ** 2).to_tpoly()
     assert power_sum_closed(cache3, 0, "e1") == TPoly.one(ctx, 0)
     # evaluating the weight-2 sum at theta recovers the weight-1 value
     f2 = closed_raw(cache3, 1, 2, SemiChar.chi(ctx, 1, 1))
@@ -202,11 +216,10 @@ def test_partial_F_one_q(cache3):
     ctx = cache3.ctx
     th = APoly.theta(ctx)
     assert partial_F_one_q(cache3, 0).to_tpoly() == TPoly.one(ctx, 3)
-    expected = TPoly.one(ctx, 3)
+    expected = RawTPoly.one(ctx, 3)
     for i in (1, 2, 3):
-        expected = expected * (TPoly.variable(ctx, 3, i) - th)
-    expected = expected.scale(RatK(APoly.one(ctx), th - th ** 3))
-    assert partial_F_one_q(cache3, 1).to_tpoly() == expected
+        expected = expected * (t(ctx, 3, i) - a(ctx, 3, th))
+    assert partial_F_one_q(cache3, 1).to_tpoly() == over(expected, th - th ** 3).to_tpoly()
     # equals the enumerated truncated sum
     sig3 = SemiChar(ctx, 3, varis=(1, 2, 3))
     for d in (0, 1, 2):
@@ -222,11 +235,8 @@ def test_coefficient_extraction_recovers_lower_arity(cache3):
     ctx = cache3.ctx
     for d in (0, 1, 2, 3):
         F = partial_F_one_q(cache3, d).to_tpoly()
-        sd = power_sum_closed(cache3, d, "e2")
-        for k in range(int(F.degree_in(1)) + 1):
-            got = F.coefficient((k, d, d))
-            want = sd.coefficient((k,))
-            assert got == want, (d, k)
+        got = {(k,): c for (k, i, j), c in F.terms.items() if i == j == d}
+        assert got == power_sum_closed(cache3, d, "e2").terms, d
 
 
 # -- Frobenius expansions --------------------------------------------------------
@@ -356,12 +366,10 @@ def test_frobenius_compatibility(cache3):
     ctx = cache3.ctx
     triv = SemiChar.trivial(ctx, 0)
     for d in range(6):
-        lhs = power_sum(cache3, d, 3, triv)
-        rhs = power_sum(cache3, d, 1, triv)
-        assert lhs.as_ratk() == rhs.as_ratk() ** 3
+        assert power_sum(cache3, d, 3, triv).equals(power_sum(cache3, d, 1, triv) ** 3)
     for d in range(4):
-        assert power_sum_bruteforce(cache3, d, 3, triv).to_tpoly().as_ratk() == \
-            power_sum_bruteforce(cache3, d, 1, triv).to_tpoly().as_ratk() ** 3
+        assert power_sum_bruteforce(cache3, d, 3, triv).to_tpoly() == \
+            (power_sum_bruteforce(cache3, d, 1, triv) ** 3).to_tpoly()
 
 
 # -- the general provider ---------------------------------------------------------
@@ -385,5 +393,5 @@ def test_provider_routes_match_bruteforce(cache3):
     ]
     for n, sigma in cases:
         for d in (0, 1, 2, 3):
-            assert power_sum(cache3, d, n, sigma) == \
+            assert power_sum(cache3, d, n, sigma).to_tpoly() == \
                 power_sum_bruteforce(cache3, d, n, sigma).to_tpoly(), (n, sigma, d)

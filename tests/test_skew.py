@@ -19,8 +19,7 @@ def b_expansion(cache, f):
     ctx = cache.ctx
     total = TPoly.zero(ctx, 1)
     for j, c in enumerate(f.coeffs):
-        total = total + TPoly(ctx, 1, {(k,): b for k, b in
-                                       enumerate(cache.b_coeffs(j))}).scale(c)
+        total = total + TPoly(ctx, 1, {(k,): c * b for k, b in enumerate(cache.b_coeffs(j))})
     return total
 
 

@@ -8,7 +8,7 @@ from carlitz.errors import (ArityMismatch, NonConvergent, NotAUnit,
 from carlitz.ffield import FieldContext
 from carlitz.mzv import MatrixData, partial_zeta
 from carlitz.poly import APoly, RatK
-from carlitz.powersums import SemiChar, SeqCache
+from carlitz.powersums import SemiChar, SeqCache, closed_form, power_sum
 from carlitz.tate import (TateSeries, annals_check, family_qk_check,
                           omega_factor, pi_factor, strange_shuffle_check,
                           thakur_weight_check, valuation_identity_check,
@@ -25,6 +25,46 @@ def test_from_ratk_examples(ctx3):
     exact = TateSeries.from_ratk(RatK.from_apoly(th ** 2 + 1), 30)
     assert exact.terms == {0: {(): 1}, 2: {(): 1}}
     assert TateSeries.from_ratk(RatK.zero(ctx3), 10).terms == {}
+
+
+def closed_cases(ctx):
+    """(form, n, sigma) for every closed form: "kql" at the orders k q^m
+    with k in {1, q - 1} and m in {0, 1}, "qn" at q and q^2."""
+    q = ctx.q
+    triv, chi = SemiChar.trivial(ctx, 0), SemiChar.chi(ctx, 1, 1)
+    two = SemiChar(ctx, 2, varis=(1, 2))
+    return ([("kql", n, triv) for n in (1, q - 1, q, (q - 1) * q)]
+            + [("e2", 1, chi), ("f2", 2, chi), ("qn", q, chi), ("qn", q * q, chi),
+               ("e3", 1, two), ("f3", 2, two)])
+
+
+def embedded_normalized(x, prec):
+    """The series of a RawTPoly by way of its normalized form: each K
+    coefficient expanded by `from_ratk`, times its t-monomial."""
+    ctx, s = x.ctx, x.s
+    total = TateSeries.zero(ctx, s, prec)
+    for exps, coef in x.to_tpoly().terms.items():
+        term = TateSeries.from_ratk(coef, prec, s)
+        for i, e in enumerate(exps, 1):
+            term = term * TateSeries.variable(ctx, s, i) ** e
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_raw_embedding_matches_the_normalized_one(q):
+    # the valuation checks expand closed forms at q = 3 only, so no verify
+    # report reaches `from_raw` over F_(p^e)
+    cache = SeqCache(FieldContext(q))
+    for form, n, sigma in closed_cases(cache.ctx):
+        assert closed_form(q, n, sigma) == form
+        for d in range(4):
+            x = power_sum(cache, d, n, sigma)
+            # below n d the series is empty to the precision
+            for prec in sorted({max(0, n * d - 1), n * d, n * d + 1, n * d + 6,
+                                n * d + 17, n * d + 40}):
+                assert TateSeries.from_raw(x, prec) == embedded_normalized(x, prec), \
+                    (form, n, d, prec)
 
 
 def test_embedding_is_multiplicative(ctx3):
@@ -93,14 +133,14 @@ def test_exact_identity_embeds_consistently(cache3):
     chi = SemiChar.chi(ctx, 1, 1)
     triv = SemiChar.trivial(ctx, 1)
     d = 3
-    lhs = partial_zeta(cache3, d, MatrixData(ctx, [(chi, 1)])) * \
-        partial_zeta(cache3, d, MatrixData(ctx, [(triv, 1)], s=1))
-    rhs = partial_zeta(cache3, d, MatrixData(ctx, [(chi, 1), (triv, 1)])) + \
-        partial_zeta(cache3, d, MatrixData(ctx, [(chi, 2)]))
-    assert lhs == rhs
-    le = TateSeries.embed_tpoly(lhs, 30)
-    re = TateSeries.embed_tpoly(rhs, 30)
-    assert (le - re).is_zero_to_precision()
+    lhs = partial_zeta(cache3, d, MatrixData(ctx, [(chi, 1)]), raw=True) * \
+        partial_zeta(cache3, d, MatrixData(ctx, [(triv, 1)], s=1), raw=True)
+    rhs = partial_zeta(cache3, d, MatrixData(ctx, [(chi, 1), (triv, 1)]), raw=True) + \
+        partial_zeta(cache3, d, MatrixData(ctx, [(chi, 2)]), raw=True)
+    assert lhs.equals(rhs)
+    le = TateSeries.from_raw(lhs, 30)
+    re = TateSeries.from_raw(rhs, 30)
+    assert le == re and not le.is_zero_to_precision()
 
 
 def test_pi_factor(ctx3):
@@ -139,7 +179,7 @@ def test_zeta_matches_exact_partial_sums(cache3):
         md = MatrixData.untwisted(ctx, weights)
         z = zeta_series(cache3, md, 20)
         for d in (2, 3, 4):
-            emb = TateSeries.embed_tpoly(partial_zeta(cache3, d, md), 20, s=0)
+            emb = TateSeries.from_raw(partial_zeta(cache3, d, md, raw=True), 20)
             diff = z - emb
             # the difference is the tail beyond degree d
             assert diff.valuation() > weights[0] * d
@@ -211,6 +251,6 @@ def test_substitute_theta_power(cache3):
     # trivial zero once enough degrees are kept
     sigma = SemiChar.chi(ctx, 1, 1)
     md = MatrixData(ctx, [(sigma, 1)])
-    emb = TateSeries.embed_tpoly(partial_zeta(cache3, 4, md), 40, s=1)
+    emb = TateSeries.from_raw(partial_zeta(cache3, 4, md, raw=True), 40)
     sub = emb.substitute_theta_power(1, 3)   # t1 := theta^q
     assert sub.is_zero_to_precision()

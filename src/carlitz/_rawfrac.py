@@ -31,9 +31,10 @@ and sum truncated zeta values in it, and `substitute` specializes a
 variable at a theta-polynomial (t_i := 1, theta, theta^q) with the
 denominator unchanged.
 `to_tpoly` normalizes a value into a TPoly over K where it is printed,
-cancelling each numerator against a list of factors of the denominator;
-`binomial_factors` splits an ell-power denominator into the binomials
-theta^(q^j) - theta, against which the gcds are short.
+the one normalization path: it splits the denominator into the binomials
+theta^(q^j) - theta and a cofactor (`_binomial_split`), and cancels each
+numerator one factor at a time, so that every gcd is with one short
+binomial instead of the whole product.
 """
 
 from . import _packed as kern
@@ -132,13 +133,6 @@ class RawTPoly:
                 out[e] = kern.kmul(ctx, c1, c2, out.get(e))
         return RawTPoly(ctx, self.s, out, kern.kmul(ctx, self.den, other.den))
 
-    def scale_poly(self, c):
-        """Multiply by a polynomial given as a coefficient list."""
-        if not c:
-            return RawTPoly.zero(self.ctx, self.s)
-        return RawTPoly(self.ctx, self.s, {e: kern.kmul(self.ctx, x, c)
-                                           for e, x in self.num.items()}, self.den)
-
     def __pow__(self, n):
         return power(self, n, RawTPoly.one(self.ctx, self.s))
 
@@ -178,34 +172,28 @@ class RawTPoly:
                    == kern.kmul(ctx, b.num.get(e, zero), a.den)
                    for e in a.num.keys() | b.num.keys())
 
-    def to_tpoly(self, factors=None):
+    def to_tpoly(self):
         """The same value as a TPoly, every coefficient normalized in K.
 
-        `factors` are coefficient lists whose product is den (default: den
-        alone, one gcd per coefficient).  A numerator N is cancelled one
-        factor at a time, since gcd(N, f F) = gcd(N, f) gcd(N / gcd(N, f), F).
-        A binomial theta^m - theta is met through N mod it (`kmod_binomial`);
-        it is squarefree, so a later copy needs only the gcd with what the
-        previous copy cancelled, and none once that is 1.  den / g is
+        A numerator N is cancelled one factor of `_binomial_split` at a
+        time, since gcd(N, f F) = gcd(N, f) gcd(N / gcd(N, f), F).  A
+        binomial theta^m - theta is met through N mod it (`kmod_binomial`);
+        it is squarefree, so each further copy needs only the gcd with what
+        the previous copy cancelled, and none once that is 1.  den / g is
         rebuilt only when something cancelled."""
         ctx, den_codes = self.ctx, list(self.den)  # the gcds work on lists
-        # (f, m) with m = 0 unless f is theta^m - theta
-        parts = [(f, len(f) - 1 if len(f) > 2 and f == _binomial(ctx, len(f) - 1)
-                  else 0) for f in factors or (den_codes,)]
+        split = _binomial_split(ctx, den_codes)
         den = APoly._make(ctx, den_codes)
         terms = {}
         for e, n in self.num.items():
-            n, g, common = list(n), [1], {}
-            for f, m in parts:
-                c = common.get(m, f)
-                if len(c) == 1:
-                    continue
-                gf = kern.kgcd(ctx, c, kern.kmod_binomial(ctx, n, m) if m else n)
-                if m:
-                    common[m] = gf
-                if len(gf) > 1:
-                    n = kern.kexactdiv(ctx, n, gf)
-                    g = gf if len(g) == 1 else kern.kmul(ctx, g, gf)
+            n, g = list(n), [1]
+            for f, m, k in split:
+                for _ in range(k):
+                    f = kern.kgcd(ctx, f, kern.kmod_binomial(ctx, n, m) if m else n)
+                    if len(f) == 1:
+                        break
+                    n = kern.kexactdiv(ctx, n, f)
+                    g = f if len(g) == 1 else kern.kmul(ctx, g, f)
             d = den if len(g) == 1 else APoly._make(
                 ctx, kern.kexactdiv(ctx, den_codes, g))
             terms[e] = RatK(APoly._make(ctx, n), d, _reduced=True)
@@ -216,23 +204,22 @@ class RawTPoly:
         return format_tpoly(self.to_tpoly())
 
 
-def _binomial(ctx, m):
-    """theta^m - theta (m >= 2) as a coefficient list."""
-    return [0, ctx.neg[1]] + [0] * (m - 2) + [1]
-
-
-def binomial_factors(ctx, den):
-    """den split into binomials theta^(q^j) - theta by trial division from
-    the largest j, then the cofactor left over (a unit when den is a
-    product of ell(i) powers): factors for `RawTPoly.to_tpoly`."""
+def _binomial_split(ctx, den):
+    """den, a coefficient list, as (f, m, k) triples whose f^k multiply to
+    it up to a unit: each binomial f = theta^m - theta (m = q^j) dividing
+    den once with its multiplicity k, found by trial division from the
+    largest j, then the cofactor left over as (f, 0, 1) unless it is a
+    unit, as it is for a product of ell(i) powers."""
     m = ctx.q
     while m * ctx.q < len(den):
         m *= ctx.q
-    out, rest = [], list(den)
+    out, rest = [], den
     while m > 1:
-        f = _binomial(ctx, m)
+        f, k = [0, ctx.neg[1]] + [0] * (m - 2) + [1], 0
         while len(rest) > m and not kern.kmod_binomial(ctx, rest, m):
             rest = kern.kexactdiv(ctx, rest, f)
-            out.append(f)
+            k += 1
+        if k:
+            out.append((f, m, k))
         m //= ctx.q
-    return out + [rest]
+    return out + [(rest, 0, 1)] if len(rest) > 1 else out

@@ -459,6 +459,9 @@ for _cid, (_desc, *_identities) in _VALUATION.items():
 # ---------------------------------------------------------------------------
 
 def _validated(params):
+    """The run's parameters over its profile's, checked before any check
+    runs: InvalidParams for an unknown name or value, or a q repeated,
+    FieldConstructionError for a q with no field here."""
     merged = dict(DEFAULT_PARAMS)
     profile = params.pop("profile", None)
     if profile == "deep":
@@ -472,6 +475,10 @@ def _validated(params):
             value = tuple(int(q) for q in value)
             if any(q <= 2 for q in value):
                 raise InvalidParams("q > 2 is required")
+            if len(set(value)) < len(value):
+                raise InvalidParams(f"q repeated in {list(value)}: each q is run once")
+            for q in value:
+                FieldContext(q)
         else:
             value = int(value)
             if value < 0:

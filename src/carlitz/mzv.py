@@ -22,10 +22,8 @@ from typing import NamedTuple
 from .errors import (ArityMismatch, ContextMismatch, InvalidParams, TailNotVanishing,
                      WeightZero)
 from .poly import APoly, RatK, digit_sum, irreducibles_of_degree, necklace_count
-from ._rawfrac import RawTPoly, binomial_factors
+from ._rawfrac import RawTPoly
 from .powersums import ChainSums, SemiChar, power_sum
-
-_SPLIT_MIN = 128       # ell-power denominators up to this length take one gcd
 
 
 class MatrixData:
@@ -85,9 +83,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     chains give 0.
 
     The chain sum runs over unreduced `power_sum` values, and the
-    result is normalized once, against the binomials theta^(q^j) - theta
-    its ell-power denominator splits into, so each gcd is with one short
-    binomial instead of the whole product (`_factors`).  raw returns the
+    result is normalized once (`RawTPoly.to_tpoly`); raw returns the
     RawTPoly instead, for a caller that sums before normalizing.  Needs
     d >= 0 (InvalidParams otherwise).
     """
@@ -101,7 +97,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
         chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma),
                            RawTPoly.zero(cache.ctx, data.s), cache.table("exact chains"))
         value = chains.multi(d, data.columns, mode)
-    return value if raw else value.to_tpoly(_factors(cache.ctx, value.den))
+    return value if raw else value.to_tpoly()
 
 
 def partial_zeta(cache, d_max, data, mode="strict", budget=None, raw=False):
@@ -117,13 +113,7 @@ def partial_zeta(cache, d_max, data, mode="strict", budget=None, raw=False):
     total = RawTPoly.zero(cache.ctx, data.s)
     for k in range(d_max):
         total = total + multi_power_sum(cache, k, data, mode, raw=True)
-    return total if raw else total.to_tpoly(_factors(cache.ctx, total.den))
-
-
-def _factors(ctx, den):
-    """`to_tpoly`'s factors of an ell-power den: its binomials, or none (one
-    gcd per coefficient) up to _SPLIT_MIN coefficients, where that is faster."""
-    return binomial_factors(ctx, den) if len(den) > _SPLIT_MIN else None
+    return total if raw else total.to_tpoly()
 
 
 # ---------------------------------------------------------------------------

@@ -522,8 +522,8 @@ def closed_raw(cache, d, n, sigma):
         if form == "f3" and d >= 1:
             tb = [_in_var(ctx, s, i, enumerate(cache.tb_coeffs(d - 1)))
                   for i in v]
-            gap = list((cache.theta_q(0) - cache.theta_q(d)).coeffs)
-            num = num + (b[0] * tb[1] + tb[0] * b[1]).scale_poly(gap)
+            gap = _in_var(ctx, s, v[0], ((0, cache.theta_q(0) - cache.theta_q(d)),))
+            num = num + (b[0] * tb[1] + tb[0] * b[1]) * gap
     terms = num.num
     if sigma.degs:
         terms = {tuple(e + d * sigma.degs.count(j) for j, e in enumerate(exps, 1)): c

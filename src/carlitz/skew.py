@@ -9,11 +9,12 @@ polynomial b_j(t), so it sends the action C_a of a monic a to a(t).
 frak_S(d, n) is the twisted-coefficient power sum: the sum of
 a^(-q^n) C_a over monic a of degree d.  Its chain closed form is
 sum_i (w_i / ell(d)^(q^n)) tau^i with the `chain_weights` w_i.  Under
-the inverse isomorphism that is sum_i w_i b_i(t) over ell(d)^(q^n), and
-the enumerated sum is S_d(q^n; chi_t), which the oracle writes over the
-same denominator: the closed form is verified as an equality of RawTPoly
-numerators, with no Carlitz action computed per monic and no gcd.  The
-closed form leaves as a SkewPoly over K, for output only.
+the inverse isomorphism that is sum_i w_i b_i(t) over ell(d)^(q^n), the
+closed form `closed_raw` writes for S_d(q^n; chi_t), and the oracle
+writes the enumerated S_d(q^n; chi_t) over the same denominator: the
+closed form is verified as an equality of RawTPoly numerators, with no
+Carlitz action computed per monic and no gcd.  The closed form leaves as
+a SkewPoly over K, for output only.
 
 The star chain likewise adds and compares RawTPoly values: the skew sums
 evaluated at one (the sums of the weights) and the raw truncated zeta
@@ -24,7 +25,7 @@ from ._rawfrac import RawTPoly
 from .errors import ClosedFormMismatch, ContextMismatch, InvalidParams
 from .mzv import MatrixData, partial_zeta
 from .poly import APoly, RatK
-from .powersums import SemiChar, b_combination, chain_weights, power_sum_bruteforce
+from .powersums import SemiChar, chain_weights, closed_raw, power_sum_bruteforce
 
 
 class SkewPoly:
@@ -68,21 +69,18 @@ def frak_S_bruteforce(cache, d, n):
 
 def frak_S(cache, d, n):
     """The twisted power sum in K{tau} in chain closed form, asserted
-    against enumeration (ClosedFormMismatch on disagreement): sum_i w_i
-    b_i(t) over ell(d)^(q^n) must equal `frak_S_bruteforce`.  Needs
-    d >= 0 and n >= 1 (InvalidParams otherwise)."""
+    against enumeration (ClosedFormMismatch on disagreement): its image,
+    `closed_raw`'s S_d(q^n; chi_t), must equal `frak_S_bruteforce`.
+    Needs d >= 0 and n >= 1 (InvalidParams otherwise)."""
     if d < 0 or n < 1:
         raise InvalidParams(f"frak_S needs d >= 0 and n >= 1, got d={d}, n={n}")
     ctx = cache.ctx
-    weights = chain_weights(cache, n, d)
-    den = cache.ell_pow(d, ctx.q ** n)
-    closed = RawTPoly(ctx, 1, {(k,): list(c.coeffs)
-                               for k, c in b_combination(cache, weights).items()},
-                      list(den.coeffs))
+    closed = closed_raw(cache, d, ctx.q ** n, SemiChar.chi(ctx, 1, 1))
     if not closed.equals(frak_S_bruteforce(cache, d, n)):
         raise ClosedFormMismatch(
             f"chain closed form disagrees with enumeration at d={d}, n={n}")
-    return SkewPoly(ctx, [RatK(w, den) for w in weights])
+    den = cache.ell_pow(d, ctx.q ** n)
+    return SkewPoly(ctx, [RatK(w, den) for w in chain_weights(cache, n, d)])
 
 
 # ---------------------------------------------------------------------------

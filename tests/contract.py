@@ -1,0 +1,104 @@
+"""The behavioural contract of carlitz as one sha256 per item.
+
+Prints one line `<sha256>  <item>` for each of:
+
+- the default and the `--profile deep` report of `carlitz verify --format
+  json`, with every record's `elapsed_ms` removed;
+- stdout, stderr and exit code of each command of a fixed CLI menu
+  (`powsum`, `partial`, `zeta` with degree-character data, `bg`,
+  `bg-survey` and `skew`) over q in {3, 4, 5, 9, 25}.
+
+Each item runs in its own `python -m carlitz.cli` process, with the
+carlitz found on the caller's PYTHONPATH, so two checkouts compare by one
+diff of two runs:
+
+    PYTHONPATH=src python tests/contract.py > new.txt
+    PYTHONPATH=../old/src python tests/contract.py > old.txt
+    diff old.txt new.txt
+
+`--show ITEM` prints that item's full output instead of its digest.
+pytest does not collect this file.  The whole run takes about 8 s on a
+shared 2-core Xeon, half of it the deep report.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+
+QS = (3, 4, 5, 9, 25)
+# the precision of the degree-character zeta values at each q: enough for
+# a few nonzero terms, while the sum enumerated over monics stays in budget
+NU_PREC = {3: 8, 4: 6, 5: 5, 9: 2, 25: 1}
+
+
+def _menu():
+    """(item name, argv) of every CLI command in the contract."""
+    items = []
+    for q in QS:
+        small = q <= 5
+        d = 2 if small else 1
+        for argv in (
+                ("powsum", "--d", "2", "--data", "t1:1,1:1"),
+                ("powsum", "--d", "2", "--data", "nu1:1,1:2", "--star"),
+                ("powsum", "--d", "1", "--data", "t1*t2:2", "--format", "json"),
+                ("partial", "--d", "3", "--data", "t1*t2:1,1:1"),
+                ("partial", "--d", "2", "--data", "t1:3,1:1"),
+                ("partial", "--d", "3", "--data", "nu1*t2:1,1:1", "--star"),
+                ("zeta", "--prec", "12", "--data", "1:1,1:2"),
+                ("zeta", "--prec", str(NU_PREC[q]), "--data", "nu1:1"),
+                ("zeta", "--prec", str(2 * NU_PREC[q]), "--data", "nu1:2"),
+                ("zeta", "--prec", "8" if small else "2", "--data", "t1:1"),
+                ("bg", "--d", str(d)),
+                ("bg", "--n", "5"),
+                ("bg-survey", "--d", str(d)),
+                ("skew", "--d", str(d), "--n", "1")):
+            items.append((argv[0], "--q", str(q)) + argv[1:])
+    for q in (3, 4, 5):
+        items.append(("zeta", "--q", str(q), "--prec", "4",
+                      "--data", "nu1*t2:1,1:1"))
+    # over budget where the degree-character sum is enumerated
+    items.append(("zeta", "--q", "3", "--prec", "200", "--data", "nu1:2",
+                  "--budget", "50"))
+    return [(" ".join(argv), argv) for argv in items]
+
+
+def _run(argv):
+    return subprocess.run([sys.executable, "-m", "carlitz.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def _verify(profile):
+    proc = _run(("verify", "--format", "json", "--profile", profile))
+    doc = json.loads(proc.stdout)
+    for rec in doc["checks"]:
+        del rec["elapsed_ms"]
+    return f"exit {proc.returncode}\n{json.dumps(doc, sort_keys=True, indent=2)}\n{proc.stderr}"
+
+
+def _items():
+    yield "verify default", lambda: _verify("default")
+    yield "verify deep", lambda: _verify("deep")
+    for name, argv in _menu():
+        def output(argv=argv):
+            proc = _run(argv)
+            return f"exit {proc.returncode}\n--stdout\n{proc.stdout}--stderr\n{proc.stderr}"
+        yield name, output
+
+
+def main(argv):
+    if argv[:1] == ["--show"]:
+        want = " ".join(argv[1:])
+        for name, output in _items():
+            if name == want:
+                print(output(), end="")
+                return 0
+        print(f"no item {want!r}", file=sys.stderr)
+        return 2
+    for name, output in _items():
+        print(f"{hashlib.sha256(output().encode()).hexdigest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,6 +10,7 @@ import pytest
 
 from carlitz import checks
 from carlitz.cli import main
+from carlitz.errors import FieldConstructionError, InvalidParams
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,25 @@ def test_verify_rejects_q2(capsys):
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--suite", "all")
     assert code == 2
     assert "q > 2" in err
+    # a q with no field here stops the run before any check, with one line
+    for qs, message in (("6", "6 is not a prime power"),
+                        ("3,125", "no built-in modulus for q = 125")):
+        code, out, err = run_cli(capsys, "verify", "--qs", qs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    with pytest.raises(FieldConstructionError, match="6 is not a prime power"):
+        checks.run_check("eq-e1", qs=(6,))
+    with pytest.raises(FieldConstructionError):
+        checks.iter_suite(qs=(3, 6))
+
+
+def test_verify_rejects_a_repeated_q(capsys):
+    # each case is counted once: q = 3 twice would report 10 cases for 5
+    code, out, err = run_cli(capsys, "verify", "--qs", "3,3", "--suite", "eq-e1")
+    assert (code, out) == (2, "") and "repeated" in err
+    with pytest.raises(InvalidParams, match="repeated"):
+        checks.run_check("eq-e1", qs=(3, 4, 3))
+    assert checks.run_check("eq-e1", qs=(3,)).witness == "5 cases exact"
 
 
 def test_budget_surfaced(capsys):

@@ -84,8 +84,24 @@ def test_every_kernel_mutation_is_caught():
 
 
 def _drop_top_weight(mp):
-    real = skew.chain_weights
-    mp.setattr(skew, "chain_weights", lambda cache, n, d: real(cache, n, d)[:-1])
+    # the closed side of frak_S is `closed_raw`, which reads the weights
+    # through the powersums global
+    real = powersums.chain_weights
+    mp.setattr(powersums, "chain_weights", lambda cache, n, d: real(cache, n, d)[:-1])
+
+
+def _closed_raw_mutant(fragment, replacement):
+    """A patch putting a `closed_raw` mutant where `checks` calls it."""
+    def patch(mp):
+        mp.setattr(checks, "closed_raw", mutant("closed_raw", fragment, replacement,
+                                                powersums))
+    return patch
+
+
+def _drop_last_variable(mp):
+    # the product b_d(t_1) ... b_d(t_q) without its t_q factor
+    mp.setattr(checks, "partial_F_one_q", mutant(
+        "partial_F_one_q", "range(1, q + 1)", "range(1, q)", powersums))
 
 
 def _star_plus_one(mp):
@@ -141,6 +157,21 @@ def _divisor_sum_from_one(mp):
 
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
+    ("eq-e1", "the denominator's exponent one off",
+     _closed_raw_mutant("cache.ell_pow(d, n)", "cache.ell_pow(d, n + 1)"),
+     "q=3 d=1: closed"),
+    ("eq-e2", "b_d(t) squared", _closed_raw_mutant("else b[0]", "else b[0] * b[0]"),
+     "q=3 d=1: closed"),
+    ("eq-e3", "b_d(t_1) in place of b_d(t_2)",
+     _closed_raw_mutant("b[0] * b[1] if", "b[0] * b[0] if"), "q=3 d=1: closed"),
+    ("eq-f2", "b_d in place of its Frobenius twist",
+     _closed_raw_mutant("enumerate(cache.tb_coeffs(d))", "enumerate(cache.b_coeffs(d))"),
+     "q=3 d=1: closed"),
+    ("eq-f3", "the sign of theta - theta^(q^d) flipped",
+     _closed_raw_mutant("cache.theta_q(0) - cache.theta_q(d)",
+                        "cache.theta_q(d) - cache.theta_q(0)"), "q=3 d=1: closed"),
+    ("eq-Fdq", "the t_q factor of the product dropped", _drop_last_variable,
+     "q=3 d=1: product form != enumerated sum"),
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
      "chain closed form disagrees with enumeration"),
     ("star-chain", "the star value plus one", _star_plus_one, "broken links"),

@@ -1,7 +1,7 @@
-"""RawTPoly normalization split over the binomial factors of an ell-power
-denominator, against plain RatK normalization of every coefficient; sums
-grouped by denominator and equality through the quotient of the two
-denominators, against normalized TPoly arithmetic."""
+"""RawTPoly normalization over the binomial split of its denominator,
+against plain RatK normalization of every coefficient; sums grouped by
+denominator and equality through the quotient of the two denominators,
+against normalized TPoly arithmetic."""
 
 import random
 from functools import reduce
@@ -9,7 +9,7 @@ from functools import reduce
 import pytest
 
 from carlitz import _packed as kern
-from carlitz._rawfrac import RawTPoly, binomial_factors
+from carlitz._rawfrac import RawTPoly, _binomial_split
 from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, irreducibles_of_degree
@@ -25,55 +25,85 @@ def random_poly(ctx, rng, length):
                      + [rng.randrange(1, ctx.q)])
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def irreducible(ctx, d):
+    """A monic irreducible of degree d: prime to ell(i) for every i < d."""
+    return list(irreducibles_of_degree(ctx, d)[0].coeffs)
+
+
+def split_product(ctx, split):
+    """The product of f^k over the (f, m, k) of a split."""
+    return reduce(lambda a, b: kern.kmul(ctx, a, b),
+                  (f for f, _, k in split for _ in range(k)), [1])
+
+
+def assert_split_of(ctx, den, split):
+    """split multiplies back to den up to a unit, each binomial once, the
+    largest first, and a cofactor only when it is not a unit."""
+    quo, rem = kern.kdivmod(ctx, den, split_product(ctx, split))
+    assert not rem and len(quo) == 1
+    ms = [m for _, m, _ in split]
+    assert ms == sorted(set(ms), reverse=True)
+    for f, m, k in split:
+        assert k >= 1 and (f == binomial(ctx, m) if m else (len(f) > 1 and k == 1))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 25])
 def test_binomial_normalization_matches_ratk(q):
     ctx = FieldContext(q)
     cache = SeqCache(ctx)
     rng = random.Random(q)
-    top = 3 if q <= 5 else 2
+    top = 3 if q <= 5 else 2 if q <= 9 else 1
     binomials = [binomial(ctx, q ** j) for j in range(1, top + 1)]
     # divisors of the binomials: theta^(q^j) - theta is the product of the
     # monic irreducibles of degree dividing j
     pieces = binomials + [list(p.coeffs) for k in (1, 2)
                           for p in irreducibles_of_degree(ctx, k)]
-    for _ in range(6):
+    # one prime to every binomial the denominators reach
+    other = irreducible(ctx, top + 1)
+    odd = 1 if q == 25 else 3
+    for trial in range(7):
         den = APoly.one(ctx)
         for _ in range(rng.randint(1, 4)):
             den = den * cache.ell(rng.randint(0, top)) ** rng.randint(1, 3)
         den = list(den.coeffs)
-        factors = binomial_factors(ctx, den)
-        assert reduce(lambda a, b: kern.kmul(ctx, a, b), factors) == den
-        assert all(f in binomials for f in factors[:-1]) and len(factors[-1]) == 1
+        if trial == 5:    # the oracle's non-monic denominator at odd d
+            den = kern.kneg(ctx, list(cache.monic_lcm(odd).coeffs))
+        if trial == 6:
+            den = kern.kmul(ctx, den, other)
+        split = _binomial_split(ctx, den)
+        assert_split_of(ctx, den, split)
+        # the cofactor, up to a unit (ell(i) has leading coefficient (-1)^i)
+        cofactor = [kern.kscal(ctx, ctx.inv[f[-1]], f) for f, m, _ in split if not m]
+        assert cofactor == ([other] if trial == 6 else [])
         num = {}
         for e in range(rng.randint(1, 6)):
             c = random_poly(ctx, rng, rng.randint(1, 40))
             if e % 3:
                 for _ in range(rng.randint(1, 6)):
-                    c = kern.kmul(ctx, c, rng.choice(pieces))
+                    c = kern.kmul(ctx, c, rng.choice(pieces + [other]))
             num[(e,)] = c
         raw = RawTPoly(ctx, 1, num, den)
-        got = raw.to_tpoly(factors)
-        assert got.terms == {e: RatK(APoly(ctx, c), APoly(ctx, den))
-                             for e, c in num.items()}
-        assert got == raw.to_tpoly()
+        assert raw.to_tpoly().terms == {e: RatK(APoly(ctx, c), APoly(ctx, den))
+                                        for e, c in num.items()}
 
 
 def test_binomial_factors_of_other_denominators(ctx3):
-    assert binomial_factors(ctx3, [1]) == [[1]]
-    assert binomial_factors(ctx3, [2]) == [[2]]
-    # theta^3 - theta times theta + 1, which no binomial divides
-    den = kern.kmul(ctx3, binomial(ctx3, 3), [1, 1])
-    assert binomial_factors(ctx3, den) == [binomial(ctx3, 3), [1, 1]]
+    b3, b9 = binomial(ctx3, 3), binomial(ctx3, 9)
+    # units are dropped
+    assert _binomial_split(ctx3, [1]) == _binomial_split(ctx3, [2]) == []
+    assert _binomial_split(ctx3, kern.kmul(ctx3, [2], kern.kmul(ctx3, b3, b3))) == [(b3, 3, 2)]
+    # each binomial once with its multiplicity, the largest first
+    den = kern.kmul(ctx3, b9, kern.kmul(ctx3, b3, b3))
+    assert _binomial_split(ctx3, den) == [(b9, 9, 1), (b3, 3, 2)]
+    # theta^3 - theta times theta + 1, whose cofactor no binomial divides
+    den = kern.kmul(ctx3, b3, [1, 1])
+    assert _binomial_split(ctx3, den) == [(b3, 3, 1), ([1, 1], 0, 1)]
     raw = RawTPoly(ctx3, 0, {(): [1, 2, 1]}, den)
-    assert raw.to_tpoly(binomial_factors(ctx3, den)) == raw.to_tpoly()
-    # any factor list multiplying to den: (theta + 1)(theta + 2) over itself
+    assert raw.to_tpoly().terms[()] == RatK(APoly(ctx3, [1, 2, 1]), APoly(ctx3, den))
+    # (theta + 1)(theta + 2) over itself, a cofactor of theta^3 - theta
     raw = RawTPoly(ctx3, 0, {(): [2, 0, 1]}, [2, 0, 1])
-    assert raw.to_tpoly([[1, 1], [2, 1]]) == raw.to_tpoly() == RawTPoly.one(ctx3, 0).to_tpoly()
-
-
-def irreducible(ctx, d):
-    """A monic irreducible of degree d: prime to ell(i) for every i < d."""
-    return list(irreducibles_of_degree(ctx, d)[0].coeffs)
+    assert _binomial_split(ctx3, [2, 0, 1]) == [([2, 0, 1], 0, 1)]
+    assert raw.to_tpoly() == RawTPoly.one(ctx3, 0).to_tpoly()
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 25])

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from carlitz.errors import (ArityMismatch, NonConvergent, NotAUnit,
+from carlitz import tate
+from carlitz.errors import (ArityMismatch, BudgetExceeded, NonConvergent, NotAUnit,
                             PrecisionInsufficient)
 from carlitz.ffield import FieldContext
 from carlitz.mzv import MatrixData, partial_zeta
@@ -13,6 +14,7 @@ from carlitz.tate import (TateSeries, annals_check, family_qk_check,
                           omega_factor, pi_factor, strange_shuffle_check,
                           thakur_weight_check, valuation_identity_check,
                           zeta_series)
+from carlitz.textio import parse_matrix_data
 
 INF = math.inf
 
@@ -171,6 +173,24 @@ def test_zeta_series_values(cache3):
     assert z1.terms == {0: {(): 1}, -3: {(): 2}, -5: {(): 2}, -7: {(): 2},
                         -9: {(): 2}}
     assert zeta_series(cache3, MatrixData(ctx, []), 7).terms == {0: {(): 1}}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_degree_character_zeta_equals_the_enumeration_route(q, monkeypatch):
+    # a degree character factors out of a closed form as t_k^d, so the
+    # series of nu-twisted data come from `closed_raw`, which enumerates
+    # nothing (a budget of one monic suffices); the same values summed
+    # over monics must agree
+    ctx = FieldContext(q)
+    for text in ("nu1:1", "nu1:2", "nu1*t2:1,1:1"):
+        data = parse_matrix_data(ctx, text)
+        closed = zeta_series(SeqCache(ctx, budget=1), data, 40)
+        with monkeypatch.context() as mp:
+            mp.setattr(tate, "closed_form", lambda q, n, sigma: None)
+            with pytest.raises(BudgetExceeded):
+                zeta_series(SeqCache(ctx, budget=1), data, 40)
+            enumerated = zeta_series(SeqCache(ctx), data, 40)
+        assert closed == enumerated and not closed.is_zero_to_precision(), text
 
 
 def test_zeta_matches_exact_partial_sums(cache3):

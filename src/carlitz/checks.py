@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 
 from . import shuffle, tate
 from ._rawfrac import RawTPoly
-from .errors import BudgetExceeded, CarlitzError, InvalidParams, UnknownCheck
-from .ffield import FieldContext
+from .errors import (BudgetExceeded, CarlitzError, FieldConstructionError, InvalidParams,
+                     UnknownCheck)
+from .ffield import _BUILTIN_MODULI, FieldContext, _factor_prime_power
 from .mzv import (bernoulli_goss, bg_block_values, bg_congruence_survey,
                   bg_degree_formula, bg_formula_rhs)
 from .poly import irreducibles_of_degree, necklace_count
@@ -478,6 +479,9 @@ def _validated(params):
             if len(set(value)) < len(value):
                 raise InvalidParams(f"q repeated in {list(value)}: each q is run once")
             for q in value:
+                if _factor_prime_power(q)[1] > 1 and q not in _BUILTIN_MODULI:
+                    raise FieldConstructionError(f"no built-in modulus for q = {q}: verify runs"
+                                                 f" q prime or in {sorted(_BUILTIN_MODULI)}")
                 FieldContext(q)
         else:
             value = int(value)

@@ -18,8 +18,8 @@ ways: literal enumeration (the oracle), and closed forms for the families
 with known ones.  Both write the sum as a RawTPoly over ell(d)^k; the
 oracle builds that denominator from the irreducibles, not from the ell
 sequence, as ((-1)^d times the lcm of the monics of degree d)^k.
-`monic_sum` is the one enumeration loop: every sum over monics in the
-package, here and in the skew and Tate-series oracles, goes through it.
+`monic_sum` is the one enumeration loop (here and in the skew and Tate
+oracles); it evaluates one monic per orbit of a -> u^(-d) a(u theta).
 The closed forms and the enumeration must agree exactly; tests and the
 verification suite enforce that, comparing the unreduced fractions.
 `power_sum` memoizes each power sum in this form per cache, for every
@@ -266,30 +266,65 @@ class SeqCache:
 # brute-force twisted power sums (the enumeration oracle)
 # ---------------------------------------------------------------------------
 
-def monic_sum(cache, d, sigma, value, nslots):
-    """Sum of sigma(a) * value(a) over the q^d monic a of degree d: the one
-    enumeration loop behind every oracle.
+def _orbit_size(ctx, d, h):
+    """For the coefficients c of a monic of degree d: its orbit's size under
+    c_j -> c_j u^(d-j), u^h = 1, if c is the orbit's least as (c_(d-1), ...,
+    c_0), else 0.  So c_i, the top nonzero c_j with j < d (else i = d), is
+    least in c_i (F_q^x)^(d-i), and no u with u^(d-i) = 1, mapping c_j to
+    c_j u^(i-j), makes the rest smaller: O(d) reads per such u, any q."""
+    mul = ctx.mul
+    powers = [[ctx.epow(u, r) for r in range(d + 1)] for u in range(1, ctx.q if h > 1 else 2)]
+    least = [[min(mul[c][pw[m]] for pw in powers) for c in range(ctx.q)] for m in range(d + 1)]
+    roots = [[pw for pw in powers[1:] if pw[m] == 1] for m in range(d + 1)]  # powers[0]: u = 1
+    def size(c):
+        i = d - 1
+        while not c[i]:                            # c[-1] = c_d = 1 stops it
+            i -= 1
+        i %= d + 1                                 # so theta^d has i = d
+        if least[d - i][c[i]] != c[i]:
+            return 0
+        rest = c[:i][::-1]                         # c_(i-1), ..., c_0
+        images = [tuple(mul[x][pw[r]] for r, x in enumerate(rest, 1)) for pw in roots[d - i]]
+        return 0 if any(im < rest for im in images) else h // (1 + images.count(rest))
+    return size
 
-    value maps the coefficient list of a to a list of at most nslots codes;
-    it is packed once per monic and added, times each code of sigma(a), into
-    one packed accumulator per t-monomial, reduced before a slot can
-    overflow.  Returns a dict t-exponents -> list of nslots codes.
-    """
+
+def monic_sum(cache, d, sigma, value, degrees, weight):
+    """Sum of sigma(a) value(a) over the q^d monic a of degree d, as a dict
+    t-exponents -> len(degrees) codes, slot j for theta^(degrees[j]) (a
+    range of step +-1).  a -> u^(-d) a(u theta), u in F_q^x, permutes the
+    monics and takes value(a) to u^(-W_f) value(a)(u theta):
+
+        cofactors L^k / a^k, k > 0      theta^j         W_f = k deg L - k d
+        a^(-k), k <= 0                  theta^j         W_f = -k d
+        Tate expansion of 1/a^n         theta^(-nd-j)   W_f = -n d
+
+    (L = +-`monic_lcm(d)`: L(u theta) = u^(deg L) L(theta)); sigma adds d
+    per variable, degree character and evaluation at 0 (another constant
+    leaves only u = 1).  As the sum of u^w over a group of order h is h
+    if h | w, else 0, one monic per orbit (`_orbit_size`) counts, times its
+    orbit size mod p, and t^e keeps the slots of theta-degree D with
+    h | D + |e| - W, W the total weight."""
     ctx = cache.ctx
-    count = ctx.q ** d
-    cache.check_budget(count)
-    unit = kern._units(ctx)
+    cache.check_budget(count := ctx.q ** d)
+    h = 1 if any(sigma.consts) else ctx.q - 1      # else every constant is 0
+    total = weight + d * (len(sigma.vars) + len(sigma.degs) + len(sigma.consts))
+    size, unit, mul = _orbit_size(ctx, d, h), kern._units(ctx), ctx.mul
     every = kern.reduce_interval(ctx, 1, count)
     acc = {}
     for i, a in enumerate(enumerate_monics(ctx, d), 1):
-        coeffs = list(a.coeffs)
-        packed = kern.pack(ctx, value(coeffs))
-        for exps, code in sigma.eval_codes(coeffs).items():
-            acc[exps] = acc.get(exps, 0) + unit[code] * packed
+        n = size(a.coeffs) % ctx.p                 # an orbit size divides q - 1
+        if n:
+            packed = kern.pack(ctx, value(a.coeffs))
+            for exps, code in sigma.eval_codes(a.coeffs).items():
+                acc[exps] = acc.get(exps, 0) + unit[mul[code][n]] * packed
         if every and i % every == 0:
-            acc = {e: kern.pack(ctx, kern.unpack(ctx, v, nslots))
-                   for e, v in acc.items()}
-    return {e: kern.unpack(ctx, v, nslots) for e, v in acc.items()}
+            acc = {e: kern.pack(ctx, kern.unpack(ctx, v, len(degrees))) for e, v in acc.items()}
+    sums = {e: [0] * len(degrees) for e in acc}
+    for e, v in acc.items():
+        keep = slice(degrees.step * (total - sum(e) - degrees.start) % h, None, h)
+        sums[e][keep] = kern.unpack(ctx, v, len(degrees))[keep]
+    return sums
 
 
 def power_sum_bruteforce(cache, d, k, sigma):
@@ -315,11 +350,11 @@ def power_sum_bruteforce(cache, d, k, sigma):
         den, part = list((lcm ** k).coeffs), list((lcm ** j).coeffs)
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
             ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
-            len(den))
+            range(len(den)), len(den) - 1 - k * d)
     else:
         den = [1]
         sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),
-                         1 - k * d)
+                         range(1 - k * d), -k * d)
     return RawTPoly(ctx, sigma.s, sums, den)
 
 
@@ -409,14 +444,15 @@ def b_combination(cache, weights):
     T = w_d, then T <- w_i + (t - theta^(q^i)) T for i = d - 1, ..., 0, where
     theta^(q^i) times a coefficient is a shift by q^i slots: no products."""
     ctx = cache.ctx
+    kind = bytes if kern._codec(ctx) else list     # T's coefficients stay this type
     total = []                                 # T's coefficients by t-power
     for i in reversed(range(len(weights))):
-        shift = [0] * ctx.q ** i
+        shift = kind(bytes(ctx.q ** i))
         # coefficient k of (t - theta^(q^i)) T is T_(k-1) - theta^(q^i) T_k
         total = [kern.kadd(ctx, lo, shift + kern.kneg(ctx, hi) if hi else [])
-                 for lo, hi in zip([[]] + total, total + [[]])]
-        total[0] = kern.kadd(ctx, total[0], list(weights[i].coeffs))
-    return {k: APoly._make(ctx, c) for k, c in enumerate(total) if c}
+                 for lo, hi in zip([kind()] + total, total + [kind()])]
+        total[0] = kern.kadd(ctx, total[0], kind(weights[i].coeffs))
+    return {k: APoly._make(ctx, list(c)) for k, c in enumerate(total) if c}
 
 
 def tau_b_expand(cache, n, d):

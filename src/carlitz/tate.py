@@ -365,7 +365,7 @@ def _series_power_sum(cache, d, n, sigma, prec):
         rows = prec - n * d + 1
         if rows > 0:
             sums = monic_sum(cache, d, sigma, lambda a: _inverse_power(ctx, a, n, rows),
-                             rows)
+                             range(-n * d, -n * d - rows, -1), -n * d)
         else:
             cache.check_budget(ctx.q ** d)
             sums = {}

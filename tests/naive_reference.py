@@ -7,14 +7,17 @@ multiplication.  The field tables themselves are validated separately
 against the field axioms, so this layer is an independent route to every
 value it checks.
 
-The exceptions are `frak_S_naive`, the package's former skew oracle, and
-`chain_weights_naive`, its former chain enumeration.  The first uses the
+The exceptions are `frak_S_naive`, the package's former skew oracle,
+`chain_weights_naive`, its former chain enumeration, and
+`monic_sum_naive`, its former enumeration loop.  The first uses the
 packed kernel for its cofactors, but computes the Carlitz action of every
 monic (`carlitz_action`, schoolbook), so it checks the route through the
 b-expansion and F_q-linearity that replaced it.  The second multiplies
 `APoly` values, but sums over every descending chain with each ratio of
 ell values an exact division, so it checks the suffix-sum recurrence and
-the product-built ratios that replaced it.
+the product-built ratios that replaced it.  The third evaluates the
+callers' values and semi-characters at every monic, so it checks the
+orbit representatives, orbit sizes and kept slots that replaced it.
 """
 
 import itertools
@@ -122,6 +125,23 @@ def monics(ctx, d):
         return
     for tail in itertools.product(range(ctx.q), repeat=d):
         yield list(tail) + [1]
+
+
+def monic_sum_naive(cache, d, sigma, value, degrees, weight):
+    """`powersums.monic_sum` without orbits: sigma(a) times value(a), added
+    slot by slot through the field tables, for every monic a of degree d.
+    Same signature; degrees only sets the length of each list, and weight
+    is not used."""
+    ctx = cache.ctx
+    cache.check_budget(ctx.q ** d)
+    out = {}
+    for a in monics(ctx, d):
+        v = value(a)
+        for exps, code in sigma.eval_codes(a).items():
+            acc = out.setdefault(exps, [0] * len(degrees))
+            for j, x in enumerate(v):
+                acc[j] = ctx.add[acc[j]][ctx.mul[code][x]]
+    return out
 
 
 def monic_lcm(ctx, d):

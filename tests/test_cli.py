@@ -183,8 +183,13 @@ def test_verify_rejects_q2(capsys):
         code, out, err = run_cli(capsys, "verify", "--qs", qs)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        # verify takes no modulus, so it names the q it runs instead
+        assert "pass one explicitly" not in err
     with pytest.raises(FieldConstructionError, match="6 is not a prime power"):
         checks.run_check("eq-e1", qs=(6,))
+    with pytest.raises(FieldConstructionError,
+                       match=r"q = 125: verify runs q prime or in \[4, 8, 9, 16, 25, 27\]"):
+        checks.run_check("eq-e1", qs=(125,))
     with pytest.raises(FieldConstructionError):
         checks.iter_suite(qs=(3, 6))
 

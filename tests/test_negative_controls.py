@@ -1,10 +1,12 @@
 """Negative controls for the packed kernel's fast paths and for checks.
 
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
-function, from outside `src/`, and names the property test of
-`test_packed.py` that must catch it: the test passes on the real kernel
-and fails on the mutant.  A fragment that no longer occurs exactly once
-fails the control, so the table follows the code it perturbs.
+function, or of a `powersums` function given as `powersums.<name>` (the
+enumeration loop), from outside `src/`, and names the property test of
+`test_packed.py` or `test_monic_orbits.py` that must catch it: the test
+passes on the real code and fails on the mutant.  A fragment that no
+longer occurs exactly once fails the control, so the table follows the
+code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
@@ -21,6 +23,7 @@ from carlitz import checks, mzv, poly, powersums, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
+import test_monic_orbits as orbits
 import test_packed as prop
 
 # (what the mutation breaks, function, fragment, replacement, test, its args)
@@ -52,6 +55,17 @@ KERNEL_MUTATIONS = [
     ("bytes monomial product shifted by one slot", "kmul",
      "bytes(i) if to_bytes", "bytes(i + 1) if to_bytes",
      prop.test_bytes_operands_on_every_product_path, (3,)),
+    # the orbit sums of `monic_sum`: each orbit size is 2 or 1 mod 3
+    ("orbit size factor dropped", "powersums.monic_sum",
+     "unit[mul[code][n]]", "unit[code]",
+     orbits.test_orbit_sums_match_the_per_monic_loop, (3,)),
+    ("kept slots one residue class off", "powersums.monic_sum",
+     "(total - sum(e) - degrees.start)", "(total + 1 - sum(e) - degrees.start)",
+     orbits.test_orbit_sums_match_the_per_monic_loop, (5,)),
+    # at q = 5 the u = -1 images of c_(i-1), ..., c_0 decide d - i = 2
+    ("representative test accepting a larger image", "powersums._orbit_size",
+     "any(im < rest for im in images)", "any(im < rest[:0] for im in images)",
+     orbits.test_orbit_sums_match_the_per_monic_loop, (5,)),
 ]
 
 
@@ -71,10 +85,12 @@ def mutant(name, fragment, replacement, module=kern):
 def test_every_kernel_mutation_is_caught():
     missed = []
     for what, name, fragment, replacement, test, args in KERNEL_MUTATIONS:
+        owner, _, name = name.rpartition(".")
+        module = {"": kern, "powersums": powersums}[owner]
         with pytest.MonkeyPatch.context() as mp:
-            test(*args, mp)  # the real kernel passes
+            test(*args, mp)  # the real code passes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kern, name, mutant(name, fragment, replacement))
+            mp.setattr(module, name, mutant(name, fragment, replacement, module))
             try:
                 test(*args, mp)
             except Exception:
@@ -132,7 +148,7 @@ def _sieve_one_degree_short(mp):
 def _horner_root_one_power_up(mp):
     # the Horner step multiplies by theta^(q^(i+1)), the root of b_(i+2)
     mp.setattr(powersums, "b_combination", mutant(
-        "b_combination", "[0] * ctx.q ** i", "[0] * ctx.q ** (i + 1)", powersums))
+        "b_combination", "bytes(ctx.q ** i)", "bytes(ctx.q ** (i + 1))", powersums))
 
 
 def _first_chain_exponent_dropped(mp):

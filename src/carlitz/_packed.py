@@ -19,14 +19,19 @@ bound, every other packed path 32 bits.  When one operand has at most
 four nonzero terms and the other is longer than the schoolbook cutoff,
 `kmul` adds shifted scalar multiples of the packed long operand instead (a
 monomial is a shift); its optional addend c is packed into the same sum,
-so c + a*b costs one unpack.  Division is schoolbook over the
-divisor's nonzero terms up to a work budget (over F_p on plain integers,
-reduced as read); what that prefix leaves goes to Newton division in
-blocks against one inverse of the reversed divisor to max(len(b), 64)
-terms, each block a short product for the quotient and one for the
-remainder (schoolbook again when a product's slots would overflow).  A
-divisor theta^m - theta is a recurrence from the top, summed as one
-packed strided suffix sum.
+so c + a*b costs one unpack.  When both operands are longer than the
+cutoff, at most 1/8 of each is nonzero and their na, nb nonzero terms
+have na * nb <= la + lb (products of the closed forms' elementary
+symmetric functions of theta^(q^j)), `kmul` packs nothing: its schoolbook
+reads only the nonzero slots, found in C by translate and find.  Each
+operand's terms are counted once for both sparse tests.  Division is
+schoolbook over the divisor's nonzero terms up to a work budget (over
+F_p on plain integers, reduced as read); what that prefix leaves goes to
+Newton division in blocks against one inverse of the reversed divisor to
+max(len(b), 64) terms, each block a short product for the quotient and
+one for the remainder (schoolbook again when a product's slots would
+overflow).  A divisor theta^m - theta is a recurrence from the top,
+summed as one packed strided suffix sum.
 
 Slot arithmetic never reduces mod p until unpacking: slot values only
 grow.  Unpacking reduces each sub-slot mod p and, for e > 1, reads the
@@ -196,29 +201,41 @@ def unpack(ctx, value, nslots, width=_W, as_bytes=False):
 # multiplication
 # ---------------------------------------------------------------------------
 
+_FLAG = _table(b"\0" + b"\1" * 255)       # a nonzero byte -> 1
+
+
+def _terms(ctx, a):
+    """(i, a_i) for the nonzero slots i of a; where codes fit in a byte, by
+    one translate and one find per term, in C."""
+    if ctx.q > 256:
+        return [(i, c) for i, c in enumerate(a) if c]
+    flags, out = bytearray(a).translate(_FLAG), []
+    i = flags.find(1)
+    while i >= 0:
+        out.append((i, a[i]))
+        i = flags.find(1, i + 1)
+    return out
+
+
 def kmul_naive(ctx, a, b):
+    """Schoolbook a*b through the field tables, one step per pair of
+    nonzero terms: a long product finds the terms first (`_terms`), a short
+    one skips zeros as it scans; bytes when a is bytes."""
     if not a or not b:
         return []
-    if ctx.e == 1:
-        p = ctx.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return trim([v % p for v in out])
-    mul = ctx.mul
-    add = ctx.add
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    n, mul, add = len(a) + len(b) - 1, ctx.mul, ctx.add
+    out = bytearray(n) if type(a) is bytes else [0] * n
+    if n > 2 * _MUL_CUTOFF:
+        rows, terms = _terms(ctx, a), _terms(ctx, b)
+    else:  # scanned, b anew for each row: no objects to allocate
+        rows, terms = enumerate(a), ()
+    for i, ai in rows:
         if ai:
             row = mul[ai]
-            for j, bj in enumerate(b):
+            for j, bj in terms or enumerate(b):
                 if bj:
-                    k = i + j
-                    out[k] = add[out[k]][row[bj]]
-    return trim(out)
+                    out[i + j] = add[out[i + j]][row[bj]]
+    return trim(bytes(out) if type(out) is bytearray else out)
 
 
 def kmul(ctx, a, b, c=None):
@@ -234,10 +251,17 @@ def kmul(ctx, a, b, c=None):
     # (p-1)^2 (sub-slot j holds those of digit pairs j1 + j2 = j), over the
     # m = min(la, lb) slot pairs, or the m nonzero terms of a sparse operand
     # times a long one; the addend adds one digit
-    m, sparse = min(la, lb), None
+    m, sparse, few = min(la, lb), None, False
     if max(la, lb) > _MUL_CUTOFF:
-        for x, y in ((a, b), (b, a)):
-            if len(y) > _MUL_CUTOFF and (terms := len(x) - x.count(0)) <= _SPARSE:
+        # nonzero terms of each operand that can be sparse against a long
+        # other one, counted once (the length itself where none is counted);
+        # two long operands with few terms each take the schoolbook, which
+        # reads only their na * nb pairs of terms
+        na = la - a.count(0) if lb > _MUL_CUTOFF else la
+        nb = lb - b.count(0) if la > _MUL_CUTOFF else lb
+        few = m > _MUL_CUTOFF and 8 * na <= la and 8 * nb <= lb and na * nb <= la + lb
+        for x, y, terms in ((a, b, na), (b, a, nb)):
+            if len(y) > _MUL_CUTOFF and terms <= _SPARSE and not few:
                 m, sparse, dense = terms, x, y
                 break
     if sparse is not None and m == 1:  # a monomial: a shift
@@ -245,7 +269,7 @@ def kmul(ctx, a, b, c=None):
         prod = trim((bytes(i) if to_bytes else [0] * i) + kscal(ctx, sparse[i], dense))
         return kadd(ctx, prod, c) if c else prod
     bound = m * ctx.e * (ctx.p - 1) ** 2 + (ctx.p - 1 if c else 0)
-    if bound >= 1 << _W or (m <= _MUL_CUTOFF and sparse is None):
+    if few or bound >= 1 << _W or (m <= _MUL_CUTOFF and sparse is None):
         prod = _like(a, kmul_naive(ctx, a, b))
         return kadd(ctx, prod, c) if c else prod
     width = _NARROW if bound < 1 << _NARROW else _W
@@ -317,30 +341,29 @@ def kspread(a, m):
 
 def kpow(ctx, a, n):
     """a^n by base-q windowing: a^n = prod spread(a^(digit_i), q^i), which
-    turns the Frobenius part of the exponent into coefficient spreading."""
+    turns the Frobenius part of the exponent into coefficient spreading.
+    Each digit power is square-and-multiply over the squares a^(2^k),
+    shared by all digits."""
     if n < 0:
         raise ValueError("negative exponent for a polynomial power")
     if n == 0:
         return [1]
     if not a:
         return []
-    q = ctx.q
-    small = {1: list(a)}
-    digs = []
-    m = n
-    while m:
-        digs.append(m % q)
-        m //= q
-    need = sorted({dg for dg in digs if dg > 1})
-    cur = list(a)
-    for d in range(2, (need[-1] if need else 1) + 1):
-        cur = kmul(ctx, cur, a)
-        small[d] = cur
-    result = None
-    shift = 1
-    for dg in digs:
-        if dg:
-            part = kspread(small[dg], shift)
+    q, squares, powers = ctx.q, [list(a)], {}
+    result, shift = None, 1
+    while n:
+        n, g = divmod(n, q)
+        if g:
+            part = powers.get(g)
+            if part is None:  # the product of the squares a^(2^k) of g's bits
+                for k in range(g.bit_length()):
+                    if k == len(squares):
+                        squares.append(kmul(ctx, squares[-1], squares[-1]))
+                    if g >> k & 1:
+                        part = squares[k] if part is None else kmul(ctx, part, squares[k])
+                powers[g] = part
+            part = kspread(part, shift)
             result = part if result is None else kmul(ctx, result, part)
         shift *= q
     return result
@@ -422,7 +445,7 @@ def _kmul_part(ctx, a, b, lo, hi):
     m = min(len(a), len(b))
     bound = m * ctx.e * (ctx.p - 1) ** 2
     if m <= _MUL_CUTOFF or bound >= 1 << _W:
-        out = kmul_naive(ctx, a, b)[lo:hi]
+        out = list(kmul_naive(ctx, a, b)[lo:hi])
         return out + [0] * (hi - lo - len(out))
     width = _NARROW if bound < 1 << _NARROW else _W
     bits = (2 * ctx.e - 1) * width

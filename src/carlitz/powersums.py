@@ -88,9 +88,6 @@ class SemiChar:
         """a -> a(c) for c in F_q."""
         return cls(ctx, s, consts=(c,))
 
-    def is_trivial(self):
-        return not (self.vars or self.degs or self.consts)
-
     def with_arity(self, s):
         if s < max((0,) + self.vars + self.degs):
             raise ArityMismatch("arity too small for the factors present")
@@ -377,7 +374,10 @@ def power_sum_closed(cache, d, which):
            "f3" S_d(2;chi*chi)  -> the two-variable analogue
 
     The (t_i - theta) denominators of f2/f3 cancel: f2 is tb_d(t1)/ell(d)^2
-    with tb the Frobenius twist of b.  The values come from `closed_raw`,
+    with tb the Frobenius twist of b, and f3 is (tb_d(t1) tb_d(t2) -
+    (theta^(q^d) - theta)^2 tb_(d-1)(t1) tb_(d-1)(t2)) / ell(d)^2, by
+    b_d = (t - theta) tb_(d-1) and tb_d = (t - theta^(q^d)) tb_(d-1).
+    The values come from `closed_raw`,
     which writes every form with these cancellations done, and are
     normalized by `RawTPoly.to_tpoly`.
     """
@@ -534,9 +534,13 @@ def closed_raw(cache, d, n, sigma):
         kql   1                        e2   b_d(t_i)
         f2    tb_d(t_i)                qn   the chain numerator in t_i
         e3    b_d(t_i) b_d(t_j)
-        f3    b_d(t_i) b_d(t_j) + (theta - theta^(q^d))
-              * (b_d(t_i) tb_(d-1)(t_j) + tb_(d-1)(t_i) b_d(t_j))
+        f3    tb_d(t_i) tb_d(t_j) - (theta^(q^d) - theta)^2
+              * tb_(d-1)(t_i) tb_(d-1)(t_j)
 
+    f3 follows from b_d = (t - theta) tb_(d-1), tb_d = (t - theta^(q^d))
+    tb_(d-1).  e3 and f3 are symmetric in t_i, t_j: the coefficient of t_i^a
+    t_j^b, a <= b, is one fused product of sparse theta-polynomials,
+    mirrored to t_i^b t_j^a.
     Each degree character a -> t_k^deg(a) multiplies the value by t_k^d.
     """
     ctx = cache.ctx
@@ -546,21 +550,29 @@ def closed_raw(cache, d, n, sigma):
     s = sigma.s
     v = sigma.vars
     if form == "kql":
-        num = RawTPoly.one(ctx, s)
-    elif form == "qn":
-        weights = chain_weights(cache, _q_log(ctx.q, n), d)
-        num = _in_var(ctx, s, v[0], b_combination(cache, weights).items())
-    elif form == "f2":
-        num = _in_var(ctx, s, v[0], enumerate(cache.tb_coeffs(d)))
-    else:  # e2, e3, f3
-        b = [_in_var(ctx, s, i, enumerate(cache.b_coeffs(d))) for i in v]
-        num = b[0] * b[1] if form in ("e3", "f3") else b[0]
+        terms = {(0,) * s: [1]}
+    elif form in ("e3", "f3"):
+        kind = bytes if kern._codec(ctx) else list
+        x = [kind(c.coeffs) for c in (cache.b_coeffs(d) if form == "e3"
+                                      else cache.tb_coeffs(d))]
+        y = z = ()
         if form == "f3" and d >= 1:
-            tb = [_in_var(ctx, s, i, enumerate(cache.tb_coeffs(d - 1)))
-                  for i in v]
-            gap = _in_var(ctx, s, v[0], ((0, cache.theta_q(0) - cache.theta_q(d)),))
-            num = num + (b[0] * tb[1] + tb[0] * b[1]) * gap
-    terms = num.num
+            gap = kind((cache.theta_q(d) - cache.theta_q(0)).coeffs)
+            gap2 = kern.kneg(ctx, kern.kmul(ctx, gap, gap))
+            z = [kind(c.coeffs) for c in cache.tb_coeffs(d - 1)]
+            y = [kern.kmul(ctx, gap2, c) for c in z]
+        terms, exps = {}, [0] * s
+        for a in range(d + 1):
+            for b in range(a, d + 1):
+                c = kern.kmul(ctx, x[a], x[b], kern.kmul(ctx, y[a], z[b]) if b < len(z) else None)
+                for exps[v[0] - 1], exps[v[1] - 1] in ((a, b), (b, a)):
+                    terms[tuple(exps)] = c
+    else:
+        if form == "qn":
+            coeffs = b_combination(cache, chain_weights(cache, _q_log(ctx.q, n), d)).items()
+        else:
+            coeffs = enumerate(cache.tb_coeffs(d) if form == "f2" else cache.b_coeffs(d))
+        terms = _in_var(ctx, s, v[0], coeffs).num
     if sigma.degs:
         terms = {tuple(e + d * sigma.degs.count(j) for j, e in enumerate(exps, 1)): c
                  for exps, c in terms.items()}

@@ -330,6 +330,61 @@ def b_poly(ctx, j):
     return out
 
 
+def _smul(ctx, x, y):
+    """The product of theta-polynomials kept as {exponent: code} dicts."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            out[i + j] = ctx.add[out.get(i + j, 0)][ctx.mul[a][b]]
+    return {k: c for k, c in out.items() if c}
+
+
+def _sadd(ctx, x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = ctx.add[out.get(k, 0)][c]
+    return {k: c for k, c in out.items() if c}
+
+
+def _dense(x):
+    """A {exponent: code} dict as a trimmed code list."""
+    out = [0] * (max(x) + 1 if x else 0)
+    for k, c in x.items():
+        out[k] = c
+    return out
+
+
+def _sroots(ctx, exps):
+    """prod (t - theta^r) over r in exps, as a list by t-power of
+    {exponent: code} dicts."""
+    out = [{0: 1}]
+    for r in exps:
+        root = {r: ctx.neg[1]}
+        out = [_sadd(ctx, lo, _smul(ctx, root, hi))
+               for lo, hi in zip([{}] + out, out + [{}])]
+    return out
+
+
+def f3_three_products(ctx, d):
+    """S_d(2; chi_t1 chi_t2) as written before its symmetric rewrite, over
+    ell(d)^2: b_d(t_1) b_d(t_2) + (theta - theta^(q^d)) (b_d(t_1)
+    tb_(d-1)(t_2) + tb_(d-1)(t_1) b_d(t_2)), three tensor products of
+    sparse coefficient dicts.  Returns ({(a, b): code list}, den code list)."""
+    q = ctx.q
+    b = _sroots(ctx, [q ** j for j in range(d)])
+    tb = _sroots(ctx, [q ** j for j in range(1, d)])
+    gap = _sadd(ctx, {1: 1}, {q ** d: ctx.neg[1]})
+    num = {}
+    for (x, y, g) in ((b, b, {0: 1}), (b, tb, gap), (tb, b, gap)):
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                num[i, j] = _sadd(ctx, num.get((i, j), {}), _smul(ctx, g, _smul(ctx, xi, yj)))
+    ell = {0: 1}
+    for i in range(1, d + 1):
+        ell = _smul(ctx, ell, _sadd(ctx, {1: 1}, {q ** i: ctx.neg[1]}))
+    return ({e: _dense(c) for e, c in num.items() if c}, _dense(_smul(ctx, ell, ell)))
+
+
 def b_combination_naive(ctx, weights):
     """The sum of w_i b_i(t) for code lists w_i, each b_i built by `b_poly`
     and each term a schoolbook product: a list by t-power of code lists."""

@@ -48,6 +48,14 @@ KERNEL_MUTATIONS = [
     ("sparse term shifted by one slot", "kmul",
      "unit[sparse[i]] * v << i * bits", "unit[sparse[i]] * v << (i + 1) * bits",
      prop.test_sparse_products, (3,)),
+    # b's terms one slot down on the long schoolbook, the one two long
+    # sparse operands take: a constant term wraps to the top slot
+    ("long schoolbook term shifted by one slot", "kmul_naive",
+     "_terms(ctx, a), _terms(ctx, b)", "_terms(ctx, a), [(j - 1, c) for j, c in _terms(ctx, b)]",
+     prop.test_both_sparse_products, (3,)),
+    ("digit power from a^(k+1) in place of the square a^(2^k)", "kpow",
+     "kmul(ctx, squares[-1], squares[-1])", "kmul(ctx, squares[-1], squares[0])",
+     prop.test_pow_digits_by_square_and_multiply, (25,)),
     ("fused addend without its top coefficient", "kmul",
      "pack(ctx, c, width)", "pack(ctx, c[:-1], width)",
      prop.test_fused_multiply_add, (4,)),
@@ -176,16 +184,17 @@ CHECK_CONTROLS = [
     ("eq-e1", "the denominator's exponent one off",
      _closed_raw_mutant("cache.ell_pow(d, n)", "cache.ell_pow(d, n + 1)"),
      "q=3 d=1: closed"),
-    ("eq-e2", "b_d(t) squared", _closed_raw_mutant("else b[0]", "else b[0] * b[0]"),
-     "q=3 d=1: closed"),
-    ("eq-e3", "b_d(t_1) in place of b_d(t_2)",
-     _closed_raw_mutant("b[0] * b[1] if", "b[0] * b[0] if"), "q=3 d=1: closed"),
+    ("eq-e2", "b_d(t) squared",
+     _closed_raw_mutant("_in_var(ctx, s, v[0], coeffs).num",
+                        "(_in_var(ctx, s, v[0], coeffs) ** 2).num"), "q=3 d=1: closed"),
+    ("eq-e3", "the mirrored coefficient t_i^b t_j^a dropped",
+     _closed_raw_mutant("((a, b), (b, a))", "((a, b),)"), "q=3 d=1: closed"),
     ("eq-f2", "b_d in place of its Frobenius twist",
-     _closed_raw_mutant("enumerate(cache.tb_coeffs(d))", "enumerate(cache.b_coeffs(d))"),
-     "q=3 d=1: closed"),
-    ("eq-f3", "the sign of theta - theta^(q^d) flipped",
-     _closed_raw_mutant("cache.theta_q(0) - cache.theta_q(d)",
-                        "cache.theta_q(d) - cache.theta_q(0)"), "q=3 d=1: closed"),
+     _closed_raw_mutant('cache.tb_coeffs(d) if form == "f2"',
+                        'cache.b_coeffs(d) if form == "f2"'), "q=3 d=1: closed"),
+    ("eq-f3", "the sign of (theta^(q^d) - theta)^2 flipped",
+     _closed_raw_mutant("kern.kneg(ctx, kern.kmul(ctx, gap, gap))",
+                        "kern.kmul(ctx, gap, gap)"), "q=3 d=1: closed"),
     ("eq-Fdq", "the t_q factor of the product dropped", _drop_last_variable,
      "q=3 d=1: product form != enumerated sum"),
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,

@@ -441,6 +441,58 @@ def test_fused_multiply_add(q, monkeypatch):
     assert kern.kmul(ctx, [], b, c) == c and kern.kmul(ctx, [], b, c) is not c
 
 
+# (len a, len b, terms of a, terms of b): the products of two long operands
+# that kmul gives its schoolbook (both longer than the cutoff, at most 1/8
+# of each nonzero, na nb <= la + lb; the last two at a bound), then those
+# that it does not
+BOTH_SPARSE = [(40, 30, 1, 3), (300, 200, 5, 20), (3000, 2000, 10, 12),
+               (1000, 130, 30, 16), (200, 200, 20, 20), (200, 64, 25, 8)]
+NOT_BOTH_SPARSE = [(200, 200, 20, 21),   # na nb > la + lb
+                   (200, 64, 26, 8),     # a denser than 1/8
+                   (25, 200, 4, 3),      # a denser than 1/8: the sparse path
+                   (24, 400, 1, 10)]     # a at the schoolbook cutoff
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16, 25, 27])
+def test_both_sparse_products(q, monkeypatch):
+    ctx = FIELDS[q]
+    rng = random.Random(q + 7)
+    taken, real = [], kern.kmul_naive
+    monkeypatch.setattr(kern, "kmul_naive", lambda *args: taken.append(1) or real(*args))
+    kinds = (list, bytes) if q <= 16 else (list,)
+    for shapes, path in ((BOTH_SPARSE, True), (NOT_BOTH_SPARSE, False)):
+        for la, lb, ta, tb in shapes:
+            a, b = sparse_poly(rng, q, la, ta), sparse_poly(rng, q, lb, tb)
+            ab = ref.nmul(ctx, a, b)
+            for c in (None, random_poly(rng, q, 7), random_poly(rng, q, la + lb + 20),
+                      ref.nneg(ctx, ab)):
+                want = ab if c is None else ref.nadd(ctx, c, ab)
+                for kind in kinds:
+                    del taken[:]
+                    got = kern.kmul(ctx, kind(a), kind(b), None if c is None else kind(c))
+                    assert type(got) is kind and list(got) == want, (la, lb, c is None)
+                    assert len(taken) == path, (la, lb, ta, tb)
+                    got = kern.kmul(ctx, kind(b), kind(a), None if c is None else kind(c))
+                    assert list(got) == want, (lb, la, c is None)
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_pow_digits_by_square_and_multiply(q, monkeypatch):
+    # base-q digits >= 8: a digit power g takes bit_length(g) - 1 squarings
+    # and popcount(g) - 1 products, not g - 1 products
+    ctx = FIELDS[q]
+    rng = random.Random(q + 8)
+    calls, real = [], kern.kmul
+    monkeypatch.setattr(kern, "kmul", lambda *args: calls.append(1) or real(*args))
+    for g in (8, 13, q - 1):
+        a = random_poly(rng, q, 3)
+        del calls[:]
+        assert kern.kpow(ctx, a, g) == ref.npow(ctx, a, g), g
+        assert len(calls) == g.bit_length() + bin(g).count("1") - 2, g
+        for n in (g * q, g + 9 * q, (q - 2) * q + g):
+            assert kern.kpow(ctx, a, n) == ref.npow(ctx, a, n), n
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_pow_matches_repeated_mul(q, data):

@@ -177,12 +177,13 @@ def test_bruteforce_sums_over_ell_powers(q):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_closed_forms_match_enumeration(q):
+    d_max = {3: 5, 4: 4}[q]
     ctx = FieldContext(q)
     cache = SeqCache(ctx)
     sigma1 = SemiChar.chi(ctx, 1, 1)
     sigma2 = SemiChar(ctx, 2, varis=(1, 2))
     triv = SemiChar.trivial(ctx, 0)
-    for d in range(4):
+    for d in range(d_max + 1):
         assert power_sum_closed(cache, d, "e1") == \
             power_sum_bruteforce(cache, d, 1, triv).to_tpoly()
         assert power_sum_closed(cache, d, "f1") == \
@@ -195,6 +196,20 @@ def test_closed_forms_match_enumeration(q):
             power_sum_bruteforce(cache, d, 1, sigma2).to_tpoly()
         assert power_sum_closed(cache, d, "f3") == \
             power_sum_bruteforce(cache, d, 2, sigma2).to_tpoly()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_f3_matches_the_three_product_form(q):
+    # the symmetric-product f3 has the same numerators and denominator, not
+    # only the same value, as the three tensor products it replaced
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    sigma = SemiChar(ctx, 2, varis=(1, 2))
+    for d in range(6):
+        num, den = ref.f3_three_products(ctx, d)
+        got = closed_raw(cache, d, 2, sigma)
+        assert list(got.den) == den, d
+        assert {e: list(c) for e, c in got.num.items()} == num, d
 
 
 def test_closed_form_spec_values(cache3):

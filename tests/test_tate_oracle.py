@@ -167,6 +167,24 @@ def test_schoolbook_fallback_at_large_p(monkeypatch):
     assert calls and max(calls) > 1071
 
 
+def test_dense_products_fall_back_at_large_p(monkeypatch):
+    # operands above 1/8 nonzero are not the sparse pairs kmul gives its
+    # schoolbook at any p: here the slot bound of p = 2003 alone sends them
+    ctx = FieldContext(2003)
+    rng = random.Random(2004)
+    calls, naive = [], _packed.kmul_naive
+
+    def counting(c, a, b):
+        calls.append((min(len(a), len(b)),
+                      all(8 * (len(x) - x.count(0)) > len(x) for x in (a, b))))
+        return naive(c, a, b)
+    monkeypatch.setattr(_packed, "kmul_naive", counting)
+    a, na = both(ctx, 1, rand_terms(rng, ctx, 1, 0, 600, 1, 0.3), 600)
+    b, nb = both(ctx, 1, rand_terms(rng, ctx, 1, 2, 600, 1, 0.3), 600)
+    assert_same(a * b, na * nb)
+    assert any(m > 1071 and dense for m, dense in calls)
+
+
 def _strange_shuffle(cache, prec, dropped=None):
     """strange_shuffle_check at q = 3, h = k = 1, optionally without one
     depth-two term of its right-hand side."""

@@ -93,7 +93,7 @@ def test_semichar_grammar(ctx3):
     sc = parse_semichar(ctx3, "t1*t2")
     assert sc == SemiChar(ctx3, 2, varis=(1, 2))
     assert format_semichar(sc) == "t1*t2"
-    assert parse_semichar(ctx3, "1").is_trivial()
+    assert parse_semichar(ctx3, "1") == SemiChar.trivial(ctx3, 0)
     assert parse_semichar(ctx3, "nu1") == SemiChar.nu(ctx3, 1, 1)
     assert parse_semichar(ctx3, "c(2)") == SemiChar.const_eval(ctx3, 0, 2)
     assert parse_semichar(ctx3, "t1*t1*c(2)") == SemiChar(
@@ -106,7 +106,7 @@ def test_matrix_data_grammar(ctx3):
     md = parse_matrix_data(ctx3, "t1:1,1:1")
     assert md.depth == 2 and md.weight == 2 and md.s == 1
     assert md.columns[0][0] == SemiChar.chi(ctx3, 1, 1)
-    assert md.columns[1][0].is_trivial()
+    assert md.columns[1][0] == SemiChar.trivial(ctx3, md.s)
     assert format_matrix_data(md) == "t1:1,1:1"
 
     md2 = parse_matrix_data(ctx3, "t1*t2:2")

@@ -38,7 +38,6 @@ from .poly import irreducibles_of_degree, necklace_count
 from .powersums import (DEFAULT_BUDGET, SemiChar, SeqCache, closed_raw, partial_F_one_q,
                         power_sum_bruteforce, tau_b_expand)
 from .skew import frak_S, star_chain_check
-from .shuffle import ShuffleEngine
 
 DEFAULT_PARAMS = {"qs": (3, 4), "d_max": 5, "prec": 25, "budget": DEFAULT_BUDGET}
 DEEP_PARAMS = {"qs": (3, 4, 5), "d_max": 6, "prec": 40, "budget": 2_000_000}
@@ -80,7 +79,7 @@ class _Pool:
         if q not in self._stores:
             ctx = FieldContext(q)
             cache = SeqCache(ctx, budget=self.budget)
-            self._stores[q] = (ctx, cache, ShuffleEngine(cache))
+            self._stores[q] = (ctx, cache, shuffle.ShuffleEngine(cache))
         return self._stores[q]
 
 
@@ -195,56 +194,31 @@ _grid_check("eq-Fdq", "exact-finite",
 # the shuffle identities, per degree
 # ---------------------------------------------------------------------------
 
-_PER_DEGREE = {
-    "thm-formulas-1": (shuffle.product_weight_one_untwisted,
-                       "weight-one square: F(1)^2 = F(2) + 2 F(1,1)"),
-    "thm-formulas-2": (lambda eng, d: shuffle.product_weight_one_single(eng, d, "s"),
-                       "F(1;s) F(1) = F[[s,1]] + F(2;s)"),
-    "thm-formulas-3": (lambda eng, d: shuffle.product_weight_one_single(eng, d, "p"),
-                       "F(1;p) F(1) = F[[p,1]] + F(2;p)"),
-    "thm-formulas-4": (shuffle.product_weight_one_split,
-                       "F(1;s) F(1;p) = F(2;sp)"),
-    "thm-formulas-5": (shuffle.product_weight_one_joint,
-                       "F(1) F(1;sp) = F(2;sp) + four depth-two terms"),
-    "eq-Fsfirst": (shuffle.per_degree_single, "S(1;s) S(1) = S(2;s) - S[[1,s]]"),
-    "eq-formulabis": (shuffle.per_degree_split,
-                      "S(1;s) S(1;p) = S(2;sp) - S[[p,s]] - S[[s,p]]"),
-    "eq-formulater": (shuffle.per_degree_joint,
-                      "S(1) S(1;sp) = S(2;sp) - S[[p,s]] - S[[s,p]]"),
-    "eq-lastone": (shuffle.product_weight_one_joint,
-                   "the truncated form behind formulas-5"),
-    "lemma-alemma": (shuffle.depth_two_decomposition,
-                     "S(2;sp) = S(1;s)S(1;p) + S[[p,s]] + S[[s,p]]"),
-    "remark-trivial": (shuffle.difference_identity,
-                       "F(1)F(1;sp) - F(1;s)F(1;p) = four depth-two terms"),
-    "thakur-thm1": (shuffle.weight_q_product,
-                    "F(1) F(q-1) = F(q) + F(q-1,1) + F(1,q-1)"),
-    "star-bridge": (shuffle.star_bridge,
-                    "F*(q-1,1) = F(q-1,1) + F(1)^q"),
-}
+# per-degree check id -> its `shuffle.IDENTITIES` row, looked up at call time
+ROWS = {**{cid: cid for cid in shuffle.IDENTITIES if cid != "remark-nu"},
+        "eq-lastone": "thm-formulas-5"}
 
-def _sides_case(fn):
+
+def _row_case(row_id):
     def case(ctx, cache, eng, d):
-        lhs, rhs = fn(eng, d)
+        lhs, rhs = shuffle.sides(eng, d, shuffle.IDENTITIES[row_id])
         yield None if lhs.equals(rhs) else "sides differ"
     return case
 
-for _cid, (_fn, _desc) in _PER_DEGREE.items():
-    _grid_check(_cid, "exact-per-degree", _desc)(_each_degree(_sides_case(_fn)))
+for _cid, _rid in ROWS.items():
+    _grid_check(_cid, "exact-per-degree", shuffle.IDENTITIES[_rid])(_each_degree(_row_case(_rid)))
 
 
 def _nu_case(ctx, cache, eng, d):
-    lhs, rhs = shuffle.degree_character_identity(eng, d)
-    if not lhs.equals(rhs):
-        yield "identity fails"
-        return
-    l1, r1 = shuffle.product_weight_one_untwisted(eng, d)
-    ok = (lhs.substitute(1, [1]).equals(l1.substitute(1, [1]))
-          and rhs.substitute(1, [1]).equals(r1.substitute(1, [1])))
-    yield None if ok else "t := 1 does not reproduce the untwisted square identity"
+    lhs, rhs = shuffle.sides(eng, d, shuffle.IDENTITIES["remark-nu"])
+    l1, r1 = shuffle.sides(eng, d, shuffle.IDENTITIES["thm-formulas-1"])
+    at_one = lambda a, b: a.substitute(1, [1]).equals(b.substitute(1, [1]))
+    yield ("sides differ" if not lhs.equals(rhs) else None if at_one(lhs, l1) and at_one(rhs, r1)
+           else "t := 1 does not reproduce the untwisted square identity")
 
 _grid_check("remark-nu", "exact-per-degree",
-            "degree-character shuffle and its t := 1 specialization")(_each_degree(_nu_case))
+            f"{shuffle.IDENTITIES['remark-nu']}, and at t1 := 1 each side equals "
+            f"that of {shuffle.IDENTITIES['thm-formulas-1']}")(_each_degree(_nu_case))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,20 @@ def test_report_formats():
 
 
 def test_eq_fsfirst_runs_the_per_degree_form():
-    # its own computation, not thm-formulas-2's truncated product
-    assert checks._PER_DEGREE["eq-Fsfirst"][0] is shuffle.per_degree_single
+    # its own computation, not thm-formulas-2's truncated product: a row of
+    # degree-d sums S alone
+    row = shuffle.IDENTITIES["eq-Fsfirst"]
+    factors = [f for side in shuffle.parse_row(row, 3) for _, term in side for f in term]
+    assert {method for method, _, _ in factors} == {"S", "Smulti"}
+    assert checks.REGISTRY["eq-Fsfirst"].description == row
     rep = checks.run_check("eq-Fsfirst", profile="deep", d_max=5)
     assert (rep.status, rep.witness) == ("pass", "18 cases exact")
+
+
+def test_every_per_degree_check_states_its_row():
+    per_degree = {i for i, spec in checks.REGISTRY.items() if spec.kind == "exact-per-degree"}
+    assert per_degree - {"remark-nu"} == set(checks.ROWS)
+    assert set(checks.ROWS.values()) == set(shuffle.IDENTITIES) - {"remark-nu"}
+    for check_id, row_id in checks.ROWS.items():
+        assert checks.REGISTRY[check_id].description == shuffle.IDENTITIES[row_id]
+    assert checks.ROWS["eq-lastone"] == "thm-formulas-5"

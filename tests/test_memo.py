@@ -4,9 +4,11 @@ tables, none of them normalized; no other module reaches into the cache,
 and the shuffle engine keeps nothing but its semi-character keys."""
 
 import ast
+import gc
 import importlib
 import inspect
 import pkgutil
+import weakref
 
 import carlitz
 from carlitz import checks, shuffle
@@ -49,9 +51,8 @@ def test_shuffle_engine_keeps_no_memo(ctx3):
     cache = SeqCache(ctx3)
     eng = shuffle.ShuffleEngine(cache)
     for d in range(4):
-        for fn in (shuffle.product_weight_one_joint, shuffle.per_degree_split,
-                   shuffle.weight_q_product, shuffle.star_bridge):
-            lhs, rhs = fn(eng, d)
+        for row_id in ("thm-formulas-5", "eq-formulabis", "thakur-thm1", "star-bridge"):
+            lhs, rhs = shuffle.sides(eng, d, shuffle.IDENTITIES[row_id])
             assert lhs.equals(rhs)
     dicts = [v for v in vars(eng).values() if isinstance(v, dict)]
     assert dicts == [eng._chars]
@@ -59,6 +60,21 @@ def test_shuffle_engine_keeps_no_memo(ctx3):
     assert all(isinstance(v, SemiChar) for v in eng._chars.values())
     # the chain sums went into the cache instead
     assert cache.table("shuffle chains")
+
+
+
+def test_a_dropped_engine_is_freed_at_once(ctx3):
+    # no reference cycle: a run's engines and caches go with its pool, not
+    # at the next full garbage collection
+    eng = shuffle.ShuffleEngine(SeqCache(ctx3))
+    shuffle.sides(eng, 2, shuffle.IDENTITIES["thm-formulas-5"])
+    ref = weakref.ref(eng)
+    gc.disable()
+    try:
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_engine_power_sum_is_the_cached_one(ctx3):

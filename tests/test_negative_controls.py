@@ -10,16 +10,19 @@ code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
-pass into fail, with the failure it names in its witness.
+pass into fail, with the failure it names in its witness.  The per-degree
+checks get theirs from their `shuffle.IDENTITIES` rows: each term of a row
+dropped from a side of two or more terms, and each term's sign flipped.
 """
 
 import inspect
+import re
 import textwrap
 
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import checks, mzv, poly, powersums, skew
+from carlitz import checks, mzv, poly, powersums, shuffle, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
@@ -227,3 +230,62 @@ def test_check_control_turns_pass_into_fail(check_id, what, patch, witness):
     assert (rep.status, witness in rep.witness) == ("fail", True), (what, rep.witness)
     # no mutant value is left in a cache that outlives the run
     assert run_check(check_id, d_max=2).status == "pass"
+
+
+def _terms(side):
+    """A side of a row as [(sign, term text)]: the rows put spaces around a
+    + or - between terms, and none inside an order q-1."""
+    first, *rest = re.split(r"\s([+-])\s", side.strip())
+    head = ("-", first[1:].strip()) if first.startswith("-") else ("+", first)
+    return [head, *zip(rest[::2], rest[1::2])]
+
+
+def _text(terms):
+    return " ".join(f"{sign} {t}" if i else ("-" + t if sign == "-" else t)
+                    for i, (sign, t) in enumerate(terms))
+
+
+def row_variants(row):
+    """(what changed, the row changed, its side, that side's terms) for each
+    term of the row with its sign flipped and, on a side of two or more
+    terms, for each term dropped."""
+    sides = [_terms(side) for side in row.split("=")]
+    for i, terms in enumerate(sides):
+        for j, (sign, t) in enumerate(terms):
+            flipped = ("+" if sign == "-" else "-", t)
+            changes = [(f"{t} flipped", terms[:j] + [flipped] + terms[j + 1:])]
+            if len(terms) > 1:
+                changes.append((f"{t} dropped", terms[:j] + terms[j + 1:]))
+            for what, new in changes:
+                text = " = ".join(_text(new if k == i else s) for k, s in enumerate(sides))
+                yield what, text, i, new
+
+
+# (check id, the row it evaluates), remark-nu's own row included
+ROW_CHECKS = [*checks.ROWS.items(), ("remark-nu", "remark-nu")]
+
+
+def test_row_variants_parse_as_built():
+    # the text surgery above agrees with the parser on every variant
+    count = 0
+    for _, row_id in ROW_CHECKS:
+        for _, text, side, terms in row_variants(shuffle.IDENTITIES[row_id]):
+            parsed = shuffle.parse_row(text, 3)[side]
+            assert [c < 0 for c, _ in parsed] == [sign == "-" for sign, _ in terms], text
+            count += 1
+    assert count == 96  # the 85 variants of the 13 rows, and thm-formulas-5's again
+
+
+# q = 3: in characteristic 2 a flipped sign changes nothing
+@pytest.mark.parametrize("check_id,row_id", ROW_CHECKS, ids=[c for c, _ in ROW_CHECKS])
+def test_row_controls_turn_pass_into_fail(check_id, row_id):
+    assert run_check(check_id, qs=(3,), d_max=2).status == "pass"
+    missed = []
+    for what, text, _, _ in row_variants(shuffle.IDENTITIES[row_id]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(shuffle.IDENTITIES, row_id, text)
+            rep = run_check(check_id, qs=(3,), d_max=2)
+        if rep.status != "fail" or "sides differ" not in rep.witness:
+            missed.append(f"{what}: {rep.status} {rep.witness}")
+    assert missed == []
+    assert run_check(check_id, qs=(3,), d_max=2).status == "pass"

@@ -4,7 +4,7 @@ import pytest
 
 from carlitz import shuffle
 from carlitz._rawfrac import RawTPoly
-from carlitz.errors import InvalidParams
+from carlitz.errors import GrammarError, InvalidParams
 from carlitz.ffield import FieldContext
 from carlitz.mzv import MatrixData, partial_zeta
 from carlitz.poly import APoly, RatK
@@ -12,32 +12,37 @@ from carlitz.powersums import SemiChar, SeqCache, power_sum_bruteforce
 
 from carlitz import _packed as kern
 
-ALL_IDENTITIES = [
-    shuffle.product_weight_one_untwisted,
-    lambda e, d: shuffle.product_weight_one_single(e, d, "s"),
-    lambda e, d: shuffle.product_weight_one_single(e, d, "p"),
-    shuffle.product_weight_one_split,
-    shuffle.product_weight_one_joint,
-    shuffle.per_degree_single,
-    shuffle.per_degree_split,
-    shuffle.per_degree_joint,
-    shuffle.depth_two_decomposition,
-    shuffle.difference_identity,
-    shuffle.degree_character_identity,
-    shuffle.weight_q_product,
-    # S_d(1) S_d(q-1) = S_d(q)
-    lambda e, d: (e.S(d, 1, "one") * e.S(d, e.ctx.q - 1, "one"), e.S(d, e.ctx.q, "one")),
-    shuffle.star_bridge,
-]
+# every registered row, and one row outside the registry
+ALL_IDENTITIES = [*shuffle.IDENTITIES.values(), "S(1) S(q-1) = S(q)"]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_all_identities_small_grid(q):
     eng = shuffle.ShuffleEngine(SeqCache(FieldContext(q)))
     for d in range(5):
-        for fn in ALL_IDENTITIES:
-            lhs, rhs = fn(eng, d)
-            assert lhs.equals(rhs), (q, d, fn)
+        for row in ALL_IDENTITIES:
+            lhs, rhs = shuffle.sides(eng, d, row)
+            assert lhs.equals(rhs), (q, d, row)
+
+
+def test_rows_read_as_written():
+    # orders at q, the default key, multiplicities, signs, star and powers
+    lhs, rhs = shuffle.parse_row("-2 S*(q-1;sp, 1) F(1;nu)^q = S(q)", 5)
+    assert lhs == ((-2, (("Smulti", ((("sp", 4), ("one", 1)), "star"), 1),
+                         ("Fmulti", ((("nu", 1),), "strict"), 5))),)
+    assert rhs == ((1, (("S", (5, "one"), 1),)),)
+
+
+@pytest.mark.parametrize("row,at", [
+    ("G(1) = F(2)", 0),           # an unknown factor letter
+    ("F(1;x) = F(2)", 0),         # an unknown semi-character key
+    ("F(1) + = F(2)", 5),         # an empty term
+    ("F(1) + F(2)", 11),          # no '='
+])
+def test_a_malformed_row_fails_when_parsed(row, at):
+    with pytest.raises(GrammarError) as exc:
+        shuffle.parse_row(row, 3)
+    assert exc.value.position == at
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -130,7 +135,7 @@ def test_engine_matches_public_partial_sums(cache3):
     ]
     for key, n, md in grids:
         for d in range(4):
-            raw = eng.F(d, n, key)
+            raw = eng.Fmulti(d, ((key, n),))
             public = partial_zeta(cache3, d, md)
             for exps, coef in public.terms.items():
                 assert ratk_matches(raw.num.get(exps, []), raw.den, coef)

@@ -151,8 +151,9 @@ def test_per_monic_power_sums_match_oracle(request, q):
 
 
 def test_schoolbook_fallback_at_large_p(monkeypatch):
-    # at p = 2003 a packed slot holds fewer than 2^32 / 2002^2 = 1071 digit
-    # products, so these Kronecker operands (over 1071 codes) take kmul_naive
+    # these Kronecker operands (over 1071 codes, about 1 in 85 nonzero) are
+    # both sparse, so kmul hands them to kmul_naive at any p; the slot bound
+    # of p = 2003 is pinned by test_dense_products_fall_back_at_large_p
     ctx = FieldContext(2003)
     rng = random.Random(2003)
     calls, naive = [], _packed.kmul_naive

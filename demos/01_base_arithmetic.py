@@ -21,7 +21,8 @@ print(f"gcd(θ²-1, θ-1)  = {poly_gcd(theta**2 - 1, theta - 1)}")
 print("\n== the fraction field K, always normalized ==")
 x = RatK(APoly.one(ctx), theta - theta**3) + 1
 print(f"1/(θ-θ³) + 1    = {x}")
-print(f"denominator monic: {x.den.is_monic()}, v_inf = {valuation_inf(x)}")
+print(f"leading coefficient of the denominator: {x.den.coefficient(x.den.degree)}, "
+      f"v_inf = {valuation_inf(x)}")
 print(f"v_inf(θ) = {valuation_inf(RatK.from_apoly(theta))},  "
       f"v_inf(0) = {valuation_inf(RatK.zero(ctx))}")
 

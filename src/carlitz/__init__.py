@@ -8,7 +8,7 @@
 - twisted power sums in K{tau} and the star chain (skew)
 - truncated Tate series and the numeric identity checks (tate)
 - the verification registry and report machinery (checks)
-- textual grammars (textio) and the command line (cli)
+- the printers and the matrix-data parser (textio); the command line (cli)
 """
 
 from .errors import (ArityMismatch, BothZero, BudgetExceeded, CarlitzError,
@@ -38,7 +38,6 @@ from .checks import (CheckReport, CheckSpec, REGISTRY, all_passed, iter_suite,
                      run_check, run_suite)
 from .textio import (format_apoly, format_matrix_data, format_ratk,
                      format_semichar, format_series, format_skew, format_tpoly,
-                     parse_apoly, parse_matrix_data, parse_ratk, parse_semichar,
-                     parse_skew, parse_tpoly)
+                     parse_matrix_data, parse_semichar)
 
 __version__ = "0.1.0"

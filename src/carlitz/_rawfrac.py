@@ -134,7 +134,7 @@ class RawTPoly:
         return RawTPoly(ctx, self.s, out, kern.kmul(ctx, self.den, other.den))
 
     def __pow__(self, n):
-        return power(self, n, RawTPoly.one(self.ctx, self.s))
+        return power(self, n, lambda: RawTPoly.one(self.ctx, self.s))
 
     def substitute(self, i, value):
         """Set t_i := value, a theta-polynomial given as a coefficient list

@@ -26,18 +26,20 @@ POS_INF = float("inf")
 
 
 def power(x, n, one):
-    """x ** n by square-and-multiply from `one`, for the rings without a
-    kernel power; ValueError for n < 0."""
+    """x ** n by square-and-multiply, for the rings without a kernel power:
+    the result starts at x's power for the lowest set bit of n, so x ** 1
+    is x with no product; one() gives the unit, called only at n = 0.
+    ValueError for n < 0."""
     if n < 0:
         raise ValueError(f"negative power {n}")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * x
+            result = x if result is None else result * x
         n >>= 1
         if n:
             x = x * x
-    return result
+    return one() if result is None else result
 
 
 def _codes(ctx, values):
@@ -107,9 +109,6 @@ class APoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def monic(self):
         if not self.coeffs:

@@ -83,11 +83,6 @@ class SemiChar:
         """a -> t_i^(deg a); not of Dirichlet type."""
         return cls(ctx, s, degs=(i,))
 
-    @classmethod
-    def const_eval(cls, ctx, s, c):
-        """a -> a(c) for c in F_q."""
-        return cls(ctx, s, consts=(c,))
-
     def with_arity(self, s):
         if s < max((0,) + self.vars + self.degs):
             raise ArityMismatch("arity too small for the factors present")

@@ -133,8 +133,7 @@ def sides(eng, d, row):
         for count, factors in terms:
             value = None
             for method, args, power in factors:
-                f = getattr(eng, method)(d, *args)
-                f = f if power == 1 else f ** power
+                f = getattr(eng, method)(d, *args) ** power
                 value = f if value is None else value * f
             values += [-value if count < 0 else value] * abs(count)
         out.append(values[0] if len(values) == 1 else RawTPoly.sum(values))

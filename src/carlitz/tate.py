@@ -194,9 +194,6 @@ class TateSeries:
         """Minus the largest theta-exponent present; +inf when empty."""
         return -self.top if self.c else INF
 
-    def is_zero_to_precision(self):
-        return not self.c
-
     def lift_arity(self, s):
         if s < self.s:
             raise ArityMismatch("cannot lower arity")
@@ -255,7 +252,7 @@ class TateSeries:
         return _series(self.ctx, self.s, prec, self.top + other.top, rows, rad, c)
 
     def __pow__(self, n):
-        return power(self, n, TateSeries.one(self.ctx, self.s, INF))
+        return power(self, n, lambda: TateSeries.one(self.ctx, self.s, INF))
 
     def invert_unit(self):
         """Inverse of a series with a dominant t-free unit term.  With u the
@@ -281,14 +278,6 @@ class TateSeries:
             g = _series(ctx, s, INF, g.top, g.rows, g.rad, g.c)
         return _series(ctx, s, self.prec + 2 * self.top, -self.top, g.rows, g.rad,
                        kern.kscal(ctx, cinv, g.c))
-
-    def substitute_theta_power(self, i, m):
-        """Exact substitution t_i := theta^m on the stored truncation;
-        precision decreases by m times the largest t_i-degree present."""
-        rows = self.rows
-        pieces = [(e[:i - 1] + (0,) + e[i:], self.top + m * e[i - 1],
-                   self.c[b * rows:(b + 1) * rows]) for b, e in enumerate(_exps(self.rad))]
-        return _from_pieces(self.ctx, self.s, self.prec - m * (self.rad[i - 1] - 1), pieces)
 
     def __eq__(self, other):
         return (isinstance(other, TateSeries) and self.ctx == other.ctx

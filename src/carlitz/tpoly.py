@@ -5,10 +5,10 @@ RatK coefficients.  It is the normalized form in which t-dependent values
 leave the package, and nothing else: power sums, multiple power sums and
 truncated zeta values are computed, memoized, compared and expanded into
 Tate series as unreduced RawTPoly fractions (`_rawfrac`), and normalized
-into a TPoly only where they are printed (`RawTPoly.to_tpoly`) or parsed
-(`textio.parse_tpoly`).  So a TPoly has a constructor, its accessors,
-equality and printing; its sum and product stay because the benchmark's
-span table (`perfbench/spans.py`) names them.  Coefficients are kept in
+into a TPoly only where they are printed (`RawTPoly.to_tpoly`); no text
+parses into one.  So a TPoly has a constructor, its accessors, equality
+and printing; its sum and product stay because the benchmark's span
+table (`perfbench/spans.py`) names them.  Coefficients are kept in
 K directly: every denominator that occurs is a product of the univariate
 theta-polynomials from the fundamental sequences, so no multivariate gcd
 is ever needed.  Values combine only when their arity s and field

@@ -283,15 +283,6 @@ class NSeries:
         return NSeries(ctx, s, {j - k: {e: ctx.mul[cinv][c] for e, c in poly.items()}
                                 for j, poly in acc.terms.items()}, self.prec + 2 * k)
 
-    def substitute_theta_power(self, i, m):
-        out, worst = {}, 0
-        for k, poly in self.terms.items():
-            for e, c in poly.items():
-                worst = max(worst, e[i - 1])
-                nk = k + m * e[i - 1]
-                out[nk] = _tadd(self.ctx, out.get(nk, {}), {e[:i - 1] + (0,) + e[i:]: c})
-        return NSeries(self.ctx, self.s, out, self.prec - m * worst)
-
 
 # ---------------------------------------------------------------------------
 # the Carlitz action, and the skew power sums by the action of each monic

@@ -87,7 +87,7 @@ KEYS = ("one", "s", "p", "sp", "nu", "c1", "s_nu")
 
 def twisted(ctx, key):
     if key == "c1":
-        return SemiChar.const_eval(ctx, 2, 1)
+        return SemiChar(ctx, 2, consts=(1,))
     if key == "s_nu":
         return SemiChar(ctx, 2, varis=(1,), degs=(2,))
     return semichar(ctx, key)

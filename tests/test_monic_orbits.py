@@ -91,7 +91,7 @@ def test_value_runs_once_per_orbit(q):
     assert (burnside(3, 4), burnside(4, 3)) == (45, 24)
     for d in range(5 if q <= 5 else 4):
         for sigma, orbits in ((SemiChar.chi(ctx, 1, 1), burnside(q, d)),
-                              (SemiChar.const_eval(ctx, 0, 1), q ** d)):
+                              (SemiChar(ctx, 0, consts=(1,)), q ** d)):
             seen = []
             powersums.monic_sum(SeqCache(ctx), d, sigma,
                                 lambda a: seen.append(tuple(a)) or [1], range(1), 0)

@@ -75,8 +75,8 @@ def test_semichar_examples(ctx3):
     nu = SemiChar.nu(ctx3, 1, 1)
     assert nu.eval_codes([0, 1, 1]) == {(2,): 1}                  # t1^deg
     # a -> a(c): theta^2 + theta at 1 is 2, at 2 it is 6 = 0
-    assert SemiChar.const_eval(ctx3, 1, 1).eval_codes([0, 1, 1]) == {(0,): 2}
-    assert SemiChar.const_eval(ctx3, 1, 2).eval_codes([0, 1, 1]) == {}
+    assert SemiChar(ctx3, 1, consts=(1,)).eval_codes([0, 1, 1]) == {(0,): 2}
+    assert SemiChar(ctx3, 1, consts=(2,)).eval_codes([0, 1, 1]) == {}
 
 
 def test_semichar_multiplicative(ctx3, ctx4):
@@ -84,7 +84,7 @@ def test_semichar_multiplicative(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         chars = [SemiChar.trivial(ctx, 2), SemiChar.chi(ctx, 2, 1),
                  SemiChar(ctx, 2, varis=(1, 2)), SemiChar.nu(ctx, 2, 1),
-                 SemiChar.const_eval(ctx, 2, 1)]
+                 SemiChar(ctx, 2, consts=(1,))]
         monics = list(enumerate_monics(ctx, 1)) + list(enumerate_monics(ctx, 2))
         for sigma in chars:
             assert sigma.eval_codes([1]) == {(0, 0): 1}
@@ -100,9 +100,9 @@ def test_semichar_errors(ctx3, ctx4):
     with pytest.raises(NonMonicInput):
         chi.eval_codes([0, 2])
     with pytest.raises(UnsupportedCharacter):
-        SemiChar.const_eval(ctx3, 1, ctx4.element(1))
+        SemiChar(ctx3, 1, consts=(ctx4.element(1),))
     with pytest.raises(UnsupportedCharacter):
-        SemiChar.const_eval(ctx3, 1, 7)
+        SemiChar(ctx3, 1, consts=(7,))
     with pytest.raises(ArityMismatch):
         SemiChar.chi(ctx3, 1, 2)
 
@@ -405,7 +405,7 @@ def test_provider_routes_match_bruteforce(cache3):
         (2, SemiChar.nu(ctx, 1, 1)),
         (1, SemiChar(ctx, 1, varis=(1,), degs=(1,))),
         (5, SemiChar.chi(ctx, 1, 1)),         # brute fallback, twisted
-        (1, SemiChar.const_eval(ctx, 1, 2)),  # brute fallback, constant twist
+        (1, SemiChar(ctx, 1, consts=(2,))),  # brute fallback, constant twist
     ]
     for n, sigma in cases:
         for d in (0, 1, 2, 3):

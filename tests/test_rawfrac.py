@@ -164,3 +164,19 @@ def test_equals_sees_one_changed_coefficient(q):
                     assert not a.equals(b) and not b.equals(a), (e, k)
         extra = RawTPoly(ctx, 1, {(5,): [1]}, [1])
         assert not (x + extra).equals(y) and not y.equals(x + extra)
+
+
+def test_a_power_makes_one_product_per_bit_after_the_first(ctx3, monkeypatch):
+    # square-and-multiply starts from a power of x: x ** 1 is x itself, and
+    # x ** 2, x ** 3, x ** 4 cost 1, 2 and 2 products
+    x = RawTPoly(ctx3, 1, {(0,): [1, 1], (1,): [0, 2]}, [0, 1])
+    powers = [RawTPoly.one(ctx3, 1)]
+    for _ in range(4):
+        powers.append(powers[-1] * x)
+    calls, mul = [], RawTPoly.__mul__
+    monkeypatch.setattr(RawTPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for n, products in enumerate((0, 0, 1, 2, 2)):
+        calls.clear()
+        value = x ** n
+        assert len(calls) == products, n
+        assert value.equals(powers[n]), n

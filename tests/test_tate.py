@@ -100,7 +100,7 @@ def test_invert_unit(ctx3):
     one = TateSeries.one(ctx3, 1, 12)
     f = one - TateSeries(ctx3, 1, {-1: {(1,): 1}}, 12)
     g = f.invert_unit()
-    assert (f * g - one).is_zero_to_precision()
+    assert (f * g - one).valuation() == INF
     # geometric series coefficients
     assert g.terms[-3] == {(3,): 1}
     with pytest.raises(NotAUnit):
@@ -126,7 +126,7 @@ def test_invert_matches_geometric_expansion(ctx3):
     while 2 * k <= prec:
         geo = geo + TateSeries(ctx3, 0, {-2 * k: {(): 1}}, prec)
         k += 1
-    assert (inv - geo).is_zero_to_precision()
+    assert (inv - geo).valuation() == INF
 
 
 def test_exact_identity_embeds_consistently(cache3):
@@ -143,7 +143,7 @@ def test_exact_identity_embeds_consistently(cache3):
     assert lhs.equals(rhs)
     le = TateSeries.from_raw(lhs, 30)
     re = TateSeries.from_raw(rhs, 30)
-    assert le == re and not le.is_zero_to_precision()
+    assert le == re and le.valuation() != INF
 
 
 def test_pi_factor(ctx3):
@@ -191,7 +191,7 @@ def test_degree_character_zeta_equals_the_enumeration_route(q, monkeypatch):
             with pytest.raises(BudgetExceeded):
                 zeta_series(SeqCache(ctx, budget=1), data, 40)
             enumerated = zeta_series(SeqCache(ctx), data, 40)
-        assert closed == enumerated and not closed.is_zero_to_precision(), text
+        assert closed == enumerated and closed.valuation() != INF, text
 
 
 def test_zeta_matches_exact_partial_sums(cache3):
@@ -215,7 +215,7 @@ def test_log_identity(cache3):
     i = 0
     while True:
         term = TateSeries.from_ratk(RatK(APoly.one(ctx), cache3.ell(i)), prec)
-        if term.is_zero_to_precision() and i > 0:
+        if term.valuation() == INF and i > 0:
             break
         log1 = log1 + term
         i += 1
@@ -264,14 +264,3 @@ def test_numeric_identities_deep_precision(cache3):
     # careless divergence guard mistakes for stagnation
     assert thakur_weight_check(cache3, 1, 40)["passed"]
     assert strange_shuffle_check(cache3, 1, 1, 40)["passed"]
-
-
-def test_substitute_theta_power(cache3):
-    ctx = cache3.ctx
-    # the truncated weight-one twisted sum vanishes identically at the
-    # trivial zero once enough degrees are kept
-    sigma = SemiChar.chi(ctx, 1, 1)
-    md = MatrixData(ctx, [(sigma, 1)])
-    emb = TateSeries.from_raw(partial_zeta(cache3, 4, md, raw=True), 40)
-    sub = emb.substitute_theta_power(1, 3)   # t1 := theta^q
-    assert sub.is_zero_to_precision()

@@ -12,8 +12,8 @@ from carlitz.ffield import FieldContext
 from carlitz.mzv import MatrixData
 from carlitz.poly import APoly, RatK, enumerate_monics
 from carlitz.powersums import SemiChar, SeqCache
-from carlitz.tate import (TateSeries, _series_power_sum, omega_factor, pi_factor,
-                          valuation_identity_check, zeta_series)
+from carlitz.tate import (INF, TateSeries, _series_power_sum, omega_factor,
+                          pi_factor, valuation_identity_check, zeta_series)
 from naive_reference import NSeries
 
 QS = [3, 4, 5, 9]
@@ -61,8 +61,6 @@ def test_arithmetic_matches_dict_oracle(request, q, s):
         assert_same(b ** 2, nb ** 2)
         if s == 0:
             assert_same(a ** 3, na ** 3)
-        for i in range(1, s + 1):
-            assert_same(a.substitute_theta_power(i, q), na.substitute_theta_power(i, q))
         assert a == TateSeries(ctx, s, a.terms, pa)
         assert a != a.truncate(pa - 1) and a + b == b + a
 
@@ -95,7 +93,7 @@ def test_invert_unit_matches_geometric_series(request, q, s):
         g = f.invert_unit()
         assert_same(g, nf.invert_unit())
         assert g.prec == prec + 2 * k
-        assert (f * g - TateSeries.one(ctx, s)).is_zero_to_precision()
+        assert (f * g - TateSeries.one(ctx, s)).valuation() == INF
 
 
 def test_exact_products_print_without_an_error_term(ctx3):

@@ -2,40 +2,38 @@
 
 A RawTPoly is a dict of t-monomial -> theta-polynomial numerator over one
 shared denominator, with no reduction invariant, so no gcd is ever
-computed: every step is polynomial multiplication, which the packed
-kernel makes cheap even at the large degrees the deeper parameter grids
-reach.  Sums of products accumulate through the kernel's fused
-multiply-add, `kmul(ctx, a, b, c)` = c + a*b, which unpacks once, and most
-denominator ratios (products of theta^(q^j) - theta) are sparse operands,
-which the kernel multiplies as sums of shifted multiples.
+computed: every step is polynomial multiplication, which the packed kernel
+makes cheap even at the large degrees the deeper parameter grids reach.
+Sums of products accumulate through the kernel's fused multiply-add,
+`kmul(ctx, a, b, c)` = c + a*b, which unpacks once.  Over a field with
+byte codecs (q <= 16) the numerators are trimmed `bytes` (else lists), and
+the kernel returns bytes for bytes; values leave as lists for an APoly.
 
-Over a field with byte codecs (q <= 16) the numerators and the
-denominator are trimmed `bytes` (else lists; values given as lists are
-converted), and the kernel returns bytes for bytes, so products and sums
-build no Python list; values leave as lists where they become an APoly.
+Every denominator is a power product of the ell(d) = (-1)^d b_1 ... b_d,
+b_j = theta^(q^j) - theta, so it is kept as `unit * prod_j b_j^exps[j-1]`
+(`exps` a trimmed tuple, `unit` a nonzero code) and is never multiplied
+or divided: a product adds the exponents and multiplies the units,
+`RawTPoly.sum` adds the terms over one denominator first and then brings
+each group up to the exponent-wise maximum, a common multiple, by the
+quotient read off the exponents (a sparse product of binomials), and
+`equals` compares both sides over that maximum.  The codes of a whole
+denominator are built, once per field context, only where a value leaves
+this form: `den`, `to_tpoly` and `TateSeries.from_raw`.
 
-Each denominator is scaled once: `RawTPoly.sum` adds the terms over one
-denominator first, then brings the distinct ones up smallest first.  When
-one denominator divides the other (the common case, every denominator
-being a product of ell-sequence factors), the other side's numerators
-are multiplied by the sparse quotient; `equals` compares through that
-quotient too, and cross multiplies only when neither divides the other.
-
-Every power sum and every exact check is a value of this form: the
-closed forms (`powersums.closed_raw`) and the enumeration oracle
-(`powersums.power_sum_bruteforce`) both write theirs over powers of
-ell(d), `powersums.power_sum` memoizes them so, the mzv chain sums add
-and multiply them unreduced, the Tate series expand them numerator by
-numerator (`TateSeries.from_raw`), the skew checks compare b-expansions
-and sum truncated zeta values in it, and `substitute` specializes a
-variable at a theta-polynomial (t_i := 1, theta, theta^q) with the
-denominator unchanged.
-`to_tpoly` normalizes a value into a TPoly over K where it is printed,
-the one normalization path: it splits the denominator into the binomials
-theta^(q^j) - theta and a cofactor (`_binomial_split`), and cancels each
-numerator one factor at a time, so that every gcd is with one short
-binomial instead of the whole product.
+Every power sum and every exact check is a value of this form: the closed
+forms (`powersums.closed_raw`) and the enumeration oracle
+(`powersums.power_sum_bruteforce`) both write theirs over ell(d)^n
+(`RawTPoly.over_ell`), `powersums.power_sum` memoizes them, the mzv chain
+sums add and multiply them unreduced, the Tate series expand them
+numerator by numerator, the skew checks compare b-expansions and
+truncated zeta values in it, and `substitute` specializes a variable at a
+theta-polynomial with the denominator unchanged.  `to_tpoly`, the one
+normalization path, for printing, cancels each numerator one binomial of
+`exps` at a time, so that every gcd is with one short binomial.
 """
+
+from functools import reduce
+from itertools import zip_longest
 
 from . import _packed as kern
 from .errors import ArityMismatch, IndexOutOfRange
@@ -49,9 +47,9 @@ def _stored(kind, c):
 
 
 class RawTPoly:
-    __slots__ = ("ctx", "s", "num", "den")
+    __slots__ = ("ctx", "s", "num", "exps", "unit")
 
-    def __init__(self, ctx, s, num, den):
+    def __init__(self, ctx, s, num, *, exps=(), unit=1):
         self.ctx = ctx
         self.s = s
         kind = bytes if kern._codec(ctx) else list
@@ -61,15 +59,29 @@ class RawTPoly:
         if len(kept) < len(num):
             kept = {e: t for e, c in num.items() if (t := _stored(kind, c))}
         self.num = kept
-        self.den = den if type(den) is kind else _stored(kind, den)
+        exps = tuple(exps)
+        while exps and not exps[-1]:
+            exps = exps[:-1]
+        self.exps = exps
+        self.unit = unit
 
     @classmethod
     def zero(cls, ctx, s):
-        return cls(ctx, s, {}, [1])
+        return cls(ctx, s, {})
 
     @classmethod
     def one(cls, ctx, s):
-        return cls(ctx, s, {(0,) * s: [1]}, [1])
+        return cls(ctx, s, {(0,) * s: [1]})
+
+    @classmethod
+    def over_ell(cls, ctx, s, num, d, n):
+        """num over ell(d)^n = (-1)^(d n) prod_(j<=d) b_j^n."""
+        return cls(ctx, s, num, exps=(n,) * d, unit=ctx.neg[1] if d * n % 2 else 1)
+
+    @property
+    def den(self):
+        """The denominator as trimmed coefficient codes."""
+        return kern._copy(_binomial_power(self.ctx, self.exps, self.unit))
 
     def is_zero(self):
         return not self.num
@@ -77,10 +89,8 @@ class RawTPoly:
     @classmethod
     def sum(cls, terms):
         """The sum of one or more values of one arity.  Terms over one
-        denominator are added first; then the smaller of the running and
-        the next denominator is brought up: its side times the quotient
-        when it divides the larger, else each side times the other's
-        denominator, over their product."""
+        denominator are added first, then each group times its quotient over
+        the exponent-wise maximum, with the unit of the last group there."""
         terms = list(terms)
         ctx, s = terms[0].ctx, terms[0].s
         groups = {}
@@ -88,28 +98,23 @@ class RawTPoly:
             if t.s != s:
                 raise ArityMismatch("arities differ")
             if t.num:
-                key = t.den if type(t.den) is bytes else tuple(t.den)
-                if key not in groups:
-                    groups[key] = (t.den, dict(t.num))
+                out = groups.get(key := (t.exps, t.unit))
+                if out is None:
+                    groups[key] = dict(t.num)
                     continue
-                out = groups[key][1]
                 for e, c in t.num.items():
                     cur = out.get(e)
                     out[e] = c if cur is None else kern.kadd(ctx, cur, c)
         if not groups:
             return terms[0]
-        (den, out), *rest = sorted(groups.values(), key=lambda g: len(g[0]))
-        for d, num in rest:
-            if len(den) > len(d):
-                den, out, d, num = d, num, den, out
-            quo, r = kern.kdivmod(ctx, d, den)
-            if r:
-                num = {e: kern.kmul(ctx, c, den) for e, c in num.items()}
-                quo, d = d, kern.kmul(ctx, den, d)
-            for e, c in out.items():
-                num[e] = kern.kmul(ctx, c, quo, num.get(e))
-            den, out = d, num
-        return cls(ctx, s, out, den)
+        top = _top(x for x, _ in groups)
+        unit = next((u for x, u in reversed(groups) if x == top), 1)
+        out = groups.pop((top, unit), {})
+        for (exps, u), num in groups.items():
+            quo = _quotient(ctx, top, unit, exps, u)
+            for e, c in num.items():
+                out[e] = kern.kmul(ctx, c, quo, out.get(e))
+        return cls(ctx, s, out, exps=top, unit=unit)
 
     def __add__(self, other):
         return RawTPoly.sum((self, other))
@@ -117,7 +122,7 @@ class RawTPoly:
     def __neg__(self):
         return RawTPoly(self.ctx, self.s,
                         {e: kern.kneg(self.ctx, c) for e, c in self.num.items()},
-                        self.den)
+                        exps=self.exps, unit=self.unit)
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,7 +136,8 @@ class RawTPoly:
             for e2, c2 in other.num.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 out[e] = kern.kmul(ctx, c1, c2, out.get(e))
-        return RawTPoly(ctx, self.s, out, kern.kmul(ctx, self.den, other.den))
+        return RawTPoly(ctx, self.s, out, unit=ctx.mul[self.unit][other.unit],
+                        exps=[x + y for x, y in zip_longest(self.exps, other.exps, fillvalue=0)])
 
     def __pow__(self, n):
         return power(self, n, lambda: RawTPoly.one(self.ctx, self.s))
@@ -149,47 +155,34 @@ class RawTPoly:
                 powers[k] = kern.kpow(ctx, value, k)
             ne = e[:i - 1] + e[i:]
             out[ne] = kern.kmul(ctx, c, powers[k], out.get(ne))
-        return RawTPoly(ctx, self.s - 1, out, self.den)
+        return RawTPoly(ctx, self.s - 1, out, exps=self.exps, unit=self.unit)
 
     def equals(self, other):
-        """Exact equality of the represented fractions.  When one
-        denominator divides the other, one side's numerators times the
-        quotient are compared with the other's; else by cross
-        multiplication against the two denominators."""
+        """Exact equality of the represented fractions: both sides'
+        numerators over the exponent-wise maximum, with other's unit."""
         if other.s != self.s:
             raise ArityMismatch("arities differ")
-        ctx, a, b = self.ctx, self, other
-        if a.den == b.den:
-            return a.num == b.num
-        if len(a.den) > len(b.den):
-            a, b = b, a
-        quo, r = kern.kdivmod(ctx, b.den, a.den)
-        if not r:
-            return a.num.keys() == b.num.keys() and all(
-                kern.kmul(ctx, c, quo) == b.num[e] for e, c in a.num.items())
-        zero = a.den[:0]
-        return all(kern.kmul(ctx, a.num.get(e, zero), b.den)
-                   == kern.kmul(ctx, b.num.get(e, zero), a.den)
-                   for e in a.num.keys() | b.num.keys())
+        top, unit = _top((self.exps, other.exps)), other.unit
+        return _lifted(self, top, unit) == _lifted(other, top, unit)
 
     def to_tpoly(self):
         """The same value as a TPoly, every coefficient normalized in K.
 
-        A numerator N is cancelled one factor of `_binomial_split` at a
-        time, since gcd(N, f F) = gcd(N, f) gcd(N / gcd(N, f), F).  A
-        binomial theta^m - theta is met through N mod it (`kmod_binomial`);
-        it is squarefree, so each further copy needs only the gcd with what
-        the previous copy cancelled, and none once that is 1.  den / g is
-        rebuilt only when something cancelled."""
+        A numerator N is cancelled one binomial b_j of the denominator at a
+        time, the largest first, since gcd(N, f F) = gcd(N, f) gcd(N /
+        gcd(N, f), F).  b_j = theta^m - theta is met through N mod it
+        (`kmod_binomial`); it is squarefree, so each further copy needs only
+        the gcd with what the previous copy cancelled, and none once that
+        is 1.  den / g is rebuilt only when something cancelled."""
         ctx, den_codes = self.ctx, list(self.den)  # the gcds work on lists
-        split = _binomial_split(ctx, den_codes)
         den = APoly._make(ctx, den_codes)
         terms = {}
         for e, n in self.num.items():
             n, g = list(n), [1]
-            for f, m, k in split:
-                for _ in range(k):
-                    f = kern.kgcd(ctx, f, kern.kmod_binomial(ctx, n, m) if m else n)
+            for j in range(len(self.exps), 0, -1):
+                m, f = ctx.q ** j, list(_binomial_power(ctx, (0,) * (j - 1) + (1,), 1))
+                for _ in range(self.exps[j - 1]):
+                    f = kern.kgcd(ctx, f, kern.kmod_binomial(ctx, n, m))
                     if len(f) == 1:
                         break
                     n = kern.kexactdiv(ctx, n, f)
@@ -204,22 +197,41 @@ class RawTPoly:
         return format_tpoly(self.to_tpoly())
 
 
-def _binomial_split(ctx, den):
-    """den, a coefficient list, as (f, m, k) triples whose f^k multiply to
-    it up to a unit: each binomial f = theta^m - theta (m = q^j) dividing
-    den once with its multiplicity k, found by trial division from the
-    largest j, then the cofactor left over as (f, 0, 1) unless it is a
-    unit, as it is for a product of ell(i) powers."""
-    m = ctx.q
-    while m * ctx.q < len(den):
-        m *= ctx.q
-    out, rest = [], den
-    while m > 1:
-        f, k = [0, ctx.neg[1]] + [0] * (m - 2) + [1], 0
-        while len(rest) > m and not kern.kmod_binomial(ctx, rest, m):
-            rest = kern.kexactdiv(ctx, rest, f)
-            k += 1
-        if k:
-            out.append((f, m, k))
-        m //= ctx.q
-    return out + [(rest, 0, 1)] if len(rest) > 1 else out
+def _top(exps):
+    """The exponent-wise maximum of the exponent tuples `exps`."""
+    return tuple(map(max, zip_longest(*exps, fillvalue=0)))
+
+
+def _binomial_power(ctx, exps, unit):
+    """unit * prod_j b_j^exps[j-1] as trimmed codes, memoized per context:
+    distinct binomials as the product without the last one times it, else
+    each exponent's binomials by one `kpow` (a q-power is a Frobenius spread)."""
+    v = ctx._binomials.get(key := (exps, unit))
+    if v is None:
+        if unit != 1:
+            v = kern.kscal(ctx, unit, _binomial_power(ctx, exps, 1))
+        elif not any(exps):
+            v = [1]
+        elif max(exps) == 1:
+            v = _binomial_power(ctx, exps[:-1], 1)
+            b = [0, ctx.neg[1]] + [0] * (ctx.q ** len(exps) - 2) + [1]
+            v = kern.kmul(ctx, v, b) if exps[-1] else v
+        else:
+            v = reduce(lambda a, b: kern.kmul(ctx, a, b), (kern.kpow(ctx, _binomial_power(
+                ctx, tuple(int(x == k) for x in exps), 1), k) for k in set(exps) - {0}))
+        v = ctx._binomials[key] = _stored(bytes if kern._codec(ctx) else list, v)
+    return v
+
+
+def _quotient(ctx, top, unit, exps, u):
+    """The denominator (top, unit) over (exps, u), exps <= top."""
+    return _binomial_power(ctx, tuple(a - b for a, b in zip_longest(top, exps, fillvalue=0)),
+                           ctx.mul[unit][ctx.inv[u]])
+
+
+def _lifted(x, top, unit):
+    """x's numerators over the denominator (top, unit), x.exps <= top."""
+    if x.exps == top and x.unit == unit:
+        return x.num
+    quo = _quotient(x.ctx, top, unit, x.exps, x.unit)
+    return {e: kern.kmul(x.ctx, c, quo) for e, c in x.num.items()}

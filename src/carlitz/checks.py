@@ -481,13 +481,15 @@ def run_check(check_id, pool=None, **params):
 def iter_suite(pattern="all", **params):
     """Run every check whose id matches the glob pattern, in id order.
 
-    Validates the parameters at once and returns a generator that yields
-    each CheckReport as its check finishes; failures are recorded, never
-    raised.
+    Validates the parameters and the pattern (UnknownCheck if it selects no
+    check) at once and returns a generator that yields each CheckReport as
+    its check finishes; failures are recorded, never raised.
     """
     merged = _validated(dict(params))
     ids = sorted(REGISTRY) if pattern in ("all", "*") else \
         sorted(fnmatch.filter(REGISTRY, pattern))
+    if not ids:
+        raise UnknownCheck(f"no check matches {pattern!r}")
     pool = _Pool(merged["budget"])
     return (REGISTRY[i].run(pool, merged) for i in ids)
 
@@ -503,7 +505,7 @@ def all_passed(reports):
 
 def exit_code(reports):
     """The exit status of a verify run: 1 if a check failed or if every
-    selected check was skipped, else 0 (also when no check was selected)."""
+    selected check was skipped, else 0 (`iter_suite` refuses no selection)."""
     statuses = {r.status for r in reports}
     return 1 if "fail" in statuses or statuses == {"skipped"} else 0
 

@@ -87,7 +87,9 @@ class ClosedFormMismatch(CarlitzError, RuntimeError):
 
 
 class UnknownCheck(CarlitzError, KeyError):
-    """An identity check id is not present in the registry."""
+    """An identity check id, or a glob of them, matches no registered check."""
+
+    __str__ = Exception.__str__  # the message unquoted, unlike a KeyError's
 
 
 class InvalidParams(CarlitzError, ValueError):

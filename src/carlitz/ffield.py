@@ -77,15 +77,15 @@ class FieldContext:
     """Arithmetic tables for F_q, q = p^e > 2.
 
     Instances are immutable after construction and safe to share between
-    threads, apart from `_bytes`, which the packed kernel sets once on first
-    use (two threads may both build its tables, which are equal).  Two
-    contexts compare equal iff they have the same q and the same modulus,
-    but element codes must never be mixed across instances of different
-    parameters.
+    threads, apart from `_bytes`, set once on first use, and the memo
+    `_binomials` of `RawTPoly` denominators (two threads may both build a
+    value, and the two are equal).  Two contexts compare equal iff they have
+    the same q and the same modulus, but element codes must never be mixed
+    across instances of different parameters.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "mul", "neg", "inv",
-                 "digits", "_undigit", "_fold", "_slots", "_bytes")
+                 "digits", "_undigit", "_fold", "_slots", "_bytes", "_binomials")
 
     def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
@@ -124,6 +124,7 @@ class FieldContext:
         # element tables; prime-field rows are built by arithmetic and share
         # the int objects of r, which keeps them small at large p
         self._fold = self._slots = self._bytes = None
+        self._binomials = {}
         if e == 1:
             r = list(range(p))
             add = [r[a:] + r[:a] for a in r]

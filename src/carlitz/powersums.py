@@ -16,8 +16,9 @@ Twisted power sums of degree d and order k are sums of a^(-k) sigma(a)
 over the q^d monic a of degree d.  They are computed two independent
 ways: literal enumeration (the oracle), and closed forms for the families
 with known ones.  Both write the sum as a RawTPoly over ell(d)^k; the
-oracle builds that denominator from the irreducibles, not from the ell
-sequence, as ((-1)^d times the lcm of the monics of degree d)^k.
+oracle builds its numerators from the irreducibles, not from the ell
+sequence, as cofactors of ((-1)^d times the lcm of the monics of degree
+d)^k, which equals ell(d)^k.
 `monic_sum` is the one enumeration loop (here and in the skew and Tate
 oracles); it evaluates one monic per orbit of a -> u^(-d) a(u theta).
 The closed forms and the enumeration must agree exactly; tests and the
@@ -325,29 +326,27 @@ def power_sum_bruteforce(cache, d, k, sigma):
     Returns a RawTPoly.  Negative k means positive powers of a (used by the
     finite zeta sums at negative integers); the sum is then over 1, with
     coefficients in A.  Positive k sums the cofactors L^k / a^k =
-    (L^j / a^j)^(k/j) over L^k, where L = (-1)^d `monic_lcm(d)`, so each
-    division is exact; L equals ell(d), so L^k is the denominator
-    `closed_raw` writes.  `kpow` spreads the q-power part of k/j
-    (Frobenius).  Over F_p, j = 1.  Over F_{p^e}, j keeps all of k but its
-    q-power part, since there a packed product of two cofactors costs more
-    than a division.
+    (L^j / a^j)^(k/j), where L = (-1)^d `monic_lcm(d)`, so each division is
+    exact; L equals ell(d), so the sum is over ell(d)^k, the denominator
+    `closed_raw` writes, of which only the degree k deg L is read here.
+    `kpow` spreads the q-power part of k/j (Frobenius).  Over F_p, j = 1.
+    Over F_{p^e}, j keeps all of k but its q-power part, since there a
+    packed product of two cofactors costs more than a division.
     """
     ctx = cache.ctx
     cache.check_budget(ctx.q ** d)
-    if k > 0:
-        j = 1 if ctx.e == 1 else k
-        while j % ctx.q == 0:
-            j //= ctx.q
-        lcm = -cache.monic_lcm(d) if d % 2 else cache.monic_lcm(d)
-        den, part = list((lcm ** k).coeffs), list((lcm ** j).coeffs)
-        sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
-            ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
-            range(len(den)), len(den) - 1 - k * d)
-    else:
-        den = [1]
-        sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(ctx, a, -k),
-                         range(1 - k * d), -k * d)
-    return RawTPoly(ctx, sigma.s, sums, den)
+    if k <= 0:
+        return RawTPoly(ctx, sigma.s, monic_sum(cache, d, sigma, lambda a: kern.kpow(
+            ctx, a, -k), range(1 - k * d), -k * d))
+    j = 1 if ctx.e == 1 else k
+    while j % ctx.q == 0:
+        j //= ctx.q
+    lcm = -cache.monic_lcm(d) if d % 2 else cache.monic_lcm(d)
+    part, top = list((lcm ** j).coeffs), k * lcm.degree
+    sums = monic_sum(cache, d, sigma, lambda a: kern.kpow(
+        ctx, kern.kexactdiv(ctx, part, kern.kpow(ctx, a, j)), k // j),
+        range(top + 1), top - k * d)
+    return RawTPoly.over_ell(ctx, sigma.s, sums, d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ def _in_var(ctx, s, i, coeffs):
     """The sum of c_k t_i^k for (k, c_k) in coeffs, c_k in A, as a RawTPoly
     of arity s over 1."""
     return RawTPoly(ctx, s, {tuple(k if j == i - 1 else 0 for j in range(s)):
-                             list(c.coeffs) for k, c in coeffs}, [1])
+                             list(c.coeffs) for k, c in coeffs})
 
 
 def partial_F_one_q(cache, d):
@@ -400,7 +399,7 @@ def partial_F_one_q(cache, d):
     prod = RawTPoly.one(ctx, q)
     for i in range(1, q + 1):
         prod = prod * _in_var(ctx, q, i, enumerate(cache.b_coeffs(d)))
-    return RawTPoly(ctx, q, prod.num, list(cache.ell(d).coeffs))
+    return RawTPoly.over_ell(ctx, q, prod.num, d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +570,7 @@ def closed_raw(cache, d, n, sigma):
     if sigma.degs:
         terms = {tuple(e + d * sigma.degs.count(j) for j, e in enumerate(exps, 1)): c
                  for exps, c in terms.items()}
-    return RawTPoly(ctx, s, terms, list(cache.ell_pow(d, n).coeffs))
+    return RawTPoly.over_ell(ctx, s, terms, d, n)
 
 
 def power_sum(cache, d, n, sigma):

@@ -105,8 +105,7 @@ def star_chain_check(cache, d):
     for k in range(d):
         frak_S(cache, k, 1)
         total = sum(chain_weights(cache, 1, k), APoly.zero(ctx))
-        skew_sum = skew_sum + RawTPoly(ctx, 0, {(): list(total.coeffs)},
-                                       list(cache.ell_pow(k, q).coeffs))
+        skew_sum = skew_sum + RawTPoly.over_ell(ctx, 0, {(): list(total.coeffs)}, k, q)
 
     def zeta(weights, mode="strict"):
         return partial_zeta(cache, d, MatrixData.untwisted(ctx, weights), mode, raw=True)

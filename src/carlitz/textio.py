@@ -230,16 +230,15 @@ def parse_semichar(ctx, text, s=None, offset=0):
                 continue
             if factor.startswith("c(") and factor.endswith(")"):
                 consts.append(parse_fq(ctx, factor[2:-1], at + 2))
-            elif factor.startswith("nu"):
-                degs.append(_parse_int(factor[2:], at, "variable index", 1, BadIndex))
-            elif factor.startswith("t"):
-                varis.append(_parse_int(factor[1:], at, "variable index", 1, BadIndex))
+            elif factor.startswith(("nu", "t")):
+                nu = factor.startswith("nu")
+                i = _parse_int(factor[1 + nu:], at, "variable index", 1, BadIndex)
+                if s is not None and i > s:
+                    raise BadIndex(f"variable index {i} exceeds arity {s}", at)
+                (degs if nu else varis).append(i)
             else:
                 raise GrammarError(f"unknown factor {factor!r}", at)
-    max_index = max(varis + degs, default=0)
-    arity = max_index if s is None else s
-    if max_index > arity:
-        raise BadIndex(f"variable index {max_index} exceeds arity {arity}", offset)
+    arity = max(varis + degs, default=0) if s is None else s
     return SemiChar(ctx, arity, varis=varis, degs=degs, consts=consts)
 
 

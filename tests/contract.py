@@ -17,6 +17,12 @@ diff of two runs:
     diff old.txt new.txt
 
 `--show ITEM` prints that item's full output instead of its digest.
+`--against OLD.txt` compares instead of printing: it prints `<item>: <old>
+-> <new>` for each item whose digest differs from OLD.txt's (`None` for
+an item that one side lacks), and exits 1 if any differs:
+
+    PYTHONPATH=src python tests/contract.py --against old.txt
+
 pytest does not collect this file.  The whole run takes about 8 s on a
 shared 2-core Xeon, half of it the deep report.
 """
@@ -25,6 +31,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 QS = (3, 4, 5, 9, 25)
 # the precision of the degree-character zeta values at each q: enough for
@@ -86,7 +93,31 @@ def _items():
         yield name, output
 
 
+def _digest(output):
+    return hashlib.sha256(output().encode()).hexdigest()
+
+
+def read_digests(path):
+    """{item: digest} from a file of `<sha256>  <item>` lines."""
+    pairs = (line.split("  ", 1) for line in Path(path).read_text().splitlines() if line)
+    return {name: digest for digest, name in pairs}
+
+
+def differences(old, new):
+    """(item, old digest, new digest) of each item, in new's order then
+    old's, whose digests differ; None for a digest one side lacks."""
+    return [(name, old.get(name), new.get(name)) for name in {**new, **old}
+            if old.get(name) != new.get(name)]
+
+
 def main(argv):
+    if argv[:1] == ["--against"]:
+        new = {name: _digest(output) for name, output in _items()}
+        found = differences(read_digests(argv[1]), new)
+        for name, a, b in found:
+            print(f"{name}: {a} -> {b}")
+        print(f"{len(found)} of {len(new)} items differ")
+        return 1 if found else 0
     if argv[:1] == ["--show"]:
         want = " ".join(argv[1:])
         for name, output in _items():
@@ -96,7 +127,7 @@ def main(argv):
         print(f"no item {want!r}", file=sys.stderr)
         return 2
     for name, output in _items():
-        print(f"{hashlib.sha256(output().encode()).hexdigest()}  {name}", flush=True)
+        print(f"{_digest(output)}  {name}", flush=True)
     return 0
 
 

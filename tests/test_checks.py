@@ -74,10 +74,13 @@ def test_suite_glob():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_suite_no_match_is_success():
-    reports = checks.run_suite("no-match-*")
-    assert reports == []
-    assert checks.all_passed(reports)
+def test_suite_no_match_is_rejected():
+    # a run that checks nothing is no pass: the pattern is refused before
+    # any check runs
+    with pytest.raises(UnknownCheck, match="no check matches 'no-match-\\*'"):
+        checks.iter_suite("no-match-*")
+    with pytest.raises(UnknownCheck):
+        checks.run_suite("eq-anals")
 
 
 def test_exit_code_policy():

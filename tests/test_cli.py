@@ -163,6 +163,16 @@ def test_verify_with_no_case_is_skipped_and_exits_nonzero(capsys, tmp_path, qs, 
     assert doc["checks"][0]["status"] == "skipped"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "ndjson"])
+def test_verify_glob_selecting_no_check_is_one_error_line(capsys, tmp_path, fmt):
+    # a typo of eq-annals checks nothing, so it cannot pass
+    out_path = tmp_path / "report"
+    code, out, err = run_cli(capsys, "verify", "--suite", "eq-anals", "--format", fmt,
+                             "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: no check matches 'eq-anals'\n")
+    assert not out_path.exists()
+
+
 def test_verify_names_grid_points_over_budget(capsys):
     code, out, _ = run_cli(capsys, "verify", "--qs", "3", "--budget", "30",
                            "--suite", "thm-formulaBG")

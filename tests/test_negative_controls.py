@@ -1,12 +1,13 @@
 """Negative controls for the packed kernel's fast paths and for checks.
 
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
-function, or of a `powersums` function given as `powersums.<name>` (the
-enumeration loop), from outside `src/`, and names the property test of
-`test_packed.py` or `test_monic_orbits.py` that must catch it: the test
-passes on the real code and fails on the mutant.  A fragment that no
-longer occurs exactly once fails the control, so the table follows the
-code it perturbs.
+function, or of a `powersums` or `_rawfrac` function given as
+`<module>.<name>` (the enumeration loop, the exponent arithmetic of
+`RawTPoly`), from outside `src/`, and names the property test of
+`test_packed.py`, `test_monic_orbits.py` or `test_rawfrac.py` that must
+catch it: the test passes on the real code and fails on the mutant.  A
+fragment that no longer occurs exactly once fails the control, so the
+table follows the code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
@@ -22,12 +23,13 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import checks, mzv, poly, powersums, shuffle, skew
+from carlitz import _rawfrac, checks, mzv, poly, powersums, shuffle, skew
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
 import test_monic_orbits as orbits
 import test_packed as prop
+import test_rawfrac as raw
 
 # (what the mutation breaks, function, fragment, replacement, test, its args)
 KERNEL_MUTATIONS = [
@@ -77,6 +79,11 @@ KERNEL_MUTATIONS = [
     ("representative test accepting a larger image", "powersums._orbit_size",
      "any(im < rest for im in images)", "any(im < rest[:0] for im in images)",
      orbits.test_orbit_sums_match_the_per_monic_loop, (5,)),
+    # a sum or an equality over incomparable exponents lifts some side by a
+    # negative power of a binomial
+    ("exponent-wise maximum one short where the exponents differ", "_rawfrac._top",
+     "map(max, ", "map(lambda c: max(c) - (min(c) < max(c)), ",
+     raw.test_incomparable_denominators_match_ratk, (5,)),
 ]
 
 
@@ -97,7 +104,7 @@ def test_every_kernel_mutation_is_caught():
     missed = []
     for what, name, fragment, replacement, test, args in KERNEL_MUTATIONS:
         owner, _, name = name.rpartition(".")
-        module = {"": kern, "powersums": powersums}[owner]
+        module = {"": kern, "powersums": powersums, "_rawfrac": _rawfrac}[owner]
         with pytest.MonkeyPatch.context() as mp:
             test(*args, mp)  # the real code passes
         with pytest.MonkeyPatch.context() as mp:
@@ -185,7 +192,7 @@ def _divisor_sum_from_one(mp):
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
     ("eq-e1", "the denominator's exponent one off",
-     _closed_raw_mutant("cache.ell_pow(d, n)", "cache.ell_pow(d, n + 1)"),
+     _closed_raw_mutant("terms, d, n)", "terms, d, n + 1)"),
      "q=3 d=1: closed"),
     ("eq-e2", "b_d(t) squared",
      _closed_raw_mutant("_in_var(ctx, s, v[0], coeffs).num",

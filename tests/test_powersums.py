@@ -20,18 +20,20 @@ import naive_reference as ref
 
 def t(ctx, s, i):
     """t_i as a RawTPoly of arity s."""
-    return RawTPoly(ctx, s, {tuple(int(j == i - 1) for j in range(s)): [1]}, [1])
+    return RawTPoly(ctx, s, {tuple(int(j == i - 1) for j in range(s)): [1]})
 
 
 def a(ctx, s, x):
     """The theta-polynomial x as a RawTPoly of arity s."""
-    return RawTPoly(ctx, s, {(0,) * s: list(x.coeffs)}, [1])
+    return RawTPoly(ctx, s, {(0,) * s: list(x.coeffs)})
 
 
-def over(value, den):
-    """The RawTPoly value divided by the theta-polynomial den."""
-    return RawTPoly(value.ctx, value.s, value.num,
-                    kern.kmul(value.ctx, value.den, list(den.coeffs)))
+def over(value, den, *exps, unit=1):
+    """The RawTPoly value, over 1, divided by the theta-polynomial den,
+    given also as unit * prod_j (theta^(q^j) - theta)^exps[j-1]."""
+    out = RawTPoly(value.ctx, value.s, value.num, exps=exps, unit=unit)
+    assert list(out.den) == list(den.coeffs)
+    return out
 
 
 # -- fundamental sequences -----------------------------------------------------
@@ -134,7 +136,7 @@ def test_bruteforce_spec_values(cache3):
     th = APoly.theta(ctx)
     chi = SemiChar.chi(ctx, 1, 1)
     got = power_sum_bruteforce(cache3, 1, 1, chi).to_tpoly()
-    assert got == over(t(ctx, 1, 1) - a(ctx, 1, th), th - th ** 3).to_tpoly()
+    assert got == over(t(ctx, 1, 1) - a(ctx, 1, th), th - th ** 3, 1, unit=2).to_tpoly()
     assert power_sum_bruteforce(cache3, 0, 5, SemiChar.trivial(ctx, 0)).to_tpoly() == \
         TPoly.one(ctx, 0)
     got = power_sum_bruteforce(cache3, 1, -7, SemiChar.trivial(ctx, 0)).to_tpoly()
@@ -217,14 +219,13 @@ def test_closed_form_spec_values(cache3):
     th = APoly.theta(ctx)
     t1 = t(ctx, 1, 1)
     l1 = th - th ** 3
-    assert power_sum_closed(cache3, 1, "e2") == over(t1 - a(ctx, 1, th), l1).to_tpoly()
+    assert power_sum_closed(cache3, 1, "e2") == over(t1 - a(ctx, 1, th), l1, 1, unit=2).to_tpoly()
     assert power_sum_closed(cache3, 1, "f2") == \
-        over(t1 - a(ctx, 1, th ** 3), l1 ** 2).to_tpoly()
+        over(t1 - a(ctx, 1, th ** 3), l1 ** 2, 2).to_tpoly()
     assert power_sum_closed(cache3, 0, "e1") == TPoly.one(ctx, 0)
     # evaluating the weight-2 sum at theta recovers the weight-1 value
     f2 = closed_raw(cache3, 1, 2, SemiChar.chi(ctx, 1, 1))
-    assert f2.substitute(1, [0, 1]).equals(
-        RawTPoly(ctx, 0, {(): [1]}, list(l1.coeffs)))
+    assert f2.substitute(1, [0, 1]).equals(over(RawTPoly.one(ctx, 0), l1, 1, unit=2))
 
 
 def test_partial_F_one_q(cache3):
@@ -234,7 +235,8 @@ def test_partial_F_one_q(cache3):
     expected = RawTPoly.one(ctx, 3)
     for i in (1, 2, 3):
         expected = expected * (t(ctx, 3, i) - a(ctx, 3, th))
-    assert partial_F_one_q(cache3, 1).to_tpoly() == over(expected, th - th ** 3).to_tpoly()
+    assert partial_F_one_q(cache3, 1).to_tpoly() == \
+        over(expected, th - th ** 3, 1, unit=2).to_tpoly()
     # equals the enumerated truncated sum
     sig3 = SemiChar(ctx, 3, varis=(1, 2, 3))
     for d in (0, 1, 2):

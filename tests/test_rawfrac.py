@@ -1,23 +1,36 @@
-"""RawTPoly normalization over the binomial split of its denominator,
-against plain RatK normalization of every coefficient; sums grouped by
-denominator and equality through the quotient of the two denominators,
-against normalized TPoly arithmetic."""
+"""RawTPoly over denominators kept as exponents of the binomials
+b_j = theta^(q^j) - theta: normalization, sums, products, substitution and
+equality against RatK arithmetic on the materialized denominator; sums
+grouped by denominator against the left-to-right sum."""
 
 import random
+import sys
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz import _packed as kern
-from carlitz._rawfrac import RawTPoly, _binomial_split
+from carlitz._rawfrac import RawTPoly
+from carlitz.checks import run_check
 from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, irreducibles_of_degree
 from carlitz.powersums import SeqCache
 
+QS = (3, 4, 5, 7, 8, 9, 25)
+FIELDS = {q: FieldContext(q) for q in QS}
+
 
 def binomial(ctx, m):
     return [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+
+
+def binomial_product(ctx, exps):
+    """prod_j b_j^exps[j-1] by repeated products, each binomial on its own."""
+    return reduce(lambda a, b: kern.kmul(ctx, a, b),
+                  (binomial(ctx, ctx.q ** j) for j, k in enumerate(exps, 1) for _ in range(k)),
+                  [1])
 
 
 def random_poly(ctx, rng, length):
@@ -30,26 +43,103 @@ def irreducible(ctx, d):
     return list(irreducibles_of_degree(ctx, d)[0].coeffs)
 
 
-def split_product(ctx, split):
-    """The product of f^k over the (f, m, k) of a split."""
-    return reduce(lambda a, b: kern.kmul(ctx, a, b),
-                  (f for f, _, k in split for _ in range(k)), [1])
+def ratk_terms(raw):
+    """raw as {t-exponents: RatK}, each numerator over the materialized `den`."""
+    ctx, den = raw.ctx, APoly(raw.ctx, list(raw.den))
+    out = {e: RatK(APoly(ctx, list(c)), den) for e, c in raw.num.items()}
+    return {e: x for e, x in out.items() if not x.is_zero()}
 
 
-def assert_split_of(ctx, den, split):
-    """split multiplies back to den up to a unit, each binomial once, the
-    largest first, and a cofactor only when it is not a unit."""
-    quo, rem = kern.kdivmod(ctx, den, split_product(ctx, split))
-    assert not rem and len(quo) == 1
-    ms = [m for _, m, _ in split]
-    assert ms == sorted(set(ms), reverse=True)
-    for f, m, k in split:
-        assert k >= 1 and (f == binomial(ctx, m) if m else (len(f) > 1 and k == 1))
+def lifted(raw, exps, unit):
+    """The same value as raw over its denominator times unit * prod_j
+    b_j^exps[j-1]: numerators and denominator both multiplied."""
+    ctx = raw.ctx
+    f = kern.kscal(ctx, unit, binomial_product(ctx, exps))
+    top = [a + b for a, b in zip(raw.exps + (0,) * len(exps), exps + (0,) * len(raw.exps))]
+    return RawTPoly(ctx, raw.s, {e: kern.kmul(ctx, list(c), f) for e, c in raw.num.items()},
+                    exps=top, unit=ctx.mul[raw.unit][unit])
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 25])
+def bumped(ctx, raw, e, k):
+    """raw with coefficient k of the numerator at t-exponent e plus one."""
+    num = {x: list(c) for x, c in raw.num.items()}
+    c = num[e] + [0] * (k + 1 - len(num[e]))
+    c[k] = ctx.add[c[k]][1]
+    num[e] = c
+    return RawTPoly(ctx, raw.s, num, exps=raw.exps, unit=raw.unit)
+
+
+def assert_matches_ratk(ctx, x, y, v):
+    """sum, product, substitution t_1 := v, equality and normalization of
+    the one-variable values x, y, against RatK arithmetic."""
+    rx, ry = ratk_terms(x), ratk_terms(y)
+    want = dict(rx)
+    for e, c in ry.items():
+        want[e] = want[e] + c if e in want else c
+    assert ratk_terms(x + y) == {e: c for e, c in want.items() if not c.is_zero()}
+    assert ratk_terms(RawTPoly.sum([x, y, -x])) == ry
+    want = {}
+    for (a,), c in rx.items():
+        for (b,), d in ry.items():
+            want[(a + b,)] = want[(a + b,)] + c * d if (a + b,) in want else c * d
+    assert ratk_terms(x * y) == {e: c for e, c in want.items() if not c.is_zero()}
+    at = RatK.zero(ctx)
+    for (a,), c in rx.items():
+        at = at + c * RatK.from_apoly(APoly(ctx, v) ** a)
+    assert ratk_terms(x.substitute(1, v)) == ({(): at} if not at.is_zero() else {})
+    assert x.equals(y) == y.equals(x) == (rx == ry)
+    assert x.to_tpoly().terms == rx and y.to_tpoly().terms == ry
+
+
+def raw_values(ctx, draw_int):
+    """Three one-variable values from the integer source draw_int(lo, hi):
+    random ones, then an equal value over a larger denominator."""
+    top = 2 if ctx.q <= 9 else 1
+
+    def value(exps):
+        num = {(e,): [draw_int(0, ctx.q - 1) for _ in range(draw_int(0, 5))] + [1]
+               for e in range(draw_int(0, 2), draw_int(0, 2) + 1)}
+        return RawTPoly(ctx, 1, num, exps=exps, unit=draw_int(1, ctx.q - 1))
+    x = value([draw_int(0, top) for _ in range(draw_int(0, 2))])
+    y = value([draw_int(0, top) for _ in range(draw_int(0, 2))])
+    extra = tuple(draw_int(0, 1) for _ in range(draw_int(0, 2)))
+    return x, y, lifted(x, extra, draw_int(1, ctx.q - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(QS), st.data())
+def test_raw_arithmetic_matches_ratk(q, data):
+    ctx = FIELDS[q]
+    x, y, same = raw_values(ctx, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    v = data.draw(st.lists(st.integers(0, q - 1), max_size=3))
+    assert_matches_ratk(ctx, x, y, v)
+    assert_matches_ratk(ctx, x, same, v)
+    assert x.equals(same)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_incomparable_denominators_match_ratk(q, monkeypatch=None):
+    # neither of (2,) and (1, 1) divides the other, and the units differ;
+    # monkeypatch is the calling convention of the mutation table
+    ctx = FIELDS[q]
+    rng = random.Random(q)
+    top = 2 if q <= 9 else 1
+    for exps_x, exps_y in (((top,), (1, 1)), ((1, 1), (0, top)), ((1,), (0, 1)), ((), (1,))):
+        x = RawTPoly(ctx, 1, {(0,): random_poly(ctx, rng, 6), (2,): random_poly(ctx, rng, 3)},
+                     exps=exps_x, unit=ctx.neg[1])
+        y = RawTPoly(ctx, 1, {(1,): random_poly(ctx, rng, 4), (2,): random_poly(ctx, rng, 2)},
+                     exps=exps_y, unit=rng.randrange(1, q))
+        assert_matches_ratk(ctx, x, y, random_poly(ctx, rng, 3))
+        for same in (lifted(x, exps_y, 1), lifted(x, (0, 1), rng.randrange(1, q))):
+            assert x.equals(same) and same.equals(x)
+            assert_matches_ratk(ctx, same, y, [1])
+            for e in x.num:
+                assert not bumped(ctx, same, e, 1).equals(x)
+
+
+@pytest.mark.parametrize("q", QS)
 def test_binomial_normalization_matches_ratk(q):
-    ctx = FieldContext(q)
+    ctx = FIELDS[q]
     cache = SeqCache(ctx)
     rng = random.Random(q)
     top = 3 if q <= 5 else 2 if q <= 9 else 1
@@ -62,19 +152,18 @@ def test_binomial_normalization_matches_ratk(q):
     other = irreducible(ctx, top + 1)
     odd = 1 if q == 25 else 3
     for trial in range(7):
-        den = APoly.one(ctx)
+        # a product of ell powers, ell(i)^k = (-1)^(i k) prod_(j<=i) b_j^k
+        den, exps, unit = APoly.one(ctx), [0] * top, 1
         for _ in range(rng.randint(1, 4)):
-            den = den * cache.ell(rng.randint(0, top)) ** rng.randint(1, 3)
-        den = list(den.coeffs)
-        if trial == 5:    # the oracle's non-monic denominator at odd d
-            den = kern.kneg(ctx, list(cache.monic_lcm(odd).coeffs))
-        if trial == 6:
-            den = kern.kmul(ctx, den, other)
-        split = _binomial_split(ctx, den)
-        assert_split_of(ctx, den, split)
-        # the cofactor, up to a unit (ell(i) has leading coefficient (-1)^i)
-        cofactor = [kern.kscal(ctx, ctx.inv[f[-1]], f) for f, m, _ in split if not m]
-        assert cofactor == ([other] if trial == 6 else [])
+            i, k = rng.randint(0, top), rng.randint(1, 3)
+            den = den * cache.ell(i) ** k
+            exps[:i] = [x + k for x in exps[:i]]
+            unit = ctx.mul[unit][ctx.neg[1]] if i * k % 2 else unit
+        if trial == 5:    # the oracle's denominator at odd d, -monic_lcm(d)
+            den, exps, unit = -cache.monic_lcm(odd), [1] * odd, ctx.neg[1]
+        if trial == 6:    # a unit other than +-1 where there is one
+            u = q - 2 if q > 3 else 1
+            den, unit = den * APoly(ctx, [u]), ctx.mul[unit][u]
         num = {}
         for e in range(rng.randint(1, 6)):
             c = random_poly(ctx, rng, rng.randint(1, 40))
@@ -82,44 +171,32 @@ def test_binomial_normalization_matches_ratk(q):
                 for _ in range(rng.randint(1, 6)):
                     c = kern.kmul(ctx, c, rng.choice(pieces + [other]))
             num[(e,)] = c
-        raw = RawTPoly(ctx, 1, num, den)
-        assert raw.to_tpoly().terms == {e: RatK(APoly(ctx, c), APoly(ctx, den))
+        raw = RawTPoly(ctx, 1, num, exps=exps, unit=unit)
+        assert list(raw.den) == list(den.coeffs)
+        assert raw.to_tpoly().terms == {e: RatK(APoly(ctx, c), APoly(ctx, list(den.coeffs)))
                                         for e, c in num.items()}
-
-
-def test_binomial_factors_of_other_denominators(ctx3):
-    b3, b9 = binomial(ctx3, 3), binomial(ctx3, 9)
-    # units are dropped
-    assert _binomial_split(ctx3, [1]) == _binomial_split(ctx3, [2]) == []
-    assert _binomial_split(ctx3, kern.kmul(ctx3, [2], kern.kmul(ctx3, b3, b3))) == [(b3, 3, 2)]
-    # each binomial once with its multiplicity, the largest first
-    den = kern.kmul(ctx3, b9, kern.kmul(ctx3, b3, b3))
-    assert _binomial_split(ctx3, den) == [(b9, 9, 1), (b3, 3, 2)]
-    # theta^3 - theta times theta + 1, whose cofactor no binomial divides
-    den = kern.kmul(ctx3, b3, [1, 1])
-    assert _binomial_split(ctx3, den) == [(b3, 3, 1), ([1, 1], 0, 1)]
-    raw = RawTPoly(ctx3, 0, {(): [1, 2, 1]}, den)
-    assert raw.to_tpoly().terms[()] == RatK(APoly(ctx3, [1, 2, 1]), APoly(ctx3, den))
-    # (theta + 1)(theta + 2) over itself, a cofactor of theta^3 - theta
-    raw = RawTPoly(ctx3, 0, {(): [2, 0, 1]}, [2, 0, 1])
-    assert _binomial_split(ctx3, [2, 0, 1]) == [([2, 0, 1], 0, 1)]
-    assert raw.to_tpoly() == RawTPoly.one(ctx3, 0).to_tpoly()
+    # theta^q - theta over itself, and its square over its cube
+    b = binomials[0]
+    assert RawTPoly(ctx, 0, {(): b}, exps=(1,)).to_tpoly() == RawTPoly.one(ctx, 0).to_tpoly()
+    raw = RawTPoly(ctx, 0, {(): kern.kmul(ctx, b, b)}, exps=(3,))
+    assert raw.to_tpoly().terms[()] == RatK(APoly.one(ctx), APoly(ctx, b))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 25])
 def test_sum_matches_the_left_to_right_sum(q):
-    ctx = FieldContext(q)
-    cache = SeqCache(ctx)
+    ctx = FIELDS[q]
     rng = random.Random(q + 7)
     top = 2 if q <= 5 else 1
-    # ell powers (each dividing some other), repeated, and one prime to all
-    dens = [list((cache.ell(i) ** k).coeffs) for i in range(top + 1) for k in (1, 2)]
-    dens.append(irreducible(ctx, top + 1))
+    # ell powers (each dividing some other), repeated, a unit other than
+    # +-1, and exponents incomparable with some of them
+    dens = [((k,) * i, ctx.neg[1] if i * k % 2 else 1) for i in range(top + 1) for k in (1, 2)]
+    dens += [((2,), q - 2 if q > 3 else 1), ((0, 1), 1), ((3,), ctx.neg[1])]
     terms = []
     for _ in range(10):
         num = {(rng.randint(0, 2), rng.randint(0, 1)): random_poly(ctx, rng, rng.randint(1, 30))
                for _ in range(rng.randint(1, 3))}
-        terms.append(RawTPoly(ctx, 2, num, rng.choice(dens)))
+        exps, unit = rng.choice(dens)
+        terms.append(RawTPoly(ctx, 2, num, exps=exps, unit=unit))
     terms += [-terms[0], terms[1], RawTPoly.zero(ctx, 2)]
     rng.shuffle(terms)
     total = RawTPoly.sum(terms)
@@ -133,43 +210,30 @@ def test_sum_matches_the_left_to_right_sum(q):
         RawTPoly.sum([terms[0], RawTPoly.one(ctx, 1)])
 
 
-def bumped(ctx, raw, e, k):
-    """raw with coefficient k of the numerator at t-exponent e plus one."""
-    num = {x: list(c) for x, c in raw.num.items()}
-    c = num[e] + [0] * (k + 1 - len(num[e]))
-    c[k] = ctx.add[c[k]][1]
-    num[e] = c
-    return RawTPoly(ctx, raw.s, num, raw.den)
-
-
 @pytest.mark.parametrize("q", [3, 4, 25])
 def test_equals_sees_one_changed_coefficient(q):
-    ctx = FieldContext(q)
-    cache = SeqCache(ctx)
+    ctx = FIELDS[q]
     rng = random.Random(q + 8)
-    ell = list(cache.ell(1).coeffs)
-    g1, g2 = (list(p.coeffs) for p in irreducibles_of_degree(ctx, 2)[:2])
     num = {(0,): random_poly(ctx, rng, 20), (2,): random_poly(ctx, rng, 9)}
-    value = RawTPoly(ctx, 1, num, ell)
-
-    def over(f):  # value with numerators and denominator times f
-        return RawTPoly(ctx, 1, {e: kern.kmul(ctx, c, f) for e, c in num.items()},
-                        kern.kmul(ctx, ell, f))
-    # ell divides ell g1; neither of ell g1, ell g2 divides the other
-    for x, y in ((value, over(g1)), (over(g2), over(g1))):
+    value = RawTPoly.over_ell(ctx, 1, num, 1, 1)
+    # ell(1) divides ell(1) b_2; neither of ell(1) b_1, ell(1) b_2 divides
+    # the other
+    for x, y in ((value, lifted(value, (0, 1), 1)),
+                 (lifted(value, (0, 1), 1), lifted(value, (1,), ctx.neg[1]))):
+        assert x.exps != y.exps
         assert x.equals(y) and y.equals(x)
         for e in num:
             for k in (0, 3, len(y.num[e]) - 1, len(y.num[e]) + 2):
                 for a, b in ((x, bumped(ctx, y, e, k)), (bumped(ctx, x, e, k), y)):
                     assert not a.equals(b) and not b.equals(a), (e, k)
-        extra = RawTPoly(ctx, 1, {(5,): [1]}, [1])
+        extra = RawTPoly(ctx, 1, {(5,): [1]})
         assert not (x + extra).equals(y) and not y.equals(x + extra)
 
 
 def test_a_power_makes_one_product_per_bit_after_the_first(ctx3, monkeypatch):
     # square-and-multiply starts from a power of x: x ** 1 is x itself, and
     # x ** 2, x ** 3, x ** 4 cost 1, 2 and 2 products
-    x = RawTPoly(ctx3, 1, {(0,): [1, 1], (1,): [0, 2]}, [0, 1])
+    x = RawTPoly(ctx3, 1, {(0,): [1, 1], (1,): [0, 2]}, exps=(1,))
     powers = [RawTPoly.one(ctx3, 1)]
     for _ in range(4):
         powers.append(powers[-1] * x)
@@ -180,3 +244,35 @@ def test_a_power_makes_one_product_per_bit_after_the_first(ctx3, monkeypatch):
         value = x ** n
         assert len(calls) == products, n
         assert value.equals(powers[n]), n
+        assert value.exps == ((n,) if n else ())
+
+
+def test_the_denominator_is_keyword_only(ctx3):
+    # a positional denominator, the old coefficient-list form, is refused
+    # rather than read as an exponent vector
+    with pytest.raises(TypeError):
+        RawTPoly(ctx3, 1, {(0,): [1]}, [1])
+    assert RawTPoly(ctx3, 1, {(0,): [1]}, exps=(2, 0, 0)).exps == (2,)
+
+
+def test_deep_identities_divide_no_denominator(monkeypatch):
+    # sums, products and equality of the deep shuffle checks read their
+    # quotients off the exponents: no division is made under them
+    methods = {RawTPoly.sum.__code__, RawTPoly.__mul__.__code__, RawTPoly.equals.__code__}
+    seen = []
+
+    def spy(name, real):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in methods:
+                    seen.append((name, frame.f_code.co_name))
+                    break
+                frame = frame.f_back
+            return real(*args)
+        return call
+    for name in ("kdivmod", "kexactdiv"):
+        monkeypatch.setattr(kern, name, spy(name, getattr(kern, name)))
+    rep = run_check("eq-formulabis", profile="deep", d_max=3)
+    assert rep.status == "pass", rep.witness
+    assert seen == []

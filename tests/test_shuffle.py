@@ -76,10 +76,11 @@ def test_engine_rejects_orders_without_closed_form(cache3):
 
 def test_rawfrac_add_mul_against_ratk(ctx3):
     th = APoly.theta(ctx3)
-    a = RawTPoly(ctx3, 1, {(0,): [1, 1]}, [0, 2, 1])     # (1+θ)/(2θ+θ²)
-    b = RawTPoly(ctx3, 1, {(1,): [2]}, [0, 1])           # 2 t / θ
-    x = RatK(APoly(ctx3, [1, 1]), APoly(ctx3, [0, 2, 1]))
-    y = RatK(APoly(ctx3, [2]), APoly(ctx3, [0, 1]))
+    # over incomparable exponents: neither denominator's exponents cover the other's
+    a = RawTPoly(ctx3, 1, {(0,): [1, 1]}, exps=(1,))              # (1+θ)/(θ³-θ)
+    b = RawTPoly(ctx3, 1, {(1,): [2]}, exps=(0, 1), unit=2)       # 2 t / (θ-θ⁹)
+    x = RatK(APoly(ctx3, [1, 1]), APoly(ctx3, [0, 2, 0, 1]))
+    y = RatK(APoly(ctx3, [2]), APoly(ctx3, [0, 1] + [0] * 7 + [2]))
     s = a + b
     assert ratk_matches(s.num[(0,)], s.den, x)
     assert ratk_matches(s.num[(1,)], s.den, y)
@@ -94,20 +95,20 @@ def ratk_matches(num, den, x):
 
 
 def test_rawfrac_divisible_denominator_add(ctx3):
-    a = RawTPoly(ctx3, 1, {(0,): [1]}, [0, 0, 1])   # 1/θ²
-    b = RawTPoly(ctx3, 1, {(0,): [1]}, [0, 1])      # 1/θ
+    a = RawTPoly(ctx3, 1, {(0,): [1]}, exps=(2,))   # 1/(θ³-θ)²
+    b = RawTPoly(ctx3, 1, {(0,): [1]}, exps=(1,))   # 1/(θ³-θ)
     s = a + b
-    assert list(s.den) == [0, 0, 1]
-    assert list(s.num[(0,)]) == [1, 1]
+    assert list(s.den) == [0, 0, 1, 0, 1, 0, 1]     # θ² - 2θ⁴ + θ⁶
+    assert list(s.num[(0,)]) == [1, 2, 0, 1]        # 1 + θ³ - θ
 
 
 def test_rawfrac_substitute_one(ctx3):
-    a = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [2]}, [1])
+    a = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [2]})
     s = a.substitute(1, [1])
     assert s.s == 1
     # the two terms merge at t2^1, and 1 + 2 = 0 in F_3
     assert not s.num
-    b = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [1]}, [1])
+    b = RawTPoly(ctx3, 2, {(2, 1): [1], (0, 1): [1]})
     s2 = b.substitute(1, [1])
     assert {e: list(c) for e, c in s2.num.items()} == {(1,): [2]}
 
@@ -115,9 +116,9 @@ def test_rawfrac_substitute_one(ctx3):
 def test_rawfrac_untrimmed_numerators(ctx3):
     # monic_sum returns fixed-length code lists, with trailing zeros and
     # possibly all zeros; equal denominators must still mean equal values
-    padded = RawTPoly(ctx3, 1, {(0,): [1, 0]}, [1])
-    assert padded.equals(RawTPoly(ctx3, 1, {(0,): [1]}, [1]))
-    zeros = RawTPoly(ctx3, 1, {(0,): [0, 0]}, [1])
+    padded = RawTPoly(ctx3, 1, {(0,): [1, 0]})
+    assert padded.equals(RawTPoly(ctx3, 1, {(0,): [1]}))
+    zeros = RawTPoly(ctx3, 1, {(0,): [0, 0]})
     assert zeros.is_zero()
     assert zeros.equals(RawTPoly.zero(ctx3, 1))
 

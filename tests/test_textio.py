@@ -131,6 +131,10 @@ def test_roundtrip_matrix_corpus(ctx3):
     (lambda ctx: parse_matrix_data(ctx, "t1:1, zz:1"), 6),
     (lambda ctx: parse_matrix_data(ctx, "t1:1, 1:x"), 8),
     (lambda ctx: parse_matrix_data(ctx, "t1:1, c(x]):1"), 9),
+    # an index above the arity, at the first factor that has one (named,
+    # so that the positions 8 and 6 keep their ids above)
+    pytest.param(lambda ctx: parse_matrix_data(ctx, "t1:1,t1*t3:1", s=2), 8, id="arity-t"),
+    pytest.param(lambda ctx: parse_matrix_data(ctx, "t1:1, nu3*t4:1", s=2), 6, id="arity-nu"),
 ])
 def test_malformed_integers_raise_grammar_errors(ctx9, parse, position):
     with pytest.raises(GrammarError) as exc:

@@ -24,17 +24,21 @@ for (d, n) in ((1, 1), (2, 1), (2, 2)):
 print("\n== the b-expansion: τ^j -> b_j(t) takes the skew sum to S_d(q^n; χ_t) ==")
 d, n = 2, 1
 weights = chain_weights(cache, n, d)
-den = cache.ell_pow(d, ctx.q ** n)
+den = cache.ell(d) ** ctx.q ** n
 for j in range(d + 1):
     bj = TPoly(ctx, 1, {(k,): c for k, c in enumerate(cache.b_coeffs(j))})
     print(f"b_{j}(t) = {bj}")
 expansion = TPoly(ctx, 1, {(k,): c for k, c in b_combination(cache, weights).items()})
 print(f"sum of w_i b_i(t) = {expansion}")
 print(f"  over ell({d})^{ctx.q ** n} = {den}")
+# the enumerated sum keeps ell(d)^(q^n) as exponents of the factors θ - θ^(q^j)
 brute = power_sum_bruteforce(cache, d, ctx.q ** n, chi)
+print(f"enumerated denominator: exponents {brute.exps} of θ - θ^(q^j), j = 1..{d}")
 num = {(k,): list(c.coeffs) for k, c in b_combination(cache, weights).items()}
+same = list(brute.den) == list(den.coeffs) and {e: list(c) for e, c in brute.num.items()} == num
 print(f"enumerated S_{d}(q^{n}; χ_t) = {brute}")
-print(f"  same denominator and numerators: {brute.den == list(den.coeffs) and brute.num == num}")
+print(f"  same denominator and numerators: {same}")
+assert same
 
 print("\n== evaluation at one links to star zeta values ==")
 for d in (1, 2, 3, 4):

@@ -9,16 +9,17 @@ Sums of products accumulate through the kernel's fused multiply-add,
 byte codecs (q <= 16) the numerators are trimmed `bytes` (else lists), and
 the kernel returns bytes for bytes; values leave as lists for an APoly.
 
-Every denominator is a power product of the ell(d) = (-1)^d b_1 ... b_d,
-b_j = theta^(q^j) - theta, so it is kept as `unit * prod_j b_j^exps[j-1]`
-(`exps` a trimmed tuple, `unit` a nonzero code) and is never multiplied
-or divided: a product adds the exponents and multiplies the units,
+Every denominator is a power product of the paper's factors
+theta - theta^(q^j), the ell(d) = prod_(j<=d) (theta - theta^(q^j)), so
+it is kept as `prod_j (theta - theta^(q^j))^exps[j-1]` (`exps` a trimmed
+tuple) and is never multiplied or divided: a product adds the exponents,
 `RawTPoly.sum` adds the terms over one denominator first and then brings
 each group up to the exponent-wise maximum, a common multiple, by the
-quotient read off the exponents (a sparse product of binomials), and
-`equals` compares both sides over that maximum.  The codes of a whole
-denominator are built, once per field context, only where a value leaves
-this form: `den`, `to_tpoly` and `TateSeries.from_raw`.
+quotient read off the exponents, and `equals` compares both sides over
+that maximum.  `ell_product` builds the codes of any such product once
+per field context: the quotients, a whole denominator where a value
+leaves this form (`den`, `to_tpoly`, `TateSeries.from_raw`), and every
+ell(i) and ell(d)/ell(i) that `powersums.SeqCache` hands out.
 
 Every power sum and every exact check is a value of this form: the closed
 forms (`powersums.closed_raw`) and the enumeration oracle
@@ -28,7 +29,7 @@ sums add and multiply them unreduced, the Tate series expand them
 numerator by numerator, the skew checks compare b-expansions and
 truncated zeta values in it, and `substitute` specializes a variable at a
 theta-polynomial with the denominator unchanged.  `to_tpoly`, the one
-normalization path, for printing, cancels each numerator one binomial of
+normalization path, for printing, cancels each numerator one factor of
 `exps` at a time, so that every gcd is with one short binomial.
 """
 
@@ -47,9 +48,9 @@ def _stored(kind, c):
 
 
 class RawTPoly:
-    __slots__ = ("ctx", "s", "num", "exps", "unit")
+    __slots__ = ("ctx", "s", "num", "exps")
 
-    def __init__(self, ctx, s, num, *, exps=(), unit=1):
+    def __init__(self, ctx, s, num, *, exps=()):
         self.ctx = ctx
         self.s = s
         kind = bytes if kern._codec(ctx) else list
@@ -63,7 +64,6 @@ class RawTPoly:
         while exps and not exps[-1]:
             exps = exps[:-1]
         self.exps = exps
-        self.unit = unit
 
     @classmethod
     def zero(cls, ctx, s):
@@ -75,13 +75,13 @@ class RawTPoly:
 
     @classmethod
     def over_ell(cls, ctx, s, num, d, n):
-        """num over ell(d)^n = (-1)^(d n) prod_(j<=d) b_j^n."""
-        return cls(ctx, s, num, exps=(n,) * d, unit=ctx.neg[1] if d * n % 2 else 1)
+        """num over ell(d)^n."""
+        return cls(ctx, s, num, exps=(n,) * d)
 
     @property
     def den(self):
         """The denominator as trimmed coefficient codes."""
-        return kern._copy(_binomial_power(self.ctx, self.exps, self.unit))
+        return kern._copy(ell_product(self.ctx, self.exps))
 
     def is_zero(self):
         return not self.num
@@ -90,7 +90,7 @@ class RawTPoly:
     def sum(cls, terms):
         """The sum of one or more values of one arity.  Terms over one
         denominator are added first, then each group times its quotient over
-        the exponent-wise maximum, with the unit of the last group there."""
+        the exponent-wise maximum."""
         terms = list(terms)
         ctx, s = terms[0].ctx, terms[0].s
         groups = {}
@@ -98,23 +98,22 @@ class RawTPoly:
             if t.s != s:
                 raise ArityMismatch("arities differ")
             if t.num:
-                out = groups.get(key := (t.exps, t.unit))
+                out = groups.get(t.exps)
                 if out is None:
-                    groups[key] = dict(t.num)
+                    groups[t.exps] = dict(t.num)
                     continue
                 for e, c in t.num.items():
                     cur = out.get(e)
                     out[e] = c if cur is None else kern.kadd(ctx, cur, c)
         if not groups:
             return terms[0]
-        top = _top(x for x, _ in groups)
-        unit = next((u for x, u in reversed(groups) if x == top), 1)
-        out = groups.pop((top, unit), {})
-        for (exps, u), num in groups.items():
-            quo = _quotient(ctx, top, unit, exps, u)
+        top = _top(groups)
+        out = groups.pop(top, {})
+        for exps, num in groups.items():
+            quo = _quotient(ctx, top, exps)
             for e, c in num.items():
                 out[e] = kern.kmul(ctx, c, quo, out.get(e))
-        return cls(ctx, s, out, exps=top, unit=unit)
+        return cls(ctx, s, out, exps=top)
 
     def __add__(self, other):
         return RawTPoly.sum((self, other))
@@ -122,7 +121,7 @@ class RawTPoly:
     def __neg__(self):
         return RawTPoly(self.ctx, self.s,
                         {e: kern.kneg(self.ctx, c) for e, c in self.num.items()},
-                        exps=self.exps, unit=self.unit)
+                        exps=self.exps)
 
     def __sub__(self, other):
         return self + (-other)
@@ -136,7 +135,7 @@ class RawTPoly:
             for e2, c2 in other.num.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 out[e] = kern.kmul(ctx, c1, c2, out.get(e))
-        return RawTPoly(ctx, self.s, out, unit=ctx.mul[self.unit][other.unit],
+        return RawTPoly(ctx, self.s, out,
                         exps=[x + y for x, y in zip_longest(self.exps, other.exps, fillvalue=0)])
 
     def __pow__(self, n):
@@ -155,32 +154,33 @@ class RawTPoly:
                 powers[k] = kern.kpow(ctx, value, k)
             ne = e[:i - 1] + e[i:]
             out[ne] = kern.kmul(ctx, c, powers[k], out.get(ne))
-        return RawTPoly(ctx, self.s - 1, out, exps=self.exps, unit=self.unit)
+        return RawTPoly(ctx, self.s - 1, out, exps=self.exps)
 
     def equals(self, other):
         """Exact equality of the represented fractions: both sides'
-        numerators over the exponent-wise maximum, with other's unit."""
+        numerators over the exponent-wise maximum."""
         if other.s != self.s:
             raise ArityMismatch("arities differ")
-        top, unit = _top((self.exps, other.exps)), other.unit
-        return _lifted(self, top, unit) == _lifted(other, top, unit)
+        top = _top((self.exps, other.exps))
+        return _lifted(self, top) == _lifted(other, top)
 
     def to_tpoly(self):
         """The same value as a TPoly, every coefficient normalized in K.
 
-        A numerator N is cancelled one binomial b_j of the denominator at a
-        time, the largest first, since gcd(N, f F) = gcd(N, f) gcd(N /
-        gcd(N, f), F).  b_j = theta^m - theta is met through N mod it
-        (`kmod_binomial`); it is squarefree, so each further copy needs only
-        the gcd with what the previous copy cancelled, and none once that
-        is 1.  den / g is rebuilt only when something cancelled."""
+        A numerator N is cancelled one factor theta - theta^m, m = q^j, of
+        the denominator at a time, the largest first, since gcd(N, f F) =
+        gcd(N, f) gcd(N / gcd(N, f), F).  The factor is met through N mod
+        theta^m - theta (`kmod_binomial`); it is squarefree, so each further
+        copy needs only the (monic) gcd with what the previous copy
+        cancelled, and none once that is 1.  den / g is rebuilt only when
+        something cancelled."""
         ctx, den_codes = self.ctx, list(self.den)  # the gcds work on lists
         den = APoly._make(ctx, den_codes)
         terms = {}
         for e, n in self.num.items():
             n, g = list(n), [1]
             for j in range(len(self.exps), 0, -1):
-                m, f = ctx.q ** j, list(_binomial_power(ctx, (0,) * (j - 1) + (1,), 1))
+                m, f = ctx.q ** j, list(ell_product(ctx, (0,) * (j - 1) + (1,)))
                 for _ in range(self.exps[j - 1]):
                     f = kern.kgcd(ctx, f, kern.kmod_binomial(ctx, n, m))
                     if len(f) == 1:
@@ -202,36 +202,34 @@ def _top(exps):
     return tuple(map(max, zip_longest(*exps, fillvalue=0)))
 
 
-def _binomial_power(ctx, exps, unit):
-    """unit * prod_j b_j^exps[j-1] as trimmed codes, memoized per context:
-    distinct binomials as the product without the last one times it, else
-    each exponent's binomials by one `kpow` (a q-power is a Frobenius spread)."""
-    v = ctx._binomials.get(key := (exps, unit))
+def ell_product(ctx, exps):
+    """prod_j (theta - theta^(q^j))^exps[j-1] as trimmed codes, memoized per
+    context: distinct factors as the product without the last one times it,
+    else each exponent's factors by one `kpow` (a q-power is a Frobenius
+    spread).  ell(d)^n is exps = (n,) * d."""
+    v = ctx._ell_products.get(exps)
     if v is None:
-        if unit != 1:
-            v = kern.kscal(ctx, unit, _binomial_power(ctx, exps, 1))
-        elif not any(exps):
+        if not any(exps):
             v = [1]
         elif max(exps) == 1:
-            v = _binomial_power(ctx, exps[:-1], 1)
-            b = [0, ctx.neg[1]] + [0] * (ctx.q ** len(exps) - 2) + [1]
-            v = kern.kmul(ctx, v, b) if exps[-1] else v
+            v = ell_product(ctx, exps[:-1])
+            f = [0, 1] + [0] * (ctx.q ** len(exps) - 2) + [ctx.neg[1]]
+            v = kern.kmul(ctx, v, f) if exps[-1] else v
         else:
-            v = reduce(lambda a, b: kern.kmul(ctx, a, b), (kern.kpow(ctx, _binomial_power(
-                ctx, tuple(int(x == k) for x in exps), 1), k) for k in set(exps) - {0}))
-        v = ctx._binomials[key] = _stored(bytes if kern._codec(ctx) else list, v)
+            v = reduce(lambda a, b: kern.kmul(ctx, a, b), (kern.kpow(ctx, ell_product(
+                ctx, tuple(int(x == k) for x in exps)), k) for k in set(exps) - {0}))
+        v = ctx._ell_products[exps] = _stored(bytes if kern._codec(ctx) else list, v)
     return v
 
 
-def _quotient(ctx, top, unit, exps, u):
-    """The denominator (top, unit) over (exps, u), exps <= top."""
-    return _binomial_power(ctx, tuple(a - b for a, b in zip_longest(top, exps, fillvalue=0)),
-                           ctx.mul[unit][ctx.inv[u]])
+def _quotient(ctx, top, exps):
+    """The denominator `top` over `exps`, exps <= top."""
+    return ell_product(ctx, tuple(a - b for a, b in zip_longest(top, exps, fillvalue=0)))
 
 
-def _lifted(x, top, unit):
-    """x's numerators over the denominator (top, unit), x.exps <= top."""
-    if x.exps == top and x.unit == unit:
+def _lifted(x, top):
+    """x's numerators over the denominator `top`, x.exps <= top."""
+    if x.exps == top:
         return x.num
-    quo = _quotient(x.ctx, top, unit, x.exps, x.unit)
+    quo = _quotient(x.ctx, top, x.exps)
     return {e: kern.kmul(x.ctx, c, quo) for e, c in x.num.items()}

@@ -62,7 +62,7 @@ def build_parser():
             ("powsum", (("--d", int, True), ("--data", str, True))),
             ("partial", (("--d", int, True), ("--data", str, True))),
             ("zeta", (("--data", str, True), ("--prec", int, True))),
-            ("bg", (("--n", int, False), ("--d", int, False))),
+            ("bg", ()),
             ("bg-survey", (("--d", int, True),)),
             ("skew", (("--d", int, True), ("--n", int, True)))):
         p = sub.add_parser(name)
@@ -73,6 +73,10 @@ def build_parser():
                        "a custom modulus for extension fields, ascending")
         for flag, typ, required in extra:
             p.add_argument(flag, type=typ, required=required)
+        if name == "bg":   # either, not both; neither is one error line
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--n", type=int)
+            group.add_argument("--d", type=int)
         if name in ("powsum", "partial", "zeta"):
             p.add_argument("--vars", type=int, default=None,
                            help="arity of the t-variables (default: inferred)")

@@ -78,14 +78,14 @@ class FieldContext:
 
     Instances are immutable after construction and safe to share between
     threads, apart from `_bytes`, set once on first use, and the memo
-    `_binomials` of `RawTPoly` denominators (two threads may both build a
-    value, and the two are equal).  Two contexts compare equal iff they have
-    the same q and the same modulus, but element codes must never be mixed
-    across instances of different parameters.
+    `_ell_products` of `_rawfrac.ell_product` (two threads may both build
+    a value, and the two are equal).  Two contexts compare equal iff they
+    have the same q and the same modulus, but element codes must never be
+    mixed across instances of different parameters.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "add", "mul", "neg", "inv",
-                 "digits", "_undigit", "_fold", "_slots", "_bytes", "_binomials")
+                 "digits", "_undigit", "_fold", "_slots", "_bytes", "_ell_products")
 
     def __init__(self, q, modulus=None):
         p, e = _factor_prime_power(q)
@@ -124,7 +124,7 @@ class FieldContext:
         # element tables; prime-field rows are built by arithmetic and share
         # the int objects of r, which keeps them small at large p
         self._fold = self._slots = self._bytes = None
-        self._binomials = {}
+        self._ell_products = {}
         if e == 1:
             r = list(range(p))
             add = [r[a:] + r[:a] for a in r]

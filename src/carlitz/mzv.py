@@ -79,8 +79,8 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
 
     strict: the top column is taken at degree d and the remaining columns
     run over chains d > i_2 > ... > i_r >= 0; star: weakly decreasing
-    chains d >= i_2 >= ... >= i_r >= 0.  Depth 0 gives 1; empty inner
-    chains give 0.
+    chains d >= i_2 >= ... >= i_r >= 0.  Depth 0 gives 1 at d = 0 and 0
+    above, so that the empty data sums to 1; empty inner chains give 0.
 
     The chain sum runs over unreduced `power_sum` values, and the
     result is normalized once (`RawTPoly.to_tpoly`); raw returns the
@@ -92,7 +92,7 @@ def multi_power_sum(cache, d, data, mode="strict", raw=False):
     if d < 0:
         raise InvalidParams(f"the multiple power sum needs d >= 0, got d={d}")
     if data.depth == 0:
-        value = RawTPoly.one(cache.ctx, data.s)
+        value = (RawTPoly.zero if d else RawTPoly.one)(cache.ctx, data.s)
     else:
         chains = ChainSums(lambda k, n, sigma: power_sum(cache, k, n, sigma),
                            RawTPoly.zero(cache.ctx, data.s), cache.table("exact chains"))

@@ -1,10 +1,9 @@
 """Fundamental sequences, semi-characters, and twisted power sums.
 
-The sequences everything is built from, each a `SeqCache` memo entry
-(tag in quotes) made from its predecessor:
+The sequences everything is built from: ell(i) = prod_(j<=i) (theta -
+theta^(q^j)), read from the per-context `_rawfrac.ell_product`, and two
+`SeqCache` memo entries (tag in quotes), each made from its predecessor:
 
-    "theta_q"  theta^(q^i) = (theta^(q^(i-1)))^q,        theta^(q^0) = theta
-    "ell"      ell(i) = ell(i-1) (theta - theta^(q^i)),    ell(0) = 1
     "b"        b_i(t) = b_(i-1)(t) (t - theta^(q^(i-1))),  b_0 = 1, in A[t]
     "tb"       the Frobenius twist of b_i, coefficient by coefficient
 
@@ -29,9 +28,9 @@ value is normalized into a TPoly only where it is printed.
 """
 
 from . import _packed as kern
-from ._rawfrac import RawTPoly
-from .errors import (ArityMismatch, BudgetExceeded, ContextMismatch, DivisionByZero,
-                     InexactDivision, InvalidParams, NonMonicInput, UnsupportedCharacter)
+from ._rawfrac import RawTPoly, ell_product
+from .errors import (ArityMismatch, BudgetExceeded, DivisionByZero, InexactDivision,
+                     InvalidParams, NonMonicInput, UnsupportedCharacter)
 from .ffield import FqElem
 from .poly import APoly, enumerate_monics, irreducibles_of_degree
 
@@ -89,16 +88,6 @@ class SemiChar:
             raise ArityMismatch("arity too small for the factors present")
         return SemiChar(self.ctx, s, self.vars, self.degs, self.consts)
 
-    def __mul__(self, other):
-        if not isinstance(other, SemiChar):
-            return NotImplemented
-        if other.ctx != self.ctx:
-            raise ContextMismatch("semi-characters from different contexts")
-        if other.s != self.s:
-            raise ArityMismatch("semi-characters of different arity")
-        return SemiChar(self.ctx, self.s, self.vars + other.vars,
-                        self.degs + other.degs, self.consts + other.consts)
-
     def __eq__(self, other):
         return (isinstance(other, SemiChar) and self.ctx == other.ctx
                 and (self.s, self.vars, self.degs, self.consts)
@@ -150,12 +139,15 @@ class SemiChar:
 
 
 class SeqCache:
-    """Memoized fundamental data for one field context: the one memo store.
+    """Memoized fundamental data for one field context.
 
-    All of it is in one dict of tagged tables: `memo(tag, key, make)`
-    computes a value once, and `table(tag)` is a whole table, for a
-    `ChainSums`.  The tags: the sequences "theta_q", "ell", "b" and "tb"
-    (recurrences in the module docstring); "ell_pow" and "ell_ratio";
+    Two stores hold it, each value in exactly one: the products of the
+    factors theta - theta^(q^j), ell(i) and ell(d)/ell(i) among them, are
+    memoized per field context by `_rawfrac.ell_product`, which `ell` and
+    `ell_ratio` read; everything else is in this cache's one dict of
+    tagged tables: `memo(tag, key, make)` computes a value once, and
+    `table(tag)` is a whole table, for a `ChainSums`.  The tags: the
+    sequences "b" and "tb" (recurrences in the module docstring);
     "monic_lcm", the lcm of the monics of each degree; "chain_weights";
     the exact twisted power sums, "raw", and their series, "series"; and
     the chain sums of every module.  No table holds a normalized value.
@@ -172,15 +164,11 @@ class SeqCache:
 
     def theta_q(self, i):
         """theta^(q^i) as an element of A."""
-        return self.memo("theta_q", i, lambda: self.theta_q(i - 1).frobenius()
-                         if i else APoly.theta(self.ctx))
+        return APoly.theta(self.ctx, self.ctx.q ** i)
 
     def ell(self, i):
         """ell(i); zero for negative indices."""
-        if i < 0:
-            return APoly.zero(self.ctx)
-        return self.memo("ell", i, lambda: self.ell(i - 1)
-                         * (self.theta_q(0) - self.theta_q(i)) if i else APoly.one(self.ctx))
+        return self.ell_ratio(i, 0) if i >= 0 else APoly.zero(self.ctx)
 
     def b_coeffs(self, i):
         """Coefficients (in A, ascending) of the degree-i polynomial with
@@ -222,22 +210,15 @@ class SeqCache:
             v = t[key] = make()
         return v
 
-    def ell_pow(self, i, n):
-        """ell(i)^n, memoized."""
-        return self.memo("ell_pow", (i, n), lambda: self.ell(i) ** n)
-
     def ell_ratio(self, d, i):
-        """ell(d) / ell(i): 1 at i = d, else memoized as ell_ratio(d, i + 1)
-        * (theta - theta^(q^(i+1))), a product with a two-term factor.
-        DivisionByZero for i < 0 (ell(i) = 0), InexactDivision for i > d."""
+        """ell(d) / ell(i), the `ell_product` at (0, ..., 0, 1, ..., 1) with
+        i zeros.  DivisionByZero for i < 0 (ell(i) = 0), InexactDivision
+        for i > d."""
         if i < 0:
             raise DivisionByZero(f"ell({i}) is zero")
         if i > d:
             raise InexactDivision(f"ell({d}) is not divisible by ell({i})")
-        if i == d:
-            return APoly.one(self.ctx)
-        return self.memo("ell_ratio", (d, i), lambda: self.ell_ratio(d, i + 1)
-                         * (self.theta_q(0) - self.theta_q(i + 1)))
+        return APoly._make(self.ctx, list(ell_product(self.ctx, (0,) * i + (1,) * (d - i))))
 
     def monic_lcm(self, d):
         """The lcm of all monic polynomials of degree d, assembled as the
@@ -551,8 +532,7 @@ def closed_raw(cache, d, n, sigma):
                                       else cache.tb_coeffs(d))]
         y = z = ()
         if form == "f3" and d >= 1:
-            gap = kind((cache.theta_q(d) - cache.theta_q(0)).coeffs)
-            gap2 = kern.kneg(ctx, kern.kmul(ctx, gap, gap))
+            gap2 = kern.kneg(ctx, ell_product(ctx, (0,) * (d - 1) + (2,)))
             z = [kind(c.coeffs) for c in cache.tb_coeffs(d - 1)]
             y = [kern.kmul(ctx, gap2, c) for c in z]
         terms, exps = {}, [0] * s

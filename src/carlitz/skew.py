@@ -79,7 +79,7 @@ def frak_S(cache, d, n):
     if not closed.equals(frak_S_bruteforce(cache, d, n)):
         raise ClosedFormMismatch(
             f"chain closed form disagrees with enumeration at d={d}, n={n}")
-    den = cache.ell_pow(d, ctx.q ** n)
+    den = APoly._make(ctx, list(closed.den))
     return SkewPoly(ctx, [RatK(w, den) for w in chain_weights(cache, n, d)])
 
 

@@ -472,8 +472,7 @@ def thakur_weight_check(cache, m, prec):
     work = prec + 2 * m * q + 2
     lhs = zeta_series(cache, MatrixData.untwisted(ctx, (m, m * (q - 1))), work)
     zmq = zeta_series(cache, MatrixData.untwisted(ctx, (m * q,)), work)
-    scale = TateSeries.from_ratk(
-        RatK(APoly.one(ctx), (APoly.theta(ctx) - cache.theta_q(1)) ** m), work)
+    scale = TateSeries.from_ratk(RatK(APoly.one(ctx), cache.ell(1) ** m), work)
     return valuation_identity_check(lhs.truncate(prec + 1),
                                     (zmq * scale).truncate(prec + 1), prec)
 

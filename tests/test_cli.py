@@ -28,6 +28,16 @@ def test_bg_command(capsys):
     assert "double_sum_matches: True" in out
 
 
+def test_bg_takes_either_n_or_d(capsys):
+    # --n and --d exclude each other, so that neither is dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["bg", "--q", "3", "--n", "5", "--d", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "bg", "--q", "3")
+    assert (code, out, err) == (2, "", "error: bg needs --n or --d\n")
+
+
 def test_powsum_matches_worked_example(capsys):
     code, out, _ = run_cli(capsys, "powsum", "--q", "3", "--d", "1",
                            "--data", "t1:1")

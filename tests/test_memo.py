@@ -109,7 +109,14 @@ def test_the_cache_holds_nothing_but_its_tables(ctx3):
     cache.ell(4), cache.b_coeffs(3), cache.tb_coeffs(2), cache.ell_ratio(3, 1)
     power_sum(cache, 2, 1, SemiChar.chi(ctx3, 1, 1))
     assert sorted(vars(cache)) == ["_tables", "budget", "ctx"]
-    assert {"theta_q", "ell", "b", "tb", "ell_ratio", "raw"} <= set(cache._tables)
+    assert {"b", "tb", "raw"} <= set(cache._tables)
+    # ell(4) and ell(3)/ell(1) live in the field context's ell products only
+    assert not set(cache._tables) & ELL_TAGS
+    assert {(1, 1, 1, 1), (0, 1, 1)} <= set(ctx3._ell_products)
+
+
+# the tags of the ell tables that `_rawfrac.ell_product` replaced
+ELL_TAGS = {"theta_q", "ell", "ell_ratio", "ell_pow"}
 
 
 def _held(value):
@@ -142,6 +149,7 @@ def test_no_memo_holds_a_normalized_value():
     assert sorted(stores) == [3, 4] and "series" in stores[3][1]._tables
     for _, cache, _ in stores.values():
         assert _normalized_tables(cache) == []
+        assert not set(cache._tables) & ELL_TAGS
     # a q = 4 cache after the Tate series (closed forms and enumeration)
     # and the Bernoulli-Goss sums
     ctx = FieldContext(4)

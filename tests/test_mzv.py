@@ -45,8 +45,9 @@ def test_multi_power_sum_conventions(cache3):
     depth2 = MatrixData.untwisted(ctx, (1, 1))
     # empty inner chain at degree 0
     assert multi_power_sum(cache3, 0, depth2).is_zero()
-    # depth 0 is 1
-    assert multi_power_sum(cache3, 5, MatrixData(ctx, [])) == TPoly.one(ctx, 0)
+    # depth 0 is 1 at degree 0 and 0 above: the empty data sums to 1
+    assert multi_power_sum(cache3, 0, MatrixData(ctx, [])) == TPoly.one(ctx, 0)
+    assert multi_power_sum(cache3, 5, MatrixData(ctx, [])) == TPoly.zero(ctx, 0)
     # the worked example at degree 2
     l1 = th - th ** 3
     l2 = l1 * (th - th ** 9)
@@ -76,6 +77,17 @@ def test_partial_zeta_values(cache3):
     f2 = partial_zeta(cache3, 2, one_col)
     assert f2 == TPoly.constant(
         ctx, 0, RatK.one(ctx) + RatK(APoly.one(ctx), th - th ** 3))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_empty_data_truncates_to_one(q):
+    # zeta of the empty data is 1, and so is every truncation past degree 0
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    empty = MatrixData(ctx, [])
+    for d_max in range(1, 5):
+        for mode in ("strict", "star"):
+            assert partial_zeta(cache, d_max, empty, mode) == TPoly.one(ctx, 0), (d_max, mode)
 
 
 def test_star_bridge_for_partial_sums(cache3, cache4):

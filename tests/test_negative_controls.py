@@ -1,21 +1,24 @@
 """Negative controls for the packed kernel's fast paths and for checks.
 
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
-function, or of a `powersums` or `_rawfrac` function given as
-`<module>.<name>` (the enumeration loop, the exponent arithmetic of
-`RawTPoly`), from outside `src/`, and names the property test of
-`test_packed.py`, `test_monic_orbits.py` or `test_rawfrac.py` that must
-catch it: the test passes on the real code and fails on the mutant.  A
-fragment that no longer occurs exactly once fails the control, so the
-table follows the code it perturbs.
+function, or of any function or method given as `<module>.<attr>[.<attr>]`
+under `carlitz` (the enumeration loop, the exponent arithmetic of
+`RawTPoly`, the Tate-series product), from outside `src/`, and names the
+property test of `test_packed.py`, `test_monic_orbits.py`,
+`test_rawfrac.py` or `test_tate_oracle.py` that must catch it: the test
+passes on the real code and fails on the mutant.  A fragment that no
+longer occurs exactly once fails the control, so the table follows the
+code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
 pass into fail, with the failure it names in its witness.  The per-degree
 checks get theirs from their `shuffle.IDENTITIES` rows: each term of a row
 dropped from a side of two or more terms, and each term's sign flipped.
+Together the two tables cover every registered check.
 """
 
+import importlib
 import inspect
 import re
 import textwrap
@@ -23,13 +26,14 @@ import textwrap
 import pytest
 
 from carlitz import _packed as kern
-from carlitz import _rawfrac, checks, mzv, poly, powersums, shuffle, skew
+from carlitz import checks, mzv, poly, powersums, shuffle, skew, tate
 from carlitz._rawfrac import RawTPoly
 from carlitz.checks import run_check
 
 import test_monic_orbits as orbits
 import test_packed as prop
 import test_rawfrac as raw
+import test_tate_oracle as series
 
 # (what the mutation breaks, function, fragment, replacement, test, its args)
 KERNEL_MUTATIONS = [
@@ -68,6 +72,14 @@ KERNEL_MUTATIONS = [
     ("bytes monomial product shifted by one slot", "kmul",
      "bytes(i) if to_bytes", "bytes(i + 1) if to_bytes",
      prop.test_bytes_operands_on_every_product_path, (3,)),
+    # the dense packed product: 16-bit slots one bit past their bound, and
+    # a's top coefficient left out
+    ("16-bit slots chosen one bit too permissively", "kmul",
+     "bound < 1 << _NARROW", "bound < 1 << (_NARROW + 1)",
+     prop.test_kmul_at_the_16_bit_bound, (3, 16383)),
+    ("dense product without a's top coefficient", "kmul",
+     "pack(ctx, a, width) * ", "pack(ctx, a[:-1], width) * ",
+     prop.test_kmul_at_the_16_bit_bound, (3, 16383)),
     # the orbit sums of `monic_sum`: each orbit size is 2 or 1 mod 3
     ("orbit size factor dropped", "powersums.monic_sum",
      "unit[mul[code][n]]", "unit[code]",
@@ -84,31 +96,46 @@ KERNEL_MUTATIONS = [
     ("exponent-wise maximum one short where the exponents differ", "_rawfrac._top",
      "map(max, ", "map(lambda c: max(c) - (min(c) < max(c)), ",
      raw.test_incomparable_denominators_match_ratk, (5,)),
+    # seen only where a t-radix is above 1, so at s = 1 and 2, not at s = 0
+    ("Tate product radix one short", "tate.TateSeries.__mul__",
+     "a + b - 1 for", "a + b - 2 for",
+     series.test_arithmetic_matches_dict_oracle, (3, 1)),
 ]
 
 
-def mutant(name, fragment, replacement, module=kern):
-    """module.<name> recompiled with `fragment` replaced, in the module's
-    globals; a decorated function gets its decorators anew (an lru_cache
-    its own cache)."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def mutant(name, fragment, replacement, owner=kern):
+    """owner.<name>, a function of a module or a method of a class,
+    recompiled with `fragment` replaced, in its module's globals; a
+    decorated function gets its decorators anew (an lru_cache its own
+    cache)."""
+    real = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(real))
     if source.count(fragment) != 1:
         raise LookupError(f"{name} does not hold {fragment!r} exactly once")
     scope = {}
     exec(compile(source.replace(fragment, replacement), f"<mutant {name}>", "exec"),
-         vars(module), scope)
+         inspect.unwrap(real).__globals__, scope)
     return scope[name]
+
+
+def resolve(dotted):
+    """(owner, attribute) of `<module>.<attr>[.<attr>]` under carlitz; a
+    plain name is a `_packed` function."""
+    module, *path, name = dotted.split(".") if "." in dotted else ("_packed", dotted)
+    owner = importlib.import_module(f"carlitz.{module}")
+    for attr in path:
+        owner = getattr(owner, attr)
+    return owner, name
 
 
 def test_every_kernel_mutation_is_caught():
     missed = []
-    for what, name, fragment, replacement, test, args in KERNEL_MUTATIONS:
-        owner, _, name = name.rpartition(".")
-        module = {"": kern, "powersums": powersums, "_rawfrac": _rawfrac}[owner]
+    for what, dotted, fragment, replacement, test, args in KERNEL_MUTATIONS:
+        owner, name = resolve(dotted)
         with pytest.MonkeyPatch.context() as mp:
             test(*args, mp)  # the real code passes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, name, mutant(name, fragment, replacement, module))
+            mp.setattr(owner, name, mutant(name, fragment, replacement, owner))
             try:
                 test(*args, mp)
             except Exception:
@@ -181,6 +208,14 @@ def _bg_top_term_dropped(mp):
         "_bg_terms", "range(i)", "range(i - (i == d))", mzv))
 
 
+def _tate_mutant(name, fragment, replacement):
+    """A patch putting a mutant of the `tate` function name where the
+    valuation checks look it up, at call time."""
+    def patch(mp):
+        mp.setattr(tate, name, mutant(name, fragment, replacement, tate))
+    return patch
+
+
 def _divisor_sum_from_one(mp):
     # the truncated weight-one sum without its i = 0 term, 1/ell(0) = 1;
     # `checks` holds the name through its own import
@@ -203,8 +238,8 @@ CHECK_CONTROLS = [
      _closed_raw_mutant('cache.tb_coeffs(d) if form == "f2"',
                         'cache.b_coeffs(d) if form == "f2"'), "q=3 d=1: closed"),
     ("eq-f3", "the sign of (theta^(q^d) - theta)^2 flipped",
-     _closed_raw_mutant("kern.kneg(ctx, kern.kmul(ctx, gap, gap))",
-                        "kern.kmul(ctx, gap, gap)"), "q=3 d=1: closed"),
+     _closed_raw_mutant("kern.kneg(ctx, ell_product(ctx, (0,) * (d - 1) + (2,)))",
+                        "ell_product(ctx, (0,) * (d - 1) + (2,))"), "q=3 d=1: closed"),
     ("eq-Fdq", "the t_q factor of the product dropped", _drop_last_variable,
      "q=3 d=1: product form != enumerated sum"),
     ("cor-noncommide", "the top chain weight dropped", _drop_top_weight,
@@ -224,7 +259,24 @@ CHECK_CONTROLS = [
      "block degrees off"),
     ("cor-TAOD", "the i = 0 term of the divisor sum dropped", _divisor_sum_from_one,
      "fails at P ="),
+    ("family-qk", "zeta(q^k - 1, q^k) dropped from the right side",
+     _tate_mutant("family_qk_check", "(zc + zd)", "(zc)"),
+     "2 below threshold; worst achieved 6 vs 25"),
+    ("thakur-thm5", "the scale (theta - theta^q)^(-m) one power further",
+     _tate_mutant("thakur_weight_check", "cache.ell(1) ** m", "cache.ell(1) ** (m + 1)"),
+     "worst achieved 3 vs 25"),
+    ("strange-shuffle", "one of the two subtracted pairs dropped",
+     _tate_mutant("strange_shuffle_check", "((big - low, big - 1), (big - 1, big - low))",
+                  "((big - 1, big - low),)"), "worst achieved 6 vs 25"),
+    ("strange-shuffle", "one of the two added pairs dropped",
+     _tate_mutant("strange_shuffle_check", "((big, big - low - 1), (big - low - 1, big))",
+                  "((big - low - 1, big),)"), "worst achieved 9 vs 25"),
 ]
+
+
+def test_every_check_has_a_control():
+    controlled = {c[0] for c in CHECK_CONTROLS} | {c for c, _ in ROW_CHECKS}
+    assert controlled == set(checks.REGISTRY)
 
 
 @pytest.mark.parametrize("check_id,what,patch,witness", CHECK_CONTROLS,

@@ -28,10 +28,10 @@ def a(ctx, s, x):
     return RawTPoly(ctx, s, {(0,) * s: list(x.coeffs)})
 
 
-def over(value, den, *exps, unit=1):
+def over(value, den, *exps):
     """The RawTPoly value, over 1, divided by the theta-polynomial den,
-    given also as unit * prod_j (theta^(q^j) - theta)^exps[j-1]."""
-    out = RawTPoly(value.ctx, value.s, value.num, exps=exps, unit=unit)
+    given also as prod_j (theta - theta^(q^j))^exps[j-1]."""
+    out = RawTPoly(value.ctx, value.s, value.num, exps=exps)
     assert list(out.den) == list(den.coeffs)
     return out
 
@@ -136,7 +136,7 @@ def test_bruteforce_spec_values(cache3):
     th = APoly.theta(ctx)
     chi = SemiChar.chi(ctx, 1, 1)
     got = power_sum_bruteforce(cache3, 1, 1, chi).to_tpoly()
-    assert got == over(t(ctx, 1, 1) - a(ctx, 1, th), th - th ** 3, 1, unit=2).to_tpoly()
+    assert got == over(t(ctx, 1, 1) - a(ctx, 1, th), th - th ** 3, 1).to_tpoly()
     assert power_sum_bruteforce(cache3, 0, 5, SemiChar.trivial(ctx, 0)).to_tpoly() == \
         TPoly.one(ctx, 0)
     got = power_sum_bruteforce(cache3, 1, -7, SemiChar.trivial(ctx, 0)).to_tpoly()
@@ -170,7 +170,7 @@ def test_bruteforce_sums_over_ell_powers(q):
     for d in range(3):
         for k in (1, 2, q):
             got = power_sum_bruteforce(cache, d, k, chi)
-            assert list(got.den) == list(cache.ell_pow(d, k).coeffs), (d, k)
+            assert list(got.den) == list((cache.ell(d) ** k).coeffs), (d, k)
             closed = closed_raw(cache, d, k, chi)
             assert closed.den == got.den and closed.num == got.num, (d, k)
 
@@ -219,13 +219,13 @@ def test_closed_form_spec_values(cache3):
     th = APoly.theta(ctx)
     t1 = t(ctx, 1, 1)
     l1 = th - th ** 3
-    assert power_sum_closed(cache3, 1, "e2") == over(t1 - a(ctx, 1, th), l1, 1, unit=2).to_tpoly()
+    assert power_sum_closed(cache3, 1, "e2") == over(t1 - a(ctx, 1, th), l1, 1).to_tpoly()
     assert power_sum_closed(cache3, 1, "f2") == \
         over(t1 - a(ctx, 1, th ** 3), l1 ** 2, 2).to_tpoly()
     assert power_sum_closed(cache3, 0, "e1") == TPoly.one(ctx, 0)
     # evaluating the weight-2 sum at theta recovers the weight-1 value
     f2 = closed_raw(cache3, 1, 2, SemiChar.chi(ctx, 1, 1))
-    assert f2.substitute(1, [0, 1]).equals(over(RawTPoly.one(ctx, 0), l1, 1, unit=2))
+    assert f2.substitute(1, [0, 1]).equals(over(RawTPoly.one(ctx, 0), l1, 1))
 
 
 def test_partial_F_one_q(cache3):
@@ -236,7 +236,7 @@ def test_partial_F_one_q(cache3):
     for i in (1, 2, 3):
         expected = expected * (t(ctx, 3, i) - a(ctx, 3, th))
     assert partial_F_one_q(cache3, 1).to_tpoly() == \
-        over(expected, th - th ** 3, 1, unit=2).to_tpoly()
+        over(expected, th - th ** 3, 1).to_tpoly()
     # equals the enumerated truncated sum
     sig3 = SemiChar(ctx, 3, varis=(1, 2, 3))
     for d in (0, 1, 2):
@@ -344,14 +344,17 @@ def test_chain_weights_are_computed_once(monkeypatch):
     assert calls == []
 
 
-def test_order_one_weights_are_the_memoized_ell_ratios():
-    # for n = 1 every suffix sum is 1: no new polynomial is built
+def test_order_one_weights_are_the_memoized_ell_ratios(monkeypatch):
+    # for n = 1 every suffix sum is 1: the weights are the ell ratios, read
+    # from the memoized ell products, and no APoly product is made
     cache = SeqCache(FieldContext(3))
-    for d in range(5):
-        weights = chain_weights(cache, 1, d)
-        assert all(w is cache.ell_ratio(d, i) for i, w in enumerate(weights[:-1])), d
-        assert weights[-1] == APoly.one(cache.ctx)
-        assert weights == ref.chain_weights_naive(cache, 1, d), d
+    monkeypatch.setattr(APoly, "__mul__", lambda *_: pytest.fail("an APoly product"))
+    weights = {d: chain_weights(cache, 1, d) for d in range(5)}
+    monkeypatch.undo()
+    for d, w in weights.items():
+        assert w[:-1] == [cache.ell_ratio(d, i) for i in range(d)], d
+        assert w[-1] == APoly.one(cache.ctx)
+        assert w == ref.chain_weights_naive(cache, 1, d), d
 
 
 def test_unknown_closed_form_is_invalid_params(cache3):

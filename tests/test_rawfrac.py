@@ -1,7 +1,8 @@
-"""RawTPoly over denominators kept as exponents of the binomials
-b_j = theta^(q^j) - theta: normalization, sums, products, substitution and
-equality against RatK arithmetic on the materialized denominator; sums
-grouped by denominator against the left-to-right sum."""
+"""RawTPoly over denominators kept as exponents of the factors
+theta - theta^(q^j) of ell: normalization, sums, products, substitution
+and equality against RatK arithmetic on the materialized denominator; sums
+grouped by denominator against the left-to-right sum; `ell_product`
+against the ell sequence."""
 
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import _packed as kern
-from carlitz._rawfrac import RawTPoly
+from carlitz._rawfrac import RawTPoly, ell_product
 from carlitz.checks import run_check
 from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
@@ -22,15 +23,23 @@ QS = (3, 4, 5, 7, 8, 9, 25)
 FIELDS = {q: FieldContext(q) for q in QS}
 
 
-def binomial(ctx, m):
-    return [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+def factor(ctx, m):
+    """theta - theta^m."""
+    return [0, 1] + [0] * (m - 2) + [ctx.neg[1]]
 
 
-def binomial_product(ctx, exps):
-    """prod_j b_j^exps[j-1] by repeated products, each binomial on its own."""
+def factor_product(ctx, exps):
+    """prod_j (theta - theta^(q^j))^exps[j-1] by repeated products, each
+    factor on its own."""
     return reduce(lambda a, b: kern.kmul(ctx, a, b),
-                  (binomial(ctx, ctx.q ** j) for j, k in enumerate(exps, 1) for _ in range(k)),
+                  (factor(ctx, ctx.q ** j) for j, k in enumerate(exps, 1) for _ in range(k)),
                   [1])
+
+
+def scaled(ctx, num, unit):
+    """The numerators num times the inverse of unit: with a drawn unit
+    folded in, the value is num over unit times the denominator."""
+    return {e: kern.kscal(ctx, ctx.inv[unit], list(c)) for e, c in num.items()}
 
 
 def random_poly(ctx, rng, length):
@@ -50,14 +59,14 @@ def ratk_terms(raw):
     return {e: x for e, x in out.items() if not x.is_zero()}
 
 
-def lifted(raw, exps, unit):
-    """The same value as raw over its denominator times unit * prod_j
-    b_j^exps[j-1]: numerators and denominator both multiplied."""
+def lifted(raw, exps):
+    """The same value as raw over its denominator times prod_j (theta -
+    theta^(q^j))^exps[j-1]: numerators and denominator both multiplied."""
     ctx = raw.ctx
-    f = kern.kscal(ctx, unit, binomial_product(ctx, exps))
+    f = factor_product(ctx, exps)
     top = [a + b for a, b in zip(raw.exps + (0,) * len(exps), exps + (0,) * len(raw.exps))]
     return RawTPoly(ctx, raw.s, {e: kern.kmul(ctx, list(c), f) for e, c in raw.num.items()},
-                    exps=top, unit=ctx.mul[raw.unit][unit])
+                    exps=top)
 
 
 def bumped(ctx, raw, e, k):
@@ -66,7 +75,7 @@ def bumped(ctx, raw, e, k):
     c = num[e] + [0] * (k + 1 - len(num[e]))
     c[k] = ctx.add[c[k]][1]
     num[e] = c
-    return RawTPoly(ctx, raw.s, num, exps=raw.exps, unit=raw.unit)
+    return RawTPoly(ctx, raw.s, num, exps=raw.exps)
 
 
 def assert_matches_ratk(ctx, x, y, v):
@@ -99,11 +108,11 @@ def raw_values(ctx, draw_int):
     def value(exps):
         num = {(e,): [draw_int(0, ctx.q - 1) for _ in range(draw_int(0, 5))] + [1]
                for e in range(draw_int(0, 2), draw_int(0, 2) + 1)}
-        return RawTPoly(ctx, 1, num, exps=exps, unit=draw_int(1, ctx.q - 1))
+        return RawTPoly(ctx, 1, scaled(ctx, num, draw_int(1, ctx.q - 1)), exps=exps)
     x = value([draw_int(0, top) for _ in range(draw_int(0, 2))])
     y = value([draw_int(0, top) for _ in range(draw_int(0, 2))])
     extra = tuple(draw_int(0, 1) for _ in range(draw_int(0, 2)))
-    return x, y, lifted(x, extra, draw_int(1, ctx.q - 1))
+    return x, y, lifted(x, extra)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,18 +128,21 @@ def test_raw_arithmetic_matches_ratk(q, data):
 
 @pytest.mark.parametrize("q", QS)
 def test_incomparable_denominators_match_ratk(q, monkeypatch=None):
-    # neither of (2,) and (1, 1) divides the other, and the units differ;
-    # monkeypatch is the calling convention of the mutation table
+    # neither of (2,) and (1, 1) divides the other, and the numerators carry
+    # unequal units; monkeypatch is the calling convention of the mutation
+    # table
     ctx = FIELDS[q]
     rng = random.Random(q)
     top = 2 if q <= 9 else 1
     for exps_x, exps_y in (((top,), (1, 1)), ((1, 1), (0, top)), ((1,), (0, 1)), ((), (1,))):
-        x = RawTPoly(ctx, 1, {(0,): random_poly(ctx, rng, 6), (2,): random_poly(ctx, rng, 3)},
-                     exps=exps_x, unit=ctx.neg[1])
-        y = RawTPoly(ctx, 1, {(1,): random_poly(ctx, rng, 4), (2,): random_poly(ctx, rng, 2)},
-                     exps=exps_y, unit=rng.randrange(1, q))
+        x = RawTPoly(ctx, 1, scaled(ctx, {(0,): random_poly(ctx, rng, 6),
+                                          (2,): random_poly(ctx, rng, 3)}, ctx.neg[1]),
+                     exps=exps_x)
+        y = RawTPoly(ctx, 1, scaled(ctx, {(1,): random_poly(ctx, rng, 4),
+                                          (2,): random_poly(ctx, rng, 2)}, rng.randrange(1, q)),
+                     exps=exps_y)
         assert_matches_ratk(ctx, x, y, random_poly(ctx, rng, 3))
-        for same in (lifted(x, exps_y, 1), lifted(x, (0, 1), rng.randrange(1, q))):
+        for same in (lifted(x, exps_y), lifted(x, (0, 1))):
             assert x.equals(same) and same.equals(x)
             assert_matches_ratk(ctx, same, y, [1])
             for e in x.num:
@@ -143,27 +155,25 @@ def test_binomial_normalization_matches_ratk(q):
     cache = SeqCache(ctx)
     rng = random.Random(q)
     top = 3 if q <= 5 else 2 if q <= 9 else 1
-    binomials = [binomial(ctx, q ** j) for j in range(1, top + 1)]
-    # divisors of the binomials: theta^(q^j) - theta is the product of the
+    factors = [factor(ctx, q ** j) for j in range(1, top + 1)]
+    # divisors of the factors: theta^(q^j) - theta is the product of the
     # monic irreducibles of degree dividing j
-    pieces = binomials + [list(p.coeffs) for k in (1, 2)
-                          for p in irreducibles_of_degree(ctx, k)]
-    # one prime to every binomial the denominators reach
+    pieces = factors + [list(p.coeffs) for k in (1, 2)
+                        for p in irreducibles_of_degree(ctx, k)]
+    # one prime to every factor the denominators reach
     other = irreducible(ctx, top + 1)
     odd = 1 if q == 25 else 3
     for trial in range(7):
-        # a product of ell powers, ell(i)^k = (-1)^(i k) prod_(j<=i) b_j^k
+        # a product of ell powers, ell(i)^k = prod_(j<=i) (theta - theta^(q^j))^k
         den, exps, unit = APoly.one(ctx), [0] * top, 1
         for _ in range(rng.randint(1, 4)):
             i, k = rng.randint(0, top), rng.randint(1, 3)
             den = den * cache.ell(i) ** k
             exps[:i] = [x + k for x in exps[:i]]
-            unit = ctx.mul[unit][ctx.neg[1]] if i * k % 2 else unit
         if trial == 5:    # the oracle's denominator at odd d, -monic_lcm(d)
-            den, exps, unit = -cache.monic_lcm(odd), [1] * odd, ctx.neg[1]
-        if trial == 6:    # a unit other than +-1 where there is one
-            u = q - 2 if q > 3 else 1
-            den, unit = den * APoly(ctx, [u]), ctx.mul[unit][u]
+            den, exps = -cache.monic_lcm(odd), [1] * odd
+        if trial == 6:    # a unit other than +-1 where there is one, folded
+            unit = q - 2 if q > 3 else 1    # into the numerators
         num = {}
         for e in range(rng.randint(1, 6)):
             c = random_poly(ctx, rng, rng.randint(1, 40))
@@ -171,12 +181,12 @@ def test_binomial_normalization_matches_ratk(q):
                 for _ in range(rng.randint(1, 6)):
                     c = kern.kmul(ctx, c, rng.choice(pieces + [other]))
             num[(e,)] = c
-        raw = RawTPoly(ctx, 1, num, exps=exps, unit=unit)
+        raw = RawTPoly(ctx, 1, scaled(ctx, num, unit), exps=exps)
         assert list(raw.den) == list(den.coeffs)
-        assert raw.to_tpoly().terms == {e: RatK(APoly(ctx, c), APoly(ctx, list(den.coeffs)))
+        assert raw.to_tpoly().terms == {e: RatK(APoly(ctx, c), den * APoly(ctx, [unit]))
                                         for e, c in num.items()}
-    # theta^q - theta over itself, and its square over its cube
-    b = binomials[0]
+    # theta - theta^q over itself, and its square over its cube
+    b = factors[0]
     assert RawTPoly(ctx, 0, {(): b}, exps=(1,)).to_tpoly() == RawTPoly.one(ctx, 0).to_tpoly()
     raw = RawTPoly(ctx, 0, {(): kern.kmul(ctx, b, b)}, exps=(3,))
     assert raw.to_tpoly().terms[()] == RatK(APoly.one(ctx), APoly(ctx, b))
@@ -187,16 +197,14 @@ def test_sum_matches_the_left_to_right_sum(q):
     ctx = FIELDS[q]
     rng = random.Random(q + 7)
     top = 2 if q <= 5 else 1
-    # ell powers (each dividing some other), repeated, a unit other than
-    # +-1, and exponents incomparable with some of them
-    dens = [((k,) * i, ctx.neg[1] if i * k % 2 else 1) for i in range(top + 1) for k in (1, 2)]
-    dens += [((2,), q - 2 if q > 3 else 1), ((0, 1), 1), ((3,), ctx.neg[1])]
+    # ell powers (each dividing some other), repeated, and exponents
+    # incomparable with some of them
+    dens = [(k,) * i for i in range(top + 1) for k in (1, 2)] + [(2,), (0, 1), (3,)]
     terms = []
     for _ in range(10):
         num = {(rng.randint(0, 2), rng.randint(0, 1)): random_poly(ctx, rng, rng.randint(1, 30))
                for _ in range(rng.randint(1, 3))}
-        exps, unit = rng.choice(dens)
-        terms.append(RawTPoly(ctx, 2, num, exps=exps, unit=unit))
+        terms.append(RawTPoly(ctx, 2, num, exps=rng.choice(dens)))
     terms += [-terms[0], terms[1], RawTPoly.zero(ctx, 2)]
     rng.shuffle(terms)
     total = RawTPoly.sum(terms)
@@ -216,10 +224,10 @@ def test_equals_sees_one_changed_coefficient(q):
     rng = random.Random(q + 8)
     num = {(0,): random_poly(ctx, rng, 20), (2,): random_poly(ctx, rng, 9)}
     value = RawTPoly.over_ell(ctx, 1, num, 1, 1)
-    # ell(1) divides ell(1) b_2; neither of ell(1) b_1, ell(1) b_2 divides
-    # the other
-    for x, y in ((value, lifted(value, (0, 1), 1)),
-                 (lifted(value, (0, 1), 1), lifted(value, (1,), ctx.neg[1]))):
+    # ell(1) divides ell(1) l_2, l_j = theta - theta^(q^j); neither of
+    # ell(1) l_1, ell(1) l_2 divides the other
+    for x, y in ((value, lifted(value, (0, 1))),
+                 (lifted(value, (0, 1)), lifted(value, (1,)))):
         assert x.exps != y.exps
         assert x.equals(y) and y.equals(x)
         for e in num:
@@ -249,10 +257,28 @@ def test_a_power_makes_one_product_per_bit_after_the_first(ctx3, monkeypatch):
 
 def test_the_denominator_is_keyword_only(ctx3):
     # a positional denominator, the old coefficient-list form, is refused
-    # rather than read as an exponent vector
+    # rather than read as an exponent vector; the exponents are all of it
     with pytest.raises(TypeError):
         RawTPoly(ctx3, 1, {(0,): [1]}, [1])
+    with pytest.raises(TypeError):
+        RawTPoly(ctx3, 1, {(0,): [1]}, unit=1)
+    assert RawTPoly.__slots__ == ("ctx", "s", "num", "exps")
     assert RawTPoly(ctx3, 1, {(0,): [1]}, exps=(2, 0, 0)).exps == (2,)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_exponents_count_the_factors_of_ell(q):
+    # exps = (1,) is theta - theta^q, and ell(d)^n is (n,) * d, with no sign
+    ctx = FIELDS[q]
+    cache = SeqCache(ctx)
+    if q == 3:
+        assert list(RawTPoly(ctx, 0, {(): [1]}, exps=(1,)).den) == [0, 1, 0, 2]
+    for d in range(5):
+        for n in range(4):
+            assert list(RawTPoly.over_ell(ctx, 0, {(): [1]}, d, n).den) == \
+                list((cache.ell(d) ** n).coeffs), (d, n)
+    for exps in ((1,), (2, 1), (0, 3), (1, 0, 2), (0, 0, 1), (3, 3, 1)):
+        assert list(ell_product(ctx, exps)) == factor_product(ctx, exps), exps
 
 
 def test_deep_identities_divide_no_denominator(monkeypatch):

@@ -44,8 +44,10 @@ def assert_same(x, nx):
 
 @pytest.mark.parametrize("s", [0, 1, 2])
 @pytest.mark.parametrize("q", QS)
-def test_arithmetic_matches_dict_oracle(request, q, s):
-    ctx = request.getfixturevalue(f"ctx{q}")
+def test_arithmetic_matches_dict_oracle(q, s, monkeypatch=None):
+    # monkeypatch is the calling convention of the mutation table in
+    # test_negative_controls.py
+    ctx = FieldContext(q)
     rng = random.Random(100 * q + s)
     deg = (0, 2, 1)[s]
     for _ in range(2):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from carlitz import _packed as kern
 from carlitz._rawfrac import RawTPoly
 from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
@@ -45,7 +46,7 @@ def test_examples(ctx3):
     a = rand_tpoly(ctx3, random.Random(1))
     assert a + TPoly.zero(ctx3, 2) == a
     u, v = in_var(ctx3, 2, 1, (-th, one)), in_var(ctx3, 2, 2, (-th, one))
-    over = RawTPoly(ctx3, 2, {(0, 0): [1]}, exps=(1,))         # 1/(theta^3 - theta)
+    over = RawTPoly(ctx3, 2, {(0, 0): [1]}, exps=(1,))         # 1/(theta - theta^3)
     assert (u * over).to_tpoly() * v.to_tpoly() + over.to_tpoly() == \
         (u * v * over + over).to_tpoly()
 
@@ -82,17 +83,19 @@ def test_substitute_examples(cache3):
     assert got.s == 0
     assert got.equals(RawTPoly(ctx, 0, {(): list((th ** 9 - th).coeffs)}))
     # over a denominator, and with t_1 absent from a term
-    a = RawTPoly(ctx, 2, {(2, 1): [1], (0, 1): [0, 1]}, exps=(0, 1), unit=2)
-    assert a.substitute(1, [2]).equals(RawTPoly(ctx, 1, {(1,): [1, 1]}, exps=(0, 1), unit=2))
+    a = RawTPoly(ctx, 2, {(2, 1): [1], (0, 1): [0, 1]}, exps=(0, 1))
+    assert a.substitute(1, [2]).equals(RawTPoly(ctx, 1, {(1,): [1, 1]}, exps=(0, 1)))
 
 
 def rand_raw(ctx, rng, s=2):
     def poly(n):
         return [rng.randrange(ctx.q) for _ in range(n)] + [1]
-    return RawTPoly(ctx, s, {tuple(rng.randint(0, 3) for _ in range(s)): poly(rng.randint(0, 4))
-                             for _ in range(rng.randint(0, 4))},
-                    exps=[rng.randint(0, 2) for _ in range(rng.randint(0, 2))],
-                    unit=rng.randrange(1, ctx.q))
+    num = {tuple(rng.randint(0, 3) for _ in range(s)): poly(rng.randint(0, 4))
+           for _ in range(rng.randint(0, 4))}
+    exps = [rng.randint(0, 2) for _ in range(rng.randint(0, 2))]
+    # a drawn unit of the denominator, folded into the numerators
+    inv = ctx.inv[rng.randrange(1, ctx.q)]
+    return RawTPoly(ctx, s, {e: kern.kscal(ctx, inv, c) for e, c in num.items()}, exps=exps)
 
 
 def test_substitute_is_ring_homomorphism(ctx3):
@@ -139,7 +142,7 @@ def test_f2_f3_closed_numerators(q):
         return in_var(ctx, s, i, (-c, one))
 
     def numerator(raw):
-        assert list(raw.den) == list(cache.ell_pow(d, 2).coeffs)
+        assert list(raw.den) == list((cache.ell(d) ** 2).coeffs)
         return RawTPoly(ctx, raw.s, raw.num)
 
     for d in range(6):

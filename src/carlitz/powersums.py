@@ -14,7 +14,10 @@ at a field constant (a -> a(c)), and the degree character (a -> t_i^deg a).
 Twisted power sums of degree d and order k are sums of a^(-k) sigma(a)
 over the q^d monic a of degree d.  They are computed two independent
 ways: literal enumeration (the oracle), and closed forms for the families
-with known ones.  Both write the sum as a RawTPoly over ell(d)^k; the
+with known ones, among them every untwisted order, by the recursion of
+Carlitz's generating function (`_generated`), so that only the other
+twisted orders and k <= 0 enumerate.  Both write the sum as a RawTPoly,
+over ell(d)^k but for the recursion's own denominator; the
 oracle builds its numerators from the irreducibles, not from the ell
 sequence, as cofactors of ((-1)^d times the lcm of the monics of degree
 d)^k, which equals ell(d)^k.
@@ -149,8 +152,9 @@ class SeqCache:
     `table(tag)` is a whole table, for a `ChainSums`.  The tags: the
     sequences "b" and "tb" (recurrences in the module docstring);
     "monic_lcm", the lcm of the monics of each degree; "chain_weights";
-    the exact twisted power sums, "raw", and their series, "series"; and
-    the chain sums of every module.  No table holds a normalized value.
+    the exact twisted power sums, "raw", the recursion's untwisted ones,
+    "gen", and their series, "series"; and the chain sums of every module.
+    No table holds a normalized value.
     Single-threaded, append-only: no lock guards it, so one cache must not
     be filled from two threads at once; every returned value is immutable.
     """
@@ -455,23 +459,12 @@ def tau_b_expand(cache, n, d):
 # general provider with closed-form routing
 # ---------------------------------------------------------------------------
 
-def _as_k_ql_form(q, n):
-    """Return True iff n = k * q^l with 1 <= k <= q - 1, l >= 0 (the orders
-    whose untwisted power sum is ell(d)^(-n))."""
-    if n < 1:
-        return False
+def _q_split(q, n):
+    """(k, l) with n = k q^l, q not dividing k, for n >= 1."""
+    l = 0
     while n % q == 0:
-        n //= q
-    return n <= q - 1
-
-
-def _q_log(q, n):
-    """The m >= 1 with n = q^m, or 0 when there is none."""
-    m = 0
-    while n > 1 and n % q == 0:
-        n //= q
-        m += 1
-    return m if n == 1 else 0
+        n, l = n // q, l + 1
+    return n, l
 
 
 def closed_form(q, n, sigma):
@@ -481,19 +474,21 @@ def closed_form(q, n, sigma):
     looked at, since they factor out as t_i^d.
 
         no variable evaluation         n = k q^l, 1 <= k <= q-1   "kql"
+                                       every other n >= 1         "gen"
         one variable evaluation        n = 1, n = 2               "e2", "f2"
                                        n = q^m, m >= 1            "qn"
         two distinct evaluations       n = 1, n = 2               "e3", "f3"
     """
-    if sigma.consts:
+    if sigma.consts or n < 1:
         return None
+    k, m = _q_split(q, n)
     v = sigma.vars
     if not v:
-        return "kql" if _as_k_ql_form(q, n) else None
+        return "kql" if k < q else "gen"
     if len(v) == 1:
         if n in (1, 2):
             return ("e2", "f2")[n - 1]
-        return "qn" if _q_log(q, n) else None
+        return "qn" if k == 1 and m else None
     if len(v) == 2 and v[0] != v[1] and n in (1, 2):
         return ("e3", "f3")[n - 1]
     return None
@@ -515,7 +510,9 @@ def closed_raw(cache, d, n, sigma):
     f3 follows from b_d = (t - theta) tb_(d-1), tb_d = (t - theta^(q^d))
     tb_(d-1).  e3 and f3 are symmetric in t_i, t_j: the coefficient of t_i^a
     t_j^b, a <= b, is one fused product of sparse theta-polynomials,
-    mirrored to t_i^b t_j^a.
+    mirrored to t_i^b t_j^a.  "gen" is `_generated` over the denominator
+    its recursion builds, whose exponents may exceed n (at q = 3, n = 4 the
+    first is 5): `equals`, `to_tpoly` and `from_raw` are exact over any.
     Each degree character a -> t_k^deg(a) multiplies the value by t_k^d.
     """
     ctx = cache.ctx
@@ -524,8 +521,12 @@ def closed_raw(cache, d, n, sigma):
         return None
     s = sigma.s
     v = sigma.vars
+    den = (n,) * d
     if form == "kql":
         terms = {(0,) * s: [1]}
+    elif form == "gen":
+        x = _generated(cache, d, n)
+        terms, den = {(0,) * s: c for c in x.num.values()}, x.exps
     elif form in ("e3", "f3"):
         kind = bytes if kern._codec(ctx) else list
         x = [kind(c.coeffs) for c in (cache.b_coeffs(d) if form == "e3"
@@ -543,14 +544,38 @@ def closed_raw(cache, d, n, sigma):
                     terms[tuple(exps)] = c
     else:
         if form == "qn":
-            coeffs = b_combination(cache, chain_weights(cache, _q_log(ctx.q, n), d)).items()
+            coeffs = b_combination(cache, chain_weights(cache, _q_split(ctx.q, n)[1], d)).items()
         else:
             coeffs = enumerate(cache.tb_coeffs(d) if form == "f2" else cache.b_coeffs(d))
         terms = _in_var(ctx, s, v[0], coeffs).num
     if sigma.degs:
         terms = {tuple(e + d * sigma.degs.count(j) for j, e in enumerate(exps, 1)): c
                  for exps, c in terms.items()}
-    return RawTPoly.over_ell(ctx, s, terms, d, n)
+    return RawTPoly(ctx, s, terms, exps=den)
+
+
+def _generated(cache, d, n):
+    """S_d(n), n >= 1, untwisted, as a RawTPoly of arity 0, by Carlitz's
+    generating function (Thakur, Function Field Arithmetic, 5.6): S_d(1) =
+    1/ell(d) and S_d(m) = sum of u_i S_d(m - q^i) over i <= d, q^i < m.
+    u_i, the x^(q^i) coefficient of prod_(deg a < d) (x - a) over the
+    product of the monics of degree d, is (-1)^i over prod_j (theta -
+    theta^(q^j))^(e_j), e_j = q^(i-j) [j <= i] + q^i [j <= d - i]; a
+    product by it adds the e_j and applies the sign.
+    Memoized per (d, m) in the table "gen", filled bottom-up."""
+    ctx, q = cache.ctx, cache.ctx.q
+    table = cache.table("gen")
+    if (d, n) not in table:
+        units = [[(q ** (i - j) if j <= i else 0) + (q ** i if j <= d - i else 0)
+                  for j in range(1, d + 1)] for i in range(d + 1)]
+        table[d, 1] = RawTPoly.over_ell(ctx, 0, {(): [1]}, d, 1)
+        for m in range(2, n + 1):
+            if (d, m) not in table:
+                table[d, m] = RawTPoly.sum(RawTPoly(
+                    ctx, 0, {(): kern.kneg(ctx, c) if i % 2 else c for c in g.num.values()},
+                    exps=map(sum, zip(e, g.exps + (0,) * d)))
+                    for i, e in enumerate(units) if q ** i < m for g in [table[d, m - q ** i]])
+    return table[d, n]
 
 
 def power_sum(cache, d, n, sigma):

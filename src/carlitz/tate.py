@@ -342,10 +342,10 @@ def _inverse_power(ctx, a, n, rows):
 def _series_power_sum(cache, d, n, sigma, prec):
     """The degree-d order-n twisted power sum as a series to the given
     precision, memoized per cache: routed as `power_sum` routes, the raw
-    closed form expanded by `from_raw` when `closed_form` has one, else the
-    sum of sigma(a) times the expansion of 1/a^n over monic a, through
-    `monic_sum`.  Every 1/a^n starts at theta^(-nd) with coefficient 1, so
-    all expansions align."""
+    closed form expanded by `from_raw` when `closed_form` has one (at every
+    untwisted order), else the sum of sigma(a) times the expansion of 1/a^n
+    over monic a, through `monic_sum`.  Every 1/a^n starts at theta^(-nd)
+    with coefficient 1, so all expansions align."""
     ctx = cache.ctx
 
     def make():

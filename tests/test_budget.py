@@ -11,7 +11,7 @@ import pkgutil
 import pytest
 
 import carlitz
-from carlitz import checks
+from carlitz import checks, tate
 from carlitz.errors import InvalidParams
 from carlitz.mzv import MatrixData, partial_zeta
 
@@ -94,6 +94,13 @@ def test_enumerating_checks_name_points_over_budget(cid, witness):
     assert (rep.status, rep.witness) == ("pass", witness)
 
 
+# the identity each check runs, and per point the monics of the largest
+# enumeration it would make if its power sums were enumerated
+_ENUMERATED = {"family-qk": ("family_qk_check", {(1,): 27, (2,): 27}),
+               "thakur-thm5": ("thakur_weight_check", {(2,): 27}),
+               "strange-shuffle": ("strange_shuffle_check", {(0, 1): 81, (1, 1): 27})}
+
+
 @pytest.mark.parametrize("cid, budget, status, witness", [
     ("family-qk", 20, "skipped", "no case ran at these parameters; over budget: "
                                  "q=3 k=1, q=3 k=2"),
@@ -103,7 +110,25 @@ def test_enumerating_checks_name_points_over_budget(cid, witness):
     ("strange-shuffle", 50, "pass", "1 identities beyond threshold; over budget: "
                                     "q=3 h=0 k=1"),
 ])
-def test_valuation_checks_name_identities_over_budget(cid, budget, status, witness):
-    # family-qk and thakur-thm5 enumerate 27 monics, strange-shuffle 81
+def test_valuation_checks_name_identities_over_budget(cid, budget, status, witness,
+                                                     monkeypatch):
+    # every power sum of these checks has a closed form, so each identity is
+    # made to ask its cache for that enumeration first (the runner looks the
+    # identities up in tate at call time)
+    name, sizes = _ENUMERATED[cid]
+    real = getattr(tate, name)
+
+    def identity(cache, *args):
+        cache.check_budget(sizes.get(args[:-1], 0))
+        return real(cache, *args)
+    monkeypatch.setattr(tate, name, identity)
     rep = checks.run_check(cid, budget=budget)
     assert (rep.status, rep.witness) == (status, witness)
+
+
+@pytest.mark.parametrize("budget", [20, 50])
+@pytest.mark.parametrize("cid, cases", [("eq-annals", 1), ("family-qk", 2),
+                                        ("thakur-thm5", 2), ("strange-shuffle", 2)])
+def test_valuation_checks_enumerate_nothing(cid, cases, budget):
+    rep = checks.run_check(cid, budget=budget)
+    assert (rep.status, rep.witness) == ("pass", f"{cases} identities beyond threshold")

@@ -3,12 +3,12 @@
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
 function, or of any function or method given as `<module>.<attr>[.<attr>]`
 under `carlitz` (the enumeration loop, the exponent arithmetic of
-`RawTPoly`, the Tate-series product), from outside `src/`, and names the
-property test of `test_packed.py`, `test_monic_orbits.py`,
-`test_rawfrac.py` or `test_tate_oracle.py` that must catch it: the test
-passes on the real code and fails on the mutant.  A fragment that no
-longer occurs exactly once fails the control, so the table follows the
-code it perturbs.
+`RawTPoly`, the Tate-series product, the untwisted power-sum recursion),
+from outside `src/`, and names the property test of `test_packed.py`,
+`test_monic_orbits.py`, `test_powersums.py`, `test_rawfrac.py` or
+`test_tate_oracle.py` that must catch it: the test passes on the real
+code and fails on the mutant.  A fragment that no longer occurs exactly
+once fails the control, so the table follows the code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
@@ -32,6 +32,7 @@ from carlitz.checks import run_check
 
 import test_monic_orbits as orbits
 import test_packed as prop
+import test_powersums as sums
 import test_rawfrac as raw
 import test_tate_oracle as series
 
@@ -91,6 +92,14 @@ KERNEL_MUTATIONS = [
     ("representative test accepting a larger image", "powersums._orbit_size",
      "any(im < rest for im in images)", "any(im < rest[:0] for im in images)",
      orbits.test_orbit_sums_match_the_per_monic_loop, (5,)),
+    # Carlitz's recursion for the untwisted power sums: u_i without its sign
+    # (seen at odd q), and each q^(i-j) of its exponents one power too high
+    ("recursion unit without its sign", "powersums._generated",
+     "kern.kneg(ctx, c) if i % 2 else c", "c",
+     sums.test_generating_function_recursion_matches_bruteforce, (3,)),
+    ("recursion unit exponent one power off", "powersums._generated",
+     "q ** (i - j)", "q ** (i - j + 1)",
+     sums.test_generating_function_recursion_matches_bruteforce, (4,)),
     # a sum or an equality over incomparable exponents lifts some side by a
     # negative power of a binomial
     ("exponent-wise maximum one short where the exponents differ", "_rawfrac._top",
@@ -227,7 +236,7 @@ def _divisor_sum_from_one(mp):
 # (check id, what the perturbation breaks, its patch, a witness fragment)
 CHECK_CONTROLS = [
     ("eq-e1", "the denominator's exponent one off",
-     _closed_raw_mutant("terms, d, n)", "terms, d, n + 1)"),
+     _closed_raw_mutant("den = (n,) * d", "den = (n + 1,) * d"),
      "q=3 d=1: closed"),
     ("eq-e2", "b_d(t) squared",
      _closed_raw_mutant("_in_var(ctx, s, v[0], coeffs).num",

@@ -11,7 +11,7 @@ from carlitz.errors import (ArityMismatch, BudgetExceeded, DivisionByZero,
 from carlitz.ffield import FieldContext
 from carlitz.poly import APoly, RatK, enumerate_monics
 from carlitz.powersums import (SemiChar, SeqCache, b_combination, chain_weights,
-                               closed_raw, partial_F_one_q, power_sum,
+                               closed_form, closed_raw, partial_F_one_q, power_sum,
                                power_sum_bruteforce, power_sum_closed, tau_b_expand)
 from carlitz.tpoly import TPoly
 
@@ -382,6 +382,27 @@ def test_qn_closed_matches_bruteforce(cache3):
             power_sum_bruteforce(cache3, d, 3 ** n, chi).to_tpoly()
 
 
+# the largest degree at which each q pins the recursion
+GEN_DEGREES = {3: 4, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
+
+
+@pytest.mark.parametrize("q", sorted(GEN_DEGREES))
+def test_generating_function_recursion_matches_bruteforce(q, monkeypatch=None):
+    # every untwisted order n <= 20 that is not k q^l, with and without a
+    # degree character; monkeypatch is the calling convention of the
+    # mutation table in test_negative_controls.py
+    ctx = FieldContext(q)
+    cache = SeqCache(ctx)
+    for sigma in (SemiChar.trivial(ctx, 0), SemiChar.nu(ctx, 1, 1)):
+        for n in range(-2, 21):
+            form = closed_form(q, n, sigma)
+            assert (form is None) == (n <= 0), n
+            if form == "gen":
+                for d in range(GEN_DEGREES[q] + 1):
+                    assert closed_raw(cache, d, n, sigma).equals(
+                        power_sum_bruteforce(cache, d, n, sigma)), (sigma, n, d)
+
+
 def test_frobenius_compatibility(cache3):
     # sum of inverse q-th powers is the q-th power of the sum of inverses
     ctx = cache3.ctx
@@ -400,7 +421,7 @@ def test_provider_routes_match_bruteforce(cache3):
     cases = [
         (1, SemiChar.trivial(ctx, 0)),
         (2, SemiChar.trivial(ctx, 0)),
-        (4, SemiChar.trivial(ctx, 0)),        # brute fallback
+        (4, SemiChar.trivial(ctx, 0)),        # generating-function route
         (1, SemiChar.chi(ctx, 1, 1)),
         (2, SemiChar.chi(ctx, 1, 1)),
         (3, SemiChar.chi(ctx, 1, 1)),         # q-power route

@@ -67,11 +67,14 @@ def test_engine_power_sums_match_enumeration(q):
 
 def test_engine_rejects_orders_without_closed_form(cache3):
     eng = shuffle.ShuffleEngine(cache3)
-    for key, n in (("s", 4), ("p", 4), ("sp", 3), ("one", 4)):
+    for key, n in (("s", 4), ("p", 4), ("sp", 3)):
         with pytest.raises(InvalidParams):
             eng.S(2, n, key)
     with pytest.raises(InvalidParams):
         eng.S(1, 1, "nope")
+    # every untwisted order has one: Carlitz's recursion
+    assert eng.S(2, 4, "one").equals(
+        power_sum_bruteforce(cache3, 2, 4, SemiChar.trivial(cache3.ctx, 2)))
 
 
 def test_rawfrac_add_mul_against_ratk(ctx3):

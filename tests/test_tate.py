@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from carlitz import tate
+from carlitz import powersums, tate
+from carlitz.checks import run_check
 from carlitz.errors import (ArityMismatch, BudgetExceeded, NonConvergent, NotAUnit,
                             PrecisionInsufficient)
 from carlitz.ffield import FieldContext
@@ -31,11 +32,12 @@ def test_from_ratk_examples(ctx3):
 
 def closed_cases(ctx):
     """(form, n, sigma) for every closed form: "kql" at the orders k q^m
-    with k in {1, q - 1} and m in {0, 1}, "qn" at q and q^2."""
+    with k in {1, q - 1} and m in {0, 1}, "gen" at q + 1, never k q^m,
+    "qn" at q and q^2."""
     q = ctx.q
     triv, chi = SemiChar.trivial(ctx, 0), SemiChar.chi(ctx, 1, 1)
     two = SemiChar(ctx, 2, varis=(1, 2))
-    return ([("kql", n, triv) for n in (1, q - 1, q, (q - 1) * q)]
+    return ([("kql", n, triv) for n in (1, q - 1, q, (q - 1) * q)] + [("gen", q + 1, triv)]
             + [("e2", 1, chi), ("f2", 2, chi), ("qn", q, chi), ("qn", q * q, chi),
                ("e3", 1, two), ("f3", 2, two)])
 
@@ -179,11 +181,11 @@ def test_zeta_series_values(cache3):
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_degree_character_zeta_equals_the_enumeration_route(q, monkeypatch):
     # a degree character factors out of a closed form as t_k^d, so the
-    # series of nu-twisted data come from `closed_raw`, which enumerates
-    # nothing (a budget of one monic suffices); the same values summed
-    # over monics must agree
+    # series of nu-twisted data, like those of the untwisted order q + 1,
+    # come from `closed_raw`, which enumerates nothing (a budget of one
+    # monic suffices); the same values summed over monics must agree
     ctx = FieldContext(q)
-    for text in ("nu1:1", "nu1:2", "nu1*t2:1,1:1"):
+    for text in ("nu1:1", "nu1:2", "nu1*t2:1,1:1", f"1:{q + 1}", f"1:1,1:{q + 1}"):
         data = parse_matrix_data(ctx, text)
         closed = zeta_series(SeqCache(ctx, budget=1), data, 40)
         with monkeypatch.context() as mp:
@@ -192,6 +194,21 @@ def test_degree_character_zeta_equals_the_enumeration_route(q, monkeypatch):
                 zeta_series(SeqCache(ctx, budget=1), data, 40)
             enumerated = zeta_series(SeqCache(ctx), data, 40)
         assert closed == enumerated and closed.valuation() != INF, text
+
+
+def test_untwisted_valuation_checks_enumerate_nothing(monkeypatch):
+    # every power sum these series sum is untwisted, so in closed form;
+    # the Tate oracle holds `monic_sum` by its own name
+    calls, real = [], powersums.monic_sum
+
+    def spy(cache, d, *args):
+        calls.append(d)
+        return real(cache, d, *args)
+    monkeypatch.setattr(tate, "monic_sum", spy)
+    monkeypatch.setattr(powersums, "monic_sum", spy)
+    for cid in ("strange-shuffle", "family-qk"):
+        assert run_check(cid, prec=40).status == "pass", cid
+    assert calls == []
 
 
 def test_zeta_matches_exact_partial_sums(cache3):
@@ -235,7 +252,7 @@ def test_nonconvergent_guard(cache3, monkeypatch):
     # genuine inputs always decay (weights are >= 1), so exercise the guard
     # by injecting constant degree terms
     ctx = cache3.ctx
-    from carlitz import tate
+    from carlitz import powersums, tate
     monkeypatch.setattr(tate.ChainSums, "multi",
                         lambda *args, **kw: TateSeries.one(ctx, 0, 10))
     with pytest.raises(NonConvergent):

@@ -30,7 +30,9 @@ numerator by numerator, the skew checks compare b-expansions and
 truncated zeta values in it, and `substitute` specializes a variable at a
 theta-polynomial with the denominator unchanged.  `to_tpoly`, the one
 normalization path, for printing, cancels each numerator one factor of
-`exps` at a time, so that every gcd is with one short binomial.
+`exps` at a time, so that every gcd is with one short binomial theta^m -
+theta; a numerator is divided only by that binomial or by theta, and each
+reduced denominator is a product.
 """
 
 from functools import reduce
@@ -170,25 +172,40 @@ class RawTPoly:
         A numerator N is cancelled one factor theta - theta^m, m = q^j, of
         the denominator at a time, the largest first, since gcd(N, f F) =
         gcd(N, f) gcd(N / gcd(N, f), F).  The factor is met through N mod
-        theta^m - theta (`kmod_binomial`); it is squarefree, so each further
-        copy needs only the (monic) gcd with what the previous copy
-        cancelled, and none once that is 1.  den / g is rebuilt only when
-        something cancelled."""
-        ctx, den_codes = self.ctx, list(self.den)  # the gcds work on lists
-        den = APoly._make(ctx, den_codes)
-        terms = {}
+        b = theta^m - theta (`kmod_binomial`); it is squarefree, so each
+        further copy needs only the (monic) gcd f with what the previous
+        copy cancelled, and none once that is 1.  N / f is N h / b, its
+        cofactor h = b / f built once per (m, f) in a call, so every
+        division is by b's recurrence, or a shift for f = theta.  Each
+        cancelled copy leaves -h of its factor theta - theta^m = -f h, so
+        the reduced denominator is (-1)^copies prod h times the ell product
+        of the exponents left, the cofactors multiplied shortest first, so
+        that the running product stays short."""
+        ctx = self.ctx
+        den = APoly._make(ctx, list(self.den))
+        cofactors, terms = {}, {}
         for e, n in self.num.items():
-            n, g = list(n), [1]
+            n, left, hs = list(n), list(self.exps), []  # the gcds work on lists
             for j in range(len(self.exps), 0, -1):
-                m, f = ctx.q ** j, list(ell_product(ctx, (0,) * (j - 1) + (1,)))
+                m = ctx.q ** j
+                b = [0, ctx.neg[1]] + [0] * (m - 2) + [1]
+                f = kern.kneg(ctx, b)  # the factor theta - theta^m
                 for _ in range(self.exps[j - 1]):
                     f = kern.kgcd(ctx, f, kern.kmod_binomial(ctx, n, m))
                     if len(f) == 1:
                         break
-                    n = kern.kexactdiv(ctx, n, f)
-                    g = f if len(g) == 1 else kern.kmul(ctx, g, f)
-            d = den if len(g) == 1 else APoly._make(
-                ctx, kern.kexactdiv(ctx, den_codes, g))
+                    h = cofactors.get((m, tuple(f)))
+                    if h is None:
+                        h = cofactors[m, tuple(f)] = kern.kexactdiv(ctx, b, f)
+                    n = kern.kexactdiv(ctx, n, f) if f == [0, 1] else \
+                        kern.kexactdiv(ctx, kern.kmul(ctx, n, h), b)
+                    hs.append(h)
+                    left[j - 1] -= 1
+            d = den
+            if hs:
+                h = reduce(lambda a, b: kern.kmul(ctx, a, b), sorted(hs, key=len))
+                d = APoly._make(ctx, kern.kmul(ctx, kern.kneg(ctx, h) if len(hs) % 2 else h,
+                                               ell_product(ctx, tuple(left))))
             terms[e] = RatK(APoly._make(ctx, n), d, _reduced=True)
         return TPoly(ctx, self.s, terms, _clean=True)
 

@@ -16,6 +16,8 @@ product of integers and x or x^k.  A GrammarError's position is the
 first character of the offending token.
 """
 
+from itertools import compress
+
 from .errors import BadIndex, GrammarError, WeightZero
 
 THETA = "θ"
@@ -69,20 +71,17 @@ def _split_top(text, sep, at=0, openers="([", closers=")]"):
 # ---------------------------------------------------------------------------
 
 def _format_dense(coeffs, var, fmt):
-    """c_n*var^n + ... + c_0 over the nonzero codes c_i, each printed by
-    fmt; a unit coefficient prints as 1, and before a power of var not at all."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        cs = "1" if c == 1 else fmt(c)
-        if i == 0:
-            terms.append(cs)
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            terms.append(power if c == 1 else f"{cs}*{power}")
-    return " + ".join(terms) if terms else "0"
+    """c_n*var^n + ... + c_0 over the nonzero codes c_i, each distinct code
+    printed once by fmt; a unit coefficient prints as 1, and before a power
+    of var not at all."""
+    text = {c: "" if c == 1 else f"{fmt(c)}*" for c in set(coeffs) if c}
+    terms = [f"{text[coeffs[i]]}{var}^{i}"
+             for i in compress(range(len(coeffs) - 1, 1, -1), reversed(coeffs[2:]))]
+    if len(coeffs) > 1 and coeffs[1]:
+        terms.append(text[coeffs[1]] + var)
+    if coeffs and coeffs[0]:
+        terms.append(text[coeffs[0]][:-1] or "1")
+    return " + ".join(terms) or "0"
 
 
 def format_fq(ctx, code):

@@ -6,7 +6,9 @@ Prints one line `<sha256>  <item>` for each of:
   json`, with every record's `elapsed_ms` removed;
 - stdout, stderr and exit code of each command of a fixed CLI menu
   (`powsum`, `partial`, `zeta` with degree-character data, `bg`,
-  `bg-survey` and `skew`) over q in {3, 4, 5, 9, 25}.
+  `bg-survey` and `skew`) over q in {3, 4, 5, 9, 25};
+- three `partial` requests where normalization is packed, the largest of
+  the zeta-partial benchmark at each of q = 3, 4, 5 (about 0.1 s each).
 
 Each item runs in its own `python -m carlitz.cli` process, with the
 carlitz found on the caller's PYTHONPATH, so two checkouts compare by one
@@ -67,6 +69,10 @@ def _menu():
     # over budget where the degree-character sum is enumerated
     items.append(("zeta", "--q", "3", "--prec", "200", "--data", "nu1:2",
                   "--budget", "50"))
+    # numerators of thousands of coefficients over binomials of hundreds
+    items += [("partial", "--q", "3", "--d", "7", "--data", "t1:2,1:1"),
+              ("partial", "--q", "4", "--d", "5", "--data", "t1*t2:1,1:1", "--star"),
+              ("partial", "--q", "5", "--d", "5", "--data", "t1:1,t2:1")]
     return [(" ".join(argv), argv) for argv in items]
 
 

@@ -3,12 +3,13 @@
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
 function, or of any function or method given as `<module>.<attr>[.<attr>]`
 under `carlitz` (the enumeration loop, the exponent arithmetic of
-`RawTPoly`, the Tate-series product, the untwisted power-sum recursion),
-from outside `src/`, and names the property test of `test_packed.py`,
-`test_monic_orbits.py`, `test_powersums.py`, `test_rawfrac.py` or
-`test_tate_oracle.py` that must catch it: the test passes on the real
-code and fails on the mutant.  A fragment that no longer occurs exactly
-once fails the control, so the table follows the code it perturbs.
+`RawTPoly` and its reduced denominators, the Tate-series product, the
+untwisted power-sum recursion), from outside `src/`, and names the
+property test of `test_packed.py`, `test_monic_orbits.py`,
+`test_powersums.py`, `test_rawfrac.py` or `test_tate_oracle.py` that
+must catch it: the test passes on the real code and fails on the mutant.
+A fragment that no longer occurs exactly once fails the control, so the
+table follows the code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
@@ -105,6 +106,15 @@ KERNEL_MUTATIONS = [
     ("exponent-wise maximum one short where the exponents differ", "_rawfrac._top",
      "map(max, ", "map(lambda c: max(c) - (min(c) < max(c)), ",
      raw.test_incomparable_denominators_match_ratk, (5,)),
+    # the reduced denominator (-1)^copies prod h ell(left): seen where one
+    # numerator cancels an odd number of copies at odd q, and where a
+    # cofactor other than 1 is cancelled
+    ("reduced denominator without its sign", "_rawfrac.RawTPoly.to_tpoly",
+     "kern.kneg(ctx, h) if len(hs) % 2 else h", "h",
+     raw.test_normalization_at_packed_sizes_matches_ratk, (3,)),
+    ("reduced denominator without its shortest cofactor", "_rawfrac.RawTPoly.to_tpoly",
+     "sorted(hs, key=len)", "sorted(hs, key=len)[1:] or [[1]]",
+     raw.test_normalization_at_packed_sizes_matches_ratk, (5,)),
     # seen only where a t-radix is above 1, so at s = 1 and 2, not at s = 0
     ("Tate product radix one short", "tate.TateSeries.__mul__",
      "a + b - 1 for", "a + b - 2 for",

@@ -16,8 +16,10 @@ from carlitz._rawfrac import RawTPoly, ell_product
 from carlitz.checks import run_check
 from carlitz.errors import ArityMismatch
 from carlitz.ffield import FieldContext
+from carlitz.mzv import partial_zeta
 from carlitz.poly import APoly, RatK, irreducibles_of_degree
 from carlitz.powersums import SeqCache
+from carlitz.textio import parse_matrix_data
 
 QS = (3, 4, 5, 7, 8, 9, 25)
 FIELDS = {q: FieldContext(q) for q in QS}
@@ -190,6 +192,96 @@ def test_binomial_normalization_matches_ratk(q):
     assert RawTPoly(ctx, 0, {(): b}, exps=(1,)).to_tpoly() == RawTPoly.one(ctx, 0).to_tpoly()
     raw = RawTPoly(ctx, 0, {(): kern.kmul(ctx, b, b)}, exps=(3,))
     assert raw.to_tpoly().terms[()] == RatK(APoly.one(ctx), APoly(ctx, b))
+
+
+# the exponents at each q: the largest binomial theta^(q^j) - theta has 243,
+# 256, 625, 729 and 625 terms, where products and divisions are packed, and
+# one factor with a nonlinear divisor, squared
+PACKED = {3: (1, 1, 1, 2, 1), 4: (1, 1, 2, 1), 5: (1, 1, 2, 1), 9: (1, 2, 1), 25: (0, 2)}
+
+
+def dense_divisor(ctx, rng, m):
+    """A monic divisor of theta^m - theta with no linear factor, of about a
+    third to a half of its degree: its gcd with t^k - 1, t random and k =
+    (m - 1) / l for the least prime l of m - 1 (the roots where t is an
+    l-th power), without the gcd with theta^q - theta."""
+    b = factor(ctx, m)
+    k = (m - 1) // next(l for l in range(2, m) if (m - 1) % l == 0)
+    while True:
+        t, power = random_poly(ctx, rng, m), [1]
+        for bit in bin(k)[2:]:
+            power = kern.kmod_binomial(ctx, kern.kmul(ctx, power, power), m)
+            if bit == "1":
+                power = kern.kmod_binomial(ctx, kern.kmul(ctx, power, t), m)
+        d = kern.kgcd(ctx, b, kern.ksub(ctx, power, [1]))
+        d = kern.kexactdiv(ctx, d, kern.kgcd(ctx, d, factor(ctx, ctx.q)))
+        if 1 < len(d) < m:
+            return d
+
+
+@pytest.mark.parametrize("q", sorted(PACKED))
+def test_normalization_at_packed_sizes_matches_ratk(q, monkeypatch=None):
+    # numerators of about 2,000 coefficients over PACKED[q]: a dense divisor
+    # of the squared factor's binomial, squared (its cofactor met on two
+    # copies, an even count); one of the top binomial b (one copy, odd); b
+    # times theta^2 (b whole, cofactor 1, then theta); nothing; theta once
+    # more than every copy.  Each is times a unit plus a multiple of the
+    # denominator, so prime to it.  monkeypatch is the calling convention of
+    # the mutation table
+    ctx = FIELDS[q]
+    rng = random.Random(q + 9)
+    exps = PACKED[q]
+    top, theta = len(exps), [0, 1]
+    den = factor_product(ctx, exps)
+    top_b = kern.kneg(ctx, factor(ctx, q ** top))
+    low = dense_divisor(ctx, rng, q ** (exps.index(2) + 1))
+    high = dense_divisor(ctx, rng, q ** top)
+    parts = ([low, low], [high], [top_b, theta, theta], [], [theta] * (sum(exps) + 1))
+    num = {}
+    for i, part in enumerate(parts):
+        c = reduce(lambda a, b: kern.kmul(ctx, a, b), part, [1])
+        unit = [rng.randrange(1, q)]
+        r = kern.kadd(ctx, unit, kern.kmul(ctx, den, random_poly(ctx, rng, 2000 - len(den) - len(c))))
+        num[(i,)] = kern.kmul(ctx, r, c)
+    raw = RawTPoly(ctx, 1, num, exps=exps)
+    assert list(raw.den) == den
+    want = {e: RatK(APoly(ctx, c), APoly(ctx, den)) for e, c in num.items()}
+    assert want[(3,)].den.degree == len(den) - 1    # nothing cancels
+    assert raw.to_tpoly().terms == want
+
+
+def test_normalization_divides_by_binomials_and_theta_only(ctx3, monkeypatch):
+    # a numerator is divided by theta^m - theta, or by theta (a shift); each
+    # cofactor (theta^m - theta) / f is built once per distinct (m, f) the
+    # gcds cancel, and the ell product is never a dividend.  kgcd's own
+    # divisions go through kdivmod, so they are not seen here
+    raw = partial_zeta(SeqCache(ctx3), 7, parse_matrix_data(ctx3, "t1:2,1:1"), "strict",
+                       raw=True)
+    binomials = {tuple(kern.kneg(ctx3, factor(ctx3, 3 ** j))) for j in range(1, len(raw.exps) + 1)}
+    divisions, cancelled, m = [], set(), [None]
+    div, gcd, mod = kern.kexactdiv, kern.kgcd, kern.kmod_binomial
+
+    def spy_div(ctx, a, b):
+        divisions.append((tuple(a), tuple(b)))
+        return div(ctx, a, b)
+
+    def spy_mod(ctx, a, k):
+        m[0] = k
+        return mod(ctx, a, k)
+
+    def spy_gcd(ctx, a, b):
+        f = gcd(ctx, a, b)
+        if len(f) > 1:
+            cancelled.add((m[0], tuple(f)))
+        return f
+    monkeypatch.setattr(kern, "kexactdiv", spy_div)
+    monkeypatch.setattr(kern, "kmod_binomial", spy_mod)
+    monkeypatch.setattr(kern, "kgcd", spy_gcd)
+    raw.to_tpoly()
+    builds = [(a, b) for a, b in divisions if a in binomials]
+    assert builds and len(builds) == len(set(builds)) == len(cancelled)
+    assert all(b in binomials or b == (0, 1) for a, b in divisions if a not in binomials)
+    assert tuple(raw.den) not in {a for a, _ in divisions}
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 25])

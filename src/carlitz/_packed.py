@@ -41,8 +41,8 @@ kmul and kdivmod check their slot bound before packing (for products,
 min(len) * e * (p-1)^2, or the sparse operand's nonzero terms times
 e * (p-1)^2, plus p-1 for an addend; below 2^16 for 16-bit and 2^32 for
 32-bit sub-slots) and fall back to the schoolbook loop past 2^32, which
-only happens for large p; the prime-field kgcd tracks the exact slot bound
-and renormalizes before it reaches 2^31.
+only happens for large p; the prime-field kgcd tracks the exact slot
+bounds and renormalizes before a step whose sum could reach 2^32.
 
 For q <= 16, where codes and the sums a*q + b of two codes fit in a byte,
 the codecs and the coefficient-wise operations are bytes.translate calls
@@ -550,7 +550,13 @@ def _slot_elem(ctx, value, k):
 
 _GCD_CUTOFF = 48
 _GCD_UNBALANCED = 64          # length gap from which kgcd divides first
-_SLOT_LIMIT = 1 << 31
+_SLOT_LIMIT = 1 << _W
+
+
+def _low_slots(ctx, value, nslots):
+    """The reduced coefficients of the low nslots slots of a prime-field
+    packed value, whose higher slots may hold junk."""
+    return unpack(ctx, value & ((1 << (nslots * _W)) - 1), nslots)
 
 
 def _kgcd_naive(ctx, a, b):
@@ -566,8 +572,11 @@ def kgcd(ctx, a, b):
     longer.  Large prime-field inputs stay packed across the remainder
     sequence: a step cancels one leading coefficient with a shifted scalar
     multiple of the other operand (added via the p-complement, so slots
-    only grow), renormalizing only when the exact slot bound nears 2^31.
-    Extension fields stay on schoolbook, which wins there at every size.
+    only grow).  It tracks the exact slot bounds of A and B, and before a
+    step that could carry out of a 32-bit slot it renormalizes A, and B
+    unless B is reduced; fields with (p - 1) p >= 2^32, where even that
+    step could carry, take schoolbook.  Extension fields stay on
+    schoolbook, which wins there at every size.
     """
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
@@ -578,34 +587,32 @@ def kgcd(ctx, a, b):
         return _like(first, [1])
     if b and len(a) - len(b) >= _GCD_UNBALANCED:
         a, b = b, kdivmod(ctx, a, b)[1]
-    if not b or ctx.e > 1 or len(a) <= _GCD_CUTOFF:
+    p = ctx.p
+    if not b or ctx.e > 1 or len(a) <= _GCD_CUTOFF or (p - 1) * p >= _SLOT_LIMIT:
         return _like(first, _kgcd_naive(ctx, a, b))
 
-    p = ctx.p
     A, da, amax = pack(ctx, a), len(a) - 1, p - 1
     B, db, bmax = pack(ctx, b), len(b) - 1, p - 1
     inv_b = ctx.inv[_slot_elem(ctx, B, db)]
     while True:
-        # one cancellation step: kill the leading slot of A
-        s = _slot_elem(ctx, A, da) * inv_b % p
-        A += (p - s) * (B << ((da - db) * _W))
+        # one cancellation step: kill the leading slot of A, after
+        # renormalizing if the step could carry out of a slot (cancelled
+        # lead slots hold junk that is 0 mod p; `_low_slots` masks it off)
         amax += (p - 1) * bmax
         if amax >= _SLOT_LIMIT:
-            # cancelled lead slots hold junk that is 0 mod p; mask it off
-            A &= (1 << (da * _W)) - 1
-            A = pack(ctx, unpack(ctx, A, da))
-            amax = p - 1
+            A = pack(ctx, _low_slots(ctx, A, da + 1))
             if bmax > p - 1:
-                B &= (1 << ((db + 1) * _W)) - 1
-                B = pack(ctx, unpack(ctx, B, db + 1))
+                B = pack(ctx, _low_slots(ctx, B, db + 1))
                 bmax = p - 1
+            amax = (p - 1) * p
+        s = _slot_elem(ctx, A, da) * inv_b % p
+        A += (p - s) * (B << ((da - db) * _W))
         # locate the new degree of A
         da -= 1
         while da >= 0 and _slot_elem(ctx, A, da) == 0:
             da -= 1
         if da < 0:
-            B &= (1 << ((db + 1) * _W)) - 1
-            g = trim(unpack(ctx, B, db + 1))
+            g = trim(_low_slots(ctx, B, db + 1))
             lc = g[-1]
             return _like(first, g if lc == 1 else kscal(ctx, ctx.inv[lc], g))
         if da < db:

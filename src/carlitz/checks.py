@@ -25,7 +25,7 @@ import fnmatch
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import shuffle, tate
 from ._rawfrac import RawTPoly
@@ -43,8 +43,7 @@ DEFAULT_PARAMS = {"qs": (3, 4), "d_max": 5, "prec": 25, "budget": DEFAULT_BUDGET
 DEEP_PARAMS = {"qs": (3, 4, 5), "d_max": 6, "prec": 40, "budget": 2_000_000}
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     id: str
     params: dict
     status: str                     # pass | fail | skipped
@@ -83,12 +82,11 @@ class _Pool:
         return self._stores[q]
 
 
-@dataclass
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     kind: str                      # exact-per-degree | exact-finite | valuation-threshold
     description: str
-    runner: object = field(repr=False)
+    runner: object
 
     def run(self, pool, params):
         t0 = time.perf_counter()

@@ -52,14 +52,13 @@ class UnsupportedCharacter(CarlitzError, ValueError):
 
 
 class BudgetExceeded(CarlitzError, RuntimeError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A brute-force enumeration, or a recursion as long, would exceed the
+    configured budget; `work` names the requested count."""
 
-    def __init__(self, requested, budget):
+    def __init__(self, requested, budget, work="enumeration of {} monic polynomials"):
         self.requested = requested
         self.budget = budget
-        super().__init__(
-            f"enumeration of {requested} monic polynomials exceeds the budget of {budget}"
-        )
+        super().__init__(f"{work.format(requested)} exceeds the budget of {budget}")
 
 
 class TailNotVanishing(CarlitzError, ArithmeticError):

@@ -235,9 +235,10 @@ class SeqCache:
             return v
         return self.memo("monic_lcm", d, make)
 
-    def check_budget(self, count):
+    def check_budget(self, count, *work):
+        """BudgetExceeded past the budget; `work` names count (default: monics)."""
         if count > self.budget:
-            raise BudgetExceeded(count, self.budget)
+            raise BudgetExceeded(count, self.budget, *work)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +563,13 @@ def _generated(cache, d, n):
     product of the monics of degree d, is (-1)^i over prod_j (theta -
     theta^(q^j))^(e_j), e_j = q^(i-j) [j <= i] + q^i [j <= d - i]; a
     product by it adds the e_j and applies the sign.
-    Memoized per (d, m) in the table "gen", filled bottom-up."""
+    Memoized per (d, m) in the table "gen", filled bottom-up.  Building
+    and keeping the n values is charged n against the budget, as an
+    enumeration is charged its monics."""
     ctx, q = cache.ctx, cache.ctx.q
     table = cache.table("gen")
     if (d, n) not in table:
+        cache.check_budget(n, "Carlitz's recursion to order {}")
         units = [[(q ** (i - j) if j <= i else 0) + (q ** i if j <= d - i else 0)
                   for j in range(1, d + 1)] for i in range(d + 1)]
         table[d, 1] = RawTPoly.over_ell(ctx, 0, {(): [1]}, d, 1)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +107,18 @@ def test_failures_recorded_not_raised():
     rep = boom.run(pool, checks.DEFAULT_PARAMS)
     assert rep.status == "fail"
     assert "expected failure" in rep.witness
+
+
+def test_import_loads_no_introspection_modules():
+    # `dataclasses` alone pulled in inspect, ast, dis and tokenize, about a
+    # sixth of the startup of a short run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import carlitz; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_reports_deterministic_modulo_timing():

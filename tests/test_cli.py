@@ -1,9 +1,9 @@
-import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,7 +123,7 @@ def test_verify_ndjson_flushes_each_record_before_the_next_check(monkeypatch):
             seen.append(out.flushed.count("\n"))
             return real(pool, params)
         monkeypatch.setitem(checks.REGISTRY, cid,
-                            dataclasses.replace(checks.REGISTRY[cid], runner=runner))
+                            checks.REGISTRY[cid]._replace(runner=runner))
     code = main(["verify", "--suite", "eq-e[12]", "--q", "3", "--d-max", "2",
                  "--format", "ndjson"])
     assert (code, seen) == (0, [0, 1])
@@ -229,6 +229,21 @@ def test_budget_surfaced(capsys):
                            "--data", "t1:4", "--budget", "100")
     assert code == 2
     assert "budget" in err and "100" in err
+
+
+def test_budget_bounds_the_untwisted_recursion(capsys):
+    # S_3(2000) by Carlitz's recursion builds 2000 values, past a budget of
+    # 100; unbounded it ran past 20 s
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "powsum", "--q", "3", "--d", "3",
+                             "--data", "1:2000", "--budget", "100")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "error: Carlitz's recursion to order 2000 exceeds the budget of 100\n"
+    # an order within the budget still takes the recursion
+    code, out, _ = run_cli(capsys, "powsum", "--q", "3", "--d", "9",
+                           "--data", "1:4", "--budget", "100")
+    assert code == 0 and "value: " in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -82,6 +82,14 @@ KERNEL_MUTATIONS = [
     ("dense product without a's top coefficient", "kmul",
      "pack(ctx, a, width) * ", "pack(ctx, a[:-1], width) * ",
      prop.test_kmul_at_the_16_bit_bound, (3, 16383)),
+    # the packed gcd's slot bound without B's growth: after a swap at
+    # p = 101 a step carries out of a 32-bit slot
+    ("gcd slot bound ignoring the other operand's bound", "kgcd",
+     "amax += (p - 1) * bmax", "amax += (p - 1) * (p - 1)",
+     prop.test_gcd_at_large_p_matches_reference, (101,)),
+    ("gcd renormalizing A but not a grown B", "kgcd",
+     "if bmax > p - 1:", "if False:",
+     prop.test_gcd_at_large_p_matches_reference, (101,)),
     # the orbit sums of `monic_sum`: each orbit size is 2 or 1 mod 3
     ("orbit size factor dropped", "powersums.monic_sum",
      "unit[mul[code][n]]", "unit[code]",

@@ -104,6 +104,21 @@ def test_gcd_big_structured(q):
         assert not ref.ndivmod(ctx, got, g)[1]
 
 
+@pytest.mark.parametrize("q", [11, 13, 31, 101, 251])
+def test_gcd_at_large_p_matches_reference(q, monkeypatch):
+    # the packed loop at large p, where a swapped-in operand's slot bound
+    # is near 2^31 and one more step would carry out of a 32-bit slot
+    ctx = field(q)
+    rng = random.Random(q + 31)
+    monkeypatch.setattr(kern, "_kgcd_naive", None)   # every pair stays packed
+    for _ in range(40):
+        g = random_poly(rng, q, rng.randint(2, 40))
+        a = random_poly(rng, q, rng.randint(50, 110))
+        b = random_poly(rng, q, rng.randint(50, 110))
+        ag, bg = ref.nmul(ctx, a, g), ref.nmul(ctx, b, g)
+        assert kern.kgcd(ctx, ag, bg) == ref.ngcd(ctx, ag, bg)
+
+
 def random_poly(rng, q, n, density=1.0):
     """A length-n coefficient list with a nonzero leading coefficient."""
     return [rng.randrange(q) if rng.random() < density else 0

@@ -218,6 +218,18 @@ def test_ratk_matches_reference_fractions(q, data):
             assert poly_gcd(z.num, z.den).degree == 0
 
 
+def test_ratk_reduces_a_planted_factor_at_q_101():
+    # degree-60 parts reach the packed gcd, whose slots overflowed at p = 101
+    ctx = FieldContext(101)
+    rng = random.Random(101)
+    for _ in range(5):
+        a, b, g = (APoly(ctx, [rng.randrange(101) for _ in range(n)] + [1])
+                   for n in (40, 40, 20))
+        x = RatK(a * g, b * g)
+        assert poly_gcd(x.num, x.den).degree == 0
+        assert x.den.degree <= 40 and x.num * b == x.den * a
+
+
 def test_ratk_normalization_idempotent(ctx3):
     rng = random.Random(3)
     for _ in range(20):

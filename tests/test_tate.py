@@ -182,12 +182,15 @@ def test_zeta_series_values(cache3):
 def test_degree_character_zeta_equals_the_enumeration_route(q, monkeypatch):
     # a degree character factors out of a closed form as t_k^d, so the
     # series of nu-twisted data, like those of the untwisted order q + 1,
-    # come from `closed_raw`, which enumerates nothing (a budget of one
-    # monic suffices); the same values summed over monics must agree
+    # come from `closed_raw`, which enumerates nothing (no `monic_sum` runs,
+    # and a budget of q + 1 covers the recursion to order q + 1); the same
+    # values summed over monics must agree
     ctx = FieldContext(q)
     for text in ("nu1:1", "nu1:2", "nu1*t2:1,1:1", f"1:{q + 1}", f"1:1,1:{q + 1}"):
         data = parse_matrix_data(ctx, text)
-        closed = zeta_series(SeqCache(ctx, budget=1), data, 40)
+        with monkeypatch.context() as mp:
+            mp.setattr(tate, "monic_sum", None)
+            closed = zeta_series(SeqCache(ctx, budget=q + 1), data, 40)
         with monkeypatch.context() as mp:
             mp.setattr(tate, "closed_form", lambda q, n, sigma: None)
             with pytest.raises(BudgetExceeded):

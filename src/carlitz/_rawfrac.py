@@ -33,9 +33,14 @@ normalization path, for printing, cancels each numerator one factor of
 `exps` at a time, so that every gcd is with one short binomial theta^m -
 theta; a numerator is divided only by that binomial or by theta, and each
 reduced denominator is a product.
+
+A value twisted by chi_t1 chi_t2 is symmetric in t1 and t2, so its
+numerators repeat at mirrored monomials: products, the lifting products of
+`sum` and `to_tpoly` work once per distinct operand value in one call
+(`_per_value`), and monomials with equal numerators share the result.
 """
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import zip_longest
 
 from . import _packed as kern
@@ -58,9 +63,9 @@ class RawTPoly:
         kind = bytes if kern._codec(ctx) else list
         # numerators are stored trimmed and nonzero, so that equal
         # denominators mean equal numerators (see `equals`)
-        kept = {e: c for e, c in num.items() if c and c[-1] and type(c) is kind}
-        if len(kept) < len(num):
-            kept = {e: t for e, c in num.items() if (t := _stored(kind, c))}
+        kept = {e: c for e, c in num.items() if c}
+        if not all(c[-1] and type(c) is kind for c in kept.values()):
+            kept = {e: t for e, c in kept.items() if (t := _stored(kind, c))}
         self.num = kept
         exps = tuple(exps)
         while exps and not exps[-1]:
@@ -110,11 +115,11 @@ class RawTPoly:
         if not groups:
             return terms[0]
         top = _top(groups)
-        out = groups.pop(top, {})
+        out, mul = groups.pop(top, {}), _per_value(partial(kern.kmul, ctx))
         for exps, num in groups.items():
             quo = _quotient(ctx, top, exps)
             for e, c in num.items():
-                out[e] = kern.kmul(ctx, c, quo, out.get(e))
+                out[e] = mul(c, quo, out.get(e))
         return cls(ctx, s, out, exps=top)
 
     def __add__(self, other):
@@ -132,11 +137,11 @@ class RawTPoly:
         if other.s != self.s:
             raise ArityMismatch("arities differ")
         ctx = self.ctx
-        out = {}
+        mul, out = _per_value(partial(kern.kmul, ctx)), {}
         for e1, c1 in self.num.items():
             for e2, c2 in other.num.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = kern.kmul(ctx, c1, c2, out.get(e))
+                out[e] = mul(c1, c2, out.get(e))
         return RawTPoly(ctx, self.s, out,
                         exps=[x + y for x, y in zip_longest(self.exps, other.exps, fillvalue=0)])
 
@@ -180,11 +185,13 @@ class RawTPoly:
         cancelled copy leaves -h of its factor theta - theta^m = -f h, so
         the reduced denominator is (-1)^copies prod h times the ell product
         of the exponents left, the cofactors multiplied shortest first, so
-        that the running product stays short."""
+        that the running product stays short.  Each distinct numerator is
+        reduced once (`_per_value`), and its monomials share the RatK."""
         ctx = self.ctx
         den = APoly._make(ctx, list(self.den))
-        cofactors, terms = {}, {}
-        for e, n in self.num.items():
+        cofactors = {}
+
+        def reduced(n):
             n, left, hs = list(n), list(self.exps), []  # the gcds work on lists
             for j in range(len(self.exps), 0, -1):
                 m = ctx.q ** j
@@ -206,12 +213,29 @@ class RawTPoly:
                 h = reduce(lambda a, b: kern.kmul(ctx, a, b), sorted(hs, key=len))
                 d = APoly._make(ctx, kern.kmul(ctx, kern.kneg(ctx, h) if len(hs) % 2 else h,
                                                ell_product(ctx, tuple(left))))
-            terms[e] = RatK(APoly._make(ctx, n), d, _reduced=True)
-        return TPoly(ctx, self.s, terms, _clean=True)
+            return RatK(APoly._make(ctx, n), d, _reduced=True)
+        norm = _per_value(reduced)
+        return TPoly(ctx, self.s, {e: norm(n) for e, n in self.num.items()}, _clean=True)
 
     def __repr__(self):
         from .textio import format_tpoly
         return format_tpoly(self.to_tpoly())
+
+
+def _per_value(fn):
+    """fn run once per distinct value of its arguments while the returned
+    function lives (one method call): bytes key as they are, lists as
+    tuples, and an accumulator (None or codes) is an argument like any.
+    The codes of one call are all bytes or all lists."""
+    memo = {}
+
+    def call(*args):
+        key = args if type(args[0]) is bytes else tuple(
+            a if a is None else tuple(a) for a in args)
+        if (out := memo.get(key)) is None:
+            out = memo[key] = fn(*args)
+        return out
+    return call
 
 
 def _top(exps):

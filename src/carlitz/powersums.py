@@ -270,7 +270,8 @@ def _orbit_size(ctx, d, h):
 
 def monic_sum(cache, d, sigma, value, degrees, weight):
     """Sum of sigma(a) value(a) over the q^d monic a of degree d, as a dict
-    t-exponents -> len(degrees) codes, slot j for theta^(degrees[j]) (a
+    t-exponents -> trimmed codes (bytes over a field with byte codecs, the
+    form `RawTPoly` keeps, else a list), slot j for theta^(degrees[j]) (a
     range of step +-1).  a -> u^(-d) a(u theta), u in F_q^x, permutes the
     monics and takes value(a) to u^(-W_f) value(a)(u theta):
 
@@ -299,10 +300,13 @@ def monic_sum(cache, d, sigma, value, degrees, weight):
                 acc[exps] = acc.get(exps, 0) + unit[mul[code][n]] * packed
         if every and i % every == 0:
             acc = {e: kern.pack(ctx, kern.unpack(ctx, v, len(degrees))) for e, v in acc.items()}
-    sums = {e: [0] * len(degrees) for e in acc}
+    sums = {}
     for e, v in acc.items():
         keep = slice(degrees.step * (total - sum(e) - degrees.start) % h, None, h)
-        sums[e][keep] = kern.unpack(ctx, v, len(degrees))[keep]
+        codes = kern.unpack(ctx, v, len(degrees), as_bytes=True)
+        out = bytearray(len(codes)) if type(codes) is bytes else [0] * len(codes)
+        out[keep] = codes[keep]
+        sums[e] = kern.trim(kern._like(codes, out))
     return sums
 
 
@@ -370,9 +374,10 @@ def power_sum_closed(cache, d, which):
 
 def _in_var(ctx, s, i, coeffs):
     """The sum of c_k t_i^k for (k, c_k) in coeffs, c_k in A, as a RawTPoly
-    of arity s over 1."""
+    of arity s over 1, its numerators in the form it keeps."""
+    kind = bytes if kern._codec(ctx) else list
     return RawTPoly(ctx, s, {tuple(k if j == i - 1 else 0 for j in range(s)):
-                             list(c.coeffs) for k, c in coeffs})
+                             kind(c.coeffs) for k, c in coeffs})
 
 
 def partial_F_one_q(cache, d):
@@ -523,13 +528,13 @@ def closed_raw(cache, d, n, sigma):
     s = sigma.s
     v = sigma.vars
     den = (n,) * d
+    kind = bytes if kern._codec(ctx) else list
     if form == "kql":
-        terms = {(0,) * s: [1]}
+        terms = {(0,) * s: kind([1])}
     elif form == "gen":
         x = _generated(cache, d, n)
         terms, den = {(0,) * s: c for c in x.num.values()}, x.exps
     elif form in ("e3", "f3"):
-        kind = bytes if kern._codec(ctx) else list
         x = [kind(c.coeffs) for c in (cache.b_coeffs(d) if form == "e3"
                                       else cache.tb_coeffs(d))]
         y = z = ()

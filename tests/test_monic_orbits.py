@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from carlitz import _packed as kern
 from carlitz import powersums, tate
+from carlitz._rawfrac import RawTPoly
 from carlitz.ffield import FieldContext
 from carlitz.powersums import SemiChar, SeqCache
 
@@ -96,6 +98,23 @@ def test_value_runs_once_per_orbit(q):
             powersums.monic_sum(SeqCache(ctx), d, sigma,
                                 lambda a: seen.append(tuple(a)) or [1], range(1), 0)
             assert len(seen) == len(set(seen)) == orbits, (d, sigma)
+
+
+@pytest.mark.parametrize("q", [3, 4, 25])
+def test_sums_come_in_the_form_rawtpoly_keeps(q):
+    # trimmed bytes over a field with byte codecs, else trimmed lists: a
+    # RawTPoly of them stores each one as it is, with no conversion
+    ctx = FIELDS[q]
+    kind, stored = bytes if q <= 16 else list, 0
+    for sigma in sigmas(ctx):
+        # the sum of sigma(a) a^(q-1) over the monics of degree 1
+        sums = powersums.monic_sum(SeqCache(ctx), 1, sigma, lambda a: kern.kpow(ctx, a, q - 1),
+                                   range(q), q - 1)
+        assert all(type(c) is kind and (not c or c[-1]) for c in sums.values()), sigma
+        raw = RawTPoly(ctx, sigma.s, sums)
+        assert all(c is sums[e] for e, c in raw.num.items()), sigma
+        stored += len(raw.num)
+    assert stored
 
 
 def brute_orbit(ctx, c):

@@ -3,13 +3,13 @@
 Each `KERNEL_MUTATIONS` entry mutates one fragment of a `_packed`
 function, or of any function or method given as `<module>.<attr>[.<attr>]`
 under `carlitz` (the enumeration loop, the exponent arithmetic of
-`RawTPoly` and its reduced denominators, the Tate-series product, the
-untwisted power-sum recursion), from outside `src/`, and names the
-property test of `test_packed.py`, `test_monic_orbits.py`,
-`test_powersums.py`, `test_rawfrac.py` or `test_tate_oracle.py` that
-must catch it: the test passes on the real code and fails on the mutant.
-A fragment that no longer occurs exactly once fails the control, so the
-table follows the code it perturbs.
+`RawTPoly`, its reduced denominators and its per-call memo, the
+Tate-series product, the untwisted power-sum recursion), from outside
+`src/`, and names the property test of `test_packed.py`,
+`test_monic_orbits.py`, `test_powersums.py`, `test_rawfrac.py` or
+`test_tate_oracle.py` that must catch it: the test passes on the real
+code and fails on the mutant.  A fragment that no longer occurs exactly
+once fails the control, so the table follows the code it perturbs.
 
 Each `CHECK_CONTROLS` entry perturbs one input of a registered check, by
 a monkeypatch from outside `src/`, and must turn that check's status from
@@ -123,6 +123,16 @@ KERNEL_MUTATIONS = [
     ("reduced denominator without its shortest cofactor", "_rawfrac.RawTPoly.to_tpoly",
      "sorted(hs, key=len)", "sorted(hs, key=len)[1:] or [[1]]",
      raw.test_normalization_at_packed_sizes_matches_ratk, (5,)),
+    # the per-call memo of products and reductions: a product's key without
+    # its accumulator, seen where one numerator is lifted onto two unequal
+    # sums; a reduction reused for another numerator of the same length
+    ("memoized product keyed without its accumulator", "_rawfrac._per_value",
+     "key = args if", "key = args[:2] if",
+     raw.test_sum_matches_the_left_to_right_sum, (3,)),
+    ("reduction reused across numerators of one length", "_rawfrac.RawTPoly.to_tpoly",
+     "norm = _per_value(reduced)",
+     "norm = (lambda seen: lambda n: seen.setdefault(len(n), reduced(n)))({})",
+     raw.test_normalization_at_packed_sizes_matches_ratk, (3,)),
     # seen only where a t-radix is above 1, so at s = 1 and 2, not at s = 0
     ("Tate product radix one short", "tate.TateSeries.__mul__",
      "a + b - 1 for", "a + b - 2 for",

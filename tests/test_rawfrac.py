@@ -225,9 +225,9 @@ def test_normalization_at_packed_sizes_matches_ratk(q, monkeypatch=None):
     # of the squared factor's binomial, squared (its cofactor met on two
     # copies, an even count); one of the top binomial b (one copy, odd); b
     # times theta^2 (b whole, cofactor 1, then theta); nothing; theta once
-    # more than every copy.  Each is times a unit plus a multiple of the
-    # denominator, so prime to it.  monkeypatch is the calling convention of
-    # the mutation table
+    # more than every copy; the first again, at a second monomial.  Each is
+    # times a unit plus a multiple of the denominator, so prime to it.
+    # monkeypatch is the calling convention of the mutation table
     ctx = FIELDS[q]
     rng = random.Random(q + 9)
     exps = PACKED[q]
@@ -243,11 +243,18 @@ def test_normalization_at_packed_sizes_matches_ratk(q, monkeypatch=None):
         unit = [rng.randrange(1, q)]
         r = kern.kadd(ctx, unit, kern.kmul(ctx, den, random_poly(ctx, rng, 2000 - len(den) - len(c))))
         num[(i,)] = kern.kmul(ctx, r, c)
+    shared = num[(len(parts),)] = num[(0,)]
+    before = list(shared)
     raw = RawTPoly(ctx, 1, num, exps=exps)
     assert list(raw.den) == den
     want = {e: RatK(APoly(ctx, c), APoly(ctx, den)) for e, c in num.items()}
     assert want[(3,)].den.degree == len(den) - 1    # nothing cancels
-    assert raw.to_tpoly().terms == want
+    got = raw.to_tpoly().terms
+    assert got == want
+    # the repeated numerator is reduced once; over F_25 the two monomials
+    # hold one list, which normalization leaves as it was
+    assert got[(len(parts),)] is got[(0,)]
+    assert (raw.num[(0,)] is shared) == (q == 25) and list(shared) == before
 
 
 def test_normalization_divides_by_binomials_and_theta_only(ctx3, monkeypatch):
@@ -284,8 +291,28 @@ def test_normalization_divides_by_binomials_and_theta_only(ctx3, monkeypatch):
     assert tuple(raw.den) not in {a for a, _ in divisions}
 
 
+def test_a_symmetric_value_normalizes_each_distinct_numerator_once(ctx3, monkeypatch):
+    # the value is symmetric in t1 and t2, so its 36 numerators hold 21
+    # distinct values; each distinct one meets the top binomial in one gcd
+    raw = partial_zeta(SeqCache(ctx3), 6, parse_matrix_data(ctx3, "t1*t2:1,1:1"), "strict",
+                       raw=True)
+    assert (len(raw.num), len(set(raw.num.values()))) == (36, 21)
+    top = tuple(factor(ctx3, 3 ** len(raw.exps)))
+    firsts, gcd = [], kern.kgcd
+
+    def spy_gcd(ctx, a, b):
+        firsts.append(tuple(a) == top)
+        return gcd(ctx, a, b)
+    monkeypatch.setattr(kern, "kgcd", spy_gcd)
+    terms = raw.to_tpoly().terms
+    assert sum(firsts) == 21
+    for (i, j, *rest), c in terms.items():
+        assert terms[(j, i, *rest)] is c
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 25])
-def test_sum_matches_the_left_to_right_sum(q):
+def test_sum_matches_the_left_to_right_sum(q, monkeypatch=None):
+    # monkeypatch is the calling convention of the mutation table
     ctx = FIELDS[q]
     rng = random.Random(q + 7)
     top = 2 if q <= 5 else 1
@@ -299,6 +326,13 @@ def test_sum_matches_the_left_to_right_sum(q):
         terms.append(RawTPoly(ctx, 2, num, exps=rng.choice(dens)))
     terms += [-terms[0], terms[1], RawTPoly.zero(ctx, 2)]
     rng.shuffle(terms)
+    # last, over exponents of their own, above the others: distinct
+    # numerators at two monomials, then one numerator at both, lifted onto
+    # the unequal sums there
+    terms += [RawTPoly(ctx, 2, {(0, 0): random_poly(ctx, rng, 9), (1, 1): random_poly(ctx, rng, 7)},
+                       exps=(5,)),
+              RawTPoly(ctx, 2, dict.fromkeys([(0, 0), (1, 1)], random_poly(ctx, rng, 8)),
+                       exps=(4,))]
     total = RawTPoly.sum(terms)
     left = reduce(lambda x, y: x + y, terms)
     assert total.equals(left) and left.equals(total)
